@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .model import f_factor
+from .model import _check_rho, f_factor
 from .numkit import DEFAULT_PROFILE, ToleranceProfile, integrate_adaptive
 from .susy import superpotential
 
@@ -83,9 +83,7 @@ def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic",
     fermionic: V =  f^-2 (lambda + Int_1^rho f^2),  solves V' - 2WV = +1.
     """
     _check_side(side)
-    rho = float(rho)
-    if rho <= 0:
-        raise ValueError("rho must be strictly positive")
+    rho = float(_check_rho(rho))
     integral = _tail_integral(rho, kappa, l, side, profile)
     f2 = f_factor(rho, kappa, l) ** 2
     if side == "bosonic":

@@ -199,9 +199,11 @@ def default_grid(lo: float = 1e-3, hi: float = 1e3, n: int = 400) -> np.ndarray:
 
 
 def _check_rho(rho):
+    """Radius (scalar or array) as a float array; rejects rho <= 0, NaN and inf."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("rho must be strictly positive")
+    # min and max propagate NaN, so one reduction each checks the whole range
+    if not (rho.min(initial=np.inf) > 0 and rho.max(initial=0.0) < np.inf):
+        raise ValueError("rho must be strictly positive and finite")
     return rho
 
 

@@ -291,12 +291,14 @@ def fornberg_weights(z: float, xs, m: int) -> np.ndarray:
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
     Returns an array ``w`` of shape (m+1, len(xs)) such that
-    ``w[k] @ f(xs)`` approximates the k-th derivative of f at ``z``.
+    ``w[k] @ f(xs)`` approximates the k-th derivative of f at ``z``.  The
+    recursion runs on Python floats: for a handful of nodes that is several
+    times cheaper than indexing numpy scalars.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = np.asarray(xs, dtype=float).tolist()
     n = len(xs)
-    w = np.zeros((m + 1, n))
-    w[0, 0] = 1.0
+    w = [[0.0] * n for _ in range(m + 1)]
+    w[0][0] = 1.0
     c1 = 1.0
     c4 = xs[0] - z
     for i in range(1, n):
@@ -309,13 +311,13 @@ def fornberg_weights(z: float, xs, m: int) -> np.ndarray:
             c2 *= c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+                    w[k][i] = c1 * (k * w[k - 1][i - 1] - c5 * w[k][i - 1]) / c2
+                w[0][i] = -c1 * c5 * w[0][i - 1] / c2
             for k in range(mn, 0, -1):
-                w[k, j] = ((xs[i] - z) * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = (xs[i] - z) * w[0, j] / c3
+                w[k][j] = (c4 * w[k][j] - k * w[k - 1][j]) / c3
+            w[0][j] = c4 * w[0][j] / c3
         c1 = c2
-    return w
+    return np.array(w)
 
 
 def grid_derivative(grid, values, order: int = 1, stencil: int = 5) -> np.ndarray:
@@ -334,11 +336,11 @@ def grid_derivative(grid, values, order: int = 1, stencil: int = 5) -> np.ndarra
         raise ValueError("grid and values must have matching shapes")
     out = np.empty(n)
     half = stencil // 2
+    nodes = grid.tolist()
     for i in range(n):
         lo = min(max(i - half, 0), n - stencil)
-        idx = slice(lo, lo + stencil)
-        w = fornberg_weights(grid[i], grid[idx], order)
-        out[i] = float(np.dot(w[order], values[idx]))
+        w = fornberg_weights(nodes[i], nodes[lo:lo + stencil], order)
+        out[i] = w[order] @ values[lo:lo + stencil]
     return out
 
 

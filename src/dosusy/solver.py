@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -37,60 +36,104 @@ __all__ = [
 ]
 
 _OVERFLOW_LIMIT = 1e250
+_CELLS = 3000     # Magnus cells per shooting leg; the error scales as cells^-4
+_TAIL = 1e-17     # potential term, relative to (l+1/2)^2, where the legs start
+_GAUSS = math.sqrt(3.0) / 6.0   # Gauss points sit at mid -+ _GAUSS * h
+_COMM = math.sqrt(3.0) / 12.0   # commutator weight of the 4th-order Magnus step
 
 
 # ======================================================================
 # === Radial problem at zero energy ===
 # ======================================================================
 #
-# -u'' + [ l(l+1)/rho^2 + U(rho) ] u = 0, integrated as a first-order
-# system with an embedded adaptive pair.  Series starts supply boundary
-# data: the regular branch u ~ rho^(l+1) (1 + c1 rho^(2k) + ...) near the
-# origin and the decaying branch u ~ rho^(-l) (1 + c1 rho^(-2k) + ...) at
-# large radius; the expansion coefficients obey the same recurrence on
-# both ends.
+# -u'' + [ l(l+1)/rho^2 + U(rho) ] u = 0 becomes, in t = ln rho with
+# u = rho^(1/2) y, the Poeschl-Teller problem y'' = q(t) y with
+# q(t) = L^2 - w / (4 cosh^2(kappa t)) and L = l + 1/2, integrated as
+# Y' = [[0, 1], [q, 0]] Y by the 4th-order Magnus propagator with two Gauss
+# points per cell.  Far out on either side q = L^2 to rounding, so the
+# regular branch starts as Y = (1, L) at t = -T and the decaying branch as
+# Y = (1, -L) at t = +T.  At rho = 1, du/drho = y' + y/2.
 
-def _series_coeffs(kappa: float, l: int, w: float, kmax: int = 3) -> list[float]:
-    c = [1.0]
-    for k in range(1, kmax + 1):
-        s = sum((-1.0) ** (k - 1 - i) * (k - i) * c[i] for i in range(k))
-        c.append(-w * s / (2.0 * kappa * k * (2.0 * l + 2.0 * kappa * k + 1.0)))
-    return c
+def _leg_length(w: float, kappa: float, L: float) -> float:
+    """T at which w / (4 cosh^2(kappa T)) falls to _TAIL * L^2 (at least 1)."""
+    return max(math.log(w / (4.0 * _TAIL * L * L)) / (2.0 * kappa), 1.0)
 
 
-def _start_outward(rho0: float, kappa: float, l: int, w: float) -> tuple[float, float]:
-    c = _series_coeffs(kappa, l, w)
-    u = sum(ci * rho0 ** (l + 1.0 + 2.0 * kappa * k) for k, ci in enumerate(c))
-    du = sum(ci * (l + 1.0 + 2.0 * kappa * k) * rho0 ** (l + 2.0 * kappa * k)
-             for k, ci in enumerate(c))
-    return u, du
+def _cells(t: np.ndarray, w: float, kappa: float, L: float) -> np.ndarray:
+    """Magnus propagators over the cells between consecutive edges t.
+
+    exp(Omega) for the traceless Omega = [[a, h], [c, -a]] is cosh(r) I +
+    sinh(r)/r Omega, r^2 = a^2 + h c (cos, sin when r^2 < 0).  Each cell is
+    scaled by exp(-L |h|), so products never overflow; edges may run either
+    way along the last axis.
+    """
+    h, mid = np.diff(t, axis=-1), 0.5 * (t[..., 1:] + t[..., :-1])
+
+    def q(x):
+        z = np.exp(-2.0 * kappa * np.abs(x))   # 1/(4 cosh^2) = z/(1+z)^2
+        return L * L - w * z / (1.0 + z) ** 2
+
+    q1, q2 = q(mid - _GAUSS * h), q(mid + _GAUSS * h)
+    a, c = _COMM * h * h * (q1 - q2), 0.5 * h * (q1 + q2)
+    r2 = a * a + h * c
+    r = np.sqrt(np.abs(r2))
+    rg = np.where(r2 >= 0.0, r, 0.0)
+    damp, up = np.exp(-L * np.abs(h)), np.exp(rg - L * np.abs(h))
+    sinhc = np.divide(-np.expm1(-2.0 * rg), 2.0 * rg, out=np.ones_like(rg), where=rg > 0.0)
+    ch = np.where(r2 >= 0.0, 0.5 * (up + damp * np.exp(-rg)), damp * np.cos(r))
+    sh = np.where(r2 >= 0.0, up * sinhc, damp * np.sinc(r / np.pi))
+    return np.stack([ch + sh * a, sh * h, sh * c, ch - sh * a], axis=-1).reshape(h.shape + (2, 2))
 
 
-def _start_inward(rho1: float, kappa: float, l: int, w: float) -> tuple[float, float]:
-    c = _series_coeffs(kappa, l, w)
-    u = sum(ci * rho1 ** (-l - 2.0 * kappa * k) for k, ci in enumerate(c))
-    du = sum(ci * (-l - 2.0 * kappa * k) * rho1 ** (-l - 2.0 * kappa * k - 1.0)
-             for k, ci in enumerate(c))
-    return u, du
+def _product(M: np.ndarray) -> np.ndarray:
+    """Ordered product M[n-1] @ ... @ M[0] over the cell axis, pairwise."""
+    while M.shape[-3] > 1:
+        if M.shape[-3] % 2:
+            M = np.concatenate([M, np.broadcast_to(np.eye(2), M[..., :1, :, :].shape)], axis=-3)
+        M = M[..., 1::2, :, :] @ M[..., 0::2, :, :]
+    return M[..., 0, :, :]
 
 
-def _radial_rhs(rho, y, kappa, l, w):
-    ueff = l * (l + 1.0) / rho ** 2 - w * rho ** (2.0 * kappa - 2.0) / (1.0 + rho ** (2.0 * kappa)) ** 2
-    return [y[1], ueff * y[0]]
+def _scan(w: float, kappa: float, l: int, side: int, samples: np.ndarray, t_end: float):
+    """Carry the regular (side = -1) or decaying (side = +1) branch from its
+    tail through the sample points t to t_end, on the shooting cells split
+    at every sample: one pairwise product up to the first sample, then a
+    sequential scan keeping (y, y') at unit 1-norm and its size in log space.
+    Returns y and log-scale at the samples, and (y, y', log-scale) at t_end.
+    """
+    L = l + 0.5
+    base = np.arange(-_CELLS, _CELLS + 1) * (_leg_length(w, kappa, L) / _CELLS)
+    t0 = side * max(base[-1], np.max(side * samples, initial=0.0))
+    edges = np.union1d(base, np.concatenate([samples, [t0, t_end]]))
+    edges = edges[(edges >= min(t0, t_end)) & (edges <= max(t0, t_end))]
+    idx = np.searchsorted(edges, samples)
+    if side > 0:
+        edges, idx = edges[::-1], len(edges) - 1 - idx
+    M = _cells(edges, w, kappa, L)
+    first = int(np.min(idx, initial=len(M)))
+    y, dy = (_product(M[:first]) @ (1.0, -side * L)).tolist() if first else (1.0, -side * L)
+    ys, logs, lg = [], [], 0.0   # the leading identity cell records the first sample
+    for m00, m01, m10, m11 in [(1.0, 0.0, 0.0, 1.0)] + M[first:].reshape(-1, 4).tolist():
+        y, dy = m00 * y + m01 * dy, m10 * y + m11 * dy
+        n = abs(y) + abs(dy)
+        y, dy, lg = y / n, dy / n, lg + math.log(n)
+        ys.append(y)
+        logs.append(lg)
+    log_scale = np.asarray(logs) + L * np.abs(edges[first:] - t0)
+    return np.asarray(ys)[idx - first], log_scale[idx - first], (y, dy, log_scale[-1])
 
 
-def _overflow_event(rho, y, kappa, l, w):
-    return abs(y[0]) + abs(y[1]) - _OVERFLOW_LIMIT
-
-
-_overflow_event.terminal = True  # type: ignore[attr-defined]
+def _as_u(t, y, log_scale) -> np.ndarray:
+    """u = rho^(1/2) y at t = ln rho, rescaled to unit sup-norm."""
+    u = y * np.exp(0.5 * t + log_scale - np.max(0.5 * t + log_scale))
+    return u / np.max(np.abs(u))
 
 
 def integrate_radial(w: float, kappa: float, l: int, grid,
                      profile: ToleranceProfile = DEFAULT_PROFILE) -> SampledFunction:
     """Outward zero-energy integration of the half-line problem onto a grid.
 
-    Starts from the regular series just inside the smallest grid point and
+    Starts the regular branch u ~ rho^(l+1) in the small-radius tail and
     returns u sampled on the grid, rescaled to unit sup-norm (the absolute
     scale of a linear homogeneous solution is a convention).  At a
     quantized coupling this reproduces the bound-family u; away from one
@@ -99,29 +142,23 @@ def integrate_radial(w: float, kappa: float, l: int, grid,
     Raises
     ------
     ConvergenceError
-        If |u| overflows the guard limit before the far end of the grid;
-        the message reports the blow-up radius.
+        If |u|, scaled to unit size at the smallest grid point, would pass
+        the guard limit before the far end of the grid; the message reports
+        the blow-up radius.
     """
     if w <= 0:
         raise ValueError(f"coupling w must be positive, got {w}")
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be positive and strictly increasing")
-    rho_start = min(1e-4, 0.1 * grid[0])
-    u0, du0 = _start_outward(rho_start, kappa, l, w)
-    scale = max(abs(u0), abs(du0))
-    sol = solve_ivp(_radial_rhs, (rho_start, grid[-1]), [u0 / scale, du0 / scale],
-                    args=(kappa, l, w), method="DOP853",
-                    rtol=1e-10, atol=1e-290, t_eval=grid,
-                    events=_overflow_event, dense_output=False)
-    if sol.status == 1:  # overflow event tripped
+    t = np.log(grid)
+    y, log_scale, _ = _scan(w, kappa, l, -1, t, t[-1])
+    over = np.nonzero(0.5 * (t - t[0]) + log_scale - log_scale[0] > math.log(_OVERFLOW_LIMIT))[0]
+    if len(over):
         raise ConvergenceError(
-            f"radial solution overflowed at rho = {sol.t_events[0][0]:.6g} "
+            f"radial solution overflowed at rho = {grid[over[0]]:.6g} "
             f"(w = {w}, kappa = {kappa}, l = {l})")
-    if not sol.success:
-        raise ConvergenceError(f"radial integration failed: {sol.message}")
-    u = sol.y[0]
-    return SampledFunction(grid, u / np.max(np.abs(u)))
+    return SampledFunction(grid, _as_u(t, y, log_scale))
 
 
 def classify_tail(u: SampledFunction, l: int) -> str:
@@ -159,21 +196,15 @@ class ShootingResult:
     u: SampledFunction
 
 
-def _match_defect(w: float, kappa: float, l: int, counter: list[int],
-                  rho0: float = 1e-4, rho1: float = 1e3):
+def _match_defect(w: float, kappa: float, l: int, counter: list[int]) -> float:
     counter[0] += 1
-    u0, du0 = _start_outward(rho0, kappa, l, w)
-    s = max(abs(u0), abs(du0))
-    out = solve_ivp(_radial_rhs, (rho0, 1.0), [u0 / s, du0 / s],
-                    args=(kappa, l, w), method="DOP853", rtol=1e-10, atol=1e-290)
-    u1, du1 = _start_inward(rho1, kappa, l, w)
-    s = max(abs(u1), abs(du1))
-    inw = solve_ivp(_radial_rhs, (rho1, 1.0), [u1 / s, du1 / s],
-                    args=(kappa, l, w), method="DOP853", rtol=1e-10, atol=1e-290)
-    uo, duo = out.y[0, -1], out.y[1, -1]
-    ui, dui = inw.y[0, -1], inw.y[1, -1]
-    wronskian = duo * ui - dui * uo
-    return wronskian / (math.hypot(uo, duo) * math.hypot(ui, dui)), (uo, duo, ui, dui)
+    L = l + 0.5
+    out_edges = np.arange(-_CELLS, 1) * (_leg_length(w, kappa, L) / _CELLS)
+    legs = _product(_cells(np.stack([out_edges, -out_edges]), w, kappa, L))
+    yo, dyo = legs[0] @ (1.0, L)
+    yi, dyi = legs[1] @ (1.0, -L)
+    duo, dui = dyo + 0.5 * yo, dyi + 0.5 * yi
+    return (duo * yi - dui * yo) / (math.hypot(yo, duo) * math.hypot(yi, dui))
 
 
 def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = None,
@@ -184,8 +215,10 @@ def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = 
     The defect function is the normalized Wronskian mismatch of the regular
     (outward) and decaying (inward) branches at rho = 1; its sign change
     brackets exactly one eigencoupling.  ``bracket`` defaults to +-30%
-    around the closed-form ladder value, which isolates a single root for
-    every N; the root search itself never consults the closed form.
+    around the closed-form ladder value, cut at (2 kappa (N + a - 1))^2 and
+    (2 kappa (N + a))^2, a = 1/(2 kappa), which separate it from its ladder
+    neighbours for every N and kappa; the root search itself never consults
+    the closed form.
 
     Raises
     ------
@@ -198,14 +231,15 @@ def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = 
     state_quantum_numbers(N, l, kappa)  # validates the (N, l, kappa) combination
     if bracket is None:
         w_bar = coupling_quantized(N, kappa_f)
-        bracket = (w_bar / 1.3, w_bar * 1.3)
+        a = 0.5 / kappa_f
+        bracket = (max(w_bar / 1.3, (2.0 * kappa_f * (N + a - 1.0)) ** 2),
+                   min(w_bar * 1.3, (2.0 * kappa_f * (N + a)) ** 2))
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise ValueError(f"invalid bracket {bracket}")
 
     counter = [0]
-    d_lo, _ = _match_defect(lo, kappa_f, l, counter)
-    d_hi, _ = _match_defect(hi, kappa_f, l, counter)
+    d_lo, d_hi = (_match_defect(x, kappa_f, l, counter) for x in (lo, hi))
     if d_lo == 0.0:
         w_star = lo
     elif d_hi == 0.0:
@@ -215,53 +249,29 @@ def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = 
             f"defect has no sign change on bracket ({lo:.6g}, {hi:.6g}) "
             f"for kappa={kappa_f}, l={l}: d(lo)={d_lo:.3e}, d(hi)={d_hi:.3e}")
     else:
-        w_star = brentq(lambda w: _match_defect(w, kappa_f, l, counter)[0],
-                        lo, hi, xtol=1e-14, rtol=8.9e-16)
+        w_star = brentq(_match_defect, lo, hi, args=(kappa_f, l, counter),
+                        xtol=1e-14, rtol=8.9e-16)
 
-    defect, _ = _match_defect(w_star, kappa_f, l, counter)
+    defect = _match_defect(w_star, kappa_f, l, counter)
 
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    u = _assemble_eigenfunction(w_star, kappa_f, l, grid)
+    grid = np.asarray(default_grid() if grid is None else grid, dtype=float)
     return ShootingResult(w_star=float(w_star), match_defect=float(defect),
                           bracket=(lo, hi), defect_evaluations=counter[0],
-                          u=u)
+                          u=_assemble_eigenfunction(w_star, kappa_f, l, grid))
 
 
 def _assemble_eigenfunction(w: float, kappa: float, l: int, grid) -> SampledFunction:
     """Join outward and inward branches at rho = 1 on the given grid."""
-    left = grid[grid <= 1.0]
-    right = grid[grid > 1.0]
-    rho0, rho1 = min(1e-4, 0.1 * grid[0]), max(1e3, 10.0 * grid[-1])
-
-    u0, du0 = _start_outward(rho0, kappa, l, w)
-    s = max(abs(u0), abs(du0))
-    t_eval = left if len(left) and left[-1] == 1.0 else np.concatenate([left, [1.0]])
-    out = solve_ivp(_radial_rhs, (rho0, 1.0), [u0 / s, du0 / s], args=(kappa, l, w),
-                    method="DOP853", rtol=1e-10, atol=1e-290, t_eval=t_eval)
-    u_left = out.y[0][:len(left)]
-    uo, duo = out.y[0, -1], out.y[1, -1]
-
-    u1, du1 = _start_inward(rho1, kappa, l, w)
-    s = max(abs(u1), abs(du1))
-    # Backward integration: t_eval sorted in the direction of travel
-    # (descending), finishing at the matching radius.
-    t_eval_desc = np.concatenate([right[::-1], [1.0]])
-    inw = solve_ivp(_radial_rhs, (rho1, 1.0), [u1 / s, du1 / s], args=(kappa, l, w),
-                    method="DOP853", rtol=1e-10, atol=1e-290, t_eval=t_eval_desc)
-    ui_at_1 = inw.y[0, -1]
-    dui_at_1 = inw.y[1, -1]
-    u_right = inw.y[0][:len(right)][::-1]
-
+    t = np.log(grid)
+    left = t <= 0.0
+    yl, sl, (yo, dyo, so) = _scan(w, kappa, l, -1, t[left], 0.0)
+    yr, sr, (yi, dyi, si) = _scan(w, kappa, l, +1, t[~left], 0.0)
     # Scale the inward branch onto the outward one at the joint, preferring
-    # whichever of (u, u') is farther from a node there.
-    if abs(ui_at_1) > abs(dui_at_1):
-        factor = uo / ui_at_1
-    else:
-        factor = duo / dui_at_1
-    u_all = np.concatenate([u_left, u_right * factor])
-    return SampledFunction(grid, u_all / np.max(np.abs(u_all)))
+    # whichever of (y, y') is farther from a node there.
+    ratio = yo / yi if abs(yi) > abs(dyi) else dyo / dyi
+    y = np.concatenate([yl, yr * np.sign(ratio)])
+    log_scale = np.concatenate([sl, sr + math.log(abs(ratio)) + so - si])
+    return SampledFunction(grid, _as_u(t, y, log_scale))
 
 
 # ======================================================================
@@ -394,9 +404,7 @@ def _force_rhs(t, s, kappa, w):
     t2k = r ** (2.0 * kappa)
     du = 2.0 * w * r ** (2.0 * kappa - 3.0) * ((1.0 - kappa) + (1.0 + kappa) * t2k) \
         / (1.0 + t2k) ** 3
-    ax = -du * x / r
-    ay = -du * y / r
-    return [vx, vy, ax, ay, (x * vy - y * vx) / (r * r)]
+    return [vx, vy, -du * x / r, -du * y / r, (x * vy - y * vx) / (r * r)]
 
 
 def _integrate_orbit(kappa: float, w: float, rho0: float, revolutions: float,
@@ -406,24 +414,14 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, revolutions: float,
     state0 = [rho0, 0.0, v0 * math.cos(phi), v0 * math.sin(phi), 0.0]
     target = 2.0 * math.pi * revolutions
 
-    def done(t, s, kappa, w):
-        return abs(s[4]) - target
-
-    done.terminal = True  # type: ignore[attr-defined]
-
-    def hit_origin(t, s, kappa, w):
-        return math.hypot(s[0], s[1]) - 1e-6
-
-    hit_origin.terminal = True  # type: ignore[attr-defined]
-
-    def escaped(t, s, kappa, w):
-        return math.hypot(s[0], s[1]) - 1e3
-
-    escaped.terminal = True  # type: ignore[attr-defined]
-
+    events = (lambda t, s, *_: abs(s[4]) - target,              # angle accumulated
+              lambda t, s, *_: math.hypot(s[0], s[1]) - 1e-6,   # reached the origin
+              lambda t, s, *_: math.hypot(s[0], s[1]) - 1e3)    # escaped
+    for event in events:
+        event.terminal = True  # type: ignore[attr-defined]
     sol = solve_ivp(_force_rhs, (0.0, 1e6), state0, args=(kappa, w),
                     method="DOP853", rtol=rtol, atol=1e-14,
-                    events=(done, hit_origin, escaped), dense_output=True)
+                    events=events, dense_output=True)
     if len(sol.t_events[1]):
         raise GeometryError(
             f"orbit reached the origin at t = {sol.t_events[1][0]:.6g}",

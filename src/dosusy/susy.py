@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SampledFunction, map_coordinates
+from .model import SampledFunction, _check_rho, map_coordinates
 from .numkit import DEFAULT_PROFILE, ToleranceProfile, grid_derivative, integrate_adaptive
 
 __all__ = [
@@ -41,13 +41,6 @@ __all__ = [
     "apply_ladder",
     "natanzon_f_reconstruction",
 ]
-
-
-def _as_pos(rho):
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("rho must be strictly positive")
-    return rho
 
 
 # --- T = 1/(1 + rho^(2 kappa)) and its first three derivatives ----------
@@ -72,7 +65,7 @@ def superpotential(rho, kappa: float, l) -> np.ndarray | float:
     at large rho W ~ l/rho.
     """
     scalar = np.isscalar(rho)
-    rho = _as_pos(rho)
+    rho = _check_rho(rho)
     T = 1.0 / (1.0 + rho ** (2.0 * kappa))
     w = l / rho - (2.0 * l + 1.0) * T / rho
     return float(w) if scalar else w
@@ -81,7 +74,7 @@ def superpotential(rho, kappa: float, l) -> np.ndarray | float:
 def superpotential_dr(rho, kappa: float, l):
     """Closed-form dW/d rho (no finite differences)."""
     scalar = np.isscalar(rho)
-    rho = _as_pos(rho)
+    rho = _check_rho(rho)
     T, T1, _, _ = _T_chain(rho, kappa)
     g1 = (2.0 * l + 1.0) * (-T / rho ** 2 + T1 / rho)
     out = -l / rho ** 2 - g1
@@ -90,7 +83,7 @@ def superpotential_dr(rho, kappa: float, l):
 
 def superpotential_d2r(rho, kappa: float, l):
     scalar = np.isscalar(rho)
-    rho = _as_pos(rho)
+    rho = _check_rho(rho)
     T, T1, T2, _ = _T_chain(rho, kappa)
     g2 = (2.0 * l + 1.0) * (2.0 * T / rho ** 3 - 2.0 * T1 / rho ** 2 + T2 / rho)
     out = 2.0 * l / rho ** 3 - g2
@@ -99,7 +92,7 @@ def superpotential_d2r(rho, kappa: float, l):
 
 def superpotential_d3r(rho, kappa: float, l):
     scalar = np.isscalar(rho)
-    rho = _as_pos(rho)
+    rho = _check_rho(rho)
     T, T1, T2, T3 = _T_chain(rho, kappa)
     g3 = (2.0 * l + 1.0) * (-6.0 * T / rho ** 4 + 6.0 * T1 / rho ** 3
                             - 3.0 * T2 / rho ** 2 + T3 / rho)
@@ -130,7 +123,7 @@ def partner_minus_closed(rho, kappa: float, l):
     at the bottom of the l-ladder, N = 1 + l/kappa.
     """
     scalar = np.isscalar(rho)
-    rho = _as_pos(rho)
+    rho = _check_rho(rho)
     den = rho ** (2.0 * (1.0 - kappa)) * (1.0 + rho ** (2.0 * kappa)) ** 2
     out = l * (l + 1.0) / rho ** 2 - (2.0 * l + 1.0) * (2.0 * l + 2.0 * kappa + 1.0) / den
     return float(out) if scalar else out
@@ -143,7 +136,7 @@ def partner_plus_closed(rho, kappa: float, l):
                + 2(2l+1) / (rho^2 (1+rho^(2k))^2).
     """
     scalar = np.isscalar(rho)
-    rho = _as_pos(rho)
+    rho = _check_rho(rho)
     t2k = rho ** (2.0 * kappa)
     den = rho ** (2.0 * (1.0 - kappa)) * (1.0 + t2k) ** 2
     out = (l * (l - 1.0) / rho ** 2
@@ -242,7 +235,7 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int,
     (checked by the caller as a constant-ratio property).  The integral is
     anchored at xi = 0, i.e. rho = 1.
     """
-    grid = _as_pos(grid)
+    grid = _check_rho(grid)
     q = (2.0 * l + 1.0) / (2.0 * kappa) + 0.5
     two_q1 = 2.0 * q + 1.0
 

@@ -5,11 +5,13 @@ test at the end confirms the installed entry point wiring.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dosusy
 from dosusy.cli import main
 
 
@@ -35,6 +37,14 @@ def test_eval_partner_spot(capsys):
                      "--rho", "1")
     assert rc == 0
     assert out == "-2.75\n"
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf", "0"])
+def test_eval_rejects_non_finite_or_non_positive_radius(capsys, rho):
+    rc, out, err = run(capsys, "eval", "W", "--kappa", "1", "--rho", rho)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("dosusy: error:")
 
 
 def test_eval_u_requires_ladder_label(capsys):
@@ -254,13 +264,17 @@ def test_unknown_command_exits_with_usage_error(capsys):
 
 
 def test_module_invocation_subprocess(tmp_path):
+    # The child runs in tmp_path, where a relative PYTHONPATH would not
+    # resolve; point it at the directory holding the imported package.
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(dosusy.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_parent)
     ok = subprocess.run(
         [sys.executable, "-m", "dosusy", "eval", "W", "--kappa", "1",
          "--rho", "1"],
-        capture_output=True, text=True, cwd=tmp_path)
+        capture_output=True, text=True, cwd=tmp_path, env=env)
     assert ok.returncode == 0
     assert ok.stdout == "-0.5\n"
     bad = subprocess.run(
         [sys.executable, "-m", "dosusy", "bogus"],
-        capture_output=True, text=True, cwd=tmp_path)
+        capture_output=True, text=True, cwd=tmp_path, env=env)
     assert bad.returncode == 2

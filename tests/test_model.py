@@ -160,6 +160,14 @@ def test_map_coordinates_rejects_nonpositive_radius():
         map_coordinates(np.array([1.0, -2.0]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_map_coordinates_rejects_non_finite_radius(bad):
+    with pytest.raises(ValueError):
+        map_coordinates(bad, 1.0)
+    with pytest.raises(ValueError):
+        map_coordinates(np.array([1.0, bad]), 1.0)
+
+
 # ----------------------------------------------------------------------
 # potential and quantized couplings
 # ----------------------------------------------------------------------

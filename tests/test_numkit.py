@@ -233,6 +233,18 @@ class TestGridDerivative:
         d = grid_derivative(grid, np.sin(grid), order=1)
         assert np.max(np.abs(d - np.cos(grid))) < 1e-10
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_per_point_weights(self, order):
+        grid = np.geomspace(1e-2, 1e2, 301)
+        values = np.sin(np.log(grid)) / grid
+        expected = np.empty_like(grid)
+        for i in range(len(grid)):
+            lo = min(max(i - 2, 0), len(grid) - 5)
+            w = fornberg_weights(grid[i], grid[lo:lo + 5], order)
+            expected[i] = w[order] @ values[lo:lo + 5]
+        got = grid_derivative(grid, values, order=order)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             grid_derivative([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])

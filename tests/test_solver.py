@@ -12,9 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dosusy import solver
 from dosusy.exceptions import BracketError, ConvergenceError, GeometryError
-from dosusy.model import SampledFunction, default_grid, f_factor
+from dosusy.model import SampledFunction, coupling_quantized, default_grid, f_factor
 from dosusy.solver import (
     CriticalPoint,
     ShootingResult,
@@ -42,6 +45,15 @@ def test_integration_reproduces_nodeless_state():
     f = f_factor(grid, 1.0, 0)
     f = f / np.max(np.abs(f))
     assert np.max(np.abs(u.values - f)) < 1e-7
+
+
+def test_integration_from_beyond_the_leg_tail():
+    # The outward leg starts where the potential is below rounding (rho ~
+    # 3e-9 here) or at the first grid point, whichever is smaller.
+    grid = np.geomspace(1e-30, 10.0, 301)
+    u = integrate_radial(3.0, 1.0, 0, grid)
+    f = f_factor(grid, 1.0, 0)
+    assert np.max(np.abs(u.values - f / np.max(f))) < 1e-9
 
 
 def test_integration_first_excited_node_radius():
@@ -111,6 +123,34 @@ def test_shooting_recovers_ladder(N, kappa, l, w_expected, nodes):
     res = shoot_coupling(N, kappa, l)
     assert res.w_star == pytest.approx(w_expected, rel=1e-8)
     assert res.u.node_count() == nodes
+
+
+@pytest.mark.parametrize("N, kappa", [(6, 0.226), (4, 0.2185)])
+def test_shooting_small_kappa(N, kappa):
+    # +-30% around w(N) reaches a neighbouring ladder value once kappa is
+    # small; the default bracket stops short of both neighbours.
+    res = shoot_coupling(N, kappa, 0)
+    w = coupling_quantized(N, kappa)
+    assert coupling_quantized(N - 1, kappa) < res.bracket[0] < w < res.bracket[1]
+    assert res.bracket[1] < coupling_quantized(N + 1, kappa)
+    assert res.w_star == pytest.approx(w, rel=1e-9)
+    assert res.u.node_count() == N - 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(kappa=st.floats(0.2, 4.0), N=st.integers(1, 6))
+def test_shooting_recovers_ladder_for_continuous_kappa(kappa, N):
+    res = shoot_coupling(N, kappa, 0)
+    assert res.w_star == pytest.approx(coupling_quantized(N, kappa), rel=1e-9)
+
+
+def test_radial_path_does_not_use_solve_ivp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called on the radial path")
+
+    monkeypatch.setattr(solver, "solve_ivp", refuse)
+    assert shoot_coupling(2, "1", 0).w_star == pytest.approx(15.0, rel=1e-9)
+    integrate_radial(15.0, 1.0, 0, FINE)
 
 
 def test_shooting_bracket_without_root():

@@ -87,6 +87,14 @@ def test_superpotential_rejects_nonpositive_radius():
         superpotential(-1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_superpotential_rejects_non_finite_radius(bad):
+    with pytest.raises(ValueError):
+        superpotential(bad, 1.0, 0)
+    with pytest.raises(ValueError):
+        superpotential(np.array([0.5, bad]), 1.0, 0)
+
+
 # ----------------------------------------------------------------------
 # partner potentials
 # ----------------------------------------------------------------------
