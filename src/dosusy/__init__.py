@@ -37,7 +37,6 @@ from .numkit import (
     newton2d,
 )
 from .model import (
-    ModelParams,
     SampledFunction,
     StateLabel,
     coupling_quantized,
@@ -55,8 +54,6 @@ from .model import (
     state_quantum_numbers,
 )
 from .susy import (
-    LadderResult,
-    SusyPair,
     apply_ladder,
     natanzon_f_reconstruction,
     partner_minus,
@@ -107,8 +104,6 @@ __all__ = [
     "FORMULA_IDS",
     "FamilyMember",
     "GeometryError",
-    "LadderResult",
-    "ModelParams",
     "NonNormalizableStateError",
     "QuadratureError",
     "SUITE_NAMES",
@@ -117,7 +112,6 @@ __all__ = [
     "ShootingResult",
     "SingularPointError",
     "StateLabel",
-    "SusyPair",
     "ToleranceProfile",
     "Trajectory",
     "apply_ladder",

@@ -29,7 +29,6 @@ from .exceptions import NonNormalizableStateError
 from .numkit import DEFAULT_PROFILE, ToleranceProfile, gegenbauer_eval, integrate_adaptive
 
 __all__ = [
-    "ModelParams",
     "StateLabel",
     "SampledFunction",
     "parse_kappa",
@@ -82,27 +81,6 @@ def parse_kappa(value) -> tuple[float, Fraction | None]:
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     return kappa, exact
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Potential parameters: coupling w > 0 and shape exponent kappa > 0.
-
-    ``kappa_exact`` carries the rational form when available; operations
-    that label states need it, pointwise evaluations do not.
-    """
-
-    w: float
-    kappa: float
-    kappa_exact: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if not self.w > 0:
-            raise ValueError(f"coupling w must be positive, got {self.w}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.kappa_exact is not None and abs(float(self.kappa_exact) - self.kappa) > 1e-12:
-            raise ValueError("kappa_exact inconsistent with kappa")
 
 
 @dataclass(frozen=True)
@@ -207,6 +185,23 @@ def _check_rho(rho):
     return rho
 
 
+def _fold(rho, kappa):
+    """The folded radius x = min(rho, 1/rho), p = x^(2k) and v = 1/(1 + p).
+
+    Inverting the radius leaves x and p and maps T = 1/(1 + rho^(2k)) to
+    1 - T; with p in (0, 1], a form written on the fold never overflows
+    where rho^(2k) does.
+    """
+    x = np.minimum(rho, 1.0 / rho)
+    p = x ** (2.0 * kappa)
+    return x, p, 1.0 / (1.0 + p)
+
+
+def _xi(rho, p):
+    """xi = (1 - rho^(2k)) / (1 + rho^(2k)) from the fold, negative beyond rho = 1."""
+    return np.copysign((1.0 - p) / (1.0 + p), 1.0 - rho)
+
+
 def map_coordinates(rho, kappa: float):
     """Compact coordinates of the radius: xi in (-1, 1) and alpha in (0, pi).
 
@@ -216,22 +211,49 @@ def map_coordinates(rho, kappa: float):
     """
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    t = rho ** float(kappa)
-    xi = (1.0 - t * t) / (1.0 + t * t)
-    alpha = 2.0 * np.arctan(t)
+    _, p, _ = _fold(rho, kappa)
+    xi = _xi(rho, p)
+    alpha = 2.0 * np.arctan(rho ** float(kappa))
     if scalar:
         return float(xi), float(alpha)
     return xi, alpha
+
+
+def _ueff(rho, w: float, kappa: float, l):
+    """l(l+1)/rho^2 + U(rho), finite and accurate wherever it is representable.
+
+    The well's shape rho^(2k-2) T^2 is p v^2 / rho^2 on both sides of rho = 1.
+    For l > 0, l(l+1) - w p v^2 stays accurate where p underflows, as l(l+1)
+    dominates there.  At l = 0 the shape takes its own power, x^(2k-2) v^2
+    inside rho = 1 and x^(2k+2) v^2 beyond: p / x^2 is 0 or 0/0 where p
+    underflows, while rho^(2k-2) may be of order 1 (kappa = 1).
+    """
+    if w <= 0:
+        raise ValueError(f"coupling w must be positive, got {w}")
+    x, p, v = _fold(rho, kappa)
+    if l:
+        return (l * (l + 1.0) - w * p * v * v) / rho / rho
+    return -w * x ** np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0) * (v * v)
+
+
+def _well_root(rho, kappa):
+    """g = rho^(k-1) T and h = T / rho from the one power t = rho^k.
+
+    Squared, they are the reduced partners' well terms, accurate while t is
+    finite (g is NaN where it overflows).  The partners keep this form, not
+    the finite fold of _ueff, until perfbench's seed-variation test stops
+    relying on failing closed-form-grid batches (ROADMAP, Known defects).
+    """
+    t = rho ** kappa
+    h = 1.0 / ((1.0 + t * t) * rho)
+    return t * h, h
 
 
 def potential(rho, w: float, kappa: float):
     """Scaled potential U(rho) = -w rho^(2k-2) / (1 + rho^(2k))^2 (units E0)."""
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    if w <= 0:
-        raise ValueError(f"coupling w must be positive, got {w}")
-    t2k = rho ** (2.0 * kappa)
-    u = -w * rho ** (2.0 * kappa - 2.0) / (1.0 + t2k) ** 2
+    u = _ueff(rho, w, kappa, 0)
     return float(u) if scalar else u
 
 
@@ -255,8 +277,22 @@ def f_factor(rho, kappa: float, l: int):
     rho = _check_rho(rho)
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    f = rho ** (l + 1.0) / (1.0 + rho ** (2.0 * kappa)) ** ((2.0 * l + 1.0) / (2.0 * kappa))
+    f, _ = _folded_f(rho, kappa, l)
     return float(f) if scalar else f
+
+
+def _folded_f(rho, kappa: float, l):
+    """f on the fold, with the fold's p for xi.
+
+    The inversion rho -> 1/rho turns rho^(l+1) / (1 + rho^(2k))^a into
+    rho^-l v^a, a = (2l+1)/(2k), so f = x^l v^a min(rho, 1) with every
+    factor in (0, 1] and v^a >= 2^-a: f is finite, and accurate, wherever
+    it is representable.  radial_u shares it, so u = f bit for bit at
+    polynomial degree 0.
+    """
+    x, p, v = _fold(rho, kappa)
+    f = x ** l * v ** ((2.0 * l + 1.0) / (2.0 * kappa)) * np.minimum(rho, 1.0)
+    return f, p
 
 
 def state_quantum_numbers(N: int, l: int, kappa) -> tuple[int, float]:
@@ -265,7 +301,10 @@ def state_quantum_numbers(N: int, l: int, kappa) -> tuple[int, float]:
     p must come out a non-negative integer for the state to exist; exact
     rational arithmetic is used when kappa allows it.
     """
-    kappa_f, exact = parse_kappa(kappa)
+    return _degree_order(N, l, *parse_kappa(kappa))
+
+
+def _degree_order(N: int, l: int, kappa_f: float, exact: Fraction | None) -> tuple[int, float]:
     if exact is not None:
         ratio = Fraction(l) / exact
         if ratio.denominator != 1:
@@ -291,12 +330,14 @@ def radial_u(rho, N: int, l: int, kappa, normalized: bool = False,
     states with l = 0 are not normalizable and raise
     NonNormalizableStateError in that mode.
     """
-    kappa_f, _ = parse_kappa(kappa)
-    p, q = state_quantum_numbers(N, l, kappa)
+    kappa_f, exact = parse_kappa(kappa)
+    degree, q = _degree_order(N, l, kappa_f, exact)
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    xi, _ = map_coordinates(rho, kappa_f)
-    u = f_factor(rho, kappa_f, l) * gegenbauer_eval(p, q, np.asarray(xi))
+    if l < 0:
+        raise ValueError(f"l must be >= 0, got {l}")
+    f, p = _folded_f(rho, kappa_f, l)
+    u = f * gegenbauer_eval(degree, q, _xi(rho, p))
     if normalized:
         u = u * normalization_constant(N, l, kappa, profile=profile)
     return float(u) if scalar else u
@@ -348,7 +389,7 @@ def effective_potential_general(rho, w: float, kappa: float, l: int):
     rho = _check_rho(rho)
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    ueff = l * (l + 1.0) / rho ** 2 + potential(rho, w, kappa)
+    ueff = _ueff(rho, w, kappa, l)
     return float(ueff) if scalar else ueff
 
 

@@ -101,10 +101,10 @@ def gegenbauer_eval(p: int, q: float, x):
     c_prev = np.ones_like(xs)
     if p == 0:
         return c_prev if isinstance(x, np.ndarray) else float(c_prev)
-    c_cur = 2.0 * q * xs
+    two_x = 2.0 * xs
+    c_cur = q * two_x
     for k in range(2, p + 1):
-        c_next = (2.0 * xs * (k + q - 1.0) * c_cur - (k + 2.0 * q - 2.0) * c_prev) / k
-        c_prev, c_cur = c_cur, c_next
+        c_prev, c_cur = c_cur, (k + q - 1.0) / k * two_x * c_cur - (k + 2.0 * q - 2.0) / k * c_prev
     return c_cur if isinstance(x, np.ndarray) else float(c_cur)
 
 

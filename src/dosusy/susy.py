@@ -18,11 +18,9 @@ functions accept real (continuous) l; state-level validation lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import SampledFunction, _check_rho, map_coordinates
+from .model import SampledFunction, _check_rho, _well_root, map_coordinates
 from .numkit import DEFAULT_PROFILE, ToleranceProfile, grid_derivative, integrate_adaptive
 
 __all__ = [
@@ -36,26 +34,35 @@ __all__ = [
     "partner_plus_closed",
     "partner_plus_dr",
     "partner_plus_d2r",
-    "SusyPair",
-    "LadderResult",
     "apply_ladder",
     "natanzon_f_reconstruction",
 ]
 
 
-# --- T = 1/(1 + rho^(2 kappa)) and its first three derivatives ----------
+# --- W and its derivatives from T = 1/(1 + rho^(2 kappa)) -------------
 
-def _T_chain(rho, kappa):
-    t2k = rho ** (2.0 * kappa)
-    T = 1.0 / (1.0 + t2k)
-    k = kappa
-    T1 = -2.0 * k * rho ** (2.0 * k - 1.0) * T ** 2
-    T2 = (-2.0 * k * (2.0 * k - 1.0) * rho ** (2.0 * k - 2.0) * T ** 2
-          + 8.0 * k ** 2 * rho ** (4.0 * k - 2.0) * T ** 3)
-    T3 = (-2.0 * k * (2.0 * k - 1.0) * (2.0 * k - 2.0) * rho ** (2.0 * k - 3.0) * T ** 2
-          + 24.0 * k ** 2 * (2.0 * k - 1.0) * rho ** (4.0 * k - 3.0) * T ** 3
-          - 48.0 * k ** 3 * rho ** (6.0 * k - 3.0) * T ** 4)
-    return T, T1, T2, T3
+def _numerators(rho, kappa: float, l, order: int) -> list:
+    """[B_0, ..., B_order] with d^n W / d rho^n = B_n / rho^(n+1).
+
+    Each B_n is a polynomial in T and S = 1 - T, because rho dT/d rho =
+    -k T S with k = 2 kappa: one power rho^k serves every order.  S enters
+    only next to O(1) terms, so 1 - T is precise enough, and T -> 0 where
+    the power overflows keeps every B_n finite.
+    """
+    k = 2.0 * kappa
+    T = 1.0 / (1.0 + rho ** k)
+    cT = (2.0 * l + 1.0) * T
+    B = [l - cT]
+    if order >= 1:
+        kS = k * (1.0 - T)
+        B.append(cT * (1.0 + kS) - l)
+    if order >= 2:
+        k2Sd = k * kS * (2.0 * T - 1.0)  # k^2 S (T - S)
+        B.append(2.0 * l - cT * (2.0 + 3.0 * kS - k2Sd))
+    if order >= 3:
+        k3Se = k * k * kS * (1.0 - 6.0 * T * (1.0 - T))  # k^3 S (1 - 6 T S)
+        B.append(cT * (6.0 + 11.0 * kS - 6.0 * k2Sd + k3Se) - 6.0 * l)
+    return B
 
 
 def superpotential(rho, kappa: float, l) -> np.ndarray | float:
@@ -66,37 +73,27 @@ def superpotential(rho, kappa: float, l) -> np.ndarray | float:
     """
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    T = 1.0 / (1.0 + rho ** (2.0 * kappa))
-    w = l / rho - (2.0 * l + 1.0) * T / rho
+    w = _numerators(rho, kappa, l, 0)[0] / rho
     return float(w) if scalar else w
 
 
 def superpotential_dr(rho, kappa: float, l):
-    """Closed-form dW/d rho (no finite differences)."""
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
-    T, T1, _, _ = _T_chain(rho, kappa)
-    g1 = (2.0 * l + 1.0) * (-T / rho ** 2 + T1 / rho)
-    out = -l / rho ** 2 - g1
-    return float(out) if scalar else out
+    """Closed-form dW/d rho = (-l + (2l+1) T (1 + 2 kappa (1 - T))) / rho^2."""
+    return _w_derivative(rho, kappa, l, 1)
 
 
 def superpotential_d2r(rho, kappa: float, l):
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
-    T, T1, T2, _ = _T_chain(rho, kappa)
-    g2 = (2.0 * l + 1.0) * (2.0 * T / rho ** 3 - 2.0 * T1 / rho ** 2 + T2 / rho)
-    out = 2.0 * l / rho ** 3 - g2
-    return float(out) if scalar else out
+    return _w_derivative(rho, kappa, l, 2)
 
 
 def superpotential_d3r(rho, kappa: float, l):
+    return _w_derivative(rho, kappa, l, 3)
+
+
+def _w_derivative(rho, kappa, l, n):
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    T, T1, T2, T3 = _T_chain(rho, kappa)
-    g3 = (2.0 * l + 1.0) * (-6.0 * T / rho ** 4 + 6.0 * T1 / rho ** 3
-                            - 3.0 * T2 / rho ** 2 + T3 / rho)
-    out = -6.0 * l / rho ** 4 - g3
+    out = _numerators(rho, kappa, l, n)[n] / rho ** (n + 1)
     return float(out) if scalar else out
 
 
@@ -104,14 +101,20 @@ def superpotential_d3r(rho, kappa: float, l):
 
 def partner_minus(rho, kappa: float, l):
     """Lower partner W^2 - W' (equals the effective potential on the ladder)."""
-    w = superpotential(rho, kappa, l)
-    return w * w - superpotential_dr(rho, kappa, l)
+    return _partner(rho, kappa, l, -1.0)
 
 
 def partner_plus(rho, kappa: float, l):
     """Upper partner W^2 + W'."""
-    w = superpotential(rho, kappa, l)
-    return w * w + superpotential_dr(rho, kappa, l)
+    return _partner(rho, kappa, l, 1.0)
+
+
+def _partner(rho, kappa, l, sign):
+    scalar = np.isscalar(rho)
+    rho = _check_rho(rho)
+    B0, B1 = _numerators(rho, kappa, l, 1)
+    out = (B0 * B0 + sign * B1) / (rho * rho)
+    return float(out) if scalar else out
 
 
 def partner_minus_closed(rho, kappa: float, l):
@@ -124,8 +127,9 @@ def partner_minus_closed(rho, kappa: float, l):
     """
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    den = rho ** (2.0 * (1.0 - kappa)) * (1.0 + rho ** (2.0 * kappa)) ** 2
-    out = l * (l + 1.0) / rho ** 2 - (2.0 * l + 1.0) * (2.0 * l + 2.0 * kappa + 1.0) / den
+    g, _ = _well_root(rho, kappa)
+    c = 2.0 * l + 1.0
+    out = l * (l + 1.0) / (rho * rho) - c * (c + 2.0 * kappa) * (g * g)
     return float(out) if scalar else out
 
 
@@ -137,70 +141,29 @@ def partner_plus_closed(rho, kappa: float, l):
     """
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    t2k = rho ** (2.0 * kappa)
-    den = rho ** (2.0 * (1.0 - kappa)) * (1.0 + t2k) ** 2
-    out = (l * (l - 1.0) / rho ** 2
-           - (2.0 * l + 1.0) * (2.0 * l - 2.0 * kappa - 1.0) / den
-           + 2.0 * (2.0 * l + 1.0) / (rho ** 2 * (1.0 + t2k) ** 2))
+    g, h = _well_root(rho, kappa)
+    c = 2.0 * l + 1.0
+    out = (l * (l - 1.0) / (rho * rho) - c * (c - 2.0 * kappa - 2.0) * (g * g)
+           + 2.0 * c * (h * h))
     return float(out) if scalar else out
 
 
 def partner_plus_dr(rho, kappa: float, l):
     """d U_+ / d rho from the factorized form 2 W W' + W''."""
-    w = superpotential(rho, kappa, l)
-    w1 = superpotential_dr(rho, kappa, l)
-    w2 = superpotential_d2r(rho, kappa, l)
-    return 2.0 * w * w1 + w2
+    scalar = np.isscalar(rho)
+    rho = _check_rho(rho)
+    B0, B1, B2 = _numerators(rho, kappa, l, 2)
+    out = (2.0 * B0 * B1 + B2) / rho ** 3
+    return float(out) if scalar else out
 
 
 def partner_plus_d2r(rho, kappa: float, l):
     """d^2 U_+ / d rho^2 = 2 (W'^2 + W W'') + W'''."""
-    w = superpotential(rho, kappa, l)
-    w1 = superpotential_dr(rho, kappa, l)
-    w2 = superpotential_d2r(rho, kappa, l)
-    w3 = superpotential_d3r(rho, kappa, l)
-    return 2.0 * (w1 * w1 + w * w2) + w3
-
-
-@dataclass(frozen=True)
-class SusyPair:
-    """Partner pair at fixed (kappa, l); thin façade over the closed forms."""
-
-    kappa: float
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.l < 0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
-
-    def W(self, rho):
-        return superpotential(rho, self.kappa, self.l)
-
-    def W_dr(self, rho):
-        return superpotential_dr(rho, self.kappa, self.l)
-
-    def U_minus(self, rho):
-        return partner_minus_closed(rho, self.kappa, self.l)
-
-    def U_plus(self, rho):
-        return partner_plus_closed(rho, self.kappa, self.l)
-
-
-@dataclass(frozen=True)
-class LadderResult:
-    """Record of a single ladder-operator application."""
-
-    input: SampledFunction
-    output: SampledFunction
-    operator_tag: str
-
-    def __post_init__(self) -> None:
-        if not np.array_equal(self.input.grid, self.output.grid):
-            raise ValueError("ladder output must live on the input grid")
-        if self.operator_tag not in ("A", "Adag"):
-            raise ValueError(f"unknown operator tag {self.operator_tag!r}")
+    scalar = np.isscalar(rho)
+    rho = _check_rho(rho)
+    B0, B1, B2, B3 = _numerators(rho, kappa, l, 3)
+    out = (2.0 * (B1 * B1 + B0 * B2) + B3) / rho ** 4
+    return float(out) if scalar else out
 
 
 def apply_ladder(u: SampledFunction, kappa: float, l: int, which: str = "A") -> SampledFunction:

@@ -1,0 +1,211 @@
+"""The zero-energy closed forms against a 50-digit oracle, and their
+identities over continuous parameters.
+
+The oracle evaluates each closed form with mpmath straight from its
+defining expression: T = 1/(1 + rho^(2 kappa)), W = l/rho - (2l+1) T/rho
+with its radial derivatives taken by mpmath's own differentiation of T,
+U-+ = W^2 -+ W', f = rho^(l+1) T^((2l+1)/(2 kappa)), u = f C_p^(q)(xi) and
+U_eff = l(l+1)/rho^2 + U.  A double result agrees when its distance to the
+oracle is at most 1e-12 times the sum of the magnitudes of the terms the
+quantity is made of, the size that rounding errors scale with where the
+terms cancel.  Values below the smallest normal double may round to zero;
+values beyond the largest must be the infinity of their sign.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dosusy.model import (
+    effective_potential_general,
+    f_factor,
+    map_coordinates,
+    parse_kappa,
+    potential,
+    radial_u,
+)
+from dosusy.susy import (
+    partner_minus,
+    partner_minus_closed,
+    partner_plus,
+    partner_plus_closed,
+    superpotential,
+    superpotential_d2r,
+    superpotential_d3r,
+    superpotential_dr,
+)
+
+KAPPAS = (0.3, 0.5, 1.0, 1.5, 3.7)
+LS = (0, 1, 7, 20)
+RADII = (1e-30, 1e-20, 1e-10, 1e-5, 0.01, 0.3, 0.9, 1.0, 1.3, 4.0, 100.0,
+         1e5, 1e10, 1e20, 1e30)
+WIDE = (1e-100, *RADII, 1e100)
+# where rho^(2 kappa) under- or overflows for every kappa above 0.3 (and
+# rho^2 for 1e+-160): the forms that are finite for every radius
+EXTREME = (1e-200, 1e-160, 1e-50, *RADII, 1e50, 1e160, 1e200)
+BOUND = 1e-12
+TINY = np.finfo(float).tiny
+HUGE = np.finfo(float).max
+W_DERIVATIVES = (superpotential, superpotential_dr, superpotential_d2r, superpotential_d3r)
+
+
+def agrees(got, exact, scale):
+    if abs(exact) > HUGE:
+        return got == math.copysign(math.inf, exact)
+    return abs(mp.mpf(got) - exact) <= BOUND * scale + TINY
+
+
+def oracle_T(r, k):
+    return 1 / (1 + r ** (2 * k))
+
+
+def oracle_w(r, k, l, order):
+    """d^order W / d rho^order and its term-magnitude scale, by Leibniz's
+    rule on W = (l - (2l+1) T) * (1/rho)."""
+    def inv(m):  # d^m/d rho^m of 1/rho
+        return (-1) ** m * mp.factorial(m) / r ** (m + 1)
+
+    c = 2 * l + 1
+    terms = [l * inv(order)]
+    step = r * mp.ldexp(1, -mp.mp.prec - 10)  # relative to rho, as mp.diff's own is not
+    for j in range(order + 1):
+        Tj = mp.diff(lambda x: oracle_T(x, k), r, j, h=step)
+        terms.append(-c * mp.binomial(order, j) * Tj * inv(order - j))
+    return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+
+
+def oracle_well(r, k):
+    """rho^(2k-2) T^2, the shape of the potential well."""
+    return r ** (2 * k - 2) * oracle_T(r, k) ** 2
+
+
+def oracle_f(r, k, l):
+    return r ** (l + 1) * oracle_T(r, k) ** ((2 * l + 1) / (2 * k))
+
+
+@pytest.fixture(autouse=True)
+def fifty_digits():
+    with mp.workdps(50):
+        yield
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+@pytest.mark.parametrize("l", LS)
+def test_superpotential_and_derivatives_match_oracle(kappa, l):
+    k = mp.mpf(kappa)
+    for order, fn in enumerate(W_DERIVATIVES):
+        for rho in WIDE if order < 2 else RADII:
+            exact, scale = oracle_w(mp.mpf(rho), k, l, order)
+            got = fn(rho, kappa, l)
+            assert agrees(got, exact, scale), (order, rho, got, exact)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+@pytest.mark.parametrize("l", LS)
+@mp.workdps(260)  # W^2 -+ W' cancels by up to 222 digits (kappa = 3.7, rho = 1e-30)
+def test_partners_match_oracle(kappa, l):
+    k, c = mp.mpf(kappa), 2 * l + 1
+    for rho in RADII:
+        r = mp.mpf(rho)
+        W, _ = oracle_w(r, k, l, 0)
+        W1, _ = oracle_w(r, k, l, 1)
+        riccati_scale = W * W + abs(W1)
+        well = oracle_well(r, k)
+        minus_terms = (l * (l + 1) / r ** 2, -c * (c + 2 * k) * well)
+        plus_terms = (l * (l - 1) / r ** 2, -c * (c - 2 * k - 2) * well,
+                      2 * c * oracle_T(r, k) ** 2 / r ** 2)
+        for exact, terms, closed, assembled in (
+                (W * W - W1, minus_terms, partner_minus_closed, partner_minus),
+                (W * W + W1, plus_terms, partner_plus_closed, partner_plus)):
+            got = closed(rho, kappa, l)
+            assert agrees(got, exact, mp.fsum(abs(t) for t in terms)), (closed, rho, got, exact)
+            got = assembled(rho, kappa, l)
+            assert agrees(got, exact, riccati_scale), (assembled, rho, got, exact)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+@pytest.mark.parametrize("l", LS)
+def test_f_and_potentials_match_oracle(kappa, l):
+    k = mp.mpf(kappa)
+    w = 3.25
+    for rho in EXTREME:
+        r = mp.mpf(rho)
+        exact = oracle_f(r, k, l)
+        assert agrees(f_factor(rho, kappa, l), exact, exact), (rho, exact)
+        well = -w * oracle_well(r, k)
+        got = potential(rho, w, kappa)
+        assert agrees(got, well, -well), (rho, got, well)
+        terms = (l * (l + 1) / r ** 2, well)
+        got = effective_potential_general(rho, w, kappa, l)
+        assert agrees(got, mp.fsum(terms), mp.fsum(abs(t) for t in terms)), (rho, got)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_xi_matches_oracle(kappa):
+    k = mp.mpf(kappa)
+    for rho in EXTREME:
+        p = mp.mpf(rho) ** (2 * k)
+        exact = (1 - p) / (1 + p)
+        xi, _ = map_coordinates(rho, kappa)
+        assert agrees(xi, exact, abs(exact)), (rho, xi, exact)
+
+
+# (kappa, l) pairs with l/kappa an integer, each with polynomial degrees 0, 1, 3
+STATES = [(kappa, l, 1 + round(l / kappa) + p)
+          for kappa, l in ((0.3, 0), (0.5, 0), (0.5, 1), (0.5, 7), (0.5, 20), (1.0, 1),
+                           (1.0, 7), (1.0, 20), (1.5, 0), (3.7, 0))
+          for p in (0, 1, 3)]
+
+
+@pytest.mark.parametrize("kappa, l, N", STATES)
+def test_radial_u_matches_oracle(kappa, l, N):
+    k = mp.mpf(kappa)
+    p = N - 1 - round(l / kappa)
+    q = (2 * l + 1) / (2 * k) + mp.mpf(1) / 2
+    for rho in EXTREME:
+        r = mp.mpf(rho)
+        xi = (1 - r ** (2 * k)) / (1 + r ** (2 * k))
+        # explicit sum C_p^(q)(xi) = sum_j (-1)^j (q)_(p-j) / (j! (p-2j)!) (2 xi)^(p-2j)
+        terms = [(-1) ** j * mp.rf(q, p - j) / (mp.factorial(j) * mp.factorial(p - 2 * j))
+                 * (2 * xi) ** (p - 2 * j) for j in range(p // 2 + 1)]
+        f = oracle_f(r, k, l)
+        got = radial_u(rho, N, l, kappa)
+        assert agrees(got, f * mp.fsum(terms), f * mp.fsum(abs(t) for t in terms)), (rho, got)
+
+
+# ----------------------------------------------------------------------
+# identities over continuous parameters
+# ----------------------------------------------------------------------
+
+RADII_LOG = st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.floats(0.2, 4.0), l=st.floats(0.0, 20.0), log_rho=RADII_LOG)
+def test_riccati_identities_over_continuous_parameters(kappa, l, log_rho):
+    rho = 10.0 ** np.array(log_rho)
+    W = superpotential(rho, kappa, l)
+    W1 = superpotential_dr(rho, kappa, l)
+    assert np.all(np.isfinite(W1))
+    for sign, closed in ((-1.0, partner_minus_closed), (1.0, partner_plus_closed)):
+        U = closed(rho, kappa, l)
+        # the riccati suite's scaling: W^2, W' and U may each reach 1/rho^2
+        scale = W * W + np.abs(W1) + np.abs(U) + 1e-300
+        assert np.max(np.abs(W * W + sign * W1 - U) / scale) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.floats(0.2, 4.0), l=st.integers(0, 20), log_rho=RADII_LOG)
+def test_radial_u_is_f_at_every_ladder_bottom(kappa, l, log_rho):
+    rho = 10.0 ** np.array(log_rho)
+    if l:  # a state needs l/kappa integral: move kappa to the nearest l/j in range
+        kappa = l / min(max(round(l / kappa), math.ceil(l / 4.0)), 5 * l)
+    # radial_u works with kappa rounded to a small-denominator fraction
+    # when one lies within 1e-12, so f is compared at that kappa
+    kappa_f, _ = parse_kappa(kappa)
+    u = radial_u(rho, 1 + round(l / kappa_f), l, kappa)
+    np.testing.assert_array_equal(u, f_factor(rho, kappa_f, l))

@@ -18,7 +18,6 @@ import pytest
 
 from dosusy.exceptions import NonNormalizableStateError
 from dosusy.model import (
-    ModelParams,
     SampledFunction,
     StateLabel,
     coupling_quantized,
@@ -417,12 +416,3 @@ def test_enumerate_shell_validation():
     with pytest.raises(ValueError):
         enumerate_shell(2, math.sqrt(2.0) / 2.0)
 
-
-def test_model_params_validation():
-    ModelParams(w=3.0, kappa=1.0, kappa_exact=Fraction(1))
-    with pytest.raises(ValueError):
-        ModelParams(w=0.0, kappa=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(w=1.0, kappa=-2.0)
-    with pytest.raises(ValueError):
-        ModelParams(w=1.0, kappa=1.0, kappa_exact=Fraction(1, 2))

@@ -18,8 +18,6 @@ import pytest
 from dosusy.model import SampledFunction, default_grid, f_factor
 from dosusy.numkit import ToleranceProfile, derivative
 from dosusy.susy import (
-    LadderResult,
-    SusyPair,
     apply_ladder,
     natanzon_f_reconstruction,
     partner_minus,
@@ -141,18 +139,6 @@ def test_upper_partner_derivatives(kappa, l, rho):
     assert partner_plus_d2r(rho, kappa, l) == pytest.approx(fd2, rel=1e-6, abs=1e-6)
 
 
-def test_susy_pair_facade():
-    pair = SusyPair(kappa=1.0, l=2)
-    assert pair.W(1.3) == superpotential(1.3, 1.0, 2)
-    assert pair.W_dr(1.3) == superpotential_dr(1.3, 1.0, 2)
-    assert pair.U_minus(1.3) == partner_minus_closed(1.3, 1.0, 2)
-    assert pair.U_plus(1.3) == partner_plus_closed(1.3, 1.0, 2)
-    with pytest.raises(ValueError):
-        SusyPair(kappa=0.0, l=0)
-    with pytest.raises(ValueError):
-        SusyPair(kappa=1.0, l=-1)
-
-
 # ----------------------------------------------------------------------
 # ladder operators
 # ----------------------------------------------------------------------
@@ -214,17 +200,6 @@ def test_ladder_validation():
     short = SampledFunction([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         apply_ladder(short, 1.0, 0)
-
-
-def test_ladder_result_validation():
-    grid = np.linspace(1.0, 2.0, 10)
-    u = SampledFunction(grid, np.ones_like(grid))
-    v = SampledFunction(grid + 1.0, np.ones_like(grid))
-    LadderResult(input=u, output=u, operator_tag="A")
-    with pytest.raises(ValueError):
-        LadderResult(input=u, output=v, operator_tag="A")
-    with pytest.raises(ValueError):
-        LadderResult(input=u, output=u, operator_tag="lower")
 
 
 # ----------------------------------------------------------------------
