@@ -128,15 +128,19 @@ def make_state(N: int, l: int, kappa, m: int = 0) -> StateLabel:
 
 
 class SampledFunction:
-    """A function sampled on a strictly increasing positive radial grid."""
+    """A function sampled on a strictly increasing positive radial grid.
+
+    ``values`` has the grid's shape (n,), or (m, n) for m functions sampled
+    on the same grid, one per row.
+    """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be 1-D arrays of equal length")
+        if grid.ndim != 1 or values.ndim > 2 or values.shape[-1:] != grid.shape:
+            raise ValueError("values must be (n,) or (m, n) on a 1-D grid of n points")
         if len(grid) < 2:
             raise ValueError("need at least two samples")
         if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(values)):
@@ -150,7 +154,9 @@ class SampledFunction:
         return len(self.grid)
 
     def node_count(self) -> int:
-        """Number of strict sign changes (zero samples are skipped)."""
+        """Number of strict sign changes (zero samples are skipped); one row only."""
+        if self.values.ndim != 1:
+            raise ValueError("node_count needs a single sampled function, not stacked rows")
         v = self.values[np.abs(self.values) > 0]
         return int(np.sum(np.sign(v[:-1]) != np.sign(v[1:])))
 
@@ -207,13 +213,15 @@ def map_coordinates(rho, kappa: float):
 
     xi = (1 - rho^(2 kappa)) / (1 + rho^(2 kappa)),  alpha = 2 arctan(rho^kappa),
     tied by xi = cos(alpha).  rho = 1 maps to (0, pi/2); inverting the radius
-    flips the sign of xi.
+    flips the sign of xi and maps alpha to pi - alpha, so both come from the
+    fold: alpha = 2 arctan(x^kappa) inside rho = 1 and pi minus that beyond.
     """
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    _, p, _ = _fold(rho, kappa)
+    x, p, _ = _fold(rho, kappa)
     xi = _xi(rho, p)
-    alpha = 2.0 * np.arctan(rho ** float(kappa))
+    alpha = 2.0 * np.arctan(x ** float(kappa))
+    alpha = np.where(rho > 1.0, np.pi - alpha, alpha)
     if scalar:
         return float(xi), float(alpha)
     return xi, alpha

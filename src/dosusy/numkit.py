@@ -325,22 +325,33 @@ def grid_derivative(grid, values, order: int = 1, stencil: int = 5) -> np.ndarra
 
     Uses a sliding ``stencil``-point window (centered in the interior,
     one-sided at the edges) with Fornberg weights, so log-spaced grids are
-    handled without loss of order.
+    handled without loss of order.  ``values`` is one sampled function of
+    shape (n,) or m of them stacked as (m, n); the weights depend only on
+    the grid, so each point's weights are computed once for all rows.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(grid)
     if n < stencil:
         raise ValueError(f"need at least {stencil} grid points, got {n}")
-    if grid.shape != values.shape:
-        raise ValueError("grid and values must have matching shapes")
-    out = np.empty(n)
+    if grid.ndim != 1 or values.ndim > 2 or values.shape[-1:] != grid.shape:
+        raise ValueError("values must be (n,) or (m, n) on a 1-D grid of n points")
     half = stencil // 2
+    top = n - stencil + half + 1  # points half .. top-1 have centred windows
     nodes = grid.tolist()
+    weights = np.empty((stencil, n))
     for i in range(n):
         lo = min(max(i - half, 0), n - stencil)
-        w = fornberg_weights(nodes[i], nodes[lo:lo + stencil], order)
-        out[i] = w[order] @ values[lo:lo + stencil]
+        weights[:, i] = fornberg_weights(nodes[i], nodes[lo:lo + stencil], order)[order]
+    # out_row[i] = sum_j weights[j, i] * v[lo(i) + j]: a slice of v at the
+    # centred points and one sample at each edge.  Rows are done one at a
+    # time, so no (m, n) temporary is built beyond the output.
+    out = np.zeros_like(values)
+    for v, row in zip(values.reshape(-1, n), out.reshape(-1, n)):
+        for j, w in enumerate(weights):
+            row[:half] += w[:half] * v[j]
+            row[half:top] += w[half:top] * v[j:j + top - half]
+            row[top:] += w[top:] * v[n - stencil + j]
     return out
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SampledFunction, _check_rho, _well_root, map_coordinates
+from .model import SampledFunction, _check_rho, _fold, _well_root, _xi
 from .numkit import DEFAULT_PROFILE, ToleranceProfile, grid_derivative, integrate_adaptive
 
 __all__ = [
@@ -166,23 +166,33 @@ def partner_plus_d2r(rho, kappa: float, l):
     return float(out) if scalar else out
 
 
-def apply_ladder(u: SampledFunction, kappa: float, l: int, which: str = "A") -> SampledFunction:
+def apply_ladder(u: SampledFunction, kappa, l, which: str = "A") -> SampledFunction:
     """Apply a first-order ladder operator to a sampled function.
 
     which = "A"    : (d/d rho + W) u   -- lowers within the factorized pair
     which = "Adag" : (-d/d rho + W) u
 
-    The derivative uses 5-point stencils (one-sided at the edges), so the
-    two or three samples nearest each boundary carry lower accuracy;
+    For stacked rows u.values of shape (m, n), ``kappa`` and ``l`` are
+    scalars or one value per row; one stencil pass differentiates every
+    row.  The derivative uses 5-point stencils (one-sided at the edges), so
+    the two or three samples nearest each boundary carry lower accuracy;
     residual metrics elsewhere exclude them.  Grids with fewer than five
     points are rejected.
     """
     if which not in ("A", "Adag"):
         raise ValueError(f"which must be 'A' or 'Adag', got {which!r}")
-    du = grid_derivative(u.grid, u.values, order=1, stencil=5)
-    w = superpotential(u.grid, kappa, l)
-    sign = 1.0 if which == "A" else -1.0
-    return SampledFunction(u.grid, sign * du + w * u.values)
+    out = grid_derivative(u.grid, u.values, order=1, stencil=5)
+    if which == "Adag":
+        np.negative(out, out=out)
+    n = len(u.grid)
+    rows = out.reshape(-1, n)
+    m = len(rows)
+    # W u is added row by row, in place: no (m, n) temporary
+    for row, v, k, lr in zip(rows, u.values.reshape(-1, n),
+                             np.broadcast_to(kappa, m).tolist(),
+                             np.broadcast_to(l, m).tolist()):
+        row += superpotential(u.grid, k, lr) * v
+    return SampledFunction(u.grid, out)
 
 
 def natanzon_f_reconstruction(grid, kappa: float, l: int,
@@ -206,8 +216,11 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int,
         s = np.asarray(s, dtype=float)
         return two_q1 * s / (s * s - 1.0)
 
-    xi, _ = map_coordinates(grid, kappa)
-    dxi = 4.0 * kappa * grid ** (2.0 * kappa - 1.0) / (1.0 + grid ** (2.0 * kappa)) ** 2
+    # |d xi/d rho| = 4 kappa rho^(2 kappa - 1) / (1 + rho^(2 kappa))^2, which is
+    # 4 kappa p v^2 / rho on the fold, on both sides of rho = 1
+    _, p, v = _fold(grid, kappa)
+    xi = _xi(grid, p)
+    dxi = 4.0 * kappa * p * v * v / grid
     out = np.empty_like(grid)
     for i, x in enumerate(xi):
         integral = integrate_adaptive(Q, 0.0, float(x), profile)

@@ -13,6 +13,8 @@ from dosusy.checks import (
     report_json,
     run_suites,
 )
+from dosusy.model import SampledFunction, f_factor
+from dosusy.susy import apply_ladder
 
 
 def test_suite_registry_names():
@@ -58,6 +60,21 @@ def test_degeneracy_suite_runs_clean():
     assert ids == (["degeneracy:kappa=1/2:N=3"]
                    + [f"degeneracy:kappa=1:N={N}" for N in range(1, 7)])
     assert all(r.passed for r in results)
+
+
+def test_annihilation_suite_matches_separate_ladder_calls():
+    grid = np.geomspace(1e-2, 1e2, 6001)
+    by_id = {r.check_id: r for r in run_suites("annihilation")}
+    assert len(by_id) == 9
+    for kappa in (0.5, 1.0, 1.5):
+        for l in (0, 1, 2):
+            vals = f_factor(grid, kappa, l)
+            u = SampledFunction(grid, vals / np.max(np.abs(vals)))
+            single = float(np.max(np.abs(apply_ladder(u, kappa, l, which="A").values)))
+            label = {0.5: "1/2", 1.0: "1", 1.5: "3/2"}[kappa]
+            res = by_id[f"annihilation:kappa={label}:l={l}"]
+            assert res.measured == pytest.approx(single, rel=1e-12)
+            assert res.threshold == 1e-8 and res.passed
 
 
 def test_unknown_suite_is_rejected_with_catalog():

@@ -13,6 +13,7 @@ values beyond the largest must be the infinity of their sign.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +30,7 @@ from dosusy.model import (
     radial_u,
 )
 from dosusy.susy import (
+    natanzon_f_reconstruction,
     partner_minus,
     partner_minus_closed,
     partner_plus,
@@ -152,6 +154,30 @@ def test_xi_matches_oracle(kappa):
         exact = (1 - p) / (1 + p)
         xi, _ = map_coordinates(rho, kappa)
         assert agrees(xi, exact, abs(exact)), (rho, xi, exact)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_alpha_matches_oracle(kappa):
+    k = mp.mpf(kappa)
+    for rho in EXTREME:
+        exact = 2 * mp.atan(mp.mpf(rho) ** k)
+        _, alpha = map_coordinates(rho, kappa)
+        assert agrees(alpha, exact, exact), (rho, alpha, exact)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_compact_coordinates_raise_no_warning_at_extreme_radii(kappa):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi, alpha = map_coordinates(np.array([1e-200, 1e-30, 1e30, 1e200]), kappa)
+        # the quadrature route resolves xi up to rho^(2 kappa) = 1e+-6 or so;
+        # beyond that xi rounds to +-1, where its integrand is singular
+        edge = 10.0 ** (3.0 / kappa)
+        grid = np.array([1.0 / edge, 0.5, 1.0, 2.0, edge])
+        ratio = natanzon_f_reconstruction(grid, kappa, 1) / f_factor(grid, kappa, 1)
+    np.testing.assert_array_equal(np.abs(xi), 1.0)
+    assert alpha[0] >= 0.0 and alpha[-1] == math.pi
+    assert np.max(np.abs(ratio / ratio[2] - 1.0)) < 1e-9
 
 
 # (kappa, l) pairs with l/kappa an integer, each with polynomial degrees 0, 1, 3

@@ -122,6 +122,23 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             SampledFunction(grid, values)
 
+    def test_stacked_rows(self):
+        s = SampledFunction([1.0, 2.0, 3.0], [[1.0, 0.0, -1.0], [1.0, 2.0, 3.0]])
+        assert s.values.shape == (2, 3)
+        assert len(s) == 3
+        # a sign change across the row boundary is not a node of either row
+        with pytest.raises(ValueError):
+            s.node_count()
+
+    @pytest.mark.parametrize("values", [
+        [[1.0, 2.0], [3.0, 4.0]],         # rows shorter than the grid
+        np.ones((2, 2, 3)),               # more than one stacking axis
+        [[1.0, 2.0, 3.0], [1.0, np.inf, 3.0]],  # non-finite value in a row
+    ])
+    def test_stacked_validation(self, values):
+        with pytest.raises(ValueError):
+            SampledFunction([1.0, 2.0, 3.0], values)
+
 
 # ----------------------------------------------------------------------
 # coordinate maps

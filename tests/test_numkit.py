@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from dosusy import numkit
 from dosusy.exceptions import ConvergenceError, QuadratureError
 from dosusy.numkit import (
     DEFAULT_PROFILE,
@@ -245,11 +246,37 @@ class TestGridDerivative:
         got = grid_derivative(grid, values, order=order)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_stacked_rows_match_single_rows(self, order):
+        grid = np.geomspace(1e-2, 1e2, 301)
+        rows = np.stack([np.sin(k * np.log(grid)) / grid ** (0.1 * k) for k in range(1, 5)])
+        got = grid_derivative(grid, rows, order=order)
+        assert got.shape == rows.shape
+        for row, expected in zip(got, rows):
+            np.testing.assert_array_equal(row, grid_derivative(grid, expected, order=order))
+
+    @pytest.mark.parametrize("m", [1, 9])
+    def test_one_weight_set_per_point_for_any_row_count(self, m, monkeypatch):
+        calls = []
+
+        def counted(z, xs, order):
+            calls.append(z)
+            return fornberg_weights(z, xs, order)
+
+        monkeypatch.setattr(numkit, "fornberg_weights", counted)
+        grid = np.geomspace(0.1, 10.0, 40)
+        grid_derivative(grid, np.ones((m, 40)))
+        assert calls == grid.tolist()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             grid_derivative([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
             grid_derivative(np.arange(1.0, 9.0), np.arange(1.0, 8.0))
+        with pytest.raises(ValueError):  # rows of the wrong length
+            grid_derivative(np.arange(1.0, 9.0), np.ones((3, 7)))
+        with pytest.raises(ValueError):  # more than one stacking axis
+            grid_derivative(np.arange(1.0, 9.0), np.ones((2, 3, 8)))
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,24 @@ def test_ladder_linearity():
     np.testing.assert_allclose(b.values, 2.5 * a.values, rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("which", ["A", "Adag"])
+def test_ladder_on_stacked_rows_matches_single_rows(which):
+    grid = np.geomspace(0.1, 10.0, 301)
+    cases = [(0.5, 0), (1.0, 2), (1.5, 1), (2.2, 3.5)]
+    rows = np.stack([f_factor(grid, kappa, 2) * np.sin(kappa * grid) for kappa, _ in cases])
+    kappas, ls = zip(*cases)
+    out = apply_ladder(SampledFunction(grid, rows), kappas, ls, which=which)
+    assert out.values.shape == rows.shape
+    for (kappa, l), row, got in zip(cases, rows, out.values):
+        single = apply_ladder(SampledFunction(grid, row), kappa, l, which=which)
+        np.testing.assert_array_equal(got, single.values)
+    # scalar kappa and l apply to every row
+    shared = apply_ladder(SampledFunction(grid, rows), 1.0, 2, which=which)
+    for row, got in zip(rows, shared.values):
+        single = apply_ladder(SampledFunction(grid, row), 1.0, 2, which=which)
+        np.testing.assert_array_equal(got, single.values)
+
+
 def test_ladder_validation():
     grid = np.linspace(1.0, 2.0, 10)
     u = SampledFunction(grid, np.ones_like(grid))
@@ -200,6 +218,9 @@ def test_ladder_validation():
     short = SampledFunction([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         apply_ladder(short, 1.0, 0)
+    stacked = SampledFunction(grid, np.ones((3, len(grid))))
+    with pytest.raises(ValueError):  # one kappa per row, or one for all
+        apply_ladder(stacked, [1.0, 0.5], 0)
 
 
 # ----------------------------------------------------------------------
