@@ -212,10 +212,8 @@ def suite_wavefunction(profile: ToleranceProfile) -> list[CheckResult]:
     for kappa, N, l in _WF_STATES:
         wq = model.coupling_quantized(N, kappa)
         u = model.radial_u(radii, N, l, kappa)
-        upp = np.array([
-            derivative(lambda r: model.radial_u(r, N, l, kappa), float(x),
-                       order=2, profile=d2_profile)
-            for x in radii])
+        upp = derivative(lambda r: model.radial_u(r, N, l, kappa), radii,
+                         order=2, profile=d2_profile)
         ueff = model.effective_potential_general(radii, wq, kappa, l)
         resid = -upp + ueff * u
         scale = float(np.max(np.abs(upp) + np.abs(ueff * u)))
@@ -335,15 +333,14 @@ def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
                     measured=worst, threshold=1e-8, passed=worst < 1e-8))
 
     # Shared lower partner across the bosonic-fixed family.
-    pts = np.geomspace(0.12, 8.0, 21)
+    pts = np.geomspace(0.12, 8.0, 21).tolist()
     for kappa in (1.0, 0.5):
         for l in (0, 1, 2):
             g = _family_integrand(kappa, l, "bosonic")
+            integrals = [integrate_adaptive(g, 1.0, r, tight) for r in pts]  # lambda-free
             worst, kept, skipped = -1.0, 0, 0
             for lam in _LAMBDAS:
-                for r in pts:
-                    r = float(r)
-                    integral = integrate_adaptive(g, 1.0, r, tight)
+                for r, integral in zip(pts, integrals):
                     f2 = model.f_factor(r, kappa, l) ** 2
                     v = -f2 * (lam + integral)
                     if abs(v) < 1e-6 * (f2 * (abs(lam) + abs(integral)) + 1e-300):

@@ -19,6 +19,7 @@ Reports and curve files are deterministic: same inputs, same bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -69,15 +70,21 @@ def _grid_of(args) -> np.ndarray:
 # CSV emission (locale-independent, '#'-commented headers)
 # ----------------------------------------------------------------------
 
+def _csv_column(c):
+    if np.ndim(c) == 0:  # a constant column, formatted once
+        return itertools.repeat(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c))
+    return map(repr, np.asarray(c).tolist())
+
+
 def _curve_csv(title: str, column_doc: str, param_doc: str,
-               header: str, rows) -> str:
+               header: str, blocks) -> str:
+    """Each block is a tuple of columns, at least one of them an array."""
     lines = [f"# {title}", f"# columns: {column_doc}"]
     if param_doc:
         lines.append(f"# parameters: {param_doc}")
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
+    for columns in blocks:
+        lines.extend(map(",".join, zip(*map(_csv_column, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -111,15 +118,12 @@ def figure_payloads(figure: str) -> dict[str, str]:
 
     payloads: dict[str, str] = {}
     for fname, desc, fn, combos in layout:
-        rows = []
-        for kappa, l in combos:
-            vals = fn(grid, kappa, l)
-            rows.extend((r, v, kappa, l) for r, v in zip(grid, vals))
+        blocks = [(grid, fn(grid, kappa, l), kappa, l) for kappa, l in combos]
         curves = "; ".join(f"kappa={kappa!r}, l={l}" for kappa, l in combos)
         payloads[fname] = _curve_csv(
             f"{fname[:-4]}: {desc} on the default log grid",
             "rho (units R), U (units E0), kappa, l",
-            curves, "rho,U,kappa,l", rows)
+            curves, "rho,U,kappa,l", blocks)
     return payloads
 
 
@@ -195,8 +199,7 @@ def _cmd_partners(args) -> int:
         payload = _curve_csv(f"{fname[:-4]}: {desc}",
                              "rho (units R), value (units E0; W in 1/R), kappa, l",
                              f"kappa={args.kappa}, l={args.l}",
-                             "rho,value,kappa,l",
-                             ((r, v, kappa, args.l) for r, v in zip(grid, vals)))
+                             "rho,value,kappa,l", [(grid, vals, kappa, args.l)])
         path = os.path.join(outdir, fname)
         _write_text(path, payload)
         print(path)
@@ -223,8 +226,7 @@ def _cmd_family(args) -> int:
         "family_v: one-parameter solution family coefficient V_lambda(rho)",
         "rho (units R), value, kappa, l",
         f"kappa={args.kappa}, l={args.l}, lambda={args.lam}, side={args.side}",
-        "rho,value,kappa,l",
-        ((r, v, kappa, args.l) for r, v in zip(grid, vals)))
+        "rho,value,kappa,l", [(grid, vals, kappa, args.l)])
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "family_v.csv")
@@ -306,8 +308,7 @@ def _cmd_trace(args) -> int:
             "t (scaled time), x (units R), y (units R), speed",
             f"kappa={args.kappa}, w={args.w}, rho0={args.rho}, "
             f"direction_deg={args.direction}",
-            "t,x,y,speed",
-            zip(traj.t, traj.x, traj.y, speed))
+            "t,x,y,speed", [(traj.t, traj.x, traj.y, speed)])
         _write_text(args.out, payload)
         print(args.out)
     return 0

@@ -263,17 +263,20 @@ def integrate_adaptive(f, a: float, b: float,
 # Finite differences
 # =====================================================================
 
-def derivative(f, x: float, order: int = 1,
-               profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
+def derivative(f, x, order: int = 1,
+               profile: ToleranceProfile = DEFAULT_PROFILE):
     """Central finite difference with one Richardson extrapolation level.
 
-    The step is ``deriv_step * max(1, |x|)``; Richardson combination of the
-    h and h/2 stencils raises both the first- and second-derivative
-    formulas to fourth order.
+    The step is ``deriv_step * max(1, |x|)``, elementwise for an array ``x``
+    (which ``f`` then receives whole); Richardson combination of the h and
+    h/2 stencils raises both the first- and second-derivative formulas to
+    fourth order.  A scalar ``x`` gives a float.
     """
     if order not in (1, 2):
         raise ValueError("only first and second derivatives supported")
-    h = profile.deriv_step * max(1.0, abs(x))
+    scalar = np.ndim(x) == 0
+    x = float(x) if scalar else np.asarray(x, dtype=float)
+    h = profile.deriv_step * (max(1.0, abs(x)) if scalar else np.maximum(1.0, abs(x)))
 
     if order == 1:
         def cd(step):
@@ -282,9 +285,9 @@ def derivative(f, x: float, order: int = 1,
         def cd(step):
             return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
 
-    coarse = cd(h)
-    fine = cd(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    coarse, fine = cd(h), cd(0.5 * h)
+    d = (4.0 * fine - coarse) / 3.0
+    return float(d) if scalar else d
 
 
 def fornberg_weights(z: float, xs, m: int) -> np.ndarray:

@@ -11,7 +11,8 @@ trajectory tracer confirms orbit closure for rational shape exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -181,28 +182,35 @@ def classify_tail(u: SampledFunction, l: int) -> str:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Eigencoupling found by two-sided shooting.
+    """Eigencoupling found by shooting one leg and mirroring it.
 
     match_defect is the scale-normalized Wronskian of the outward and
     inward branches at the matching radius rho = 1 (zero iff the branches
     are proportional; stays regular even when the eigenfunction has a node
-    exactly at the matching radius).
+    exactly at the matching radius).  u is assembled on first read.
     """
 
     w_star: float
     match_defect: float
     bracket: tuple[float, float]
     defect_evaluations: int
-    u: SampledFunction
+    kappa: float = field(repr=False, compare=False)
+    l: int = field(repr=False, compare=False)
+    grid: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def u(self) -> SampledFunction:
+        return _assemble_eigenfunction(self.w_star, self.kappa, self.l, self.grid)
 
 
 def _match_defect(w: float, kappa: float, l: int, counter: list[int]) -> float:
     counter[0] += 1
     L = l + 0.5
     out_edges = np.arange(-_CELLS, 1) * (_leg_length(w, kappa, L) / _CELLS)
-    legs = _product(_cells(np.stack([out_edges, -out_edges]), w, kappa, L))
-    yo, dyo = legs[0] @ (1.0, L)
-    yi, dyi = legs[1] @ (1.0, -L)
+    yo, dyo = _product(_cells(out_edges, w, kappa, L)) @ (1.0, L)
+    # q depends on |t| only, so on the mirrored edges -out_edges (h -> -h) each cell is exactly
+    # diag(1, -1) M diag(1, -1): the inward leg from (1, -L) ends at exactly (yo, -dyo).
+    yi, dyi = yo, -dyo
     duo, dui = dyo + 0.5 * yo, dyi + 0.5 * yi
     return (duo * yi - dui * yo) / (math.hypot(yo, duo) * math.hypot(yi, dui))
 
@@ -214,11 +222,12 @@ def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = 
 
     The defect function is the normalized Wronskian mismatch of the regular
     (outward) and decaying (inward) branches at rho = 1; its sign change
-    brackets exactly one eigencoupling.  ``bracket`` defaults to +-30%
-    around the closed-form ladder value, cut at (2 kappa (N + a - 1))^2 and
-    (2 kappa (N + a))^2, a = 1/(2 kappa), which separate it from its ladder
-    neighbours for every N and kappa; the root search itself never consults
-    the closed form.
+    brackets exactly one eigencoupling.  Only the outward leg is propagated;
+    the potential is even in ln rho, so the inward leg is its mirror image.
+    ``bracket`` defaults to +-30% around the closed-form ladder value, cut at
+    (2 kappa (N + a - 1))^2 and (2 kappa (N + a))^2, a = 1/(2 kappa), which
+    separate it from its ladder neighbours for every N and kappa; the root
+    search itself never consults the closed form.  ``u`` is assembled on first read.
 
     Raises
     ------
@@ -254,10 +263,10 @@ def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = 
 
     defect = _match_defect(w_star, kappa_f, l, counter)
 
-    grid = np.asarray(default_grid() if grid is None else grid, dtype=float)
+    grid = np.array(default_grid() if grid is None else grid, dtype=float)  # u reads it later
     return ShootingResult(w_star=float(w_star), match_defect=float(defect),
                           bracket=(lo, hi), defect_evaluations=counter[0],
-                          u=_assemble_eigenfunction(w_star, kappa_f, l, grid))
+                          kappa=kappa_f, l=l, grid=grid)
 
 
 def _assemble_eigenfunction(w: float, kappa: float, l: int, grid) -> SampledFunction:

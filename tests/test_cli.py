@@ -9,9 +9,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dosusy
+from dosusy import cli
 from dosusy.cli import main
 
 
@@ -209,6 +211,58 @@ def test_trace_summary_and_csv(tmp_path, capsys):
     data = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     assert data[0] == "t,x,y,speed"
     assert len(data) == 1 + 1000  # default sampling
+
+
+# ----------------------------------------------------------------------
+# CSV bytes: the columnar writer against the row-by-row reference
+# ----------------------------------------------------------------------
+
+def _rowwise_csv(title, column_doc, param_doc, header, rows):
+    """The row-by-row formatter the columnar writer replaced."""
+    lines = [f"# {title}", f"# columns: {column_doc}"]
+    if param_doc:
+        lines.append(f"# parameters: {param_doc}")
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _rows(blocks):
+    for columns in blocks:
+        n = max(np.size(c) for c in columns)
+        yield from zip(*(c if np.ndim(c) else [c] * n for c in columns))
+
+
+def test_columnar_csv_matches_rowwise_on_mixed_values():
+    a = np.array([0.1, -0.0, 1e-300, -2.5e300, np.inf, np.nan, 3.0])
+    b = np.arange(7, dtype=np.int64) - 3
+    blocks = [(a, b, np.float64(0.5), 2), (a[:3], -a[:3], -0.0, 1.25), ([1.5, -0.0], 7, np.float32(0.1), "x")]
+    args = ("t", "a, b, c, d", "", "a,b,c,d")
+    assert cli._curve_csv(*args, blocks) == _rowwise_csv(*args, _rows(blocks))
+
+
+def test_every_csv_writer_matches_rowwise_bytes(tmp_path, capsys, monkeypatch):
+    seen = []
+    curve_csv = cli._curve_csv
+
+    def checked(title, column_doc, param_doc, header, blocks):
+        blocks = list(blocks)
+        text = curve_csv(title, column_doc, param_doc, header, blocks)
+        seen.append(header)
+        assert text == _rowwise_csv(title, column_doc, param_doc, header, _rows(blocks))
+        return text
+
+    monkeypatch.setattr(cli, "_curve_csv", checked)
+    for fig in ("fig1", "fig2"):
+        cli.figure_payloads(fig)
+    assert run(capsys, "partners", "--kappa", "3/2", "--l", "1", "--out", str(tmp_path))[0] == 0
+    assert run(capsys, "family", "--kappa", "1/2", "--l", "1", "--lambda", "-0.5",
+               "--side", "fermionic", "--out", str(tmp_path))[0] == 0
+    assert run(capsys, "trace", "--kappa", "1", "--w", "3", "--rho", "0.5",
+               "--out", str(tmp_path / "orbit.csv"))[0] == 0
+    assert seen == ["rho,U,kappa,l"] * 4 + ["rho,value,kappa,l"] * 4 + ["t,x,y,speed"]
 
 
 def test_trace_plunge_maps_to_failure_exit(capsys):

@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from dosusy import numkit
+from dosusy import model, numkit
 from dosusy.exceptions import ConvergenceError, QuadratureError
 from dosusy.numkit import (
     DEFAULT_PROFILE,
@@ -197,6 +197,44 @@ class TestDerivative:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             derivative(math.exp, 1.0, order=3)
+
+    @staticmethod
+    def _scalar_reference(f, x, order, step=DEFAULT_PROFILE.deriv_step):
+        """The scalar stencil as first written, on Python floats."""
+        h = step * max(1.0, abs(x))
+        if order == 1:
+            def cd(s):
+                return (f(x + s) - f(x - s)) / (2.0 * s)
+        else:
+            def cd(s):
+                return (f(x + s) - 2.0 * f(x) + f(x - s)) / (s * s)
+        return (4.0 * cd(0.5 * h) - cd(h)) / 3.0
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("f", [math.exp, math.sin, np.cosh,
+                                   lambda r: model.radial_u(r, 3, 1, 0.5)])
+    def test_scalar_x_gives_the_reference_float(self, f, order):
+        for x in (0.3, 1.0, 2.7, 9.5):
+            got = derivative(f, x, order=order)
+            assert type(got) is float
+            assert got == self._scalar_reference(f, x, order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_array_x_matches_pointwise_scalar_calls(self, order):
+        # Plain arithmetic evaluates identically on arrays and on scalars,
+        # so only the stencil itself is compared.
+        def f(r):
+            return (1.0 + r * r * r) / (2.0 + r * r) - 0.3 * r
+
+        x = np.concatenate([-np.geomspace(0.05, 20.0, 9), np.geomspace(0.05, 20.0, 16)])
+        got = derivative(f, x, order=order)
+        want = np.array([derivative(f, float(v), order=order) for v in x])
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_array_x_accepts_a_list(self):
+        got = derivative(np.exp, [0.5, 1.5], order=1)
+        assert got == pytest.approx(np.exp([0.5, 1.5]), rel=1e-9)
 
 
 class TestFornberg:

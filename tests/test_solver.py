@@ -168,6 +168,101 @@ def test_shooting_validation():
 
 
 # ----------------------------------------------------------------------
+# one shooting leg and its mirror image
+# ----------------------------------------------------------------------
+
+def _outward_edges(w, kappa, L):
+    return np.arange(-solver._CELLS, 1) * (solver._leg_length(w, kappa, L) / solver._CELLS)
+
+
+def _two_leg_defect(w, kappa, l):
+    """The matching defect with both legs propagated, as it was first written."""
+    L = l + 0.5
+    out_edges = _outward_edges(w, kappa, L)
+    legs = solver._product(solver._cells(np.stack([out_edges, -out_edges]), w, kappa, L))
+    yo, dyo = legs[0] @ (1.0, L)
+    yi, dyi = legs[1] @ (1.0, -L)
+    duo, dui = dyo + 0.5 * yo, dyi + 0.5 * yi
+    return (duo * yi - dui * yo) / (math.hypot(yo, duo) * math.hypot(yi, dui))
+
+
+_MIRROR_CASES = [(kappa, l, on_ladder)
+                 for kappa in (0.226, 0.5, 1.0, 1.5, 3.7)
+                 for l in (0, 1, 3)
+                 for on_ladder in (True, False)]
+
+
+@pytest.mark.parametrize("kappa, l, on_ladder", _MIRROR_CASES)
+def test_inward_leg_is_the_mirrored_outward_leg(kappa, l, on_ladder):
+    w = coupling_quantized(3, kappa) * (1.0 if on_ladder else 1.17)
+    L = l + 0.5
+    out_edges = _outward_edges(w, kappa, L)
+    yo, dyo = solver._product(solver._cells(out_edges, w, kappa, L)) @ (1.0, L)
+    yi, dyi = solver._product(solver._cells(-out_edges, w, kappa, L)) @ (1.0, -L)
+    assert (yi, dyi) == (yo, -dyo)  # exact, not approximate
+
+
+@pytest.mark.parametrize("kappa, l, on_ladder", _MIRROR_CASES)
+def test_one_leg_defect_equals_two_leg_defect(kappa, l, on_ladder):
+    w = coupling_quantized(3, kappa) * (1.0 if on_ladder else 1.17)
+    counter = [0]
+    assert solver._match_defect(w, kappa, l, counter) == _two_leg_defect(w, kappa, l)
+    assert counter == [1]
+
+
+# ----------------------------------------------------------------------
+# the eigenfunction is assembled on first read
+# ----------------------------------------------------------------------
+
+def test_eigenfunction_is_assembled_once_on_first_read(monkeypatch):
+    calls = []
+    assemble = solver._assemble_eigenfunction
+
+    def counting(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(solver, "_assemble_eigenfunction", counting)
+    res = shoot_coupling(2, "1", 0)
+    repr(res)
+    assert res == shoot_coupling(2, "1", 0)
+    assert len(calls) == 0
+    u = res.u
+    assert len(calls) == 1
+    assert res.u is u
+    assert len(calls) == 1
+    assert u.node_count() == 1
+
+
+def test_lazy_eigenfunction_matches_eager_assembly_on_explicit_grid():
+    grid = np.geomspace(0.02, 40.0, 257)
+    res = shoot_coupling(3, "1/2", 1, grid=grid)
+    eager = solver._assemble_eigenfunction(res.w_star, 0.5, 1, grid.copy())
+    grid[:] = 1.0  # the result keeps its own copy of the grid
+    assert np.array_equal(res.u.grid, eager.grid)
+    assert np.array_equal(res.u.values, eager.values)
+
+
+def test_shooting_result_compares_and_reprs_without_the_grid():
+    class Untouchable:
+        def __eq__(self, other):
+            raise AssertionError("grid compared")
+
+        def __repr__(self):
+            raise AssertionError("grid formatted")
+
+        __hash__ = object.__hash__
+
+    fields = dict(w_star=3.0, match_defect=0.0, bracket=(2.0, 4.0), defect_evaluations=7)
+    a = ShootingResult(**fields, kappa=1.0, l=0, grid=Untouchable())
+    b = ShootingResult(**fields, kappa=2.0, l=1, grid=Untouchable())
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == ("ShootingResult(w_star=3.0, match_defect=0.0, bracket=(2.0, 4.0), "
+                       "defect_evaluations=7)")
+
+
+# ----------------------------------------------------------------------
 # pocket threshold of the upper partner
 # ----------------------------------------------------------------------
 
