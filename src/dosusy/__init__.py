@@ -31,7 +31,6 @@ from .numkit import (
     derivative,
     fornberg_weights,
     gegenbauer_eval,
-    gegenbauer_ode_residual,
     grid_derivative,
     integrate_adaptive,
     newton2d,
@@ -68,9 +67,7 @@ from .susy import (
 from .family import (
     AUDIT_MATCH_TOL,
     FORMULA_IDS,
-    FamilyMember,
     SeriesAuditRecord,
-    family_member,
     family_on_grid,
     family_superpotential,
     printed_series_eval,
@@ -88,6 +85,7 @@ from .solver import (
     critical_angular_all,
     integrate_radial,
     shoot_coupling,
+    shoot_couplings,
     trajectory_path_on_angles,
 )
 from .checks import CheckResult, SUITE_NAMES, exit_code, report_json, run_suites
@@ -102,7 +100,6 @@ __all__ = [
     "CriticalPoint",
     "DEFAULT_PROFILE",
     "FORMULA_IDS",
-    "FamilyMember",
     "GeometryError",
     "NonNormalizableStateError",
     "QuadratureError",
@@ -126,12 +123,10 @@ __all__ = [
     "enumerate_shell",
     "exit_code",
     "f_factor",
-    "family_member",
     "family_on_grid",
     "family_superpotential",
     "fornberg_weights",
     "gegenbauer_eval",
-    "gegenbauer_ode_residual",
     "grid_derivative",
     "integrate_adaptive",
     "integrate_radial",
@@ -155,6 +150,7 @@ __all__ = [
     "run_suites",
     "series_audit",
     "shoot_coupling",
+    "shoot_couplings",
     "state_quantum_numbers",
     "superpotential",
     "superpotential_dr",

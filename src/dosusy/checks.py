@@ -24,7 +24,7 @@ import numpy as np
 
 from . import family as fam
 from . import model, solver, susy
-from .numkit import DEFAULT_PROFILE, ToleranceProfile, derivative, integrate_adaptive
+from .numkit import DEFAULT_PROFILE, ToleranceProfile, derivative
 
 __all__ = [
     "CheckResult",
@@ -175,8 +175,9 @@ _EIGEN_STATES: tuple[tuple[float, int, int], ...] = (
 
 def suite_eigenvalue(profile: ToleranceProfile) -> list[CheckResult]:
     results = []
-    for kappa, N, l in _EIGEN_STATES:
-        res = solver.shoot_coupling(N, kappa, l, profile=profile)
+    shots = solver.shoot_couplings([(N, kappa, l) for kappa, N, l in _EIGEN_STATES],
+                                   profile=profile)
+    for (kappa, N, l), res in zip(_EIGEN_STATES, shots):
         w_formula = model.coupling_quantized(N, kappa)
         measured = abs(res.w_star - w_formula) / w_formula
         results.append(CheckResult(
@@ -283,84 +284,62 @@ def suite_critical(profile: ToleranceProfile) -> list[CheckResult]:
 _LAMBDAS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 
 
-def _family_integrand(kappa: float, l: int, side: str):
-    if side == "bosonic":
-        return lambda r: 1.0 / model.f_factor(r, kappa, l) ** 2
-    return lambda r: model.f_factor(r, kappa, l) ** 2
-
-
-def _family_v(r: float, lam: float, integral: float, kappa: float, l: int, side: str) -> float:
-    f2 = model.f_factor(r, kappa, l) ** 2
-    if side == "bosonic":
-        return -f2 * (lam + integral)
-    return (lam + integral) / f2
-
-
 def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
     results = []
     # The quadrature noise gets divided by the finite-difference step below,
     # so the anchored integrals are computed an order tighter than usual.
     tight = ToleranceProfile(quad_tol=1e-13, deriv_step=profile.deriv_step,
                              root_tol=profile.root_tol)
-    radii = (0.2, 0.35, 0.6, 0.9, 1.4, 2.2, 3.5)
+    radii = np.array([0.2, 0.35, 0.6, 0.9, 1.4, 2.2, 3.5])
+    h = 1e-3 * radii
+    nodes = radii + np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None] * h   # 5-point stencils
+    lams = np.array(_LAMBDAS)
     for kappa in (1.0, 0.5):
         for l in (0, 1, 2):
+            w2 = 2.0 * susy.superpotential(radii, kappa, l)
             for side in ("bosonic", "fermionic"):
-                g = _family_integrand(kappa, l, side)
-                worst, worst_r, worst_lam = -1.0, 0.0, 0.0
-                for r in radii:
-                    h = 1e-3 * r
-                    nodes = (r - 2 * h, r - h, r, r + h, r + 2 * h)
-                    ints = [integrate_adaptive(g, 1.0, x, tight) for x in nodes]
-                    for lam in _LAMBDAS:
-                        vs = [_family_v(x, lam, I, kappa, l, side)
-                              for x, I in zip(nodes, ints)]
-                        d = (8.0 * (vs[3] - vs[1]) - (vs[4] - vs[0])) / (12.0 * h)
-                        w = susy.superpotential(r, kappa, l)
-                        if side == "bosonic":
-                            raw = d + 2.0 * w * vs[2] + 1.0
-                        else:
-                            raw = d - 2.0 * w * vs[2] - 1.0
-                        rel = abs(raw) / (1.0 + abs(d) + abs(2.0 * w * vs[2]))
-                        if rel > worst:
-                            worst, worst_r, worst_lam = rel, r, lam
+                ints = fam._tail_integral(nodes, kappa, l, side, tight)
+                vs = fam._v_lambda(nodes, lams[:, None, None], ints, kappa, l, side)
+                d = (8.0 * (vs[:, 3] - vs[:, 1]) - (vs[:, 4] - vs[:, 0])) / (12.0 * h)
+                wv = w2 * vs[:, 2]
+                raw = d + wv + 1.0 if side == "bosonic" else d - wv - 1.0
+                rel = (np.abs(raw) / (1.0 + np.abs(d) + np.abs(wv))).T   # (radius, lambda)
+                i, j = np.unravel_index(np.argmax(rel), rel.shape)
+                worst = float(rel[i, j])
                 results.append(CheckResult(
                     check_id=f"family:ode:kappa={_fmt_kappa(kappa)}:l={l}:side={side}",
                     params={"suite": "family", "kappa": _fmt_kappa(kappa), "l": l,
                             "side": side, "lambdas": list(_LAMBDAS),
                             "derivative": "5-point differences of the quadrature V",
-                            "worst_rho": worst_r, "worst_lambda": worst_lam},
+                            "worst_rho": float(radii[i]), "worst_lambda": float(lams[j])},
                     measured=worst, threshold=1e-8, passed=worst < 1e-8))
 
     # Shared lower partner across the bosonic-fixed family.
-    pts = np.geomspace(0.12, 8.0, 21).tolist()
+    pts = np.geomspace(0.12, 8.0, 21)
     for kappa in (1.0, 0.5):
         for l in (0, 1, 2):
-            g = _family_integrand(kappa, l, "bosonic")
-            integrals = [integrate_adaptive(g, 1.0, r, tight) for r in pts]  # lambda-free
-            worst, kept, skipped = -1.0, 0, 0
-            for lam in _LAMBDAS:
-                for r, integral in zip(pts, integrals):
-                    f2 = model.f_factor(r, kappa, l) ** 2
-                    v = -f2 * (lam + integral)
-                    if abs(v) < 1e-6 * (f2 * (abs(lam) + abs(integral)) + 1e-300):
-                        skipped += 1  # adjacent to a zero of V: W_lambda singular
-                        continue
-                    kept += 1
-                    w = susy.superpotential(r, kappa, l)
-                    w1 = susy.superpotential_dr(r, kappa, l)
-                    vp = -1.0 - 2.0 * w * v
-                    wl = w + 1.0 / v
-                    wlp = w1 - vp / (v * v)
-                    um = susy.partner_minus_closed(r, kappa, l)
-                    raw = wl * wl - wlp - um
-                    rel = abs(raw) / (wl * wl + abs(wlp) + abs(um) + 1.0)
-                    worst = max(worst, rel)
+            integrals = fam._tail_integral(pts, kappa, l, "bosonic", tight)  # lambda-free
+            v = fam._v_lambda(pts, lams[:, None], integrals, kappa, l, "bosonic")
+            # adjacent to a zero of V, W_lambda is singular: those points are skipped
+            scale = np.abs(fam._v_lambda(pts, np.abs(lams[:, None]), np.abs(integrals),
+                                         kappa, l, "bosonic"))
+            keep = np.abs(v) >= 1e-6 * (scale + 1e-300)
+            w, w1, um = (np.broadcast_to(x, v.shape)[keep] for x in (
+                susy.superpotential(pts, kappa, l), susy.superpotential_dr(pts, kappa, l),
+                susy.partner_minus_closed(pts, kappa, l)))
+            v = v[keep]
+            vp = -1.0 - 2.0 * w * v
+            wl = w + 1.0 / v
+            wlp = w1 - vp / (v * v)
+            raw = wl * wl - wlp - um
+            worst = float(np.max(np.abs(raw) / (wl * wl + np.abs(wlp) + np.abs(um) + 1.0),
+                                 initial=-1.0))
+            kept = int(np.count_nonzero(keep))
             results.append(CheckResult(
                 check_id=f"family:partner-identity:kappa={_fmt_kappa(kappa)}:l={l}",
                 params={"suite": "family", "kappa": _fmt_kappa(kappa), "l": l,
                         "side": "bosonic", "lambdas": list(_LAMBDAS),
-                        "points_kept": kept, "points_skipped_near_zero": skipped},
+                        "points_kept": kept, "points_skipped_near_zero": keep.size - kept},
                 measured=worst, threshold=1e-7, passed=worst < 1e-7))
 
     # Parameter shifts move V by an exact multiple of f^2 (or f^-2).

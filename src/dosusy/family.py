@@ -36,8 +36,6 @@ from .numkit import DEFAULT_PROFILE, ToleranceProfile, integrate_adaptive
 from .susy import superpotential
 
 __all__ = [
-    "FamilyMember",
-    "family_member",
     "v_family",
     "family_on_grid",
     "family_superpotential",
@@ -63,16 +61,26 @@ def _check_side(side: str) -> str:
     return side
 
 
-def _inv_f2(rho, kappa, l):
-    return 1.0 / f_factor(rho, kappa, l) ** 2
-
-
-def _tail_integral(rho: float, kappa: float, l: int, side: str,
-                   profile: ToleranceProfile) -> float:
-    """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to rho."""
+def _integrand(kappa: float, l: int, side: str):
+    """f^-2 (bosonic) or f^2 (fermionic), the integrand of the anchored integral."""
     if side == "bosonic":
-        return integrate_adaptive(lambda r: _inv_f2(r, kappa, l), 1.0, float(rho), profile)
-    return integrate_adaptive(lambda r: f_factor(r, kappa, l) ** 2, 1.0, float(rho), profile)
+        return lambda r: 1.0 / f_factor(r, kappa, l) ** 2
+    return lambda r: f_factor(r, kappa, l) ** 2
+
+
+def _tail_integral(rho, kappa: float, l: int, side: str,
+                   profile: ToleranceProfile):
+    """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho,
+    in one quadrature call."""
+    return integrate_adaptive(_integrand(kappa, l, side), 1.0, rho, profile)
+
+
+def _v_lambda(rho, lam, integral, kappa: float, l: int, side: str):
+    """V_lambda from the anchored integral, elementwise over broadcast arrays."""
+    f2 = f_factor(rho, kappa, l) ** 2
+    if side == "bosonic":
+        return -f2 * (lam + integral)
+    return (lam + integral) / f2
 
 
 def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic",
@@ -84,11 +92,22 @@ def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic",
     """
     _check_side(side)
     rho = float(_check_rho(rho))
-    integral = _tail_integral(rho, kappa, l, side, profile)
-    f2 = f_factor(rho, kappa, l) ** 2
-    if side == "bosonic":
-        return -f2 * (lam + integral)
-    return (lam + integral) / f2
+    return float(_v_lambda(rho, lam, _tail_integral(rho, kappa, l, side, profile),
+                           kappa, l, side))
+
+
+def _prefix_integral(integrand, pts: np.ndarray, anchor: float,
+                     profile: ToleranceProfile) -> np.ndarray:
+    """Integral of integrand from anchor to each of the sorted pts.
+
+    The anchor is spliced in and all segments between neighbours are
+    integrated in one call, then prefix-summed.
+    """
+    nodes = np.unique(np.concatenate([pts, [anchor]]))
+    cum = np.concatenate([[0.0], np.cumsum(integrate_adaptive(integrand, nodes[:-1],
+                                                              nodes[1:], profile))])
+    cum -= cum[np.searchsorted(nodes, anchor)]
+    return cum[np.searchsorted(nodes, pts)]
 
 
 def family_on_grid(kappa: float, l: int, lam: float, side: str, grid,
@@ -96,30 +115,15 @@ def family_on_grid(kappa: float, l: int, lam: float, side: str, grid,
     """V_lambda sampled on a sorted grid with one quadrature sweep.
 
     The anchored integral is additive over segments, so the grid (with the
-    reference radius spliced in) is integrated once segment by segment and
-    prefix-summed — identical to per-point calls but O(n) quadratures.
+    reference radius spliced in) is integrated segment by segment in one
+    call and prefix-summed.
     """
     _check_side(side)
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be positive and strictly increasing")
-    pts = np.unique(np.concatenate([grid, [1.0]]))
-    if side == "bosonic":
-        integrand = lambda r: _inv_f2(r, kappa, l)  # noqa: E731
-    else:
-        integrand = lambda r: f_factor(r, kappa, l) ** 2  # noqa: E731
-    segs = np.empty(len(pts) - 1)
-    for i in range(len(pts) - 1):
-        segs[i] = integrate_adaptive(integrand, float(pts[i]), float(pts[i + 1]), profile)
-    cum = np.concatenate([[0.0], np.cumsum(segs)])
-    anchor = cum[np.searchsorted(pts, 1.0)]
-    integral = cum - anchor            # Int_1^pts
-    lookup = dict(zip(pts.tolist(), integral.tolist()))
-    ints = np.array([lookup[r] for r in grid.tolist()])
-    f2 = f_factor(grid, kappa, l) ** 2
-    if side == "bosonic":
-        return -f2 * (lam + ints)
-    return (lam + ints) / f2
+    ints = _prefix_integral(_integrand(kappa, l, side), grid, 1.0, profile)
+    return _v_lambda(grid, lam, ints, kappa, l, side)
 
 
 def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
@@ -137,50 +141,13 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
     _check_side(side)
     rho = float(rho)
     integral = _tail_integral(rho, kappa, l, side, profile)
-    f2 = f_factor(rho, kappa, l) ** 2
-    scale = f2 * (abs(lam) + abs(integral)) if side == "bosonic" \
-        else (abs(lam) + abs(integral)) / f2
-    v = -f2 * (lam + integral) if side == "bosonic" else (lam + integral) / f2
+    v = _v_lambda(rho, lam, integral, kappa, l, side)
+    scale = abs(_v_lambda(rho, abs(lam), abs(integral), kappa, l, side))
     if abs(v) <= 1e-10 * scale + 1e-300:
         raise SingularPointError(
             f"family member (kappa={kappa}, l={l}, lambda={lam}, {side}) "
             f"is singular at rho = {rho}", rho=rho)
     return superpotential(rho, kappa, l) + 1.0 / v
-
-
-@dataclass(frozen=True)
-class FamilyMember:
-    """One member of the isospectral family at fixed (kappa, l, lambda, side)."""
-
-    kappa: float
-    l: int
-    lam: float
-    side: str
-
-    def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.l < 0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
-        _check_side(self.side)
-
-    def V(self, rho, profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
-        return v_family(rho, self.kappa, self.l, self.lam, self.side, profile)
-
-    def V_dr(self, rho, profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
-        """dV/d rho from the defining linear equation (exact given V)."""
-        v = self.V(rho, profile)
-        w = superpotential(rho, self.kappa, self.l)
-        if self.side == "bosonic":
-            return -1.0 - 2.0 * w * v
-        return 1.0 + 2.0 * w * v
-
-    def W_lambda(self, rho, profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
-        return family_superpotential(rho, self.kappa, self.l, self.lam, self.side, profile)
-
-
-def family_member(kappa: float, l: int, lam: float = 0.0, side: str = "bosonic") -> FamilyMember:
-    return FamilyMember(kappa=float(kappa), l=int(l), lam=float(lam), side=side)
 
 
 def v_zeros(kappa: float, l: int, lam: float, side: str, grid,
@@ -381,14 +348,7 @@ def _alpha_integrand(kappa: float, l: int):
 def _anchored_oracle(alphas: np.ndarray, kappa: float, l: int,
                      profile: ToleranceProfile) -> np.ndarray:
     """Antiderivative of the angle-variable integrand, zero at pi/2."""
-    g = _alpha_integrand(kappa, l)
-    pts = np.unique(np.concatenate([alphas, [0.5 * math.pi]]))
-    segs = [integrate_adaptive(g, float(pts[i]), float(pts[i + 1]), profile)
-            for i in range(len(pts) - 1)]
-    cum = np.concatenate([[0.0], np.cumsum(segs)])
-    cum -= cum[np.searchsorted(pts, 0.5 * math.pi)]
-    lookup = dict(zip(pts.tolist(), cum.tolist()))
-    return np.array([lookup[a] for a in alphas.tolist()])
+    return _prefix_integral(_alpha_integrand(kappa, l), alphas, 0.5 * math.pi, profile)
 
 
 def _audit_S(formula_id: str, l: int, kappa: float,
@@ -428,19 +388,14 @@ def _audit_V(formula_id: str, l: int, kappa: float,
     ratio = float(np.median(v_printed[keep] / v_oracle[keep]))
 
     # Defining-equation residual of the printed expression itself,
-    # V' + 2 W V + 1 with V' by Richardson differences in rho.
-    def v_of_rho(r):
-        a = 2.0 * np.arctan(r ** kappa)
-        return printed_series_eval(a, l, formula_id)
-
-    res = 0.0
-    for i, r in enumerate(rho):
-        h = 1e-4 * r
-        d = (8.0 * (v_of_rho(r + h) - v_of_rho(r - h))
-             - (v_of_rho(r + 2 * h) - v_of_rho(r - 2 * h))) / (12.0 * h)
-        w = superpotential(float(r), kappa, l)
-        raw = d + 2.0 * w * v_printed[i] + 1.0
-        res = max(res, abs(raw) / (1.0 + abs(d) + abs(2.0 * w * v_printed[i])))
+    # V' + 2 W V + 1 with V' by Richardson differences in rho, all radii at once.
+    h = 1e-4 * rho
+    vp1, vm1, vp2, vm2 = printed_series_eval(
+        2.0 * np.arctan(np.stack([rho + h, rho - h, rho + 2 * h, rho - 2 * h]) ** kappa),
+        l, formula_id)
+    d = (8.0 * (vp1 - vm1) - (vp2 - vm2)) / (12.0 * h)
+    wv = 2.0 * superpotential(rho, kappa, l) * v_printed
+    res = float(np.max(np.abs(d + wv + 1.0) / (1.0 + np.abs(d) + np.abs(wv))))
 
     verdict = "match" if dev_pw < AUDIT_MATCH_TOL else "mismatch"
     return SeriesAuditRecord(formula_id=formula_id, l=l, kappa=kappa,

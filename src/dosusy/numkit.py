@@ -3,16 +3,17 @@ finite differences, and a damped two-dimensional Newton iteration.
 
 Everything in here is generic plumbing used by the physics modules; nothing
 knows about potentials.  The quadrature is a nested Gauss(7)/Kronrod(15)
-rule with worst-interval bisection, which doubles as the oracle for the
-closed-form integrals checked elsewhere, so it keeps explicit error
-accounting instead of hiding it behind a library call.
+rule that refines many integrals in one vectorised sweep per step, which
+doubles as the oracle for the closed-form integrals checked elsewhere, so
+it keeps explicit error accounting instead of hiding it behind a library
+call.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,7 +23,6 @@ __all__ = [
     "ToleranceProfile",
     "DEFAULT_PROFILE",
     "gegenbauer_eval",
-    "gegenbauer_ode_residual",
     "integrate_adaptive",
     "derivative",
     "fornberg_weights",
@@ -108,54 +108,18 @@ def gegenbauer_eval(p: int, q: float, x):
     return c_cur if isinstance(x, np.ndarray) else float(c_cur)
 
 
-def _gegenbauer_derivative(p: int, q: float, x, order: int):
-    """d^order/dx^order of C_p^(q), via d/dx C_p^(q) = 2q C_{p-1}^(q+1)."""
-    factor = 1.0
-    for j in range(order):
-        factor *= 2.0 * (q + j)
-    deg = p - order
-    if deg < 0:
-        return np.zeros_like(np.asarray(x, dtype=float)) if isinstance(x, np.ndarray) else 0.0
-    return factor * gegenbauer_eval(deg, q + order, x)
-
-
-def gegenbauer_ode_residual(p: int, q: float, x):
-    """Residual of the ultraspherical second-order equation at x.
-
-    The polynomial satisfies
-
-        (x^2 - 1) C'' + (2q + 1) x C' - p (p + 2q) C = 0,
-
-    which this function evaluates in the normalized form
-
-        C'' + (2q+1) x / (x^2 - 1) C' - p (p + 2q) / (x^2 - 1) C.
-
-    Derivatives come from the exact order-raising relation, not finite
-    differences, so the residual measures only the recurrence's consistency
-    with the differential equation.  The endpoints x = +-1 are outside the
-    domain (the normalized coefficients are singular there).
-    """
-    xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) >= 1.0):
-        raise ValueError("ODE residual undefined at |x| >= 1")
-    c0 = gegenbauer_eval(p, q, xs)
-    c1 = _gegenbauer_derivative(p, q, xs, 1)
-    c2 = _gegenbauer_derivative(p, q, xs, 2)
-    denom = xs * xs - 1.0
-    res = c2 + (2.0 * q + 1.0) * xs / denom * c1 - p * (p + 2.0 * q) / denom * c0
-    return res if isinstance(x, np.ndarray) else float(res)
-
-
 # =====================================================================
 # Adaptive Gauss-Kronrod quadrature
 # =====================================================================
 #
 # 15-point Kronrod extension of the 7-point Gauss rule (nodes/weights are
 # the standard QUADPACK constants).  The embedded pair gives a per-panel
-# error estimate |K15 - G7|; the worst panel is bisected until the summed
-# estimate meets the tolerance.  Panels are open at their endpoints (no
-# node sits on a boundary), so integrable endpoint singularities are fine
-# as long as the integrand is finite at every interior node.
+# error estimate |K15 - G7|.  Many integrals are refined together: each
+# sweep bisects, in every unconverged integral, the panels whose estimate
+# is at or above that integral's mean panel estimate, and evaluates all new
+# nodes in one integrand call.  Panels are open at their endpoints (no node
+# sits on a boundary), so integrable endpoint singularities are fine as
+# long as the integrand is finite at every interior node.
 
 _KRONROD_NODES = np.array([
     -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
@@ -184,79 +148,111 @@ _GAUSS_WEIGHTS = np.array([
 _GAUSS_SLOTS = slice(1, 14, 2)
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod pass over [a, b]: returns (K15 value, error estimate)."""
+def _panels(f, a, b, half_line, pw):
+    """One Gauss-Kronrod pass over each panel [a_i, b_i], all nodes in one
+    call of f: returns (K15 values, error estimates).
+
+    Panels flagged ``half_line`` live in alpha, rho = tan(alpha/2)^(1/pw).
+    Each weighted sum runs over the nodes in a fixed order, so a panel's
+    value does not depend on which other panels share the call.
+    """
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _KRONROD_NODES), dtype=float)
-    k15 = half * float(np.dot(_KRONROD_WEIGHTS, fx))
-    g7 = half * float(np.dot(_GAUSS_WEIGHTS, fx[_GAUSS_SLOTS]))
-    return k15, abs(k15 - g7)
+    x = 0.5 * (a + b) + half * _KRONROD_NODES[:, None]   # (15, panels)
+    jac = None
+    if half_line.any():
+        alpha = x[:, half_line]
+        rho = np.tan(0.5 * alpha) ** (1.0 / pw)
+        jac = rho / (pw * np.sin(alpha))
+        x[:, half_line] = rho
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    if jac is not None:
+        fx[:, half_line] *= jac
+    k15 = half * reduce(np.add, _KRONROD_WEIGHTS[:, None] * fx)
+    g7 = half * reduce(np.add, _GAUSS_WEIGHTS[:, None] * fx[_GAUSS_SLOTS])
+    return k15, np.abs(k15 - g7)
 
 
-def integrate_adaptive(f, a: float, b: float,
+def integrate_adaptive(f, a, b,
                        profile: ToleranceProfile = DEFAULT_PROFILE,
                        tail_power: float = 1.0,
-                       max_panels: int = 4000) -> float:
+                       max_panels: int = 4000):
     """Integrate f over (a, b) to ``quad_tol`` with nested-rule refinement.
 
-    ``f`` must accept an ndarray of abscissae and return values elementwise.
+    ``a`` and ``b`` are scalars or broadcastable arrays of limits, one
+    integral per element; scalar limits give a float, array limits an array
+    of their broadcast shape.  ``f`` must accept an ndarray of abscissae and
+    return values elementwise; it is called once per refinement sweep, with
+    the nodes of every integral still refining.  Each integral stops on its
+    own when its summed error estimate is at most ``quad_tol (1 + |I|)``.
+
     ``b = inf`` is supported through the half-line substitution
-    rho = tan(alpha/2)^(1/tail_power), which maps (0, inf) to the finite
-    alpha-interval (0, pi); ``tail_power`` is the exponent kappa of that
-    map and is ignored for finite intervals.
+    rho = tan(alpha/2)^(1/tail_power), which maps (a, inf), a >= 0, to a
+    finite alpha-interval inside (0, pi); ``tail_power`` is the exponent
+    kappa of that map and is ignored for finite intervals.
 
     Raises
     ------
     QuadratureError
-        If the summed error estimate still exceeds the tolerance after
-        ``max_panels`` panel evaluations.  The exception carries the best
-        estimate and its bound.
+        If an integral's summed error estimate still exceeds the tolerance
+        after ``max_panels`` panel evaluations.  The exception carries the
+        best estimate and its bound for the worst such integral.
     """
-    if math.isinf(b):
-        if b < 0 or math.isinf(a):
-            raise ValueError("only upper-endpoint infinity is supported")
-        if a < 0:
-            raise ValueError("half-line integrals need a >= 0")
-        pw = float(tail_power)
-        if pw <= 0:
-            raise ValueError("tail_power must be positive")
-
-        def g(alpha):
-            alpha = np.asarray(alpha, dtype=float)
-            rho = np.tan(0.5 * alpha) ** (1.0 / pw)
-            return np.asarray(f(rho), dtype=float) * rho / (pw * np.sin(alpha))
-
-        lo = 2.0 * math.atan(a ** pw) if a > 0 else 0.0
-        return integrate_adaptive(g, lo, math.pi, profile, max_panels=max_panels)
-
-    if not (math.isfinite(a) and math.isfinite(b)):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a.shape
+    lo, hi = a.flatten(), b.flatten()
+    half_line = hi == np.inf
+    if np.any(np.isinf(lo) | (hi == -np.inf)):
+        raise ValueError("only upper-endpoint infinity is supported")
+    if np.any(np.isnan(lo) | np.isnan(hi)):
         raise ValueError("interval endpoints must be finite (or b = inf)")
-    if a == b:
-        return 0.0
-    if b < a:
-        return -integrate_adaptive(f, b, a, profile, max_panels=max_panels)
+    pw = float(tail_power)
+    if half_line.any():
+        if np.any(lo[half_line] < 0):
+            raise ValueError("half-line integrals need a >= 0")
+        if not pw > 0:
+            raise ValueError("tail_power must be positive")
+        lo[half_line] = 2.0 * np.arctan(lo[half_line] ** pw)
+        hi[half_line] = math.pi
+    sign = np.where(hi < lo, -1.0, 1.0)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
-    val, err = _panel(f, a, b)
-    heap = [(-err, a, b, val, err)]
-    total, total_err = val, err
-    panels = 1
-    while total_err > profile.quad_tol * (1.0 + abs(total)):
-        if panels >= max_panels:
+    n, tol = lo.size, profile.quad_tol
+    result = np.zeros(n)
+    evaluated = np.zeros(n, dtype=int)
+    own, pa, pb, val, err = np.zeros(0, dtype=int), *np.zeros((4, 0))
+    new_own = np.flatnonzero(lo < hi)   # the integral each panel belongs to; a == b stays 0
+    new_a, new_b = lo[new_own], hi[new_own]
+    while new_own.size:
+        new_val, new_err = _panels(f, new_a, new_b, half_line[new_own], pw)
+        evaluated += np.bincount(new_own, minlength=n)
+        own, pa, pb, val, err = (np.concatenate(pair) for pair in (
+            (own, new_own), (pa, new_a), (pb, new_b), (val, new_val), (err, new_err)))
+        # per-integral sums run in panel order, whatever else is in the batch
+        total = np.bincount(own, val, n)
+        bound = np.bincount(own, err, n)
+        count = np.bincount(own, minlength=n)
+        refine = (count > 0) & (bound > tol * (1.0 + np.abs(total)))
+        settled = (count > 0) & ~refine
+        result[settled] = total[settled]
+        stalled = refine & (evaluated >= max_panels)
+        if stalled.any():
+            worst = np.flatnonzero(stalled)[
+                np.argmax(bound[stalled] / (1.0 + np.abs(total[stalled])))]
             raise QuadratureError(
-                f"quadrature stalled at error bound {total_err:.3e} "
-                f"after {panels} panels",
-                best_estimate=total, error_bound=total_err)
-        _, pa, pb, pval, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        lval, lerr = _panel(f, pa, pm)
-        rval, rerr = _panel(f, pm, pb)
-        total += (lval + rval) - pval
-        total_err += (lerr + rerr) - perr
-        heapq.heappush(heap, (-lerr, pa, pm, lval, lerr))
-        heapq.heappush(heap, (-rerr, pm, pb, rval, rerr))
-        panels += 2
-    return total
+                f"quadrature stalled at error bound {bound[worst]:.3e} "
+                f"after {evaluated[worst]} panels",
+                best_estimate=float(sign[worst] * total[worst]),
+                error_bound=float(bound[worst]))
+        live = refine[own]
+        split = live & (err >= (bound / np.maximum(count, 1))[own])
+        mid = 0.5 * (pa[split] + pb[split])
+        new_own = np.concatenate([own[split], own[split]])
+        new_a = np.concatenate([pa[split], mid])
+        new_b = np.concatenate([mid, pb[split]])
+        keep = live & ~split
+        own, pa, pb, val, err = own[keep], pa[keep], pb[keep], val[keep], err[keep]
+    out = sign * result
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 # =====================================================================

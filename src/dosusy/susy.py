@@ -41,6 +41,12 @@ __all__ = [
 
 # --- W and its derivatives from T = 1/(1 + rho^(2 kappa)) -------------
 
+def _power(rho, k):
+    """rho^k for a denominator: where it overflows, its reciprocal is 0 and right."""
+    with np.errstate(over="ignore"):
+        return rho ** k
+
+
 def _numerators(rho, kappa: float, l, order: int) -> list:
     """[B_0, ..., B_order] with d^n W / d rho^n = B_n / rho^(n+1).
 
@@ -50,7 +56,7 @@ def _numerators(rho, kappa: float, l, order: int) -> list:
     the power overflows keeps every B_n finite.
     """
     k = 2.0 * kappa
-    T = 1.0 / (1.0 + rho ** k)
+    T = 1.0 / (1.0 + _power(rho, k))
     cT = (2.0 * l + 1.0) * T
     B = [l - cT]
     if order >= 1:
@@ -93,7 +99,7 @@ def superpotential_d3r(rho, kappa: float, l):
 def _w_derivative(rho, kappa, l, n):
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
-    out = _numerators(rho, kappa, l, n)[n] / rho ** (n + 1)
+    out = _numerators(rho, kappa, l, n)[n] / _power(rho, n + 1)
     return float(out) if scalar else out
 
 
@@ -113,7 +119,7 @@ def _partner(rho, kappa, l, sign):
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
     B0, B1 = _numerators(rho, kappa, l, 1)
-    out = (B0 * B0 + sign * B1) / (rho * rho)
+    out = (B0 * B0 + sign * B1) / _power(rho, 2)
     return float(out) if scalar else out
 
 
@@ -153,7 +159,7 @@ def partner_plus_dr(rho, kappa: float, l):
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
     B0, B1, B2 = _numerators(rho, kappa, l, 2)
-    out = (2.0 * B0 * B1 + B2) / rho ** 3
+    out = (2.0 * B0 * B1 + B2) / _power(rho, 3)
     return float(out) if scalar else out
 
 
@@ -162,7 +168,7 @@ def partner_plus_d2r(rho, kappa: float, l):
     scalar = np.isscalar(rho)
     rho = _check_rho(rho)
     B0, B1, B2, B3 = _numerators(rho, kappa, l, 3)
-    out = (2.0 * (B1 * B1 + B0 * B2) + B3) / rho ** 4
+    out = (2.0 * (B1 * B1 + B0 * B2) + B3) / _power(rho, 4)
     return float(out) if scalar else out
 
 
@@ -206,23 +212,21 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int,
 
     which reproduces f_factor up to one global multiplicative constant
     (checked by the caller as a constant-ratio property).  The integral is
-    anchored at xi = 0, i.e. rho = 1.
+    anchored at xi = 0, i.e. rho = 1, and taken in t = ln rho: there
+    d xi/dt = -kappa (1 - xi^2), so Q(xi) d xi = (2q+1) kappa xi(t) dt with a
+    bounded integrand, even where xi rounds to +-1.  All grid points go to
+    one quadrature call.
     """
     grid = _check_rho(grid)
     q = (2.0 * l + 1.0) / (2.0 * kappa) + 0.5
-    two_q1 = 2.0 * q + 1.0
 
-    def Q(s):
-        s = np.asarray(s, dtype=float)
-        return two_q1 * s / (s * s - 1.0)
+    def xi_of_t(t):
+        rho = np.exp(t)
+        return _xi(rho, _fold(rho, kappa)[1])
 
-    # |d xi/d rho| = 4 kappa rho^(2 kappa - 1) / (1 + rho^(2 kappa))^2, which is
-    # 4 kappa p v^2 / rho on the fold, on both sides of rho = 1
-    _, p, v = _fold(grid, kappa)
-    xi = _xi(grid, p)
-    dxi = 4.0 * kappa * p * v * v / grid
-    out = np.empty_like(grid)
-    for i, x in enumerate(xi):
-        integral = integrate_adaptive(Q, 0.0, float(x), profile)
-        out[i] = dxi[i] ** (-0.5) * np.exp(0.5 * integral)
-    return out
+    integral = (2.0 * q + 1.0) * kappa * integrate_adaptive(xi_of_t, 0.0, np.log(grid), profile)
+    # |d xi/d rho| = 4 kappa p v^2 / rho on the fold, p = x^(2 kappa): taken in logs
+    # so that neither it nor its inverse square root overflows
+    x, p, _ = _fold(grid, kappa)
+    log_dxi = np.log(4.0 * kappa) + 2.0 * kappa * np.log(x) - 2.0 * np.log1p(p) - np.log(grid)
+    return np.exp(0.5 * (integral - log_dxi))

@@ -273,6 +273,14 @@ def test_trace_plunge_maps_to_failure_exit(capsys):
     assert err.startswith("dosusy: failure:")
 
 
+def test_trace_outward_radial_launch_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3",
+                       "--rho", "0.5", "--direction", "0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("dosusy: error:") and "radial" in err
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------

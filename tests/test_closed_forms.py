@@ -35,6 +35,8 @@ from dosusy.susy import (
     partner_minus_closed,
     partner_plus,
     partner_plus_closed,
+    partner_plus_d2r,
+    partner_plus_dr,
     superpotential,
     superpotential_d2r,
     superpotential_d3r,
@@ -170,14 +172,51 @@ def test_compact_coordinates_raise_no_warning_at_extreme_radii(kappa):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         xi, alpha = map_coordinates(np.array([1e-200, 1e-30, 1e30, 1e200]), kappa)
-        # the quadrature route resolves xi up to rho^(2 kappa) = 1e+-6 or so;
-        # beyond that xi rounds to +-1, where its integrand is singular
-        edge = 10.0 ** (3.0 / kappa)
-        grid = np.array([1.0 / edge, 0.5, 1.0, 2.0, edge])
+        # the quadrature route integrates in t = ln rho, where xi = +-1 is harmless
+        grid = np.array([1e-30, 0.5, 1.0, 2.0, 1e30])
         ratio = natanzon_f_reconstruction(grid, kappa, 1) / f_factor(grid, kappa, 1)
     np.testing.assert_array_equal(np.abs(xi), 1.0)
     assert alpha[0] >= 0.0 and alpha[-1] == math.pi
     assert np.max(np.abs(ratio / ratio[2] - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+@pytest.mark.parametrize("l", (0, 1, 7))
+def test_reconstruction_ratio_is_constant_out_to_extreme_radii(kappa, l):
+    grid = np.geomspace(1e-30, 1e30, 121)
+    ratio = natanzon_f_reconstruction(grid, kappa, l) / f_factor(grid, kappa, l)
+    assert np.max(np.abs(ratio / np.median(ratio) - 1.0)) < 1e-10
+
+
+def _forms_without_well_root(kappa, l):
+    """Every closed form that does not take the partners' power rho^kappa."""
+    susy_forms = (*W_DERIVATIVES, partner_minus, partner_plus, partner_plus_dr,
+                  partner_plus_d2r)
+    return ([lambda r, fn=fn: fn(r, kappa, l) for fn in susy_forms]
+            + [lambda r: f_factor(r, kappa, l),
+               lambda r: radial_u(r, 3, 0, kappa),
+               lambda r: potential(r, 3.0, kappa),
+               lambda r: effective_potential_general(r, 3.0, kappa, l),
+               lambda r: map_coordinates(r, kappa)])
+
+
+@pytest.mark.parametrize("kappa", (0.5, 1.0, 3.7))
+@pytest.mark.parametrize("l", (0, 1, 7))
+def test_closed_forms_raise_no_warning_at_extreme_radii(kappa, l):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for form in _forms_without_well_root(kappa, l):
+            form(1e200)
+        # at rho = 1e-200 the values that are representable: W, f, u, U, xi and alpha
+        superpotential(1e-200, kappa, l)
+        f_factor(1e-200, kappa, l)
+        radial_u(1e-200, 3, 0, kappa)
+        potential(1e-200, 3.0, kappa)
+        map_coordinates(1e-200, kappa)
+    # W^(n) ~ -(l+1) (-1)^n n! / rho^(n+1) passes the largest double there
+    with np.errstate(divide="ignore"):
+        derivs = [fn(1e-200, kappa, l) for fn in W_DERIVATIVES[1:]]
+    assert derivs == [math.inf, -math.inf, math.inf]
 
 
 # (kappa, l) pairs with l/kappa an integer, each with polynomial degrees 0, 1, 3

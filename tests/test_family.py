@@ -21,8 +21,6 @@ from dosusy.exceptions import SingularPointError
 from dosusy.family import (
     AUDIT_MATCH_TOL,
     FORMULA_IDS,
-    FamilyMember,
-    family_member,
     family_on_grid,
     family_superpotential,
     printed_series_eval,
@@ -130,29 +128,6 @@ def test_large_lambda_limit():
     w = superpotential(rho, kappa, l)
     expect = -1.0 / (lam * f_factor(rho, kappa, l) ** 2)
     assert wl - w == pytest.approx(expect, rel=1e-4)
-
-
-def test_family_member_facade():
-    m = family_member(1.0, 1, lam=0.5, side="fermionic")
-    assert isinstance(m, FamilyMember)
-    assert m.V(1.4) == pytest.approx(v_family(1.4, 1.0, 1, 0.5, "fermionic"), rel=1e-12)
-    assert m.W_lambda(1.4) == pytest.approx(
-        family_superpotential(1.4, 1.0, 1, 0.5, "fermionic"), rel=1e-12)
-    with pytest.raises(ValueError):
-        FamilyMember(kappa=-1.0, l=0, lam=0.0, side="bosonic")
-    with pytest.raises(ValueError):
-        FamilyMember(kappa=1.0, l=0, lam=0.0, side="upper")
-
-
-@pytest.mark.parametrize("side", ["bosonic", "fermionic"])
-def test_family_member_derivative_from_equation(side):
-    # V_dr comes from the defining equation; a finite difference of V itself
-    # must agree.
-    m = family_member(1.0, 1, lam=0.8, side=side)
-    rho, h = 1.6, 1e-4 * 1.6
-    fd = (8.0 * (m.V(rho + h, TIGHT) - m.V(rho - h, TIGHT))
-          - (m.V(rho + 2 * h, TIGHT) - m.V(rho - 2 * h, TIGHT))) / (12.0 * h)
-    assert m.V_dr(rho, TIGHT) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_v_zeros_lambda_zero():

@@ -18,7 +18,6 @@ from dosusy.numkit import (
     derivative,
     fornberg_weights,
     gegenbauer_eval,
-    gegenbauer_ode_residual,
     grid_derivative,
     integrate_adaptive,
     newton2d,
@@ -71,9 +70,16 @@ class TestGegenbauer:
     def test_differential_equation(self, p, q):
         # The recurrence output must satisfy the defining second-order ODE;
         # residuals are scaled by the polynomial's own magnitude.
+        # Derivatives come from the exact order-raising relation
+        # d/dx C_p^(q) = 2q C_(p-1)^(q+1), not finite differences.
         xs = np.linspace(-0.95, 0.95, 50)
-        res = np.max(np.abs(gegenbauer_ode_residual(p, q, xs)))
-        scale = 1.0 + np.max(np.abs(gegenbauer_eval(p, q, xs)))
+        c0 = gegenbauer_eval(p, q, xs)
+        c1 = 2.0 * q * gegenbauer_eval(p - 1, q + 1.0, xs) if p >= 1 else 0.0
+        c2 = 4.0 * q * (q + 1.0) * gegenbauer_eval(p - 2, q + 2.0, xs) if p >= 2 else 0.0
+        denom = xs * xs - 1.0
+        res = np.max(np.abs(c2 + (2.0 * q + 1.0) * xs / denom * c1
+                            - p * (p + 2.0 * q) / denom * c0))
+        scale = 1.0 + np.max(np.abs(c0))
         assert res / scale < 1e-9
 
     def test_scalar_vs_array(self):
@@ -90,8 +96,6 @@ class TestGegenbauer:
             gegenbauer_eval(True, 1.0, 0.5)
         with pytest.raises(ValueError):
             gegenbauer_eval(2, 1.0, 1.2)
-        with pytest.raises(ValueError):
-            gegenbauer_ode_residual(2, 1.0, 1.0)  # endpoint is singular
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +170,50 @@ class TestQuadrature:
         assert "panels" in str(err)
         assert 1.5 < err.best_estimate < 2.5
         assert err.error_bound > 0.0
+
+    def test_array_limits_equal_one_element_calls_bit_for_bit(self):
+        # reversed limits, a = b, and the half-line path share one batch
+        f = lambda x: 1.0 / (1.0 + x * x) + np.cos(3.0 * x) / (1.0 + x ** 4)  # noqa: E731
+        a = np.array([0.0, 2.0, 1.3, -1.0, 0.0, 1.0, -4.0])
+        b = np.array([2.0, 0.0, 1.3, 3.0, np.inf, np.inf, 5.0])
+        batch = integrate_adaptive(f, a, b)
+        assert batch.tolist() == [integrate_adaptive(f, float(ai), float(bi))
+                                  for ai, bi in zip(a, b)]
+        assert batch[2] == 0.0 and batch[1] == -batch[0]
+
+    def test_one_integrand_call_per_sweep(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return 1.0 / np.sqrt(x)
+
+        b = np.array([1.0, 0.5, 2.0])
+        integrate_adaptive(f, 0.0, b)
+        batch_calls = len(calls)
+        single_calls = []
+        for bi in b:
+            calls.clear()
+            integrate_adaptive(f, 0.0, float(bi))
+            single_calls.append(len(calls))
+        assert batch_calls == max(single_calls)
+
+    def test_limits_broadcast_to_the_output_shape(self):
+        b = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+        got = integrate_adaptive(np.cos, 0.0, b)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, np.sin(b), rtol=1e-13)
+        assert isinstance(integrate_adaptive(np.cos, 0.0, 1.0), float)
+
+    def test_a_stalled_integral_stops_the_batch_with_its_own_estimate(self):
+        f = lambda x: 1.0 / np.sqrt(x)  # noqa: E731
+        with pytest.raises(QuadratureError) as single:
+            integrate_adaptive(f, 0.0, 1.0, max_panels=8)
+        with pytest.raises(QuadratureError) as batch:
+            integrate_adaptive(f, np.array([0.5, 0.0, 0.25]), 1.0, max_panels=8)
+        assert batch.value.best_estimate == single.value.best_estimate
+        assert batch.value.error_bound == single.value.error_bound
+        assert str(batch.value) == str(single.value)
 
     def test_invalid_intervals(self):
         f = lambda x: x  # noqa: E731

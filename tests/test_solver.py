@@ -160,6 +160,21 @@ def test_shooting_bracket_without_root():
         shoot_coupling(1, "1", 0, bracket=(6.0, 9.0))
 
 
+def test_batched_shooting_rows_equal_single_calls():
+    states = [(1, "1", 0), (3, "1/2", 1), (2, 0.226, 0), (3, "3/2", 3), (2, "1", 0)]
+    brackets = [None, None, None, None, (3.0 / 1.3 * 5, 3.0 * 1.3 * 5)]
+    batch = solver.shoot_couplings(states, brackets)
+    for (N, kappa, l), bracket, row in zip(states, brackets, batch):
+        single = shoot_coupling(N, kappa, l, bracket=bracket)
+        assert (row.w_star, row.match_defect, row.bracket, row.defect_evaluations) == (
+            single.w_star, single.match_defect, single.bracket, single.defect_evaluations)
+
+
+def test_bracket_error_names_the_failing_state():
+    with pytest.raises(BracketError, match=r"N=1, kappa=1\.0, l=0"):
+        solver.shoot_couplings([(2, "1", 1), (1, "1", 0)], [None, (6.0, 9.0)])
+
+
 def test_shooting_validation():
     with pytest.raises(ValueError):
         shoot_coupling(1, "1", 0, bracket=(-1.0, 2.0))
@@ -171,19 +186,15 @@ def test_shooting_validation():
 # one shooting leg and its mirror image
 # ----------------------------------------------------------------------
 
-def _outward_edges(w, kappa, L):
-    return np.arange(-solver._CELLS, 1) * (solver._leg_length(w, kappa, L) / solver._CELLS)
-
-
 def _two_leg_defect(w, kappa, l):
     """The matching defect with both legs propagated, as it was first written."""
     L = l + 0.5
-    out_edges = _outward_edges(w, kappa, L)
+    out_edges = solver._leg_edges(w, kappa, L)
     legs = solver._product(solver._cells(np.stack([out_edges, -out_edges]), w, kappa, L))
     yo, dyo = legs[0] @ (1.0, L)
     yi, dyi = legs[1] @ (1.0, -L)
     duo, dui = dyo + 0.5 * yo, dyi + 0.5 * yi
-    return (duo * yi - dui * yo) / (math.hypot(yo, duo) * math.hypot(yi, dui))
+    return (duo * yi - dui * yo) / (np.hypot(yo, duo) * np.hypot(yi, dui))
 
 
 _MIRROR_CASES = [(kappa, l, on_ladder)
@@ -196,7 +207,7 @@ _MIRROR_CASES = [(kappa, l, on_ladder)
 def test_inward_leg_is_the_mirrored_outward_leg(kappa, l, on_ladder):
     w = coupling_quantized(3, kappa) * (1.0 if on_ladder else 1.17)
     L = l + 0.5
-    out_edges = _outward_edges(w, kappa, L)
+    out_edges = solver._leg_edges(w, kappa, L)
     yo, dyo = solver._product(solver._cells(out_edges, w, kappa, L)) @ (1.0, L)
     yi, dyi = solver._product(solver._cells(-out_edges, w, kappa, L)) @ (1.0, -L)
     assert (yi, dyi) == (yo, -dyo)  # exact, not approximate
@@ -205,9 +216,8 @@ def test_inward_leg_is_the_mirrored_outward_leg(kappa, l, on_ladder):
 @pytest.mark.parametrize("kappa, l, on_ladder", _MIRROR_CASES)
 def test_one_leg_defect_equals_two_leg_defect(kappa, l, on_ladder):
     w = coupling_quantized(3, kappa) * (1.0 if on_ladder else 1.17)
-    counter = [0]
-    assert solver._match_defect(w, kappa, l, counter) == _two_leg_defect(w, kappa, l)
-    assert counter == [1]
+    one_leg = solver._match_defect(np.array([w]), np.array([kappa]), np.array([l + 0.5]))
+    assert one_leg.tolist() == [_two_leg_defect(w, kappa, l)]
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +356,18 @@ def test_radial_plunge_hits_origin():
     with pytest.raises(GeometryError) as info:
         classical_trajectory("1/2", 2.0, 0.5, direction_deg=180.0)
     assert info.value.kind == "origin"
+
+
+@pytest.mark.parametrize("direction", [0.0, 360.0, -720.0])
+def test_outward_radial_launch_is_rejected_up_front(direction, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit with no angular momentum was integrated")
+
+    monkeypatch.setattr(solver, "solve_ivp", refuse)
+    with pytest.raises(ValueError, match="radial"):
+        classical_trajectory("1", 3.0, 0.5, direction_deg=direction)
+    with pytest.raises(ValueError, match="radial"):
+        trajectory_path_on_angles("1", 3.0, 0.5, [0.5, 1.0], direction_deg=direction)
 
 
 def test_trajectory_validation():
