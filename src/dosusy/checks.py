@@ -464,7 +464,8 @@ def suite_closure(profile: ToleranceProfile) -> list[CheckResult]:
             params={"suite": "closure", "kappa": kappa, "w": w, "rho0": 0.5,
                     "direction_deg": 63.0, "revolutions": traj.k2,
                     "closure_time": traj.closure_time,
-                    "focal_point": list(traj.focal_point)},
+                    "focal_point": list(traj.focal_point),
+                    "rhs_evaluations": traj.rhs_evaluations},
             measured=traj.closure_defect, threshold=tol,
             passed=traj.closure_defect < tol))
         results.append(CheckResult(

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .exceptions import SingularPointError
 from .model import _check_rho, f_factor
@@ -59,6 +60,13 @@ def _check_side(side: str) -> str:
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
     return side
+
+
+def _check_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be positive and strictly increasing")
+    return grid
 
 
 def _integrand(kappa: float, l: int, side: str):
@@ -119,9 +127,7 @@ def family_on_grid(kappa: float, l: int, lam: float, side: str, grid,
     call and prefix-summed.
     """
     _check_side(side)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be positive and strictly increasing")
+    grid = _check_grid(grid)
     ints = _prefix_integral(_integrand(kappa, l, side), grid, 1.0, profile)
     return _v_lambda(grid, lam, ints, kappa, l, side)
 
@@ -155,32 +161,26 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid,
             refine_tol: float = 1e-12) -> list[float]:
     """Zeros of V_lambda inside the grid span (singular loci of W_lambda).
 
-    Sign changes of the sampled V are refined by plain bisection.  Zeros are
-    a legitimate feature of family members — they are returned, not raised.
+    V_lambda changes sign exactly where lambda + Int_1^rho does.  Each sign
+    change of that term between grid nodes is refined by ``brentq``; a probe
+    integrates only from the bracket's left node and adds the node's prefix
+    integral.  Zeros are a legitimate feature of family members — they are
+    returned, not raised.
     """
-    grid = np.asarray(grid, dtype=float)
-    vals = family_on_grid(kappa, l, lam, side, grid, profile)
+    _check_side(side)
+    grid = _check_grid(grid)
+    integrand = _integrand(kappa, l, side)
+    g = lam + _prefix_integral(integrand, grid, 1.0, profile)
     zeros: list[float] = []
     for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
+        if g[i] == 0.0:
             zeros.append(float(grid[i]))
-            continue
-        if va * vb < 0.0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = va
-            while b - a > refine_tol * max(1.0, b):
-                mid = 0.5 * (a + b)
-                fm = v_family(mid, kappa, l, lam, side, profile)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            zeros.append(0.5 * (a + b))
-    if len(vals) and vals[-1] == 0.0:
+        elif g[i] * g[i + 1] < 0.0:
+            a, ga = float(grid[i]), float(g[i])
+            zeros.append(brentq(lambda r: ga + integrate_adaptive(integrand, a, r, profile),
+                                a, float(grid[i + 1]), xtol=refine_tol,
+                                rtol=max(refine_tol, 4.0 * np.finfo(float).eps)))
+    if len(g) and g[-1] == 0.0:
         zeros.append(float(grid[-1]))
     return zeros
 

@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 
 from .exceptions import BracketError, ConvergenceError, GeometryError
@@ -412,9 +411,12 @@ def critical_angular(kappa: float,
 #
 # Unit mass, total energy fixed at zero: |v| = sqrt(-2 U) everywhere.  For
 # rational shape exponent kappa = k1/k2 every bounded orbit closes after
-# k2 angular revolutions and re-focuses after half that.  The integrated
-# state carries the accumulated polar angle so revolutions are counted
-# exactly (the force is central, so the angle advances monotonically).
+# k2 angular revolutions and re-focuses after half that.  The force is
+# central, so the polar angle advances monotonically at the rate
+# |L| / r^2 with L = x vy - y vx conserved: the accumulated angle |theta|
+# is the integration clock, dX/d|theta| = (r^2 / |L|) dX/dt, and the state
+# (x, y, vx, vy, t) carries the physical time.  Closure and focus then sit
+# at fixed clock values (2 pi k2 and pi k2) and need no root search.
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -423,65 +425,122 @@ class Trajectory:
     closure_defect is max(|r_end - r_start| / max(1, rho0),
     |v_end - v_start| / max(1, v0)) evaluated after k2 full revolutions;
     focal_point is the position after k2/2 revolutions.  energy_drift is
-    the largest |E(t)| along the orbit relative to |U(start)|.
+    the largest |E| along the orbit relative to |U(start)|, taken at
+    ``samples`` points uniform in accumulated angle, both ends included.
+    rhs_evaluations counts the integrator's right-hand-side calls.
+
+    t, x, y, vx, vy are ``samples`` points uniform in time over
+    [0, closure_time]; they are computed on first read from the dense
+    orbit, by inverting the monotone t(theta).
     """
 
     kappa: float
     k1: int
     k2: int
     w: float
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
     closure_defect: float
     closure_time: float
     focal_point: tuple[float, float]
     focal_time: float
     energy_drift: float
+    rhs_evaluations: int
+    samples: int = field(repr=False, compare=False)
+    orbit: object = field(repr=False, compare=False)   # solve_ivp result over |theta|
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return np.linspace(0.0, self.closure_time, self.samples)
+
+    @cached_property
+    def _states(self) -> np.ndarray:
+        return _states_at_times(self.orbit, self.t, self.closure_time)
+
+    x = property(lambda self: self._states[0])
+    y = property(lambda self: self._states[1])
+    vx = property(lambda self: self._states[2])
+    vy = property(lambda self: self._states[3])
 
 
-def _force_rhs(t, s, kappa, w):
-    x, y, vx, vy, _theta = s
-    r = math.hypot(x, y)
-    # dU/d rho = 2 w rho^(2k-3) [(1-k) + (1+k) rho^(2k)] / (1 + rho^(2k))^3
-    t2k = r ** (2.0 * kappa)
-    du = 2.0 * w * r ** (2.0 * kappa - 3.0) * ((1.0 - kappa) + (1.0 + kappa) * t2k) \
-        / (1.0 + t2k) ** 3
-    return [vx, vy, -du * x / r, -du * y / r, (x * vy - y * vx) / (r * r)]
+# At most 1/64 revolution per step.  Past a deep pericenter the clock otherwise
+# takes long steps whose dense output errs ten times more than the step ends
+# (near-radial launches: max |E| 1.4e-9 between steps against 1.0e-10 at them).
+_MAX_ANGLE_STEP = 2.0 * math.pi / 64.0
 
 
-def _integrate_orbit(kappa: float, w: float, rho0: float, revolutions: float,
-                     direction_deg: float, rtol: float):
-    if direction_deg % 360.0 == 0.0:
+def _angle_rhs(kappa: float, w: float, inv_l: float):
+    """dX/d|theta| = (r^2 / |L|) dX/dt for the state X = (x, y, vx, vy, t)."""
+    # acc = (dU/d rho) (r^2 / |L|) / r, with dU/d rho =
+    # 2 w rho^(2k-3) [(1-k) + (1+k) rho^(2k)] / (1 + rho^(2k))^3 and
+    # rho^(2k-3) = rho^(2k) / r^3 from the one power per call
+    lo, hi, gain = 1.0 - kappa, 1.0 + kappa, 2.0 * w * inv_l
+
+    def rhs(theta, s):
+        x, y, vx, vy, _t = s
+        r2 = x * x + y * y
+        dt = r2 * inv_l
+        p = r2 ** kappa
+        acc = gain * p * (lo + hi * p) / ((1.0 + p) ** 3 * r2)
+        return [dt * vx, dt * vy, -acc * x, -acc * y, dt]
+    return rhs
+
+
+def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
+                     direction_deg: float, rtol: float, t_eval=None):
+    """DOP853 from |theta| = 0 to ``angle``, dense unless ``t_eval`` is given."""
+    d = direction_deg % 360.0
+    if d == 0.0:
         # L = 0 outward: the orbit creeps out at ever lower speed, never turning
         raise ValueError(f"direction {direction_deg!r} deg is a radial launch outward; "
                          "it has no angular momentum and never accumulates an angle")
+    if d == 180.0:
+        # L = 0 inward: the angle clock has no rate, and the plunge hits the origin
+        raise GeometryError(f"direction {direction_deg!r} deg is a radial plunge; "
+                            "with no angular momentum it reaches the origin",
+                            kind="origin", rho=1e-6)
     v0 = math.sqrt(-2.0 * potential(rho0, w, kappa))
-    phi = math.radians(direction_deg)
-    state0 = [rho0, 0.0, v0 * math.cos(phi), v0 * math.sin(phi), 0.0]
-    target = 2.0 * math.pi * revolutions
+    # a launch below the x axis is the exact mirror of the one at 360 - d above it
+    phi = math.radians(min(d, 360.0 - d))
+    state0 = [rho0, 0.0, v0 * math.cos(phi), math.copysign(v0 * math.sin(phi), 180.0 - d), 0.0]
+    inv_l = 1.0 / abs(rho0 * state0[3])
 
-    events = (lambda t, s, *_: abs(s[4]) - target,              # angle accumulated
-              lambda t, s, *_: math.hypot(s[0], s[1]) - 1e-6,   # reached the origin
-              lambda t, s, *_: math.hypot(s[0], s[1]) - 1e3)    # escaped
+    events = (lambda th, s, *_: math.hypot(s[0], s[1]) - 1e-6,   # reached the origin
+              lambda th, s, *_: math.hypot(s[0], s[1]) - 1e3)    # escaped
     for event in events:
         event.terminal = True  # type: ignore[attr-defined]
-    sol = solve_ivp(_force_rhs, (0.0, 1e6), state0, args=(kappa, w),
-                    method="DOP853", rtol=rtol, atol=1e-14,
-                    events=events, dense_output=True)
+    sol = solve_ivp(_angle_rhs(kappa, w, inv_l), (0.0, angle), state0,
+                    method="DOP853", rtol=rtol, atol=1e-14, max_step=_MAX_ANGLE_STEP,
+                    events=events, t_eval=t_eval, dense_output=t_eval is None)
+    if len(sol.t_events[0]):
+        raise GeometryError(
+            f"orbit reached the origin at t = {sol.y_events[0][0][4]:.6g}",
+            kind="origin", rho=1e-6)
     if len(sol.t_events[1]):
         raise GeometryError(
-            f"orbit reached the origin at t = {sol.t_events[1][0]:.6g}",
-            kind="origin", rho=1e-6)
-    if len(sol.t_events[2]):
-        raise GeometryError(
-            f"orbit escaped beyond rho = 1e3 at t = {sol.t_events[2][0]:.6g}",
+            f"orbit escaped beyond rho = 1e3 at t = {sol.y_events[1][0][4]:.6g}",
             kind="escape", rho=1e3)
-    if not len(sol.t_events[0]):
-        raise ConvergenceError("orbit failed to accumulate the requested angle")
+    if sol.status != 0:
+        raise ConvergenceError(f"orbit failed to accumulate the requested angle: "
+                               f"{sol.message}")
     return sol, np.array(state0), v0
+
+
+def _states_at_times(sol, times: np.ndarray, t_end: float) -> np.ndarray:
+    """Dense states (x, y, vx, vy, t) at the given physical times.
+
+    Inverts the monotone t(|theta|) by Newton steps with dt/d|theta| = r^2/|L|,
+    started from linear interpolation over the accepted steps.
+    """
+    s0 = sol.y[:, 0]
+    abs_l = abs(s0[0] * s0[3] - s0[1] * s0[2])
+    theta = np.interp(times, sol.y[4], sol.t)
+    for _ in range(30):
+        s = sol.sol(theta)
+        resid = s[4] - times
+        if np.max(np.abs(resid), initial=0.0) <= 1e-13 * t_end:
+            return s
+        theta = np.clip(theta - resid * abs_l / (s[0] ** 2 + s[1] ** 2),
+                        sol.t[0], sol.t[-1])
+    raise ConvergenceError("time-uniform orbit samples did not converge")
 
 
 def classical_trajectory(kappa, w: float, rho0: float,
@@ -510,53 +569,41 @@ def classical_trajectory(kappa, w: float, rho0: float,
     if revs <= 0:
         raise ValueError("revolutions must be positive")
 
-    sol, s0, v0 = _integrate_orbit(kappa_f, w, rho0, revs, direction_deg, rtol)
-    t_close = float(sol.t_events[0][0])
-    s_close = sol.y_events[0][0]
+    sol, s0, v0 = _integrate_orbit(kappa_f, w, rho0, 2.0 * math.pi * revs,
+                                   direction_deg, rtol)
+    s_close = sol.y[:, -1]
     dr = math.hypot(s_close[0] - s0[0], s_close[1] - s0[1])
     dv = math.hypot(s_close[2] - s0[2], s_close[3] - s0[3])
     defect = max(dr / max(1.0, rho0), dv / max(1.0, v0))
 
     # Focal passage: position after half the traced span.
-    target_half = math.pi * revs
-    t_half = brentq(lambda t: abs(sol.sol(t)[4]) - target_half, 0.0, t_close,
-                    xtol=1e-14, rtol=8.9e-16)
-    s_half = sol.sol(t_half)
+    s_half = sol.sol(math.pi * revs)
 
-    ts = np.linspace(0.0, t_close, samples)
-    ys = sol.sol(ts)
-    r = np.hypot(ys[0], ys[1])
-    energy = 0.5 * (ys[2] ** 2 + ys[3] ** 2) + potential(r, w, kappa_f)
+    ys = sol.sol(np.linspace(0.0, sol.t[-1], samples))
+    energy = 0.5 * (ys[2] ** 2 + ys[3] ** 2) + potential(np.hypot(ys[0], ys[1]), w, kappa_f)
     drift = float(np.max(np.abs(energy)) / abs(potential(rho0, w, kappa_f)))
 
     return Trajectory(kappa=kappa_f, k1=k1, k2=k2, w=w,
-                      t=ts, x=ys[0], y=ys[1], vx=ys[2], vy=ys[3],
-                      closure_defect=float(defect), closure_time=t_close,
+                      closure_defect=float(defect), closure_time=float(s_close[4]),
                       focal_point=(float(s_half[0]), float(s_half[1])),
-                      focal_time=float(t_half),
-                      energy_drift=drift)
+                      focal_time=float(s_half[4]),
+                      energy_drift=drift, rhs_evaluations=int(sol.nfev),
+                      samples=samples, orbit=sol)
 
 
 def trajectory_path_on_angles(kappa, w: float, rho0: float, thetas,
                               direction_deg: float = 90.0,
                               rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and speeds resampled at fixed accumulated polar angles.
+    """Positions and speeds at fixed accumulated polar angles |theta|.
 
     The accumulated angle is monotonic (central force), so it serves as a
     parametrization-free clock: orbits traced at couplings w and 4w can be
-    compared point by point on a shared angle grid.
+    compared point by point on a shared angle grid.  The orbit is integrated
+    in that clock and reported at exactly the requested angles.
     """
     kappa_f, _ = parse_kappa(kappa)
-    thetas = np.asarray(thetas, dtype=float)
-    revs = float(np.max(np.abs(thetas))) / (2.0 * math.pi) + 0.01
-    sol, _s0, _v0 = _integrate_orbit(kappa_f, w, rho0, revs, direction_deg, rtol)
-    t_end = float(sol.t_events[0][0])
-    pos = np.empty((len(thetas), 2))
-    speed = np.empty(len(thetas))
-    for i, th in enumerate(thetas):
-        ti = brentq(lambda t: abs(sol.sol(t)[4]) - abs(th), 0.0, t_end,
-                    xtol=1e-14, rtol=8.9e-16)
-        s = sol.sol(ti)
-        pos[i] = (s[0], s[1])
-        speed[i] = math.hypot(s[2], s[3])
-    return pos, speed
+    angles, where = np.unique(np.abs(np.asarray(thetas, dtype=float)), return_inverse=True)
+    sol, _s0, _v0 = _integrate_orbit(kappa_f, w, rho0, float(angles[-1]),
+                                     direction_deg, rtol, t_eval=angles)
+    s = sol.y[:, where.reshape(-1)]
+    return np.column_stack([s[0], s[1]]), np.hypot(s[2], s[3])

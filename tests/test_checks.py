@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dosusy import solver
 from dosusy.checks import (
     SUITE_NAMES,
     CheckResult,
@@ -111,3 +112,23 @@ def test_report_is_canonical_and_reproducible():
     assert summary["exit_code"] == 0
     for entry in payload["checks"]:
         assert set(entry) == {"check_id", "params", "measured", "threshold", "pass"}
+
+
+def test_closure_suite_orbit_work_budget(monkeypatch):
+    # Four DOP853 solves (two closure orbits, the w and 4w paths), counted
+    # in right-hand-side evaluations; the defect checks report their own.
+    nfev = []
+    integrate = solver.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = integrate(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(solver, "solve_ivp", counted)
+    results = run_suites(("closure",))
+    assert len(nfev) == 4
+    assert sum(nfev) <= 6000
+    reported = [r.params["rhs_evaluations"] for r in results
+                if r.check_id.startswith("closure:defect:")]
+    assert reported == nfev[:2]

@@ -213,6 +213,15 @@ def test_trace_summary_and_csv(tmp_path, capsys):
     assert len(data) == 1 + 1000  # default sampling
 
 
+def test_trace_csv_is_byte_identical_across_runs(tmp_path, capsys):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        rc, _, _ = run(capsys, "trace", "--kappa", "1/2", "--w", "2",
+                       "--rho", "0.5", "--direction", "63", "--out", str(path))
+        assert rc == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 # ----------------------------------------------------------------------
 # CSV bytes: the columnar writer against the row-by-row reference
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from dosusy import family
 from dosusy.exceptions import SingularPointError
 from dosusy.family import (
     AUDIT_MATCH_TOL,
@@ -144,6 +145,17 @@ def test_v_zeros_shifted_member():
     oracle = (0.5 + math.sqrt(0.25 + 4.0)) / 2.0
     zs = v_zeros(1.0, 0, -0.5, "bosonic", np.geomspace(0.2, 5.0, 200))
     assert zs == pytest.approx([oracle], abs=1e-9)
+
+
+def test_v_zeros_probes_integrate_from_the_bracket(monkeypatch):
+    # One prefix sweep over the grid, then one short quadrature per brentq probe.
+    calls = []
+    quad = family.integrate_adaptive
+    monkeypatch.setattr(family, "integrate_adaptive",
+                        lambda *args, **kwargs: calls.append(args) or quad(*args, **kwargs))
+    zs = v_zeros(1.0, 0, -0.5, "bosonic", np.geomspace(0.2, 5.0, 301))
+    assert zs == pytest.approx([(0.5 + math.sqrt(4.25)) / 2.0], abs=1e-12)
+    assert len(calls) <= 12
 
 
 # ----------------------------------------------------------------------

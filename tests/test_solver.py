@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from dosusy import solver
 from dosusy.exceptions import BracketError, ConvergenceError, GeometryError
-from dosusy.model import SampledFunction, coupling_quantized, default_grid, f_factor
+from dosusy.model import (
+    SampledFunction,
+    coupling_quantized,
+    default_grid,
+    f_factor,
+    potential,
+)
 from dosusy.solver import (
     CriticalPoint,
     ShootingResult,
@@ -368,6 +374,61 @@ def test_outward_radial_launch_is_rejected_up_front(direction, monkeypatch):
         classical_trajectory("1", 3.0, 0.5, direction_deg=direction)
     with pytest.raises(ValueError, match="radial"):
         trajectory_path_on_angles("1", 3.0, 0.5, [0.5, 1.0], direction_deg=direction)
+
+
+@pytest.mark.parametrize("direction", [180.0, -180.0, 540.0])
+def test_inward_radial_launch_is_rejected_up_front(direction, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a radial plunge was integrated")
+
+    monkeypatch.setattr(solver, "solve_ivp", refuse)
+    for trace in (lambda: classical_trajectory("1", 3.0, 0.5, direction_deg=direction),
+                  lambda: trajectory_path_on_angles("1", 3.0, 0.5, [0.5, 1.0],
+                                                    direction_deg=direction)):
+        with pytest.raises(GeometryError, match="plunge") as info:
+            trace()
+        assert info.value.kind == "origin"
+        assert info.value.rho == 1e-6
+
+
+@pytest.mark.parametrize("kappa, w", [("1", 3.0), ("1/2", 2.0), ("2/3", 2.5)])
+@pytest.mark.parametrize("phi", [63.0, 100.0])
+def test_mirrored_launch_mirrors_the_orbit(kappa, w, phi):
+    # Launching at 360 - phi reflects the orbit in the x axis (L < 0).
+    a = classical_trajectory(kappa, w, 0.5, direction_deg=phi)
+    b = classical_trajectory(kappa, w, 0.5, direction_deg=360.0 - phi)
+    assert b.closure_time == pytest.approx(a.closure_time, rel=1e-10)
+    assert b.closure_defect == pytest.approx(a.closure_defect, rel=1e-10, abs=1e-14)
+    assert b.energy_drift == pytest.approx(a.energy_drift, rel=1e-10, abs=1e-14)
+    assert b.focal_point[0] == pytest.approx(a.focal_point[0], rel=1e-10)
+    assert b.focal_point[1] == pytest.approx(-a.focal_point[1], rel=1e-10, abs=1e-14)
+
+    thetas = np.array([4.0, 0.3, 2.2, 1.0])
+    pos_a, speed_a = trajectory_path_on_angles(kappa, w, 0.5, thetas, phi)
+    pos_b, speed_b = trajectory_path_on_angles(kappa, w, 0.5, thetas, 360.0 - phi)
+    np.testing.assert_allclose(pos_b[:, 0], pos_a[:, 0], rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(pos_b[:, 1], -pos_a[:, 1], rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(speed_b, speed_a, rtol=1e-10)
+
+
+def test_time_uniform_samples_are_lazy_and_exact(monkeypatch):
+    traj = classical_trajectory("1/2", 2.0, 0.5, direction_deg=63.0, samples=301)
+    invert = solver._states_at_times
+    calls = []
+    monkeypatch.setattr(solver, "_states_at_times",
+                        lambda *args: calls.append(args) or invert(*args))
+    assert traj.rhs_evaluations > 0 and not calls
+    np.testing.assert_array_equal(traj.t, np.linspace(0.0, traj.closure_time, 301))
+    assert len(traj.x) == len(traj.vy) == 301
+    assert len(calls) == 1
+    # the orbit's own clock at the inverted angles is the requested time
+    states = invert(traj.orbit, traj.t, traj.closure_time)
+    assert np.max(np.abs(states[4] - traj.t)) <= 1e-12 * traj.closure_time
+    np.testing.assert_array_equal(states[0], traj.x)
+    # time-uniform samples still lie on the zero-energy shell
+    r = np.hypot(traj.x, traj.y)
+    energy = 0.5 * (traj.vx ** 2 + traj.vy ** 2) + potential(r, 2.0, 0.5)
+    assert np.max(np.abs(energy)) < 1e-8 * abs(potential(0.5, 2.0, 0.5))
 
 
 def test_trajectory_validation():
