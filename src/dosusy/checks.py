@@ -457,8 +457,10 @@ def suite_annihilation(profile: ToleranceProfile) -> list[CheckResult]:
 def suite_closure(profile: ToleranceProfile) -> list[CheckResult]:
     results = []
     cases = (("1", 3.0, 1e-6), ("1/2", 2.0, 1e-5))
+    trajs = {}
     for kappa, w, tol in cases:
-        traj = solver.classical_trajectory(kappa, w=w, rho0=0.5, direction_deg=63.0)
+        traj = trajs[kappa] = solver.classical_trajectory(kappa, w=w, rho0=0.5,
+                                                          direction_deg=63.0)
         results.append(CheckResult(
             check_id=f"closure:defect:kappa={kappa}",
             params={"suite": "closure", "kappa": kappa, "w": w, "rho0": 0.5,
@@ -477,7 +479,8 @@ def suite_closure(profile: ToleranceProfile) -> list[CheckResult]:
             passed=traj.energy_drift < 1e-8))
 
     thetas = np.linspace(0.05, 2.0 * math.pi - 0.05, 40)
-    p1, s1 = solver.trajectory_path_on_angles("1", 3.0, 0.5, thetas, 63.0)
+    # the w side is the kappa = 1 closure orbit itself; 4w gets its own solve
+    p1, s1 = trajs["1"].path_on_angles(thetas)
     p4, s4 = solver.trajectory_path_on_angles("1", 12.0, 0.5, thetas, 63.0)
     dist = float(np.max(np.hypot(p1[:, 0] - p4[:, 0], p1[:, 1] - p4[:, 1])))
     results.append(CheckResult(

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import SingularPointError
 from .model import _check_rho, f_factor
@@ -167,6 +166,8 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid,
     integral.  Zeros are a legitimate feature of family members — they are
     returned, not raised.
     """
+    from scipy.optimize import brentq
+
     _check_side(side)
     grid = _check_grid(grid)
     integrand = _integrand(kappa, l, side)

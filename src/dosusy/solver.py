@@ -11,12 +11,11 @@ trajectory tracer confirms orbit closure for rational shape exponents.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize.elementwise import find_root
 
 from .exceptions import BracketError, ConvergenceError, GeometryError
 from .model import SampledFunction, parse_kappa, potential
@@ -36,6 +35,17 @@ __all__ = [
     "classical_trajectory",
     "trajectory_path_on_angles",
 ]
+
+
+def __getattr__(name: str):
+    # scipy.integrate loads on the first read of ``solve_ivp`` (PEP 562), which
+    # then binds it here, where tracers and tests swap it
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    globals()[name] = solve_ivp
+    return solve_ivp
+
 
 _OVERFLOW_LIMIT = 1e250
 # Magnus cells per shooting leg, on the graded edges of _leg_edges; the error
@@ -272,6 +282,7 @@ def shoot_couplings(states, brackets=None, profile: ToleranceProfile = DEFAULT_P
             raise ValueError(f"invalid bracket {bracket}")
         rows.append((kappa_f, l, lo, hi))
     kappas, ls, los, his = (np.array(col, dtype=float) for col in zip(*rows))
+    from scipy.optimize.elementwise import find_root
     res = find_root(_match_defect, (los, his), args=(kappas, ls + 0.5),
                     tolerances={"xatol": 1e-14})
     for i in np.flatnonzero(res.status != 0):
@@ -460,6 +471,15 @@ class Trajectory:
     vx = property(lambda self: self._states[2])
     vy = property(lambda self: self._states[3])
 
+    def path_on_angles(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and speeds at accumulated angles |theta| inside the
+        traced span, read from the dense orbit without a new solve."""
+        angles = np.abs(np.asarray(thetas, dtype=float)).reshape(-1)
+        if angles.size and angles.max() > self.orbit.t[-1]:
+            raise ValueError(f"angle {angles.max():.6g} lies beyond the traced span "
+                             f"{self.orbit.t[-1]:.6g}")
+        return _path_and_speed(self.orbit.sol(angles))
+
 
 # At most 1/64 revolution per step.  Past a deep pericenter the clock otherwise
 # takes long steps whose dense output errs ten times more than the step ends
@@ -507,6 +527,7 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
               lambda th, s, *_: math.hypot(s[0], s[1]) - 1e3)    # escaped
     for event in events:
         event.terminal = True  # type: ignore[attr-defined]
+    solve_ivp = sys.modules[__name__].solve_ivp  # per call: a wrapper bound in its place runs
     sol = solve_ivp(_angle_rhs(kappa, w, inv_l), (0.0, angle), state0,
                     method="DOP853", rtol=rtol, atol=1e-14, max_step=_MAX_ANGLE_STEP,
                     events=events, t_eval=t_eval, dense_output=t_eval is None)
@@ -605,5 +626,9 @@ def trajectory_path_on_angles(kappa, w: float, rho0: float, thetas,
     angles, where = np.unique(np.abs(np.asarray(thetas, dtype=float)), return_inverse=True)
     sol, _s0, _v0 = _integrate_orbit(kappa_f, w, rho0, float(angles[-1]),
                                      direction_deg, rtol, t_eval=angles)
-    s = sol.y[:, where.reshape(-1)]
+    return _path_and_speed(sol.y[:, where.reshape(-1)])
+
+
+def _path_and_speed(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (n, 2) and speeds (n,) of the states (x, y, vx, vy, t) in columns."""
     return np.column_stack([s[0], s[1]]), np.hypot(s[2], s[3])

@@ -115,8 +115,9 @@ def test_report_is_canonical_and_reproducible():
 
 
 def test_closure_suite_orbit_work_budget(monkeypatch):
-    # Four DOP853 solves (two closure orbits, the w and 4w paths), counted
-    # in right-hand-side evaluations; the defect checks report their own.
+    # Three DOP853 solves (two closure orbits and the 4w path; the w path is
+    # read from the kappa = 1 closure orbit), counted in right-hand-side
+    # evaluations; the defect checks report their own.
     nfev = []
     integrate = solver.solve_ivp
 
@@ -127,7 +128,7 @@ def test_closure_suite_orbit_work_budget(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_ivp", counted)
     results = run_suites(("closure",))
-    assert len(nfev) == 4
+    assert len(nfev) == 3
     assert sum(nfev) <= 6000
     reported = [r.params["rhs_evaluations"] for r in results
                 if r.check_id.startswith("closure:defect:")]

@@ -1,0 +1,101 @@
+"""Cold start: scipy loads on first use, not with the package.
+
+Each test runs a fresh interpreter, since an import made by any other test
+would already sit in this process's ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import dosusy
+
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(dosusy.__file__)))
+
+PRELUDE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+def run_fresh(script: str, cwd) -> dict:
+    """Run ``script`` after PRELUDE in a new interpreter; it prints one JSON line last."""
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + script], capture_output=True,
+                          text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_and_scipy_free_commands_load_no_scipy(tmp_path):
+    out = run_fresh("""
+import contextlib, io
+import dosusy, dosusy.cli
+from dosusy import cli
+after_import = scipy_modules()
+codes = []
+for argv in (["eval", "U", "--kappa", "1", "--w", "3", "--rho", "0.5"],
+             ["eval", "u", "--kappa", "1", "--N", "2", "--rho", "0.5"],
+             ["partners", "--kappa", "1", "--rho", "0.7"],
+             ["partners", "--kappa", "1/2", "--out", "csv"],
+             ["critical", "--kappa", "1", "--all"],
+             ["audit", "--format", "csv"],
+             ["figures", "all", "--out", "csv"],
+             ["family", "--kappa", "1", "--lambda", "-0.5", "--rho", "1.3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"after_import": after_import, "codes": codes,
+                  "after_commands": scipy_modules()}))
+""", tmp_path)
+    assert out["after_import"] == []
+    assert out["codes"] == [0] * 8
+    assert out["after_commands"] == []
+
+
+def test_solve_ivp_binds_into_solver_on_first_read(tmp_path):
+    out = run_fresh("""
+from dosusy import solver
+before = "solve_ivp" in vars(solver)
+f = getattr(solver, "solve_ivp")
+from scipy.integrate import solve_ivp
+try:
+    solver.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({"before": before, "bound": vars(solver).get("solve_ivp") is f,
+                  "is_scipy": f is solve_ivp, "unknown": unknown}))
+""", tmp_path)
+    assert out == {"before": False, "bound": True, "is_scipy": True,
+                   "unknown": "AttributeError"}
+
+
+FIRST_SCIPY_USERS = {
+    "shoot_coupling": ("from dosusy.solver import shoot_coupling",
+                       "shoot_coupling(2, '1', 0).w_star",
+                       pytest.approx(15.0, rel=1e-9)),
+    "classical_trajectory": ("from dosusy.solver import classical_trajectory",
+                             "classical_trajectory('1', 3.0, 0.5).closure_defect",
+                             pytest.approx(0.0, abs=1e-6)),
+    "v_zeros": ("import numpy as np; from dosusy.family import v_zeros",
+                "v_zeros(1.0, 0, -0.5, 'bosonic', np.geomspace(0.2, 5.0, 200))[0]",
+                pytest.approx((0.5 + 4.25 ** 0.5) / 2.0, abs=1e-9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_SCIPY_USERS))
+def test_first_scipy_user_in_a_fresh_interpreter(name, tmp_path):
+    setup, call, expected = FIRST_SCIPY_USERS[name]
+    out = run_fresh(f"""
+{setup}
+before = scipy_modules()
+value = float({call})
+print(json.dumps({{"before": before, "value": value, "after": len(scipy_modules())}}))
+""", tmp_path)
+    assert out["before"] == []
+    assert out["after"] > 0
+    assert out["value"] == expected

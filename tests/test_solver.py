@@ -449,3 +449,21 @@ def test_quadrupled_coupling_preserves_path_and_doubles_speed():
     assert pos1.shape == (4, 2) and speed1.shape == (4,)
     assert np.max(np.hypot(pos1[:, 0] - pos4[:, 0], pos1[:, 1] - pos4[:, 1])) < 1e-8
     np.testing.assert_allclose(speed4 / speed1, 2.0, rtol=1e-6)
+
+
+@pytest.mark.parametrize("kappa, w", [("1", 3.0), ("1/2", 2.0)])
+def test_path_on_angles_reads_the_traced_orbit(kappa, w, monkeypatch):
+    traj = classical_trajectory(kappa, w, 0.5, direction_deg=63.0)
+    thetas = np.array([4.0, 0.05, -2.2, 1.0])
+    expected = trajectory_path_on_angles(kappa, w, 0.5, thetas, 63.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the traced orbit was integrated again")
+
+    monkeypatch.setattr(solver, "solve_ivp", refuse)
+    pos, speed = traj.path_on_angles(thetas)
+    assert pos.shape == (4, 2) and speed.shape == (4,)
+    np.testing.assert_allclose(pos, expected[0], rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(speed, expected[1], rtol=1e-10)
+    with pytest.raises(ValueError, match="beyond the traced span"):
+        traj.path_on_angles([2.0 * math.pi * traj.k2 + 0.1])
