@@ -17,144 +17,18 @@ The public surface groups into five layers:
   classical orbit tracing) plus the checks/cli verification front end.
 """
 
-from .exceptions import (
-    BracketError,
-    ConvergenceError,
-    GeometryError,
-    NonNormalizableStateError,
-    QuadratureError,
-    SingularPointError,
-)
-from .numkit import (
-    DEFAULT_PROFILE,
-    ToleranceProfile,
-    derivative,
-    fornberg_weights,
-    gegenbauer_eval,
-    grid_derivative,
-    integrate_adaptive,
-    newton2d,
-)
-from .model import (
-    SampledFunction,
-    StateLabel,
-    coupling_quantized,
-    default_grid,
-    effective_potential_general,
-    enumerate_shell,
-    f_factor,
-    is_normalizable,
-    make_state,
-    map_coordinates,
-    normalization_constant,
-    parse_kappa,
-    potential,
-    radial_u,
-    state_quantum_numbers,
-)
-from .susy import (
-    apply_ladder,
-    natanzon_f_reconstruction,
-    partner_minus,
-    partner_minus_closed,
-    partner_plus,
-    partner_plus_closed,
-    partner_plus_d2r,
-    partner_plus_dr,
-    superpotential,
-    superpotential_dr,
-)
-from .family import (
-    AUDIT_MATCH_TOL,
-    FORMULA_IDS,
-    SeriesAuditRecord,
-    family_on_grid,
-    family_superpotential,
-    printed_series_eval,
-    series_audit,
-    v_family,
-    v_zeros,
-)
-from .solver import (
-    CriticalPoint,
-    ShootingResult,
-    Trajectory,
-    classical_trajectory,
-    classify_tail,
-    critical_angular,
-    critical_angular_all,
-    integrate_radial,
-    shoot_coupling,
-    shoot_couplings,
-    trajectory_path_on_angles,
-)
-from .checks import CheckResult, SUITE_NAMES, exit_code, report_json, run_suites
+# Each layer's __all__ is its public surface; the package re-exports exactly
+# those names, so a public name is listed once, in its own module.
+from . import checks, exceptions, family, model, numkit, solver, susy
+from .checks import *  # noqa: F403
+from .exceptions import *  # noqa: F403
+from .family import *  # noqa: F403
+from .model import *  # noqa: F403
+from .numkit import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .susy import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUDIT_MATCH_TOL",
-    "BracketError",
-    "CheckResult",
-    "ConvergenceError",
-    "CriticalPoint",
-    "DEFAULT_PROFILE",
-    "FORMULA_IDS",
-    "GeometryError",
-    "NonNormalizableStateError",
-    "QuadratureError",
-    "SUITE_NAMES",
-    "SampledFunction",
-    "SeriesAuditRecord",
-    "ShootingResult",
-    "SingularPointError",
-    "StateLabel",
-    "ToleranceProfile",
-    "Trajectory",
-    "apply_ladder",
-    "classical_trajectory",
-    "classify_tail",
-    "coupling_quantized",
-    "critical_angular",
-    "critical_angular_all",
-    "default_grid",
-    "derivative",
-    "effective_potential_general",
-    "enumerate_shell",
-    "exit_code",
-    "f_factor",
-    "family_on_grid",
-    "family_superpotential",
-    "fornberg_weights",
-    "gegenbauer_eval",
-    "grid_derivative",
-    "integrate_adaptive",
-    "integrate_radial",
-    "is_normalizable",
-    "make_state",
-    "map_coordinates",
-    "natanzon_f_reconstruction",
-    "newton2d",
-    "normalization_constant",
-    "parse_kappa",
-    "partner_minus",
-    "partner_minus_closed",
-    "partner_plus",
-    "partner_plus_closed",
-    "partner_plus_d2r",
-    "partner_plus_dr",
-    "potential",
-    "printed_series_eval",
-    "radial_u",
-    "report_json",
-    "run_suites",
-    "series_audit",
-    "shoot_coupling",
-    "shoot_couplings",
-    "state_quantum_numbers",
-    "superpotential",
-    "superpotential_dr",
-    "trajectory_path_on_angles",
-    "v_family",
-    "v_zeros",
-]
+__all__ = sorted({*checks.__all__, *exceptions.__all__, *family.__all__, *model.__all__,
+                  *numkit.__all__, *solver.__all__, *susy.__all__})

@@ -15,6 +15,7 @@ or random state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -73,10 +74,8 @@ def _jsonable(x):
 
 
 def _fmt_kappa(kappa: float) -> str:
-    frac = Fraction(kappa).limit_denominator(64)
-    if abs(float(frac) - kappa) > 1e-12:
-        return repr(kappa)
-    return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    exact = model.parse_kappa(kappa)[1]
+    return repr(kappa) if exact is None else str(exact)
 
 
 _GRID = model.default_grid()
@@ -175,8 +174,7 @@ _EIGEN_STATES: tuple[tuple[float, int, int], ...] = (
 
 def suite_eigenvalue(profile: ToleranceProfile) -> list[CheckResult]:
     results = []
-    shots = solver.shoot_couplings([(N, kappa, l) for kappa, N, l in _EIGEN_STATES],
-                                   profile=profile)
+    shots = solver.shoot_couplings([(N, kappa, l) for kappa, N, l in _EIGEN_STATES])
     for (kappa, N, l), res in zip(_EIGEN_STATES, shots):
         w_formula = model.coupling_quantized(N, kappa)
         measured = abs(res.w_star - w_formula) / w_formula
@@ -524,6 +522,62 @@ def suite_degeneracy(profile: ToleranceProfile) -> list[CheckResult]:
 
 
 # ----------------------------------------------------------------------
+# CSV emission (locale-independent, '#'-commented headers)
+# ----------------------------------------------------------------------
+
+def _csv_column(c):
+    if np.ndim(c) == 0:  # a constant column, formatted once
+        return itertools.repeat(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c))
+    return map(repr, np.asarray(c).tolist())
+
+
+def _curve_csv(title: str, column_doc: str, param_doc: str,
+               header: str, blocks) -> str:
+    """Each block is a tuple of columns, at least one of them an array."""
+    lines = [f"# {title}", f"# columns: {column_doc}"]
+    if param_doc:
+        lines.append(f"# parameters: {param_doc}")
+    lines.append(header)
+    for columns in blocks:
+        lines.extend(map(",".join, zip(*map(_csv_column, columns))))
+    return "\n".join(lines) + "\n"
+
+
+def figure_payloads(figure: str) -> dict[str, str]:
+    """CSV payloads for the two published-curve bundles, keyed by filename.
+
+    fig1: both partner potentials at l = 2 for kappa in {1/2, 1, 3/2};
+    fig2: kappa = 1, lower partner at l in {1, 5, 10} and upper partner at
+    l in {6, 7, 8} (straddling the pocket threshold).  Pure function of the
+    figure name — identical bytes on every call.
+    """
+    grid = model.default_grid()
+    if figure == "fig1":
+        combos = ((0.5, 2), (1.0, 2), (1.5, 2))
+        layout = (("fig1_minus.csv", "lower partner potential U_minus(rho)",
+                   susy.partner_minus_closed, combos),
+                  ("fig1_plus.csv", "upper partner potential U_plus(rho)",
+                   susy.partner_plus_closed, combos))
+    elif figure == "fig2":
+        layout = (("fig2_minus.csv", "lower partner potential U_minus(rho)",
+                   susy.partner_minus_closed, ((1.0, 1), (1.0, 5), (1.0, 10))),
+                  ("fig2_plus.csv", "upper partner potential U_plus(rho)",
+                   susy.partner_plus_closed, ((1.0, 6), (1.0, 7), (1.0, 8))))
+    else:
+        raise ValueError(f"unknown figure {figure!r} (expected 'fig1' or 'fig2')")
+
+    payloads: dict[str, str] = {}
+    for fname, desc, fn, combos in layout:
+        blocks = [(grid, fn(grid, kappa, l), kappa, l) for kappa, l in combos]
+        curves = "; ".join(f"kappa={kappa!r}, l={l}" for kappa, l in combos)
+        payloads[fname] = _curve_csv(
+            f"{fname[:-4]}: {desc} on the default log grid",
+            "rho (units R), U (units E0), kappa, l",
+            curves, "rho,U,kappa,l", blocks)
+    return payloads
+
+
+# ----------------------------------------------------------------------
 # figures: curve emission is reproducible and hits known spot values
 # ----------------------------------------------------------------------
 
@@ -537,8 +591,6 @@ def _csv_rows(payload: str) -> list[list[float]]:
 
 
 def suite_figures(profile: ToleranceProfile) -> list[CheckResult]:
-    from .cli import figure_payloads
-
     results = []
     payloads = {}
     for fig in ("fig1", "fig2"):

@@ -19,7 +19,6 @@ Reports and curve files are deterministic: same inputs, same bytes.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -28,6 +27,7 @@ import numpy as np
 
 from . import checks, model, solver, susy
 from . import family as fam
+from .checks import _curve_csv, figure_payloads
 from .exceptions import SingularPointError
 from .numkit import DEFAULT_PROFILE, ToleranceProfile
 
@@ -35,7 +35,7 @@ __all__ = ["main", "build_parser", "figure_payloads"]
 
 
 # ----------------------------------------------------------------------
-# shared flag groups
+# shared flag groups and file output
 # ----------------------------------------------------------------------
 
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
@@ -66,65 +66,9 @@ def _grid_of(args) -> np.ndarray:
     return model.default_grid(args.grid_min, args.grid_max, args.grid_points)
 
 
-# ----------------------------------------------------------------------
-# CSV emission (locale-independent, '#'-commented headers)
-# ----------------------------------------------------------------------
-
-def _csv_column(c):
-    if np.ndim(c) == 0:  # a constant column, formatted once
-        return itertools.repeat(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c))
-    return map(repr, np.asarray(c).tolist())
-
-
-def _curve_csv(title: str, column_doc: str, param_doc: str,
-               header: str, blocks) -> str:
-    """Each block is a tuple of columns, at least one of them an array."""
-    lines = [f"# {title}", f"# columns: {column_doc}"]
-    if param_doc:
-        lines.append(f"# parameters: {param_doc}")
-    lines.append(header)
-    for columns in blocks:
-        lines.extend(map(",".join, zip(*map(_csv_column, columns))))
-    return "\n".join(lines) + "\n"
-
-
 def _write_text(path: str, payload: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
-
-
-def figure_payloads(figure: str) -> dict[str, str]:
-    """CSV payloads for the two published-curve bundles, keyed by filename.
-
-    fig1: both partner potentials at l = 2 for kappa in {1/2, 1, 3/2};
-    fig2: kappa = 1, lower partner at l in {1, 5, 10} and upper partner at
-    l in {6, 7, 8} (straddling the pocket threshold).  Pure function of the
-    figure name — identical bytes on every call.
-    """
-    grid = model.default_grid()
-    if figure == "fig1":
-        combos = ((0.5, 2), (1.0, 2), (1.5, 2))
-        layout = (("fig1_minus.csv", "lower partner potential U_minus(rho)",
-                   susy.partner_minus_closed, combos),
-                  ("fig1_plus.csv", "upper partner potential U_plus(rho)",
-                   susy.partner_plus_closed, combos))
-    elif figure == "fig2":
-        layout = (("fig2_minus.csv", "lower partner potential U_minus(rho)",
-                   susy.partner_minus_closed, ((1.0, 1), (1.0, 5), (1.0, 10))),
-                  ("fig2_plus.csv", "upper partner potential U_plus(rho)",
-                   susy.partner_plus_closed, ((1.0, 6), (1.0, 7), (1.0, 8))))
-    else:
-        raise ValueError(f"unknown figure {figure!r} (expected 'fig1' or 'fig2')")
-
-    payloads: dict[str, str] = {}
-    for fname, desc, fn, combos in layout:
-        blocks = [(grid, fn(grid, kappa, l), kappa, l) for kappa, l in combos]
-        curves = "; ".join(f"kappa={kappa!r}, l={l}" for kappa, l in combos)
-        payloads[fname] = _curve_csv(
-            f"{fname[:-4]}: {desc} on the default log grid",
-            "rho (units R), U (units E0), kappa, l",
-            curves, "rho,U,kappa,l", blocks)
-    return payloads
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +116,7 @@ def _cmd_quantize(args) -> int:
     kappa, _ = model.parse_kappa(args.kappa)
     w = model.coupling_quantized(args.N, kappa)
     print(repr(w))
-    res = solver.shoot_coupling(args.N, args.kappa, args.l, profile=_profile_of(args))
+    res = solver.shoot_coupling(args.N, args.kappa, args.l)
     rel = abs(res.w_star - w) / w
     ok = rel < 1e-6
     print(f"shooting cross-check: w_star = {res.w_star!r} "
@@ -365,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--l", type=int, default=0,
                    help="orbital number for the cross-check (default 0)")
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_quantize)
 
     p = sub.add_parser("partners",
@@ -376,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate at one radius instead of emitting CSV curves")
     p.add_argument("--out", default=None, help="output directory (default '.')")
     _add_grid_flags(p)
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_partners)
 
     p = sub.add_parser("family", help="one-parameter solution families")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["QuadratureError", "ConvergenceError", "BracketError",
+           "NonNormalizableStateError", "SingularPointError", "GeometryError"]
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance.

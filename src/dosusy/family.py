@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .model import _check_rho, f_factor
+from .model import _check_grid, _check_rho, f_factor
 from .numkit import DEFAULT_PROFILE, ToleranceProfile, integrate_adaptive
 from .susy import superpotential
 
@@ -55,17 +55,12 @@ AUDIT_MATCH_TOL = 1e-8
 FORMULA_IDS = ("S1", "S_half", "V1", "V_half")
 
 
-def _check_side(side: str) -> str:
+def _check_member(lam: float, side: str) -> None:
+    """Rejects a family parameter that is not finite, and an unknown side."""
+    if not math.isfinite(lam):
+        raise ValueError(f"family parameter lambda must be finite, got {lam}")
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    return side
-
-
-def _check_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be positive and strictly increasing")
-    return grid
 
 
 def _integrand(kappa: float, l: int, side: str):
@@ -97,7 +92,7 @@ def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic",
     bosonic:   V = -f^2 (lambda + Int_1^rho f^-2),  solves V' + 2WV = -1;
     fermionic: V =  f^-2 (lambda + Int_1^rho f^2),  solves V' - 2WV = +1.
     """
-    _check_side(side)
+    _check_member(lam, side)
     rho = float(_check_rho(rho))
     return float(_v_lambda(rho, lam, _tail_integral(rho, kappa, l, side, profile),
                            kappa, l, side))
@@ -125,7 +120,7 @@ def family_on_grid(kappa: float, l: int, lam: float, side: str, grid,
     reference radius spliced in) is integrated segment by segment in one
     call and prefix-summed.
     """
-    _check_side(side)
+    _check_member(lam, side)
     grid = _check_grid(grid)
     ints = _prefix_integral(_integrand(kappa, l, side), grid, 1.0, profile)
     return _v_lambda(grid, lam, ints, kappa, l, side)
@@ -143,8 +138,8 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
         family member has a singular locus there, which is reported, not
         smoothed over.
     """
-    _check_side(side)
-    rho = float(rho)
+    _check_member(lam, side)
+    rho = float(_check_rho(rho))
     integral = _tail_integral(rho, kappa, l, side, profile)
     v = _v_lambda(rho, lam, integral, kappa, l, side)
     scale = abs(_v_lambda(rho, abs(lam), abs(integral), kappa, l, side))
@@ -156,19 +151,18 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
 
 
 def v_zeros(kappa: float, l: int, lam: float, side: str, grid,
-            profile: ToleranceProfile = DEFAULT_PROFILE,
-            refine_tol: float = 1e-12) -> list[float]:
+            profile: ToleranceProfile = DEFAULT_PROFILE) -> list[float]:
     """Zeros of V_lambda inside the grid span (singular loci of W_lambda).
 
     V_lambda changes sign exactly where lambda + Int_1^rho does.  Each sign
-    change of that term between grid nodes is refined by ``brentq``; a probe
-    integrates only from the bracket's left node and adds the node's prefix
-    integral.  Zeros are a legitimate feature of family members — they are
-    returned, not raised.
+    change of that term between grid nodes is refined by ``brentq`` to 1e-12;
+    a probe integrates only from the bracket's left node and adds the node's
+    prefix integral.  Zeros are a legitimate feature of family members — they
+    are returned, not raised.
     """
     from scipy.optimize import brentq
 
-    _check_side(side)
+    _check_member(lam, side)
     grid = _check_grid(grid)
     integrand = _integrand(kappa, l, side)
     g = lam + _prefix_integral(integrand, grid, 1.0, profile)
@@ -179,8 +173,7 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid,
         elif g[i] * g[i + 1] < 0.0:
             a, ga = float(grid[i]), float(g[i])
             zeros.append(brentq(lambda r: ga + integrate_adaptive(integrand, a, r, profile),
-                                a, float(grid[i + 1]), xtol=refine_tol,
-                                rtol=max(refine_tol, 4.0 * np.finfo(float).eps)))
+                                a, float(grid[i + 1]), xtol=1e-12, rtol=1e-12))
     if len(g) and g[-1] == 0.0:
         zeros.append(float(grid[-1]))
     return zeros

@@ -20,6 +20,7 @@ alpha = 2 arctan(rho^kappa).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,18 +114,55 @@ def make_state(N: int, l: int, kappa, m: int = 0) -> StateLabel:
 
     Uses exact rational arithmetic: l / kappa must make n_r = N - 1 - l/kappa
     a non-negative integer, otherwise the (N, l) pair does not exist at this
-    kappa and a ValueError is raised.
+    kappa and a ValueError is raised.  n_r is the polynomial degree p of
+    state_quantum_numbers.
     """
-    _, exact = parse_kappa(kappa)
+    kappa_f, exact = parse_kappa(kappa)
     if exact is None:
         raise ValueError("state labelling needs an exact rational kappa")
-    ratio = Fraction(l) / exact
-    if ratio.denominator != 1:
-        raise ValueError(f"l = {l} invalid at kappa = {exact}: l/kappa not an integer")
-    n_r = N - 1 - int(ratio)
-    if n_r < 0:
-        raise ValueError(f"(N={N}, l={l}) invalid at kappa = {exact}: negative node count")
+    n_r, _ = _degree_order(N, l, kappa_f, exact)
     return StateLabel(N=N, l=l, m=m, n_r=n_r, n=n_r + l + 1)
+
+
+# --- the argument contract shared by every closed form and oracle ------
+
+def _check_rho(rho, name: str = "rho"):
+    """Radius (scalar or array) as a float array; rejects rho <= 0, NaN and inf."""
+    rho = np.asarray(rho, dtype=float)
+    # min and max propagate NaN, so one reduction each checks the whole range
+    if not (rho.min(initial=np.inf) > 0 and rho.max(initial=0.0) < np.inf):
+        raise ValueError(f"{name} must be strictly positive and finite")
+    return rho
+
+
+def _check_grid(grid) -> np.ndarray:
+    """Radial grid as a float array: positive and finite radii, strictly increasing."""
+    grid = _check_rho(grid, "grid")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
+def _check_coupling(w) -> None:
+    """Rejects a coupling w that is not positive and finite (NaN included)."""
+    if not 0 < w < np.inf:
+        raise ValueError(f"coupling w must be positive and finite, got {w}")
+
+
+def _radial(closed_form):
+    """Give a closed form closed_form(rho, ...) the radius contract.
+
+    rho passes _check_rho and reaches the closed form as a float array.  A
+    scalar rho gives a float back (a tuple of floats for a tuple of
+    results); for array input the closed form's arrays pass through.
+    """
+    @functools.wraps(closed_form)
+    def contracted(rho, *args, **kwargs):
+        out = closed_form(_check_rho(rho), *args, **kwargs)
+        if not np.isscalar(rho):
+            return out
+        return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
+    return contracted
 
 
 class SampledFunction:
@@ -137,16 +175,14 @@ class SampledFunction:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
-        grid = np.asarray(grid, dtype=float)
+        grid = _check_grid(grid)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or values.ndim > 2 or values.shape[-1:] != grid.shape:
             raise ValueError("values must be (n,) or (m, n) on a 1-D grid of n points")
         if len(grid) < 2:
             raise ValueError("need at least two samples")
-        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(values)):
-            raise ValueError("grid and values must be finite")
-        if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be positive and strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         self.grid = grid
         self.values = values
 
@@ -182,15 +218,6 @@ def default_grid(lo: float = 1e-3, hi: float = 1e3, n: int = 400) -> np.ndarray:
     return np.concatenate([left, right[1:]])
 
 
-def _check_rho(rho):
-    """Radius (scalar or array) as a float array; rejects rho <= 0, NaN and inf."""
-    rho = np.asarray(rho, dtype=float)
-    # min and max propagate NaN, so one reduction each checks the whole range
-    if not (rho.min(initial=np.inf) > 0 and rho.max(initial=0.0) < np.inf):
-        raise ValueError("rho must be strictly positive and finite")
-    return rho
-
-
 def _fold(rho, kappa):
     """The folded radius x = min(rho, 1/rho), p = x^(2k) and v = 1/(1 + p).
 
@@ -208,6 +235,7 @@ def _xi(rho, p):
     return np.copysign((1.0 - p) / (1.0 + p), 1.0 - rho)
 
 
+@_radial
 def map_coordinates(rho, kappa: float):
     """Compact coordinates of the radius: xi in (-1, 1) and alpha in (0, pi).
 
@@ -216,15 +244,9 @@ def map_coordinates(rho, kappa: float):
     flips the sign of xi and maps alpha to pi - alpha, so both come from the
     fold: alpha = 2 arctan(x^kappa) inside rho = 1 and pi minus that beyond.
     """
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     x, p, _ = _fold(rho, kappa)
-    xi = _xi(rho, p)
     alpha = 2.0 * np.arctan(x ** float(kappa))
-    alpha = np.where(rho > 1.0, np.pi - alpha, alpha)
-    if scalar:
-        return float(xi), float(alpha)
-    return xi, alpha
+    return _xi(rho, p), np.where(rho > 1.0, np.pi - alpha, alpha)
 
 
 def _ueff(rho, w: float, kappa: float, l):
@@ -236,8 +258,7 @@ def _ueff(rho, w: float, kappa: float, l):
     inside rho = 1 and x^(2k+2) v^2 beyond: p / x^2 is 0 or 0/0 where p
     underflows, while rho^(2k-2) may be of order 1 (kappa = 1).
     """
-    if w <= 0:
-        raise ValueError(f"coupling w must be positive, got {w}")
+    _check_coupling(w)
     x, p, v = _fold(rho, kappa)
     if l:
         return (l * (l + 1.0) - w * p * v * v) / rho / rho
@@ -257,12 +278,10 @@ def _well_root(rho, kappa):
     return t * h, h
 
 
+@_radial
 def potential(rho, w: float, kappa: float):
     """Scaled potential U(rho) = -w rho^(2k-2) / (1 + rho^(2k))^2 (units E0)."""
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
-    u = _ueff(rho, w, kappa, 0)
-    return float(u) if scalar else u
+    return _ueff(rho, w, kappa, 0)
 
 
 def coupling_quantized(N: int, kappa: float) -> float:
@@ -275,18 +294,16 @@ def coupling_quantized(N: int, kappa: float) -> float:
     return (2.0 * kappa) ** 2 * (N + half - 1.0) * (N + half)
 
 
+@_radial
 def f_factor(rho, kappa: float, l: int):
     """Nodeless radial factor f = rho^(l+1) / (1 + rho^(2k))^((2l+1)/(2k)).
 
     This is the half-line ground solution at the bottom of each l-ladder and
     the weight multiplying the ultraspherical polynomial in every u.
     """
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    f, _ = _folded_f(rho, kappa, l)
-    return float(f) if scalar else f
+    return _folded_f(rho, kappa, l)[0]
 
 
 def _folded_f(rho, kappa: float, l):
@@ -329,6 +346,7 @@ def _degree_order(N: int, l: int, kappa_f: float, exact: Fraction | None) -> tup
     return p, q
 
 
+@_radial
 def radial_u(rho, N: int, l: int, kappa, normalized: bool = False,
              profile: ToleranceProfile = DEFAULT_PROFILE):
     """Half-line radial solution u = rho * R at the quantized coupling.
@@ -340,15 +358,13 @@ def radial_u(rho, N: int, l: int, kappa, normalized: bool = False,
     """
     kappa_f, exact = parse_kappa(kappa)
     degree, q = _degree_order(N, l, kappa_f, exact)
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     f, p = _folded_f(rho, kappa_f, l)
     u = f * gegenbauer_eval(degree, q, _xi(rho, p))
     if normalized:
         u = u * normalization_constant(N, l, kappa, profile=profile)
-    return float(u) if scalar else u
+    return u
 
 
 def is_normalizable(N: int, l: int, kappa) -> bool:
@@ -387,18 +403,16 @@ def normalization_constant(N: int, l: int, kappa,
     return 1.0 / np.sqrt(norm2)
 
 
+@_radial
 def effective_potential_general(rho, w: float, kappa: float, l: int):
     """Half-line effective potential l(l+1)/rho^2 + U(rho) for arbitrary w.
 
     At the quantized coupling w(N, kappa) with N = 1 + l/kappa this is the
     lower SUSY partner of the l-ladder.
     """
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    ueff = _ueff(rho, w, kappa, l)
-    return float(ueff) if scalar else ueff
+    return _ueff(rho, w, kappa, l)
 
 
 def enumerate_shell(N: int, kappa) -> list[StateLabel]:
@@ -413,12 +427,8 @@ def enumerate_shell(N: int, kappa) -> list[StateLabel]:
     _, exact = parse_kappa(kappa)
     if exact is None:
         raise ValueError("shell enumeration needs an exact rational kappa")
-    k1, k2 = exact.numerator, exact.denominator
-    states: list[StateLabel] = []
-    # l/kappa = l k2/k1 integral (lowest terms) <=> l is a multiple of k1
-    l = 0
-    while N - 1 - (l * k2) // k1 >= 0:
-        for m in range(-l, l + 1):
-            states.append(make_state(N, l, exact, m=m))
-        l += k1
-    return states
+    # l/kappa = l k2/k1 integral (lowest terms) <=> l is a multiple of k1, and
+    # n_r >= 0 bounds l by (N - 1) kappa; make_state checks each l on its own
+    return [make_state(N, l, exact, m=m)
+            for l in range(0, int((N - 1) * exact) + 1, exact.numerator)
+            for m in range(-l, l + 1)]

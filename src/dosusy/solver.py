@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import BracketError, ConvergenceError, GeometryError
-from .model import SampledFunction, parse_kappa, potential
+from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho, parse_kappa,
+                    potential)
 from .numkit import DEFAULT_PROFILE, ToleranceProfile, newton2d
 from .susy import partner_plus_d2r, partner_plus_dr
 
@@ -156,8 +157,7 @@ def _as_u(t, y, log_scale) -> np.ndarray:
     return u / np.max(np.abs(u))
 
 
-def integrate_radial(w: float, kappa: float, l: int, grid,
-                     profile: ToleranceProfile = DEFAULT_PROFILE) -> SampledFunction:
+def integrate_radial(w: float, kappa: float, l: int, grid) -> SampledFunction:
     """Outward zero-energy integration of the half-line problem onto a grid.
 
     Starts the regular branch u ~ rho^(l+1) in the small-radius tail and
@@ -173,11 +173,8 @@ def integrate_radial(w: float, kappa: float, l: int, grid,
         the guard limit before the far end of the grid; the message reports
         the blow-up radius.
     """
-    if w <= 0:
-        raise ValueError(f"coupling w must be positive, got {w}")
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be positive and strictly increasing")
+    _check_coupling(w)
+    grid = _check_grid(grid)
     t = np.log(grid)
     y, log_scale, _ = _scan(w, kappa, l, -1, t, t[-1])
     over = np.nonzero(0.5 * (t - t[0]) + log_scale - log_scale[0] > math.log(_OVERFLOW_LIMIT))[0]
@@ -240,8 +237,7 @@ def _match_defect(w, kappa, L):
     return (duo * yi - dui * yo) / (np.hypot(yo, duo) * np.hypot(yi, dui))
 
 
-def shoot_couplings(states, brackets=None, profile: ToleranceProfile = DEFAULT_PROFILE,
-                    grid=None) -> list[ShootingResult]:
+def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
     """Recover the quantized couplings of many (N, kappa, l) states at once.
 
     The defect function is the normalized Wronskian mismatch of the regular
@@ -303,7 +299,6 @@ def shoot_couplings(states, brackets=None, profile: ToleranceProfile = DEFAULT_P
 
 
 def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = None,
-                   profile: ToleranceProfile = DEFAULT_PROFILE,
                    grid=None) -> ShootingResult:
     """Recover one quantized coupling: the one-state call of shoot_couplings.
 
@@ -312,7 +307,7 @@ def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = 
     BracketError
         If the defect does not change sign over the bracket.
     """
-    return shoot_couplings([(N, kappa, l)], [bracket], profile, grid)[0]
+    return shoot_couplings([(N, kappa, l)], [bracket], grid)[0]
 
 
 def _assemble_eigenfunction(w: float, kappa: float, l: int, grid) -> SampledFunction:
@@ -485,6 +480,7 @@ class Trajectory:
 # takes long steps whose dense output errs ten times more than the step ends
 # (near-radial launches: max |E| 1.4e-9 between steps against 1.0e-10 at them).
 _MAX_ANGLE_STEP = 2.0 * math.pi / 64.0
+_RTOL = 1e-12   # DOP853 relative tolerance of every orbit (atol 1e-14)
 
 
 def _angle_rhs(kappa: float, w: float, inv_l: float):
@@ -505,8 +501,14 @@ def _angle_rhs(kappa: float, w: float, inv_l: float):
 
 
 def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
-                     direction_deg: float, rtol: float, t_eval=None):
+                     direction_deg: float, t_eval=None):
     """DOP853 from |theta| = 0 to ``angle``, dense unless ``t_eval`` is given."""
+    _check_rho(rho0, "rho0")
+    # a non-finite angle never ends the integration; inf % 360 is NaN
+    if not math.isfinite(angle):
+        raise ValueError(f"accumulated angle must be finite, got {angle!r}")
+    if not math.isfinite(direction_deg):
+        raise ValueError(f"direction must be finite, got {direction_deg!r} deg")
     d = direction_deg % 360.0
     if d == 0.0:
         # L = 0 outward: the orbit creeps out at ever lower speed, never turning
@@ -529,7 +531,7 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
         event.terminal = True  # type: ignore[attr-defined]
     solve_ivp = sys.modules[__name__].solve_ivp  # per call: a wrapper bound in its place runs
     sol = solve_ivp(_angle_rhs(kappa, w, inv_l), (0.0, angle), state0,
-                    method="DOP853", rtol=rtol, atol=1e-14, max_step=_MAX_ANGLE_STEP,
+                    method="DOP853", rtol=_RTOL, atol=1e-14, max_step=_MAX_ANGLE_STEP,
                     events=events, t_eval=t_eval, dense_output=t_eval is None)
     if len(sol.t_events[0]):
         raise GeometryError(
@@ -567,8 +569,7 @@ def _states_at_times(sol, times: np.ndarray, t_end: float) -> np.ndarray:
 def classical_trajectory(kappa, w: float, rho0: float,
                          direction_deg: float = 90.0,
                          samples: int = 1000,
-                         revolutions: float | None = None,
-                         rtol: float = 1e-12) -> Trajectory:
+                         revolutions: float | None = None) -> Trajectory:
     """Trace a zero-energy orbit and diagnose closure.
 
     ``kappa`` must carry an exact rational value k1/k2 (string "k1/k2",
@@ -581,17 +582,15 @@ def classical_trajectory(kappa, w: float, rho0: float,
     kappa_f, exact = parse_kappa(kappa)
     if exact is None:
         raise ValueError("closure tracing needs an exact rational kappa = k1/k2")
-    if rho0 <= 0:
-        raise ValueError("rho0 must be positive")
-    if w <= 0:
-        raise ValueError("coupling w must be positive")
+    _check_coupling(w)
     k1, k2 = exact.numerator, exact.denominator
     revs = float(k2) if revolutions is None else float(revolutions)
-    if revs <= 0:
-        raise ValueError("revolutions must be positive")
+    if not 0 < revs < math.inf:
+        raise ValueError(f"revolutions must be positive and finite, got {revs!r}")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
 
-    sol, s0, v0 = _integrate_orbit(kappa_f, w, rho0, 2.0 * math.pi * revs,
-                                   direction_deg, rtol)
+    sol, s0, v0 = _integrate_orbit(kappa_f, w, rho0, 2.0 * math.pi * revs, direction_deg)
     s_close = sol.y[:, -1]
     dr = math.hypot(s_close[0] - s0[0], s_close[1] - s0[1])
     dv = math.hypot(s_close[2] - s0[2], s_close[3] - s0[3])
@@ -613,8 +612,7 @@ def classical_trajectory(kappa, w: float, rho0: float,
 
 
 def trajectory_path_on_angles(kappa, w: float, rho0: float, thetas,
-                              direction_deg: float = 90.0,
-                              rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+                              direction_deg: float = 90.0) -> tuple[np.ndarray, np.ndarray]:
     """Positions and speeds at fixed accumulated polar angles |theta|.
 
     The accumulated angle is monotonic (central force), so it serves as a
@@ -625,7 +623,7 @@ def trajectory_path_on_angles(kappa, w: float, rho0: float, thetas,
     kappa_f, _ = parse_kappa(kappa)
     angles, where = np.unique(np.abs(np.asarray(thetas, dtype=float)), return_inverse=True)
     sol, _s0, _v0 = _integrate_orbit(kappa_f, w, rho0, float(angles[-1]),
-                                     direction_deg, rtol, t_eval=angles)
+                                     direction_deg, t_eval=angles)
     return _path_and_speed(sol.y[:, where.reshape(-1)])
 
 

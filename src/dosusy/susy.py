@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SampledFunction, _check_rho, _fold, _well_root, _xi
+from .model import SampledFunction, _check_rho, _fold, _radial, _well_root, _xi
 from .numkit import DEFAULT_PROFILE, ToleranceProfile, grid_derivative, integrate_adaptive
 
 __all__ = [
@@ -71,16 +71,14 @@ def _numerators(rho, kappa: float, l, order: int) -> list:
     return B
 
 
+@_radial
 def superpotential(rho, kappa: float, l) -> np.ndarray | float:
     """W(rho) = l/rho - (2l+1)/(rho (1 + rho^(2 kappa))).
 
     Near the origin W ~ -(l+1)/rho (it is built from the regular branch);
     at large rho W ~ l/rho.
     """
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
-    w = _numerators(rho, kappa, l, 0)[0] / rho
-    return float(w) if scalar else w
+    return _numerators(rho, kappa, l, 0)[0] / rho
 
 
 def superpotential_dr(rho, kappa: float, l):
@@ -96,11 +94,9 @@ def superpotential_d3r(rho, kappa: float, l):
     return _w_derivative(rho, kappa, l, 3)
 
 
+@_radial
 def _w_derivative(rho, kappa, l, n):
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
-    out = _numerators(rho, kappa, l, n)[n] / _power(rho, n + 1)
-    return float(out) if scalar else out
+    return _numerators(rho, kappa, l, n)[n] / _power(rho, n + 1)
 
 
 # --- partner potentials -------------------------------------------------
@@ -115,14 +111,13 @@ def partner_plus(rho, kappa: float, l):
     return _partner(rho, kappa, l, 1.0)
 
 
+@_radial
 def _partner(rho, kappa, l, sign):
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     B0, B1 = _numerators(rho, kappa, l, 1)
-    out = (B0 * B0 + sign * B1) / _power(rho, 2)
-    return float(out) if scalar else out
+    return (B0 * B0 + sign * B1) / _power(rho, 2)
 
 
+@_radial
 def partner_minus_closed(rho, kappa: float, l):
     """Algebraically reduced lower partner:
 
@@ -131,45 +126,36 @@ def partner_minus_closed(rho, kappa: float, l):
     The well coefficient (2l+1)(2l+2k+1) is exactly the quantized coupling
     at the bottom of the l-ladder, N = 1 + l/kappa.
     """
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     g, _ = _well_root(rho, kappa)
     c = 2.0 * l + 1.0
-    out = l * (l + 1.0) / (rho * rho) - c * (c + 2.0 * kappa) * (g * g)
-    return float(out) if scalar else out
+    return l * (l + 1.0) / (rho * rho) - c * (c + 2.0 * kappa) * (g * g)
 
 
+@_radial
 def partner_plus_closed(rho, kappa: float, l):
     """Algebraically reduced upper partner:
 
     U_+(rho) = l(l-1)/rho^2 - (2l+1)(2l-2k-1) / (rho^(2(1-k)) (1+rho^(2k))^2)
                + 2(2l+1) / (rho^2 (1+rho^(2k))^2).
     """
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     g, h = _well_root(rho, kappa)
     c = 2.0 * l + 1.0
-    out = (l * (l - 1.0) / (rho * rho) - c * (c - 2.0 * kappa - 2.0) * (g * g)
-           + 2.0 * c * (h * h))
-    return float(out) if scalar else out
+    return (l * (l - 1.0) / (rho * rho) - c * (c - 2.0 * kappa - 2.0) * (g * g)
+            + 2.0 * c * (h * h))
 
 
+@_radial
 def partner_plus_dr(rho, kappa: float, l):
     """d U_+ / d rho from the factorized form 2 W W' + W''."""
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     B0, B1, B2 = _numerators(rho, kappa, l, 2)
-    out = (2.0 * B0 * B1 + B2) / _power(rho, 3)
-    return float(out) if scalar else out
+    return (2.0 * B0 * B1 + B2) / _power(rho, 3)
 
 
+@_radial
 def partner_plus_d2r(rho, kappa: float, l):
     """d^2 U_+ / d rho^2 = 2 (W'^2 + W W'') + W'''."""
-    scalar = np.isscalar(rho)
-    rho = _check_rho(rho)
     B0, B1, B2, B3 = _numerators(rho, kappa, l, 3)
-    out = (2.0 * (B1 * B1 + B0 * B2) + B3) / _power(rho, 4)
-    return float(out) if scalar else out
+    return (2.0 * (B1 * B1 + B0 * B2) + B3) / _power(rho, 4)
 
 
 def apply_ladder(u: SampledFunction, kappa, l, which: str = "A") -> SampledFunction:

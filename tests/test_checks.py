@@ -1,6 +1,7 @@
 """Verification-suite plumbing: result records, selection, reports."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from dosusy import solver
 from dosusy.checks import (
     SUITE_NAMES,
     CheckResult,
+    _fmt_kappa,
     exit_code,
     report_json,
     run_suites,
@@ -42,6 +44,11 @@ def test_result_serialization_handles_numpy_and_fractions():
     assert back["pass"] is True
     assert back["params"]["l"] == 3
     assert back["params"]["flag"] is True
+
+
+def test_kappa_labels_are_parse_kappa_fractions():
+    assert [_fmt_kappa(k) for k in (0.5, 1.0, 1.5, 2.0 / 3.0)] == ["1/2", "1", "3/2", "2/3"]
+    assert _fmt_kappa(math.sqrt(2.0)) == repr(math.sqrt(2.0))
 
 
 def test_informative_results_do_not_gate():

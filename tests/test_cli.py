@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dosusy
-from dosusy import cli
+from dosusy import checks, cli
 from dosusy.cli import main
 
 
@@ -44,6 +44,18 @@ def test_eval_partner_spot(capsys):
 @pytest.mark.parametrize("rho", ["nan", "inf", "0"])
 def test_eval_rejects_non_finite_or_non_positive_radius(capsys, rho):
     rc, out, err = run(capsys, "eval", "W", "--kappa", "1", "--rho", rho)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("dosusy: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "U", "--kappa", "1", "--w", "nan", "--rho", "1"),
+    ("eval", "Ueff", "--kappa", "1", "--w", "inf", "--l", "1", "--rho", "1"),
+    ("family", "--kappa", "1", "--rho", "2", "--lambda", "nan"),
+], ids=["U-w-nan", "Ueff-w-inf", "family-lambda-nan"])
+def test_non_finite_parameters_are_usage_errors(capsys, argv):
+    rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err.startswith("dosusy: error:")
@@ -264,6 +276,7 @@ def test_every_csv_writer_matches_rowwise_bytes(tmp_path, capsys, monkeypatch):
         return text
 
     monkeypatch.setattr(cli, "_curve_csv", checked)
+    monkeypatch.setattr(checks, "_curve_csv", checked)   # the figure bundles' writer
     for fig in ("fig1", "fig2"):
         cli.figure_payloads(fig)
     assert run(capsys, "partners", "--kappa", "3/2", "--l", "1", "--out", str(tmp_path))[0] == 0
@@ -326,6 +339,17 @@ def test_help_lists_all_subcommands(capsys):
     for name in ("eval", "quantize", "partners", "family", "audit",
                  "critical", "figures", "trace", "verify"):
         assert name in out
+
+
+def test_tolerance_flags_only_where_a_profile_is_read(capsys):
+    parser = cli.build_parser()
+    for argv in (["eval", "W", "--kappa", "1", "--rho", "1"], ["family", "--kappa", "1"],
+                 ["audit"], ["critical", "--kappa", "1"], ["verify"]):
+        assert parser.parse_args([*argv, "--tol-quad", "1e-9"]).tol_quad == 1e-9
+    for argv in (["quantize", "--kappa", "1", "--N", "1"], ["partners", "--kappa", "1"]):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([*argv, "--tol-quad", "1e-9"])
+        assert info.value.code == 2
 
 
 def test_unknown_command_exits_with_usage_error(capsys):

@@ -274,3 +274,38 @@ def test_radial_u_is_f_at_every_ladder_bottom(kappa, l, log_rho):
     kappa_f, _ = parse_kappa(kappa)
     u = radial_u(rho, 1 + round(l / kappa_f), l, kappa)
     np.testing.assert_array_equal(u, f_factor(rho, kappa_f, l))
+
+
+# ----------------------------------------------------------------------
+# the radius contract, shared by every closed form
+# ----------------------------------------------------------------------
+
+# every public closed form taking a radius first, which between them reach
+# each closed form the contract decorates
+CONTRACT = {
+    "map_coordinates": lambda r: map_coordinates(r, 1.5),
+    "potential": lambda r: potential(r, 3.0, 1.5),
+    "f_factor": lambda r: f_factor(r, 1.5, 2),
+    "radial_u": lambda r: radial_u(r, 3, 0, 1.5),
+    "effective_potential_general": lambda r: effective_potential_general(r, 3.0, 1.5, 2),
+    **{fn.__name__: (lambda r, fn=fn: fn(r, 1.5, 2))
+       for fn in (*W_DERIVATIVES, partner_minus, partner_plus, partner_minus_closed,
+                  partner_plus_closed, partner_plus_dr, partner_plus_d2r)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_radius_contract(name):
+    form = CONTRACT[name]
+    rho = [0.3, 1.0, 2.5]
+    many, one = form(rho), form(rho[1])
+    many = many if isinstance(many, tuple) else (many,)
+    one = one if isinstance(one, tuple) else (one,)
+    assert all(type(x) is np.ndarray and x.shape == (3,) for x in many)
+    assert all(type(x) is float for x in one)
+    assert list(one) == [x[1] for x in many]
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rho"):
+            form(bad)
+        with pytest.raises(ValueError, match="rho"):
+            form(np.array([0.5, bad]))

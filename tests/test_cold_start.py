@@ -56,6 +56,16 @@ print(json.dumps({"after_import": after_import, "codes": codes,
     assert out["after_commands"] == []
 
 
+def test_figures_suite_runs_without_the_cli(tmp_path):
+    out = run_fresh("""
+import dosusy.checks
+results = dosusy.checks.run_suites(("figures",))
+print(json.dumps({"passed": all(r.passed for r in results), "count": len(results),
+                  "cli": "dosusy.cli" in sys.modules}))
+""", tmp_path)
+    assert out == {"passed": True, "count": 5, "cli": False}
+
+
 def test_solve_ivp_binds_into_solver_on_first_read(tmp_path):
     out = run_fresh("""
 from dosusy import solver

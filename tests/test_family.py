@@ -106,6 +106,26 @@ def test_v_family_validation():
         v_family(1.0, 1.0, 0, side="neither")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_must_be_finite(bad):
+    for grid in ([0.5, bad, 2.0], [0.5, 2.0, bad]):
+        with pytest.raises(ValueError, match="grid"):
+            family_on_grid(1.0, 0, 0.0, "bosonic", grid)
+        with pytest.raises(ValueError, match="grid"):
+            v_zeros(1.0, 0, 0.0, "bosonic", grid)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_family_parameter_must_be_finite(lam):
+    grid = [0.5, 1.0, 2.0]
+    for call in (lambda: v_family(2.0, 1.0, 0, lam),
+                 lambda: family_superpotential(2.0, 1.0, 0, lam),
+                 lambda: family_on_grid(1.0, 0, lam, "bosonic", grid),
+                 lambda: v_zeros(1.0, 0, lam, "bosonic", grid)):
+        with pytest.raises(ValueError, match="lambda"):
+            call()
+
+
 # ----------------------------------------------------------------------
 # shifted superpotential W_lambda
 # ----------------------------------------------------------------------

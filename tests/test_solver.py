@@ -9,6 +9,9 @@ the same point for different launch directions).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from dosusy.solver import (
 from dosusy.susy import partner_plus_dr
 
 FINE = np.geomspace(0.05, 20.0, 1501)
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +102,12 @@ def test_integration_validation():
         integrate_radial(-1.0, 1.0, 0, FINE)
     with pytest.raises(ValueError):
         integrate_radial(3.0, 1.0, 0, [2.0, 1.0])
+    for w in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="coupling"):
+            integrate_radial(w, 1.0, 0, FINE)
+    for grid in ([0.5, math.nan, 2.0], [0.5, 2.0, math.inf], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="grid"):
+            integrate_radial(3.0, 1.0, 0, grid)
 
 
 def test_classify_tail_short_grid_fallback():
@@ -440,6 +450,34 @@ def test_trajectory_validation():
         classical_trajectory("1", 3.0, -0.5)
     with pytest.raises(ValueError):
         classical_trajectory("1", 3.0, 0.5, revolutions=0.0)
+    with pytest.raises(ValueError, match="coupling"):
+        classical_trajectory("1", math.nan, 0.5)
+
+
+def test_trajectory_rejects_unending_spans_up_front():
+    # a non-finite span never ends the integration: the calls run in a child
+    # process, whose timeout fails the test instead of hanging it
+    script = """
+import math
+from dosusy.solver import classical_trajectory, trajectory_path_on_angles
+calls = [lambda: classical_trajectory("1", 3.0, 0.5, revolutions=math.nan),
+         lambda: classical_trajectory("1", 3.0, 0.5, revolutions=math.inf),
+         lambda: classical_trajectory("1", 3.0, 0.5, direction_deg=math.nan),
+         lambda: classical_trajectory("1", 3.0, 0.5, direction_deg=math.inf),
+         lambda: classical_trajectory("1", 3.0, 0.5, samples=1),
+         lambda: trajectory_path_on_angles("1", 3.0, 0.5, [1.0, math.inf]),
+         lambda: trajectory_path_on_angles("1", 3.0, 0.5, [1.0], math.nan)]
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except ValueError:
+        print("ValueError")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 7
 
 
 def test_quadrupled_coupling_preserves_path_and_doubles_speed():
