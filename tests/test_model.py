@@ -170,6 +170,21 @@ def test_map_coordinates_inversion_antisymmetry(kappa):
     np.testing.assert_allclose(xi_inv, -xi_fwd, rtol=0, atol=1e-14)
 
 
+def test_map_coordinates_rejects_nonpositive_radius():
+    with pytest.raises(ValueError):
+        map_coordinates(0.0, 1.0)
+    with pytest.raises(ValueError):
+        map_coordinates(np.array([1.0, -2.0]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_map_coordinates_rejects_non_finite_radius(bad):
+    with pytest.raises(ValueError):
+        map_coordinates(bad, 1.0)
+    with pytest.raises(ValueError):
+        map_coordinates(np.array([1.0, bad]), 1.0)
+
+
 # ----------------------------------------------------------------------
 # potential and quantized couplings
 # ----------------------------------------------------------------------

@@ -80,6 +80,19 @@ def test_closed_form_derivative_chain(kappa, l, rho):
     assert superpotential_d3r(rho, kappa, l) == pytest.approx(fd3, rel=1e-6, abs=1e-7)
 
 
+def test_superpotential_rejects_nonpositive_radius():
+    with pytest.raises(ValueError):
+        superpotential(-1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_superpotential_rejects_non_finite_radius(bad):
+    with pytest.raises(ValueError):
+        superpotential(bad, 1.0, 0)
+    with pytest.raises(ValueError):
+        superpotential(np.array([0.5, bad]), 1.0, 0)
+
+
 # ----------------------------------------------------------------------
 # partner potentials
 # ----------------------------------------------------------------------
