@@ -25,7 +25,7 @@ import numpy as np
 
 from . import family as fam
 from . import model, solver, susy
-from .numkit import DEFAULT_PROFILE, ToleranceProfile, derivative
+from .numkit import derivative
 
 __all__ = [
     "CheckResult",
@@ -85,7 +85,7 @@ _GRID = model.default_grid()
 # riccati: closed-form partners versus the superpotential combinations
 # ----------------------------------------------------------------------
 
-def suite_riccati(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_riccati() -> list[CheckResult]:
     results = []
     for kappa in (0.5, 1.0, 1.5):
         for side in ("minus", "plus"):
@@ -122,7 +122,7 @@ def suite_riccati(profile: ToleranceProfile) -> list[CheckResult]:
 # partner: ladder-bottom identity and the compact-coordinate route to f
 # ----------------------------------------------------------------------
 
-def suite_partner(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_partner() -> list[CheckResult]:
     results = []
     for kappa, ls in ((0.5, tuple(range(11))),
                       (1.0, tuple(range(11))),
@@ -148,7 +148,7 @@ def suite_partner(profile: ToleranceProfile) -> list[CheckResult]:
 
     grid = np.geomspace(0.05, 20.0, 48)
     for kappa, l in ((1.0, 0), (0.5, 1), (1.5, 2)):
-        recon = susy.natanzon_f_reconstruction(grid, kappa, l, profile)
+        recon = susy.natanzon_f_reconstruction(grid, kappa, l)
         ratio = recon / model.f_factor(grid, kappa, l)
         med = float(np.median(ratio))
         spread = float(np.max(np.abs(ratio / med - 1.0)))
@@ -172,7 +172,7 @@ _EIGEN_STATES: tuple[tuple[float, int, int], ...] = (
 )
 
 
-def suite_eigenvalue(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_eigenvalue() -> list[CheckResult]:
     results = []
     shots = solver.shoot_couplings([(N, kappa, l) for kappa, N, l in _EIGEN_STATES])
     for (kappa, N, l), res in zip(_EIGEN_STATES, shots):
@@ -199,20 +199,17 @@ _WF_STATES: tuple[tuple[float, int, int], ...] = (
 )
 
 
-def suite_wavefunction(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_wavefunction() -> list[CheckResult]:
     results = []
     radii = np.geomspace(0.1, 10.0, 25)
     # Second differences divide rounding noise by h^2, so the optimal step
     # is much coarser than for first derivatives; 1e-3 balances the two
     # error sources near machine precision for these smooth profiles.
-    d2_profile = ToleranceProfile(quad_tol=profile.quad_tol,
-                                  deriv_step=max(1e-3, profile.deriv_step),
-                                  root_tol=profile.root_tol)
     for kappa, N, l in _WF_STATES:
         wq = model.coupling_quantized(N, kappa)
         u = model.radial_u(radii, N, l, kappa)
         upp = derivative(lambda r: model.radial_u(r, N, l, kappa), radii,
-                         order=2, profile=d2_profile)
+                         order=2, step=1e-3)
         ueff = model.effective_potential_general(radii, wq, kappa, l)
         resid = -upp + ueff * u
         scale = float(np.max(np.abs(upp) + np.abs(ueff * u)))
@@ -240,9 +237,9 @@ def suite_wavefunction(profile: ToleranceProfile) -> list[CheckResult]:
 # critical: pocket-threshold location and the l=6 / l=7 regime split
 # ----------------------------------------------------------------------
 
-def suite_critical(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_critical() -> list[CheckResult]:
     results = []
-    cp = solver.critical_angular(1.0, profile)
+    cp = solver.critical_angular(1.0)
     loc = max(abs(cp.l_cr - 6.876), abs(cp.rho_cr - 1.599))
     results.append(CheckResult(
         check_id="critical:location:kappa=1",
@@ -282,12 +279,11 @@ def suite_critical(profile: ToleranceProfile) -> list[CheckResult]:
 _LAMBDAS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 
 
-def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_family() -> list[CheckResult]:
     results = []
     # The quadrature noise gets divided by the finite-difference step below,
-    # so the anchored integrals are computed an order tighter than usual.
-    tight = ToleranceProfile(quad_tol=1e-13, deriv_step=profile.deriv_step,
-                             root_tol=profile.root_tol)
+    # so the anchored integrals are computed to 1e-13, tighter than the
+    # default 1e-10.
     radii = np.array([0.2, 0.35, 0.6, 0.9, 1.4, 2.2, 3.5])
     h = 1e-3 * radii
     nodes = radii + np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None] * h   # 5-point stencils
@@ -296,7 +292,7 @@ def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
         for l in (0, 1, 2):
             w2 = 2.0 * susy.superpotential(radii, kappa, l)
             for side in ("bosonic", "fermionic"):
-                ints = fam._tail_integral(nodes, kappa, l, side, tight)
+                ints = fam._tail_integral(nodes, kappa, l, side, 1e-13)
                 vs = fam._v_lambda(nodes, lams[:, None, None], ints, kappa, l, side)
                 d = (8.0 * (vs[:, 3] - vs[:, 1]) - (vs[:, 4] - vs[:, 0])) / (12.0 * h)
                 wv = w2 * vs[:, 2]
@@ -316,7 +312,7 @@ def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
     pts = np.geomspace(0.12, 8.0, 21)
     for kappa in (1.0, 0.5):
         for l in (0, 1, 2):
-            integrals = fam._tail_integral(pts, kappa, l, "bosonic", tight)  # lambda-free
+            integrals = fam._tail_integral(pts, kappa, l, "bosonic", 1e-13)  # lambda-free
             v = fam._v_lambda(pts, lams[:, None], integrals, kappa, l, "bosonic")
             # adjacent to a zero of V, W_lambda is singular: those points are skipped
             scale = np.abs(fam._v_lambda(pts, np.abs(lams[:, None]), np.abs(integrals),
@@ -344,8 +340,8 @@ def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
     for kappa, l, side in ((1.0, 1, "bosonic"), (0.5, 1, "fermionic")):
         worst = -1.0
         for r in (0.3, 1.0, 2.5):
-            v_hi = fam.v_family(r, kappa, l, 2.0, side, profile)
-            v_lo = fam.v_family(r, kappa, l, -0.5, side, profile)
+            v_hi = fam.v_family(r, kappa, l, 2.0, side)
+            v_lo = fam.v_family(r, kappa, l, -0.5, side)
             f2 = model.f_factor(r, kappa, l) ** 2
             expected = -2.5 * f2 if side == "bosonic" else 2.5 / f2
             worst = max(worst, abs((v_hi - v_lo) - expected) / abs(expected))
@@ -356,20 +352,20 @@ def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
             measured=worst, threshold=1e-12, passed=worst < 1e-12))
 
     # Spot values of the kappa=1, l=0, lambda=0 member: V = rho(1-rho^2)/(1+rho^2).
-    dev_v1 = abs(fam.v_family(1.0, 1.0, 0, 0.0, "bosonic", profile))
+    dev_v1 = abs(fam.v_family(1.0, 1.0, 0, 0.0, "bosonic"))
     results.append(CheckResult(
         check_id="family:spot:v-at-1",
         params={"suite": "family", "kappa": "1", "l": 0, "lambda": 0.0,
                 "side": "bosonic", "expected": 0.0},
         measured=dev_v1, threshold=1e-12, passed=dev_v1 < 1e-12))
-    dev_v2 = abs(fam.v_family(2.0, 1.0, 0, 0.0, "bosonic", profile) - (-1.2))
+    dev_v2 = abs(fam.v_family(2.0, 1.0, 0, 0.0, "bosonic") - (-1.2))
     results.append(CheckResult(
         check_id="family:spot:v-at-2",
         params={"suite": "family", "kappa": "1", "l": 0, "lambda": 0.0,
                 "side": "bosonic", "expected": -1.2},
         measured=dev_v2, threshold=1e-10, passed=dev_v2 < 1e-10))
     wl_expected = -0.1 - 5.0 / 6.0
-    dev_wl = abs(fam.family_superpotential(2.0, 1.0, 0, 0.0, "bosonic", profile)
+    dev_wl = abs(fam.family_superpotential(2.0, 1.0, 0, 0.0, "bosonic")
                  - wl_expected)
     results.append(CheckResult(
         check_id="family:spot:wlambda-at-2",
@@ -377,7 +373,7 @@ def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
                 "side": "bosonic", "expected": wl_expected},
         measured=dev_wl, threshold=1e-10, passed=dev_wl < 1e-10))
 
-    zeros = fam.v_zeros(1.0, 0, 0.0, "bosonic", np.geomspace(0.2, 5.0, 301), profile)
+    zeros = fam.v_zeros(1.0, 0, 0.0, "bosonic", np.geomspace(0.2, 5.0, 301))
     dev_z = abs(zeros[0] - 1.0) if len(zeros) == 1 else 1.0
     results.append(CheckResult(
         check_id="family:zeros:lambda0",
@@ -391,9 +387,9 @@ def suite_family(profile: ToleranceProfile) -> list[CheckResult]:
 # audit: printed closed-form series versus quadrature oracles
 # ----------------------------------------------------------------------
 
-def suite_audit(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_audit() -> list[CheckResult]:
     results = []
-    records = fam.series_audit(profile=profile)
+    records = fam.series_audit()
     by_key = {(r.formula_id, r.l): r for r in records}
 
     s1 = by_key[("S1", 0)]
@@ -426,7 +422,7 @@ def suite_audit(profile: ToleranceProfile) -> list[CheckResult]:
 # annihilation: the lowering operator kills the nodeless member
 # ----------------------------------------------------------------------
 
-def suite_annihilation(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_annihilation() -> list[CheckResult]:
     results = []
     grid = np.geomspace(1e-2, 1e2, 6001)
     cases = [(kappa, l) for kappa in (0.5, 1.0, 1.5) for l in (0, 1, 2)]
@@ -452,7 +448,7 @@ def suite_annihilation(profile: ToleranceProfile) -> list[CheckResult]:
 # closure: classical orbits close, conserve energy, and rescale with w
 # ----------------------------------------------------------------------
 
-def suite_closure(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_closure() -> list[CheckResult]:
     results = []
     cases = (("1", 3.0, 1e-6), ("1/2", 2.0, 1e-5))
     trajs = {}
@@ -500,7 +496,7 @@ def suite_closure(profile: ToleranceProfile) -> list[CheckResult]:
 # degeneracy: shell sizes from exact enumeration
 # ----------------------------------------------------------------------
 
-def suite_degeneracy(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_degeneracy() -> list[CheckResult]:
     results = []
     for N in range(1, 7):
         count = len(model.enumerate_shell(N, 1))
@@ -590,7 +586,7 @@ def _csv_rows(payload: str) -> list[list[float]]:
     return rows
 
 
-def suite_figures(profile: ToleranceProfile) -> list[CheckResult]:
+def suite_figures() -> list[CheckResult]:
     results = []
     payloads = {}
     for fig in ("fig1", "fig2"):
@@ -651,7 +647,7 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suites(names=("all",), profile: ToleranceProfile = DEFAULT_PROFILE) -> list[CheckResult]:
+def run_suites(names=("all",)) -> list[CheckResult]:
     """Run the named suites (or all of them) and return sorted results."""
     if isinstance(names, str):
         names = (names,)
@@ -665,7 +661,7 @@ def run_suites(names=("all",), profile: ToleranceProfile = DEFAULT_PROFILE) -> l
         selected = [n for n in SUITE_NAMES if n in names]
     results: list[CheckResult] = []
     for name in selected:
-        results.extend(SUITES[name](profile))
+        results.extend(SUITES[name]())
     results.sort(key=lambda r: r.check_id)
     return results
 

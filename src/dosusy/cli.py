@@ -29,7 +29,6 @@ from . import checks, model, solver, susy
 from . import family as fam
 from .checks import _curve_csv, figure_payloads
 from .exceptions import SingularPointError
-from .numkit import DEFAULT_PROFILE, ToleranceProfile
 
 __all__ = ["main", "build_parser", "figure_payloads"]
 
@@ -38,15 +37,6 @@ __all__ = ["main", "build_parser", "figure_payloads"]
 # shared flag groups and file output
 # ----------------------------------------------------------------------
 
-def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-quad", type=float, default=DEFAULT_PROFILE.quad_tol,
-                   help="relative quadrature tolerance (default %(default)g)")
-    p.add_argument("--tol-deriv-step", type=float, default=DEFAULT_PROFILE.deriv_step,
-                   help="base finite-difference step (default %(default)g)")
-    p.add_argument("--tol-root", type=float, default=DEFAULT_PROFILE.root_tol,
-                   help="root-finding residual tolerance (default %(default)g)")
-
-
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-min", type=float, default=1e-3,
                    help="smallest radius of the evaluation grid (default %(default)g)")
@@ -54,12 +44,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help="largest radius of the evaluation grid (default %(default)g)")
     p.add_argument("--grid-points", type=int, default=400,
                    help="number of log-spaced grid points (default %(default)s)")
-
-
-def _profile_of(args) -> ToleranceProfile:
-    return ToleranceProfile(quad_tol=args.tol_quad,
-                            deriv_step=args.tol_deriv_step,
-                            root_tol=args.tol_root)
 
 
 def _grid_of(args) -> np.ndarray:
@@ -103,7 +87,7 @@ def _cmd_eval(args) -> int:
         if args.N is None:
             raise ValueError("eval u needs --N")
         val = model.radial_u(args.rho, args.N, args.l, args.kappa,
-                             normalized=args.normalized, profile=_profile_of(args))
+                             normalized=args.normalized)
     elif q == "xi":
         val = model.map_coordinates(args.rho, kappa)[0]
     else:  # alpha
@@ -152,20 +136,18 @@ def _cmd_partners(args) -> int:
 
 def _cmd_family(args) -> int:
     kappa, _ = model.parse_kappa(args.kappa)
-    profile = _profile_of(args)
     if args.rho is not None:
-        v = fam.v_family(args.rho, kappa, args.l, args.lam, args.side, profile)
+        v = fam.v_family(args.rho, kappa, args.l, args.lam, args.side)
         print(f"V        = {v!r}")
         try:
-            wl = fam.family_superpotential(args.rho, kappa, args.l, args.lam,
-                                           args.side, profile)
+            wl = fam.family_superpotential(args.rho, kappa, args.l, args.lam, args.side)
             print(f"W_lambda = {wl!r}")
         except SingularPointError as exc:
             print(f"W_lambda = singular ({exc})")
         return 0
     grid = _grid_of(args)
-    vals = fam.family_on_grid(kappa, args.l, args.lam, args.side, grid, profile)
-    zeros = fam.v_zeros(kappa, args.l, args.lam, args.side, grid, profile)
+    vals = fam.family_on_grid(kappa, args.l, args.lam, args.side, grid)
+    zeros = fam.v_zeros(kappa, args.l, args.lam, args.side, grid)
     payload = _curve_csv(
         "family_v: one-parameter solution family coefficient V_lambda(rho)",
         "rho (units R), value, kappa, l",
@@ -183,7 +165,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    records = fam.series_audit(profile=_profile_of(args))
+    records = fam.series_audit()
     if args.format == "json":
         payload = json.dumps([r.to_dict() for r in records],
                              indent=2, sort_keys=True) + "\n"
@@ -206,9 +188,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_critical(args) -> int:
     kappa, _ = model.parse_kappa(args.kappa)
-    profile = _profile_of(args)
-    points = (solver.critical_angular_all(kappa, profile) if args.all
-              else [solver.critical_angular(kappa, profile)])
+    points = (solver.critical_angular_all(kappa) if args.all
+              else [solver.critical_angular(kappa)])
     if args.all and not points:
         print("no pocket threshold in the scan window (l in (1, 20), rho in (0.1, 10))")
         return 1
@@ -262,7 +243,7 @@ def _cmd_verify(args) -> int:
     names = []
     for item in args.suite:
         names.extend(s.strip() for s in item.split(",") if s.strip())
-    results = checks.run_suites(names or ("all",), _profile_of(args))
+    results = checks.run_suites(names or ("all",))
     payload = checks.report_json(results)
     if args.out:
         _write_text(args.out, payload)
@@ -300,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True, help="radius in units of R")
     p.add_argument("--normalized", action="store_true",
                    help="unit-norm scaling for u (l >= 1 only)")
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("quantize",
@@ -331,13 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate at one radius instead of emitting a CSV curve")
     p.add_argument("--out", default=None, help="output directory (default '.')")
     _add_grid_flags(p)
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("audit", help="printed-series audit records")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("critical",
@@ -345,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True)
     p.add_argument("--all", action="store_true",
                    help="report every threshold in the scan window")
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser("figures", help="emit figure curve data as CSV")
@@ -361,9 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", type=float, default=90.0,
                    help="launch angle vs the radius vector, degrees (default 90)")
     p.add_argument("--samples", type=int, default=1000,
-                   help="number of output samples (default 1000)")
+                   help="number of output samples, at most 10^6 (default 1000)")
     p.add_argument("--revolutions", type=float, default=None,
-                   help="traced span in revolutions (default: the closure span k2)")
+                   help="traced span in revolutions, at most 100 "
+                        "(default: the closure span k2)")
     p.add_argument("--out", default=None, help="CSV output file (default: none)")
     p.set_defaults(func=_cmd_trace)
 
@@ -372,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite name or comma list (default all); known: "
                         + ", ".join(checks.SUITE_NAMES))
     p.add_argument("--out", default=None, help="report file (default stdout)")
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

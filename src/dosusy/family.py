@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import SingularPointError
 from .model import _check_grid, _check_rho, f_factor
-from .numkit import DEFAULT_PROFILE, ToleranceProfile, integrate_adaptive
+from .numkit import integrate_adaptive
 from .susy import superpotential
 
 __all__ = [
@@ -70,11 +70,10 @@ def _integrand(kappa: float, l: int, side: str):
     return lambda r: f_factor(r, kappa, l) ** 2
 
 
-def _tail_integral(rho, kappa: float, l: int, side: str,
-                   profile: ToleranceProfile):
+def _tail_integral(rho, kappa: float, l: int, side: str, tol: float = 1e-10):
     """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho,
     in one quadrature call."""
-    return integrate_adaptive(_integrand(kappa, l, side), 1.0, rho, profile)
+    return integrate_adaptive(_integrand(kappa, l, side), 1.0, rho, tol)
 
 
 def _v_lambda(rho, lam, integral, kappa: float, l: int, side: str):
@@ -85,8 +84,7 @@ def _v_lambda(rho, lam, integral, kappa: float, l: int, side: str):
     return (lam + integral) / f2
 
 
-def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic",
-             profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
+def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic") -> float:
     """Family coefficient V_lambda at a single radius.
 
     bosonic:   V = -f^2 (lambda + Int_1^rho f^-2),  solves V' + 2WV = -1;
@@ -94,12 +92,11 @@ def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic",
     """
     _check_member(lam, side)
     rho = float(_check_rho(rho))
-    return float(_v_lambda(rho, lam, _tail_integral(rho, kappa, l, side, profile),
+    return float(_v_lambda(rho, lam, _tail_integral(rho, kappa, l, side),
                            kappa, l, side))
 
 
-def _prefix_integral(integrand, pts: np.ndarray, anchor: float,
-                     profile: ToleranceProfile) -> np.ndarray:
+def _prefix_integral(integrand, pts: np.ndarray, anchor: float) -> np.ndarray:
     """Integral of integrand from anchor to each of the sorted pts.
 
     The anchor is spliced in and all segments between neighbours are
@@ -107,13 +104,12 @@ def _prefix_integral(integrand, pts: np.ndarray, anchor: float,
     """
     nodes = np.unique(np.concatenate([pts, [anchor]]))
     cum = np.concatenate([[0.0], np.cumsum(integrate_adaptive(integrand, nodes[:-1],
-                                                              nodes[1:], profile))])
+                                                              nodes[1:]))])
     cum -= cum[np.searchsorted(nodes, anchor)]
     return cum[np.searchsorted(nodes, pts)]
 
 
-def family_on_grid(kappa: float, l: int, lam: float, side: str, grid,
-                   profile: ToleranceProfile = DEFAULT_PROFILE) -> np.ndarray:
+def family_on_grid(kappa: float, l: int, lam: float, side: str, grid) -> np.ndarray:
     """V_lambda sampled on a sorted grid with one quadrature sweep.
 
     The anchored integral is additive over segments, so the grid (with the
@@ -122,13 +118,12 @@ def family_on_grid(kappa: float, l: int, lam: float, side: str, grid,
     """
     _check_member(lam, side)
     grid = _check_grid(grid)
-    ints = _prefix_integral(_integrand(kappa, l, side), grid, 1.0, profile)
+    ints = _prefix_integral(_integrand(kappa, l, side), grid, 1.0)
     return _v_lambda(grid, lam, ints, kappa, l, side)
 
 
 def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
-                          side: str = "bosonic",
-                          profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
+                          side: str = "bosonic") -> float:
     """Shifted superpotential W_lambda = W + 1/V_lambda at a single radius.
 
     Raises
@@ -140,7 +135,7 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
     """
     _check_member(lam, side)
     rho = float(_check_rho(rho))
-    integral = _tail_integral(rho, kappa, l, side, profile)
+    integral = _tail_integral(rho, kappa, l, side)
     v = _v_lambda(rho, lam, integral, kappa, l, side)
     scale = abs(_v_lambda(rho, abs(lam), abs(integral), kappa, l, side))
     if abs(v) <= 1e-10 * scale + 1e-300:
@@ -150,8 +145,7 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
     return superpotential(rho, kappa, l) + 1.0 / v
 
 
-def v_zeros(kappa: float, l: int, lam: float, side: str, grid,
-            profile: ToleranceProfile = DEFAULT_PROFILE) -> list[float]:
+def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
     """Zeros of V_lambda inside the grid span (singular loci of W_lambda).
 
     V_lambda changes sign exactly where lambda + Int_1^rho does.  Each sign
@@ -165,14 +159,14 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid,
     _check_member(lam, side)
     grid = _check_grid(grid)
     integrand = _integrand(kappa, l, side)
-    g = lam + _prefix_integral(integrand, grid, 1.0, profile)
+    g = lam + _prefix_integral(integrand, grid, 1.0)
     zeros: list[float] = []
     for i in range(len(grid) - 1):
         if g[i] == 0.0:
             zeros.append(float(grid[i]))
         elif g[i] * g[i + 1] < 0.0:
             a, ga = float(grid[i]), float(g[i])
-            zeros.append(brentq(lambda r: ga + integrate_adaptive(integrand, a, r, profile),
+            zeros.append(brentq(lambda r: ga + integrate_adaptive(integrand, a, r),
                                 a, float(grid[i + 1]), xtol=1e-12, rtol=1e-12))
     if len(g) and g[-1] == 0.0:
         zeros.append(float(grid[-1]))
@@ -339,16 +333,14 @@ def _alpha_integrand(kappa: float, l: int):
     return g
 
 
-def _anchored_oracle(alphas: np.ndarray, kappa: float, l: int,
-                     profile: ToleranceProfile) -> np.ndarray:
+def _anchored_oracle(alphas: np.ndarray, kappa: float, l: int) -> np.ndarray:
     """Antiderivative of the angle-variable integrand, zero at pi/2."""
-    return _prefix_integral(_alpha_integrand(kappa, l), alphas, 0.5 * math.pi, profile)
+    return _prefix_integral(_alpha_integrand(kappa, l), alphas, 0.5 * math.pi)
 
 
-def _audit_S(formula_id: str, l: int, kappa: float,
-             profile: ToleranceProfile) -> SeriesAuditRecord:
+def _audit_S(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
     alphas = _audit_alphas()
-    oracle = _anchored_oracle(alphas, kappa, l, profile)
+    oracle = _anchored_oracle(alphas, kappa, l)
     printed = printed_series_eval(alphas, l, formula_id)
 
     dev_pw = float(np.max(np.abs(printed - oracle) / (1.0 + np.abs(oracle))))
@@ -369,10 +361,9 @@ def _audit_S(formula_id: str, l: int, kappa: float,
                              ratio=ratio, verdict=verdict)
 
 
-def _audit_V(formula_id: str, l: int, kappa: float,
-             profile: ToleranceProfile) -> SeriesAuditRecord:
+def _audit_V(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
     alphas = _audit_alphas()
-    oracle_int = _anchored_oracle(alphas, kappa, l, profile)
+    oracle_int = _anchored_oracle(alphas, kappa, l)
     rho = np.tan(0.5 * alphas) ** (1.0 / kappa)
     v_oracle = -f_factor(rho, kappa, l) ** 2 * oracle_int
     v_printed = printed_series_eval(alphas, l, formula_id)
@@ -397,8 +388,7 @@ def _audit_V(formula_id: str, l: int, kappa: float,
                              ratio=ratio, verdict=verdict)
 
 
-def series_audit(formula_ids=FORMULA_IDS, l_values=(0, 1, 2, 3),
-                 profile: ToleranceProfile = DEFAULT_PROFILE) -> list[SeriesAuditRecord]:
+def series_audit(formula_ids=FORMULA_IDS, l_values=(0, 1, 2, 3)) -> list[SeriesAuditRecord]:
     """Audit printed formulas against quadrature oracles.
 
     Returns one record per (formula, l), in deterministic order.  Verdicts
@@ -409,7 +399,7 @@ def series_audit(formula_ids=FORMULA_IDS, l_values=(0, 1, 2, 3),
         kappa = 1.0 if fid in ("S1", "V1") else 0.5
         for l in l_values:
             if fid.startswith("S"):
-                records.append(_audit_S(fid, int(l), kappa, profile))
+                records.append(_audit_S(fid, int(l), kappa))
             else:
-                records.append(_audit_V(fid, int(l), kappa, profile))
+                records.append(_audit_V(fid, int(l), kappa))
     return records

@@ -21,13 +21,14 @@ alpha = 2 arctan(rho^kappa).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .exceptions import NonNormalizableStateError
-from .numkit import DEFAULT_PROFILE, ToleranceProfile, gegenbauer_eval, integrate_adaptive
+from .numkit import gegenbauer_eval, integrate_adaptive
 
 __all__ = [
     "StateLabel",
@@ -53,34 +54,36 @@ def parse_kappa(value) -> tuple[float, Fraction | None]:
 
     Returns ``(kappa, exact)`` where ``exact`` is a small-denominator
     Fraction when one represents the input to 1e-12 (needed by operations
-    that demand exact rational arithmetic), else None.
+    that demand exact rational arithmetic), else None; kappa is then the
+    float nearest ``exact``.  A decimal string is read as a float.  Raises
+    ValueError unless kappa is positive and finite as a float.
     """
-    if isinstance(value, Fraction):
-        exact = value
-    elif isinstance(value, (int, np.integer)):
-        exact = Fraction(int(value))
-    elif isinstance(value, str):
+    if isinstance(value, str):
         text = value.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            exact = Fraction(int(num), int(den))
+            if int(den) == 0:
+                raise ValueError(f"kappa has a zero denominator: {value!r}")
+            value = Fraction(int(num), int(den))
         else:
-            exact = Fraction(text).limit_denominator(64)
-            if abs(float(exact) - float(text)) > 1e-12 * max(1.0, abs(float(text))):
-                exact = None
-            kappa = float(text)
-            if kappa <= 0:
-                raise ValueError(f"kappa must be positive, got {kappa}")
-            return kappa, exact
+            value = float(text)
+    if isinstance(value, (int, np.integer)):
+        value = Fraction(int(value))
+    if isinstance(value, Fraction):
+        exact = value
+        try:
+            kappa = float(value)
+        except OverflowError:   # beyond the float range
+            kappa = math.inf if value > 0 else -math.inf
     elif isinstance(value, float):
-        exact = Fraction(value).limit_denominator(64)
-        if abs(float(exact) - value) > 1e-12 * max(1.0, abs(value)):
+        exact = Fraction(value).limit_denominator(64) if math.isfinite(value) else None
+        if exact is not None and abs(float(exact) - value) > 1e-12 * max(1.0, abs(value)):
             exact = None
+        kappa = float(exact) if exact is not None else value
     else:
         raise TypeError(f"cannot interpret kappa from {value!r}")
-    kappa = float(exact) if exact is not None else float(value)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     return kappa, exact
 
 
@@ -347,8 +350,7 @@ def _degree_order(N: int, l: int, kappa_f: float, exact: Fraction | None) -> tup
 
 
 @_radial
-def radial_u(rho, N: int, l: int, kappa, normalized: bool = False,
-             profile: ToleranceProfile = DEFAULT_PROFILE):
+def radial_u(rho, N: int, l: int, kappa, normalized: bool = False):
     """Half-line radial solution u = rho * R at the quantized coupling.
 
     u(rho) = f(rho) * C_p^(q)(xi(rho)) with p radial nodes.  With
@@ -363,7 +365,7 @@ def radial_u(rho, N: int, l: int, kappa, normalized: bool = False,
     f, p = _folded_f(rho, kappa_f, l)
     u = f * gegenbauer_eval(degree, q, _xi(rho, p))
     if normalized:
-        u = u * normalization_constant(N, l, kappa, profile=profile)
+        u = u * normalization_constant(N, l, kappa)
     return u
 
 
@@ -378,8 +380,7 @@ def is_normalizable(N: int, l: int, kappa) -> bool:
     return l >= 1
 
 
-def normalization_constant(N: int, l: int, kappa,
-                           profile: ToleranceProfile = DEFAULT_PROFILE) -> float:
+def normalization_constant(N: int, l: int, kappa) -> float:
     """Positive constant scaling u to unit half-line norm.
 
     Evaluated as 1/sqrt(integral of u^2 d rho) with the half-line folded to
@@ -399,7 +400,7 @@ def normalization_constant(N: int, l: int, kappa,
     def integrand(r):
         return radial_u(r, N, l, kappa) ** 2
 
-    norm2 = integrate_adaptive(integrand, 0.0, np.inf, profile, tail_power=kappa_f)
+    norm2 = integrate_adaptive(integrand, 0.0, np.inf, tail_power=kappa_f)
     return 1.0 / np.sqrt(norm2)
 
 

@@ -12,7 +12,6 @@ call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -20,8 +19,6 @@ import numpy as np
 from .exceptions import ConvergenceError, QuadratureError
 
 __all__ = [
-    "ToleranceProfile",
-    "DEFAULT_PROFILE",
     "gegenbauer_eval",
     "integrate_adaptive",
     "derivative",
@@ -29,36 +26,6 @@ __all__ = [
     "grid_derivative",
     "newton2d",
 ]
-
-
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Numerical tolerances threaded through the package.
-
-    Attributes
-    ----------
-    quad_tol : float
-        Target for adaptive quadrature: the result satisfies
-        ``|result - I| <= quad_tol * (1 + |I|)``.
-    deriv_step : float
-        Base finite-difference step; the actual step is scaled by
-        ``max(1, |x|)`` at the evaluation point.
-    root_tol : float
-        Residual target for root finding (1-D and 2-D).
-    """
-
-    quad_tol: float = 1e-10
-    deriv_step: float = 1e-4
-    root_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("quad_tol", "deriv_step", "root_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-
-
-DEFAULT_PROFILE = ToleranceProfile()
 
 
 # =====================================================================
@@ -172,18 +139,16 @@ def _panels(f, a, b, half_line, pw):
     return k15, np.abs(k15 - g7)
 
 
-def integrate_adaptive(f, a, b,
-                       profile: ToleranceProfile = DEFAULT_PROFILE,
-                       tail_power: float = 1.0,
+def integrate_adaptive(f, a, b, tol: float = 1e-10, tail_power: float = 1.0,
                        max_panels: int = 4000):
-    """Integrate f over (a, b) to ``quad_tol`` with nested-rule refinement.
+    """Integrate f over (a, b) to ``tol`` with nested-rule refinement.
 
     ``a`` and ``b`` are scalars or broadcastable arrays of limits, one
     integral per element; scalar limits give a float, array limits an array
     of their broadcast shape.  ``f`` must accept an ndarray of abscissae and
     return values elementwise; it is called once per refinement sweep, with
     the nodes of every integral still refining.  Each integral stops on its
-    own when its summed error estimate is at most ``quad_tol (1 + |I|)``.
+    own when its summed error estimate is at most ``tol (1 + |I|)``.
 
     ``b = inf`` is supported through the half-line substitution
     rho = tan(alpha/2)^(1/tail_power), which maps (a, inf), a >= 0, to a
@@ -216,7 +181,7 @@ def integrate_adaptive(f, a, b,
     sign = np.where(hi < lo, -1.0, 1.0)
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
-    n, tol = lo.size, profile.quad_tol
+    n = lo.size
     result = np.zeros(n)
     evaluated = np.zeros(n, dtype=int)
     own, pa, pb, val, err = np.zeros(0, dtype=int), *np.zeros((4, 0))
@@ -259,11 +224,10 @@ def integrate_adaptive(f, a, b,
 # Finite differences
 # =====================================================================
 
-def derivative(f, x, order: int = 1,
-               profile: ToleranceProfile = DEFAULT_PROFILE):
+def derivative(f, x, order: int = 1, step: float = 1e-4):
     """Central finite difference with one Richardson extrapolation level.
 
-    The step is ``deriv_step * max(1, |x|)``, elementwise for an array ``x``
+    The step is ``step * max(1, |x|)``, elementwise for an array ``x``
     (which ``f`` then receives whole); Richardson combination of the h and
     h/2 stencils raises both the first- and second-derivative formulas to
     fourth order.  A scalar ``x`` gives a float.
@@ -272,14 +236,14 @@ def derivative(f, x, order: int = 1,
         raise ValueError("only first and second derivatives supported")
     scalar = np.ndim(x) == 0
     x = float(x) if scalar else np.asarray(x, dtype=float)
-    h = profile.deriv_step * (max(1.0, abs(x)) if scalar else np.maximum(1.0, abs(x)))
+    h = step * (max(1.0, abs(x)) if scalar else np.maximum(1.0, abs(x)))
 
     if order == 1:
-        def cd(step):
-            return (f(x + step) - f(x - step)) / (2.0 * step)
+        def cd(s):
+            return (f(x + s) - f(x - s)) / (2.0 * s)
     else:
-        def cd(step):
-            return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
+        def cd(s):
+            return (f(x + s) - 2.0 * f(x) + f(x - s)) / (s * s)
 
     coarse, fine = cd(h), cd(0.5 * h)
     d = (4.0 * fine - coarse) / 3.0
@@ -358,37 +322,36 @@ def grid_derivative(grid, values, order: int = 1, stencil: int = 5) -> np.ndarra
 # Damped 2-D Newton
 # =====================================================================
 
-def _jacobian2(F, x, step):
+def _jacobian2(F, x):
     J = np.empty((2, 2))
     for j in range(2):
-        h = step * max(1.0, abs(x[j]))
+        h = 1e-4 * max(1.0, abs(x[j]))
         xp = x.copy(); xp[j] += h
         xm = x.copy(); xm[j] -= h
         J[:, j] = (np.asarray(F(xp), dtype=float) - np.asarray(F(xm), dtype=float)) / (2.0 * h)
     return J
 
 
-def newton2d(F, x0, profile: ToleranceProfile = DEFAULT_PROFILE,
-             max_iter: int = 60) -> tuple[np.ndarray, np.ndarray, int]:
+def newton2d(F, x0, max_iter: int = 60) -> tuple[np.ndarray, np.ndarray, int]:
     """Solve F(x) = 0 for x in R^2 with a damped Newton iteration.
 
-    The Jacobian is estimated by central differences; each Newton step is
-    halved (up to 10 times) until the residual norm decreases.  Returns
-    ``(x, F(x), iterations)``.
+    The Jacobian is estimated by central differences at relative step 1e-4;
+    each Newton step is halved (up to 10 times) until the residual norm
+    decreases.  Returns ``(x, F(x), iterations)``.
 
     Raises
     ------
     ConvergenceError
-        If the residual norm fails to drop below ``root_tol`` within
+        If the residual norm fails to drop below 1e-10 within
         ``max_iter`` iterations, or the Jacobian becomes singular.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = np.asarray(F(x), dtype=float)
     for it in range(1, max_iter + 1):
         norm = float(np.max(np.abs(fx)))
-        if norm < profile.root_tol:
+        if norm < 1e-10:
             return x, fx, it - 1
-        J = _jacobian2(F, x, profile.deriv_step)
+        J = _jacobian2(F, x)
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError as exc:

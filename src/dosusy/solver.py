@@ -18,9 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import BracketError, ConvergenceError, GeometryError
-from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho, parse_kappa,
-                    potential)
-from .numkit import DEFAULT_PROFILE, ToleranceProfile, newton2d
+from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
+                    coupling_quantized, default_grid, parse_kappa, potential,
+                    state_quantum_numbers)
+from .numkit import newton2d
 from .susy import partner_plus_d2r, partner_plus_dr
 
 __all__ = [
@@ -261,8 +262,6 @@ def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
     ConvergenceError
         If the root search stops without converging for a state.
     """
-    from .model import coupling_quantized, default_grid, state_quantum_numbers
-
     states = list(states)
     rows = []
     for (N, kappa, l), bracket in zip(states, brackets or [None] * len(states), strict=True):
@@ -351,8 +350,7 @@ def _pocket_indicator(l: float, kappa: float, rho_grid: np.ndarray) -> tuple[flo
     return float(slopes[i]), float(rho_grid[i])
 
 
-def critical_angular_all(kappa: float,
-                         profile: ToleranceProfile = DEFAULT_PROFILE) -> list[CriticalPoint]:
+def critical_angular_all(kappa: float) -> list[CriticalPoint]:
     """All pocket-threshold points in the scan window l in (1, 20), rho in (0.1, 10).
 
     Below the threshold U_+ decreases monotonically (slope < 0 everywhere);
@@ -387,7 +385,7 @@ def critical_angular_all(kappa: float,
             return np.array([partner_plus_dr(rho, kappa, l),
                              partner_plus_d2r(rho, kappa, l)])
 
-        x, fx, iters = newton2d(F, np.array([l_seed, rho_seed]), profile)
+        x, fx, iters = newton2d(F, np.array([l_seed, rho_seed]))
         points.append(CriticalPoint(l_cr=float(x[0]), rho_cr=float(x[1]),
                                     slope_residual=abs(float(fx[0])),
                                     curvature_residual=abs(float(fx[1])),
@@ -395,8 +393,7 @@ def critical_angular_all(kappa: float,
     return points
 
 
-def critical_angular(kappa: float,
-                     profile: ToleranceProfile = DEFAULT_PROFILE) -> CriticalPoint:
+def critical_angular(kappa: float) -> CriticalPoint:
     """First pocket-threshold point (see critical_angular_all).
 
     Raises
@@ -404,7 +401,7 @@ def critical_angular(kappa: float,
     ConvergenceError
         If no threshold exists in the scan window.
     """
-    points = critical_angular_all(kappa, profile)
+    points = critical_angular_all(kappa)
     if not points:
         raise ConvergenceError(
             f"no pocket threshold found for kappa = {kappa} in the scan window")
@@ -481,6 +478,10 @@ class Trajectory:
 # (near-radial launches: max |E| 1.4e-9 between steps against 1.0e-10 at them).
 _MAX_ANGLE_STEP = 2.0 * math.pi / 64.0
 _RTOL = 1e-12   # DOP853 relative tolerance of every orbit (atol 1e-14)
+# Caps on a traced orbit: each revolution is at least 64 steps, all kept as
+# dense output, and every sample is an array column.
+_MAX_REVOLUTIONS = 100
+_MAX_SAMPLES = 1_000_000
 
 
 def _angle_rhs(kappa: float, w: float, inv_l: float):
@@ -505,8 +506,9 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
     """DOP853 from |theta| = 0 to ``angle``, dense unless ``t_eval`` is given."""
     _check_rho(rho0, "rho0")
     # a non-finite angle never ends the integration; inf % 360 is NaN
-    if not math.isfinite(angle):
-        raise ValueError(f"accumulated angle must be finite, got {angle!r}")
+    if not angle <= 2.0 * math.pi * _MAX_REVOLUTIONS:
+        raise ValueError(f"the traced span must be finite and at most {_MAX_REVOLUTIONS} "
+                         f"revolutions, got {angle / (2.0 * math.pi)!r}")
     if not math.isfinite(direction_deg):
         raise ValueError(f"direction must be finite, got {direction_deg!r} deg")
     d = direction_deg % 360.0
@@ -577,7 +579,9 @@ def classical_trajectory(kappa, w: float, rho0: float,
     closure claim is specific to rational shape exponents.  The traced span
     defaults to the closure span of k2 full revolutions; with an explicit
     ``revolutions`` the start-vs-end defect is still reported but only
-    measures closure when the span is a multiple of k2.
+    measures closure when the span is a multiple of k2.  The span is at
+    most 100 revolutions and ``samples`` at most 10^6; larger requests are
+    refused before any integration.
     """
     kappa_f, exact = parse_kappa(kappa)
     if exact is None:
@@ -585,10 +589,10 @@ def classical_trajectory(kappa, w: float, rho0: float,
     _check_coupling(w)
     k1, k2 = exact.numerator, exact.denominator
     revs = float(k2) if revolutions is None else float(revolutions)
-    if not 0 < revs < math.inf:
-        raise ValueError(f"revolutions must be positive and finite, got {revs!r}")
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
+    if not revs > 0:
+        raise ValueError(f"revolutions must be positive, got {revs!r}")
+    if not 2 <= samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must be between 2 and {_MAX_SAMPLES}, got {samples}")
 
     sol, s0, v0 = _integrate_orbit(kappa_f, w, rho0, 2.0 * math.pi * revs, direction_deg)
     s_close = sol.y[:, -1]
@@ -618,7 +622,8 @@ def trajectory_path_on_angles(kappa, w: float, rho0: float, thetas,
     The accumulated angle is monotonic (central force), so it serves as a
     parametrization-free clock: orbits traced at couplings w and 4w can be
     compared point by point on a shared angle grid.  The orbit is integrated
-    in that clock and reported at exactly the requested angles.
+    in that clock and reported at exactly the requested angles, which may
+    reach at most 100 revolutions.
     """
     kappa_f, _ = parse_kappa(kappa)
     angles, where = np.unique(np.abs(np.asarray(thetas, dtype=float)), return_inverse=True)

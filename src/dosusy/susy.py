@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import SampledFunction, _check_rho, _fold, _radial, _well_root, _xi
-from .numkit import DEFAULT_PROFILE, ToleranceProfile, grid_derivative, integrate_adaptive
+from .numkit import grid_derivative, integrate_adaptive
 
 __all__ = [
     "superpotential",
@@ -187,8 +187,7 @@ def apply_ladder(u: SampledFunction, kappa, l, which: str = "A") -> SampledFunct
     return SampledFunction(u.grid, out)
 
 
-def natanzon_f_reconstruction(grid, kappa: float, l: int,
-                              profile: ToleranceProfile = DEFAULT_PROFILE) -> np.ndarray:
+def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
     """Rebuild the nodeless factor from the compact-coordinate route.
 
     Quadrature evaluation of
@@ -210,7 +209,7 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int,
         rho = np.exp(t)
         return _xi(rho, _fold(rho, kappa)[1])
 
-    integral = (2.0 * q + 1.0) * kappa * integrate_adaptive(xi_of_t, 0.0, np.log(grid), profile)
+    integral = (2.0 * q + 1.0) * kappa * integrate_adaptive(xi_of_t, 0.0, np.log(grid))
     # |d xi/d rho| = 4 kappa p v^2 / rho on the fold, p = x^(2 kappa): taken in logs
     # so that neither it nor its inverse square root overflows
     x, p, _ = _fold(grid, kappa)

@@ -53,7 +53,15 @@ def test_eval_rejects_non_finite_or_non_positive_radius(capsys, rho):
     ("eval", "U", "--kappa", "1", "--w", "nan", "--rho", "1"),
     ("eval", "Ueff", "--kappa", "1", "--w", "inf", "--l", "1", "--rho", "1"),
     ("family", "--kappa", "1", "--rho", "2", "--lambda", "nan"),
-], ids=["U-w-nan", "Ueff-w-inf", "family-lambda-nan"])
+    ("eval", "U", "--kappa", "nan", "--w", "1", "--rho", "2"),
+    ("eval", "U", "--kappa", "inf", "--w", "1", "--rho", "2"),
+    ("eval", "U", "--kappa", "1e400", "--w", "1", "--rho", "2"),
+    ("eval", "U", "--kappa", "1/0", "--w", "1", "--rho", "2"),
+    ("eval", "U", "--kappa", "1" + "0" * 400 + "/1", "--w", "1", "--rho", "2"),
+    ("trace", "--kappa", "1/0", "--w", "3", "--rho", "0.5"),
+], ids=["U-w-nan", "Ueff-w-inf", "family-lambda-nan", "kappa-nan", "kappa-inf",
+        "kappa-overflow", "kappa-zero-denominator", "kappa-huge-ratio",
+        "trace-kappa-zero-denominator"])
 def test_non_finite_parameters_are_usage_errors(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
@@ -73,14 +81,6 @@ def test_eval_normalized_s_wave_is_rejected(capsys):
     # value is a parameter error, not a crash.
     rc, _, err = run(capsys, "eval", "u", "--kappa", "1", "--N", "1",
                      "--l", "0", "--rho", "1.5", "--normalized")
-    assert rc == 2
-    assert "dosusy: error:" in err
-
-
-def test_eval_rejects_bad_tolerance(capsys):
-    rc, _, err = run(capsys, "eval", "u", "--kappa", "1", "--N", "2",
-                     "--l", "1", "--rho", "1.5", "--normalized",
-                     "--tol-quad", "-1")
     assert rc == 2
     assert "dosusy: error:" in err
 
@@ -303,6 +303,18 @@ def test_trace_outward_radial_launch_is_a_usage_error(capsys):
     assert err.startswith("dosusy: error:") and "radial" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--revolutions", "1e9"), ("--samples", "1000001")])
+def test_trace_span_beyond_its_cap_is_a_usage_error(capsys, monkeypatch, flag, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit past the cap was integrated")
+
+    monkeypatch.setattr(dosusy.solver, "solve_ivp", refuse)
+    rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3", "--rho", "0.5", flag, value)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("dosusy: error:")
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
@@ -341,15 +353,18 @@ def test_help_lists_all_subcommands(capsys):
         assert name in out
 
 
-def test_tolerance_flags_only_where_a_profile_is_read(capsys):
+def test_no_subcommand_takes_a_tolerance_flag(capsys):
     parser = cli.build_parser()
-    for argv in (["eval", "W", "--kappa", "1", "--rho", "1"], ["family", "--kappa", "1"],
-                 ["audit"], ["critical", "--kappa", "1"], ["verify"]):
-        assert parser.parse_args([*argv, "--tol-quad", "1e-9"]).tol_quad == 1e-9
-    for argv in (["quantize", "--kappa", "1", "--N", "1"], ["partners", "--kappa", "1"]):
-        with pytest.raises(SystemExit) as info:
-            parser.parse_args([*argv, "--tol-quad", "1e-9"])
-        assert info.value.code == 2
+    for argv in (["eval", "W", "--kappa", "1", "--rho", "1"],
+                 ["quantize", "--kappa", "1", "--N", "1"], ["partners", "--kappa", "1"],
+                 ["family", "--kappa", "1"], ["audit"], ["critical", "--kappa", "1"],
+                 ["figures", "fig1"], ["trace", "--kappa", "1", "--w", "3", "--rho", "0.5"],
+                 ["verify"]):
+        parser.parse_args(argv)
+        for flag in ("--tol-quad", "--tol-deriv-step", "--tol-root"):
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args([*argv, flag, "1e-9"])
+            assert info.value.code == 2
 
 
 def test_unknown_command_exits_with_usage_error(capsys):

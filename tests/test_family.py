@@ -30,10 +30,7 @@ from dosusy.family import (
     v_zeros,
 )
 from dosusy.model import f_factor
-from dosusy.numkit import ToleranceProfile
 from dosusy.susy import superpotential
-
-TIGHT = ToleranceProfile(quad_tol=1e-13, deriv_step=1e-4, root_tol=1e-10)
 
 
 def closed_v(rho):
@@ -75,10 +72,10 @@ def test_defining_first_order_equation(side, sign, rho):
     # the quadrature-built V.
     kappa, l, lam = 1.0, 1, 0.7
     h = 1e-4 * rho
-    vm2, vm1, vp1, vp2 = (v_family(rho + k * h, kappa, l, lam, side, TIGHT)
+    vm2, vm1, vp1, vp2 = (v_family(rho + k * h, kappa, l, lam, side)
                           for k in (-2, -1, 1, 2))
     dv = (8.0 * (vp1 - vm1) - (vp2 - vm2)) / (12.0 * h)
-    v0 = v_family(rho, kappa, l, lam, side, TIGHT)
+    v0 = v_family(rho, kappa, l, lam, side)
     w = superpotential(rho, kappa, l)
     residual = dv - sign * 2.0 * w * v0 - sign
     assert abs(residual) / (1.0 + abs(dv) + abs(2.0 * w * v0)) < 1e-6
@@ -86,9 +83,9 @@ def test_defining_first_order_equation(side, sign, rho):
 
 def test_family_on_grid_matches_pointwise():
     grid = np.geomspace(0.3, 3.0, 9)
-    vals = family_on_grid(1.0, 1, -0.4, "bosonic", grid, TIGHT)
+    vals = family_on_grid(1.0, 1, -0.4, "bosonic", grid)
     for r, v in zip(grid, vals):
-        assert v == pytest.approx(v_family(r, 1.0, 1, -0.4, "bosonic", TIGHT),
+        assert v == pytest.approx(v_family(r, 1.0, 1, -0.4, "bosonic"),
                                   rel=1e-11, abs=1e-13)
 
 

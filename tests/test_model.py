@@ -71,6 +71,20 @@ def test_parse_kappa_rejects_nonpositive(bad):
         parse_kappa(bad)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "1/0", "1" + "0" * 400 + "/1",
+                                 math.nan, math.inf, 10 ** 400, Fraction(-(10 ** 400), 3)],
+                         ids=["str-nan", "str-inf", "str-overflow", "zero-denominator",
+                              "huge-ratio", "nan", "inf", "huge-int", "huge-fraction"])
+def test_parse_kappa_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError):
+        parse_kappa(bad)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1.5", "0.3333333333334", "0.7071067811865476", "3"])
+def test_parse_kappa_reads_a_decimal_string_as_its_float(text):
+    assert parse_kappa(text) == parse_kappa(float(text))
+
+
 def test_parse_kappa_rejects_garbage():
     with pytest.raises(TypeError):
         parse_kappa(None)

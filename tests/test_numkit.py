@@ -5,7 +5,6 @@ identities, evaluated independently of the code under test.
 """
 
 import math
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ import pytest
 from dosusy import model, numkit
 from dosusy.exceptions import ConvergenceError, QuadratureError
 from dosusy.numkit import (
-    DEFAULT_PROFILE,
-    ToleranceProfile,
     derivative,
     fornberg_weights,
     gegenbauer_eval,
@@ -247,7 +244,7 @@ class TestDerivative:
             derivative(math.exp, 1.0, order=3)
 
     @staticmethod
-    def _scalar_reference(f, x, order, step=DEFAULT_PROFILE.deriv_step):
+    def _scalar_reference(f, x, order, step=1e-4):
         """The scalar stencil as first written, on Python floats."""
         h = step * max(1.0, abs(x))
         if order == 1:
@@ -377,7 +374,7 @@ class TestNewton2d:
             return np.array([x * x + y * y - 4.0, x * y - 1.0])
 
         x, fx, iters = newton2d(F, np.array([1.8, 0.6]))
-        assert np.max(np.abs(fx)) < DEFAULT_PROFILE.root_tol
+        assert np.max(np.abs(fx)) < 1e-10
         assert iters >= 2
         assert x[0] == pytest.approx(math.sqrt(2.0 + math.sqrt(3.0)), rel=1e-10)
         assert x[1] == pytest.approx(math.sqrt(2.0 - math.sqrt(3.0)), rel=1e-10)
@@ -391,21 +388,3 @@ class TestNewton2d:
         F = lambda z: np.array([z[0] ** 2 + z[1] ** 2 + 1.0, z[0] - z[1]])  # noqa: E731
         with pytest.raises(ConvergenceError):
             newton2d(F, np.array([0.3, 0.1]), max_iter=25)
-
-
-class TestToleranceProfile:
-    def test_defaults(self):
-        assert DEFAULT_PROFILE.quad_tol == 1e-10
-        assert DEFAULT_PROFILE.deriv_step == 1e-4
-        assert DEFAULT_PROFILE.root_tol == 1e-10
-
-    def test_frozen(self):
-        with pytest.raises(FrozenInstanceError):
-            DEFAULT_PROFILE.quad_tol = 1e-8
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-10, float("nan"), float("inf")])
-    def test_validation(self, bad):
-        with pytest.raises(ValueError):
-            ToleranceProfile(quad_tol=bad)
-        with pytest.raises(ValueError):
-            ToleranceProfile(deriv_step=bad)

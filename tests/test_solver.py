@@ -480,6 +480,23 @@ for call in calls:
     assert proc.stdout.split() == ["ValueError"] * 7
 
 
+@pytest.mark.parametrize("trace", [
+    lambda: classical_trajectory("1", 3.0, 0.5, revolutions=1e9),
+    lambda: classical_trajectory("1", 3.0, 0.5, revolutions=100.5),
+    lambda: classical_trajectory("1/101", 3.0, 0.5),   # closure span k2 = 101 revolutions
+    lambda: classical_trajectory("1", 3.0, 0.5, samples=1_000_001),
+    lambda: trajectory_path_on_angles("1", 3.0, 0.5, [1.0, 2.0 * math.pi * 100.5]),
+], ids=["revolutions-1e9", "revolutions-100.5", "closure-span-101", "samples-1000001",
+        "angles-100.5-revolutions"])
+def test_trajectory_caps_are_checked_before_integrating(trace, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit past the cap was integrated")
+
+    monkeypatch.setattr(solver, "solve_ivp", refuse)
+    with pytest.raises(ValueError, match="revolutions|samples"):
+        trace()
+
+
 def test_quadrupled_coupling_preserves_path_and_doubles_speed():
     thetas = np.array([0.3, 1.0, 2.2, 4.0])
     pos1, speed1 = trajectory_path_on_angles("1", 3.0, 0.5, thetas)

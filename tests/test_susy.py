@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dosusy.model import SampledFunction, default_grid, f_factor
-from dosusy.numkit import ToleranceProfile, derivative
+from dosusy.numkit import derivative
 from dosusy.susy import (
     apply_ladder,
     natanzon_f_reconstruction,
@@ -229,9 +229,8 @@ def test_ladder_validation():
 
 @pytest.mark.parametrize("kappa, l", [(1.0, 0), (1.5, 2)])
 def test_reconstruction_matches_f_up_to_constant(kappa, l):
-    tight = ToleranceProfile(quad_tol=1e-12, deriv_step=1e-4, root_tol=1e-10)
     grid = np.geomspace(0.05, 20.0, 30)
-    rec = natanzon_f_reconstruction(grid, kappa, l, profile=tight)
+    rec = natanzon_f_reconstruction(grid, kappa, l)
     ratio = rec / f_factor(grid, kappa, l)
     mid = np.median(ratio)
     assert np.max(np.abs(ratio - mid)) / abs(mid) < 1e-8
