@@ -2,7 +2,7 @@
 one-parameter Riccati solution families, and the numerical machinery that
 verifies every closed form against an independent route.
 
-The public surface groups into five layers:
+The public surface groups into seven layers:
 
 - numkit: special functions and generic numerics (ultraspherical recurrence,
   adaptive quadrature, stencil derivatives, damped 2-D Newton);
@@ -14,7 +14,10 @@ The public surface groups into five layers:
 - family: general solutions of the first-order (Riccati-type) equations on
   both sides, the lambda-parameter families, and the printed-series audit;
 - solver: independent oracles (radial shooting, pocket-threshold search,
-  classical orbit tracing) plus the checks/cli verification front end.
+  classical orbit tracing);
+- checks: the verification suites, each closed form held against an
+  independent route, and the canonical JSON report;
+- cli: the `dosusy` command line over the layers above.
 """
 
 # Each layer's __all__ is its public surface; the package re-exports exactly

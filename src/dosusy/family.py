@@ -26,7 +26,7 @@ verdicts plus measured deviation factors.  It never repairs a formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -195,23 +195,21 @@ _LOG_SPACE_L = 15  # switch combinatorial prefactors to log space above this
 
 
 def _odd_double_factorial(n: int) -> float:
-    """n!! for odd n; exact product for small n, lgamma form above.
+    """n!! for odd n as a direct product.
 
-    Identity used in log space: (2k+1)!! = (2k+1)! / (2^k k!).
+    Its callers pass n = 4l + 1 only for l <= _LOG_SPACE_L, so n <= 61;
+    above that they work with ln(n!!) from _log_dfact.
     """
     if n < 0 or n % 2 == 0:
         raise ValueError(f"expected odd non-negative n, got {n}")
-    k = (n - 1) // 2
-    if k <= 2 * _LOG_SPACE_L:
-        out = 1.0
-        for m in range(n, 1, -2):
-            out *= m
-        return out
-    return math.exp(math.lgamma(n + 1.0) - k * math.log(2.0) - math.lgamma(k + 1.0))
+    out = 1.0
+    for m in range(n, 1, -2):
+        out *= m
+    return out
 
 
 def _log_dfact(n: int) -> float:
-    """ln(n!!) for odd n via the factorial identity."""
+    """ln(n!!) for odd n via the identity (2k+1)!! = (2k+1)! / (2^k k!)."""
     k = (n - 1) // 2
     return math.lgamma(n + 1.0) - k * math.log(2.0) - math.lgamma(k + 1.0)
 
@@ -306,15 +304,7 @@ class SeriesAuditRecord:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "formula_id": self.formula_id,
-            "l": self.l,
-            "kappa": self.kappa,
-            "max_dev": self.max_dev,
-            "ode_residual_max": self.ode_residual_max,
-            "ratio": self.ratio,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _audit_alphas() -> np.ndarray:

@@ -627,6 +627,9 @@ def trajectory_path_on_angles(kappa, w: float, rho0: float, thetas,
     """
     kappa_f, _ = parse_kappa(kappa)
     angles, where = np.unique(np.abs(np.asarray(thetas, dtype=float)), return_inverse=True)
+    if not angles.size or angles[-1] == 0.0:
+        raise ValueError("the angles must reach past 0: an orbit traced over no angle "
+                         f"has no path, got |theta| = {angles.tolist()!r}")
     sol, _s0, _v0 = _integrate_orbit(kappa_f, w, rho0, float(angles[-1]),
                                      direction_deg, t_eval=angles)
     return _path_and_speed(sol.y[:, where.reshape(-1)])

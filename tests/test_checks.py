@@ -11,6 +11,7 @@ from dosusy import solver
 from dosusy.checks import (
     SUITE_NAMES,
     CheckResult,
+    _check,
     _fmt_kappa,
     exit_code,
     report_json,
@@ -59,6 +60,23 @@ def test_informative_results_do_not_gate():
     assert exit_code([ok, bad_info]) == 0
     assert exit_code([ok, bad_gating]) == 1
     assert exit_code([]) == 0
+
+
+def test_every_check_carries_its_suite_and_the_pass_rule():
+    results = run_suites()
+    assert {r.check_id.split(":")[0] for r in results} == set(SUITE_NAMES)
+    for r in results:
+        assert r.params["suite"] == r.check_id.split(":")[0], r.check_id
+        if r.informative:
+            continue
+        expected = r.measured < r.threshold
+        if "required_verdict" in r.params:
+            expected = expected and r.params["verdict"] == r.params["required_verdict"]
+        assert r.passed == expected, r.check_id
+    # the constructor fails a check on either rule
+    assert not _check("demo:over", 2.0, 1.0).passed
+    assert not _check("demo:verdict", 0.0, 1.0, ok=False).passed
+    assert _check("demo:under", 0.0, 1.0, l=3).params == {"suite": "demo", "l": 3}
 
 
 def test_degeneracy_suite_runs_clean():

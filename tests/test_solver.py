@@ -480,6 +480,16 @@ for call in calls:
     assert proc.stdout.split() == ["ValueError"] * 7
 
 
+@pytest.mark.parametrize("thetas", [[], [0.0], [-0.0, 0.0]])
+def test_path_on_angles_rejects_an_empty_span_up_front(thetas, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit over no angle was integrated")
+
+    monkeypatch.setattr(solver, "solve_ivp", refuse)
+    with pytest.raises(ValueError, match="no angle"):
+        trajectory_path_on_angles("1", 3.0, 0.5, thetas)
+
+
 @pytest.mark.parametrize("trace", [
     lambda: classical_trajectory("1", 3.0, 0.5, revolutions=1e9),
     lambda: classical_trajectory("1", 3.0, 0.5, revolutions=100.5),
