@@ -5,7 +5,8 @@ verifies every closed form against an independent route.
 The public surface groups into seven layers:
 
 - numkit: special functions and generic numerics (ultraspherical recurrence,
-  adaptive quadrature, stencil derivatives, damped 2-D Newton);
+  adaptive quadrature, stencil derivatives, damped 2-D Newton, bracketed root
+  search, the DOP853 integrator with dense output);
 - model: the potential family, coupling quantization, analytic bound-family
   wavefunctions, and quantum-number bookkeeping;
 - susy: superpotential, both partner potentials with analytic derivatives,

@@ -30,9 +30,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import SingularPointError
+from .exceptions import ConvergenceError, SingularPointError
 from .model import _check_grid, _check_rho, f_factor
-from .numkit import integrate_adaptive
+from .numkit import bracketed_root, integrate_adaptive
 from .susy import superpotential
 
 __all__ = [
@@ -148,29 +148,29 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
 def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
     """Zeros of V_lambda inside the grid span (singular loci of W_lambda).
 
-    V_lambda changes sign exactly where lambda + Int_1^rho does.  Each sign
-    change of that term between grid nodes is refined by ``brentq`` to 1e-12;
-    a probe integrates only from the bracket's left node and adds the node's
-    prefix integral.  Zeros are a legitimate feature of family members — they
+    V_lambda changes sign exactly where lambda + Int_1^rho does.  Every sign
+    change of that term between grid nodes is refined in one bracketed root
+    search (``numkit.bracketed_root``, to 1e-14 + 4 eps rho); each probe sweep
+    is one quadrature call from the brackets' left nodes, plus the nodes'
+    prefix integrals.  Zeros are a legitimate feature of family members — they
     are returned, not raised.
-    """
-    from scipy.optimize import brentq
 
+    Raises
+    ------
+    ConvergenceError
+        If the search fails on a bracket.
+    """
     _check_member(lam, side)
     grid = _check_grid(grid)
     integrand = _integrand(kappa, l, side)
     g = lam + _prefix_integral(integrand, grid, 1.0)
-    zeros: list[float] = []
-    for i in range(len(grid) - 1):
-        if g[i] == 0.0:
-            zeros.append(float(grid[i]))
-        elif g[i] * g[i + 1] < 0.0:
-            a, ga = float(grid[i]), float(g[i])
-            zeros.append(brentq(lambda r: ga + integrate_adaptive(integrand, a, r),
-                                a, float(grid[i + 1]), xtol=1e-12, rtol=1e-12))
-    if len(g) and g[-1] == 0.0:
-        zeros.append(float(grid[-1]))
-    return zeros
+    i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+    res = bracketed_root(lambda r, a, ga: ga + integrate_adaptive(integrand, a, r),
+                         grid[i], grid[i + 1], args=(grid[i], g[i]))
+    if np.any(res.status != 0):
+        raise ConvergenceError(f"zero search of V_lambda failed near rho = "
+                               f"{grid[i][res.status != 0].tolist()}")
+    return np.sort(np.concatenate([grid[g == 0.0], res.x])).tolist()
 
 
 # =====================================================================

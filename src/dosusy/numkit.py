@@ -1,5 +1,6 @@
 """Numerical kernel: ultraspherical polynomials, adaptive quadrature,
-finite differences, and a damped two-dimensional Newton iteration.
+finite differences, a damped two-dimensional Newton iteration, a bracketed
+root search and an embedded Runge-Kutta integrator with dense output.
 
 Everything in here is generic plumbing used by the physics modules; nothing
 knows about potentials.  The quadrature is a nested Gauss(7)/Kronrod(15)
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,6 +27,8 @@ __all__ = [
     "fornberg_weights",
     "grid_derivative",
     "newton2d",
+    "bracketed_root",
+    "dop853",
 ]
 
 
@@ -370,3 +374,216 @@ def newton2d(F, x0, max_iter: int = 60) -> tuple[np.ndarray, np.ndarray, int]:
     raise ConvergenceError(
         f"Newton failed to converge in {max_iter} iterations "
         f"(|F| = {float(np.max(np.abs(fx))):.3e})")
+
+
+# =====================================================================
+# Bracketed root search
+# =====================================================================
+
+_ROOT_XATOL, _ROOT_XRTOL, _ROOT_MAX_ITER = 1e-14, 4.0 * np.finfo(float).eps, 100
+
+
+def bracketed_root(f, lo, hi, args=()):
+    """Roots of the elementwise f(x, *args) on the brackets (lo, hi).
+
+    Chandrupatla's hybrid (Adv. Eng. Softw. 28 (1997) 145): inverse
+    quadratic interpolation through the last three points where that is
+    safe, bisection elsewhere, each new point at least half the tolerance
+    inside the bracket.  One rule serves every caller: stop once the bracket
+    is narrower than 1e-14 + 4 eps |x| or f is exactly zero, and give up
+    after 100 iterations.
+
+    ``lo``, ``hi`` and each array in ``args`` hold one entry per element.
+    ``f`` is called once per bracket end, then once per iteration on the
+    elements still searching; each element iterates on its own, so its
+    result is the same, bit for bit, whichever elements share the call.
+    Returns, per element: ``x`` (the bracket end with the smaller |f|),
+    ``f_x``, ``nfev``, ``f_lo`` and ``f_hi`` (f at lo and hi) and
+    ``status``: 0 converged, -1 no sign change, -2 iteration cap reached,
+    -3 f not finite.
+    """
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    args, n = [np.asarray(a) for a in args], x1.size
+    f1, f2 = (np.asarray(f(x, *args), dtype=float) for x in (x1, x2))
+    out = SimpleNamespace(x=np.full(n, np.nan), f_x=np.full(n, np.nan), f_lo=f1, f_hi=f2,
+                          nfev=np.zeros(n, dtype=int), status=np.zeros(n, dtype=int))
+    idx, x3, f3 = np.arange(n), x2, f2   # (x3, f3): the point the last step dropped
+    for it in range(_ROOT_MAX_ITER + 1):
+        small = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(small, x1, x2), np.where(small, f1, f2)
+        dx, tol = np.abs(x2 - x1), np.abs(xm) * _ROOT_XRTOL + _ROOT_XATOL
+        bad, zero = ~(np.isfinite(f1) & np.isfinite(f2)), fm == 0.0
+        same, narrow = np.sign(f1) == np.sign(f2), dx < tol
+        done = bad | zero | same | narrow | (it == _ROOT_MAX_ITER)
+        if done.any():
+            code = np.where(bad, -3, np.where(zero, 0, np.where(same, -1, np.where(narrow, 0, -2))))
+            k = idx[done]
+            out.x[k], out.f_x[k], out.status[k], out.nfev[k] = xm[done], fm[done], code[done], it + 2
+            idx, x1, f1, x2, f2, x3, f3, dx, tol = (
+                v[~done] for v in (idx, x1, f1, x2, f2, x3, f3, dx, tol))
+        if not idx.size:
+            return out
+        t = 0.5
+        if it:
+            d12, d32 = f1 - f2, f3 - f2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
+                alpha = (x3 - x1) / (x2 - x1)
+                t = np.where((1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi)),
+                             f1 / d12 * f3 / d32 - alpha * f1 / (f3 - f1) * f2 / -d32, 0.5)
+            t = np.minimum(np.maximum(t, 0.5 * tol / dx), 1 - 0.5 * tol / dx)
+        x = x1 + t * (x2 - x1)
+        fx = np.asarray(f(x, *(a[idx] for a in args)), dtype=float)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+
+
+# =====================================================================
+# Embedded Runge-Kutta 8(5,3) with dense output (DOP853)
+# =====================================================================
+#
+# The Prince-Dormand tableau of the DOP853 code of Hairer, Norsett & Wanner
+# (Solving Ordinary Differential Equations I, 2nd ed., 1993, II.10): nodes
+# C; the strictly lower triangle of A, row by row, where rows 1-11 are the
+# stages, row 12 the 8th-order weights (its stage at t + h starts the next
+# step) and rows 13-15 the extra stages of the dense output; the 5th- and
+# 3rd-order error weights E; and the dense-output matrix D.
+
+def _table(text: str, shape) -> np.ndarray:
+    return np.array(text.split(), dtype=float).reshape(shape)
+
+
+_DOP_C = _table("""
+    0 0.05260015195876773 0.0789002279381516 0.1183503419072274 0.2816496580927726
+    0.3333333333333333 0.25 0.3076923076923077 0.6512820512820513 0.6 0.8571428571428571 1.0
+    1.0 0.1 0.2 0.7777777777777778""", 16)
+_DOP_A = np.zeros((16, 16))
+_DOP_A[np.tril_indices(16, -1)] = _table("""
+    0.05260015195876773 0.0197250569845379 0.0591751709536137 0.02958758547680685 0
+    0.08876275643042054 0.2413651341592667 0 -0.8845494793282861 0.924834003261792
+    0.037037037037037035 0 0 0.17082860872947386 0.12546768756682242 0.037109375 0 0
+    0.17025221101954405 0.06021653898045596 -0.017578125 0.03709200011850479 0 0
+    0.17038392571223998 0.10726203044637328 -0.015319437748624402 0.008273789163814023
+    0.6241109587160757 0 0 -3.3608926294469414 -0.868219346841726 27.59209969944671
+    20.154067550477894 -43.48988418106996 0.47766253643826434 0 0 -2.4881146199716677
+    -0.590290826836843 21.230051448181193 15.279233632882423 -33.28821096898486
+    -0.020331201708508627 -0.9371424300859873 0 0 5.186372428844064 1.0914373489967295
+    -8.149787010746927 -18.52006565999696 22.739487099350505 2.4936055526796523
+    -3.0467644718982196 2.273310147516538 0 0 -10.53449546673725 -2.0008720582248625
+    -17.9589318631188 27.94888452941996 -2.8589982771350235 -8.87285693353063
+    12.360567175794303 0.6433927460157636 0.054293734116568765 0 0 0 0 4.450312892752409
+    1.8915178993145003 -5.801203960010585 0.3111643669578199 -0.1521609496625161
+    0.20136540080403034 0.04471061572777259 0.056167502283047954 0 0 0 0 0 0.25350021021662483
+    -0.2462390374708025 -0.12419142326381637 0.15329179827876568 0.00820105229563469
+    0.007567897660545699 -0.008298 0.03183464816350214 0 0 0 0 0.028300909672366776
+    0.053541988307438566 -0.05492374857139099 0 0 -0.00010834732869724932 0.0003825710908356584
+    -0.00034046500868740456 0.1413124436746325 -0.42889630158379194 0 0 0 0 -4.697621415361164
+    7.683421196062599 4.06898981839711 0.3567271874552811 0 0 0 -0.0013990241651590145
+    2.9475147891527724 -9.15095847217987""", 120)
+_DOP_E = _table("""
+    0.01312004499419488 0 0 0 0 -1.2251564463762044 -0.4957589496572502 1.6643771824549864
+    -0.35032884874997366 0.3341791187130175 0.08192320648511571 -0.022355307863886294 0
+    -0.18980075407240762 0 0 0 0 4.450312892752409 1.8915178993145003 -5.801203960010585
+    -0.4226823213237919 -0.1521609496625161 0.20136540080403034 0.02265179219836082 0""", (2, 13))
+_DOP_D = _table("""
+    -8.428938276109013 0 0 0 0 0.5667149535193777 -3.0689499459498917 2.38466765651207
+    2.117034582445028 -0.871391583777973 2.2404374302607883 0.6315787787694688
+    -0.08899033645133331 18.148505520854727 -9.194632392478356 -4.436036387594894
+    10.427508642579134 0 0 0 0 242.28349177525817 165.20045171727028 -374.5467547226902
+    -22.113666853125306 7.733432668472264 -30.674084731089398 -9.332130526430229
+    15.697238121770845 -31.139403219565178 -9.35292435884448 35.81684148639408
+    19.985053242002433 0 0 0 0 -387.0373087493518 -189.17813819516758 527.8081592054236
+    -11.57390253995963 6.8812326946963 -1.0006050966910838 0.7777137798053443
+    -2.778205752353508 -60.19669523126412 84.32040550667716 11.99229113618279
+    -25.69393346270375 0 0 0 0 -154.18974869023643 -231.5293791760455 357.6391179106141
+    93.40532418362432 -37.45832313645163 104.0996495089623 29.8402934266605 -43.53345659001114
+    96.32455395918828 -39.17726167561544 -149.72683625798564""", (4, 16))
+
+
+def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.inf,
+           check=None):
+    """Integrate y' = fun(t, y) forward over t_span = (t0, t1) by DOP853.
+
+    Hairer's error norm mixes the 5th- and 3rd-order estimates, scaled by
+    atol + rtol max(|y_old|, |y_new|); a step passes when it is below 1, and
+    the next step is 0.9 norm^(-1/8) times the last, the factor kept in
+    [0.2, 10] (at most 1 after a rejection) and the step at most
+    ``max_step``.  The first step follows Hairer's initial-step rule.
+    ``check(t, y)`` runs on each accepted step and may raise to stop.
+
+    Returns the step ends ``t``, the states ``y`` there as columns, the
+    right-hand-side call count ``nfev`` and ``sol``, the dense output at a
+    time or an array of times in the span: shape (n,) or (n, len(times)),
+    and exactly the step's state at a step end.
+
+    Raises
+    ------
+    ConvergenceError
+        If a step shrinks below ten float spacings at its t.
+    """
+    t, t_end = float(t_span[0]), float(t_span[1])
+    if not -math.inf < t < t_end < math.inf:
+        raise ValueError(f"the span must be finite and run forward, got {t_span!r}")
+    y = np.array(y0, dtype=float)
+    n = y.size
+    f = np.asarray(fun(t, y), dtype=float)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = np.linalg.norm(y / scale) / n ** 0.5, np.linalg.norm(f / scale) / n ** 0.5
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = np.linalg.norm((np.asarray(fun(t + h0, y + h0 * f)) - f) / scale) / n ** 0.5 / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, t_end - t, max_step)
+
+    K = np.empty((16, n))   # stages; row 12 is f at the step's end
+    stages = [(s, K[:s].T, _DOP_A[s, :s], _DOP_C[s]) for s in range(1, 16) if s != 12]
+    ts, ys, dense, attempts = [t], [y], [], 0
+    while t < t_end:
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        h_abs, rejected = min(max(h_abs, min_step), max_step), False
+        while True:
+            if not h_abs >= min_step:   # NaN included
+                raise ConvergenceError(f"step size {h_abs:.3g} fell below ten float "
+                                       f"spacings at t = {t!r}")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s, KT, a, c in stages[:11]:
+                K[s] = fun(t + c * h, y + KT.dot(a) * h)
+            y_new = y + h * K[:12].T.dot(_DOP_A[12, :12])
+            K[12] = f_new = np.asarray(fun(t + h, y_new), dtype=float)
+            attempts += 1
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            # rounded as norm(v) ** 2, root then square: the orbit steps, and so the
+            # verify report's closure values, depend on these bits
+            e5, e3 = (math.sqrt(v.dot(v)) ** 2 for v in (K[:13].T.dot(e) / scale for e in _DOP_E))
+            err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        if check is not None:
+            check(t_new, y_new)
+        for s, KT, a, c in stages[11:]:
+            K[s] = fun(t + c * h, y + KT.dot(a) * h)
+        dy = y_new - y
+        dense.append(np.array([dy, h * f - dy, 2 * dy - h * (f_new + f), *(h * _DOP_D.dot(K))]))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    T, Y, F = np.array(ts), np.array(ys), np.array(dense)
+
+    def sol(times):
+        x = np.asarray(times, dtype=float)
+        i = np.clip(np.searchsorted(T, x, side="right") - 1, 0, len(F) - 1)
+        u = ((x - T[i]) / (T[i + 1] - T[i]))[..., None]
+        out = np.zeros(x.shape + (n,))
+        for k in range(6, -1, -1):   # Horner in u and 1 - u alternately
+            out += F[i, k]
+            out *= u if k % 2 == 0 else 1 - u
+        return np.moveaxis(np.where((x == T[-1])[..., None], Y[-1], out + Y[i]), -1, 0)
+
+    return SimpleNamespace(t=T, y=Y.T, nfev=2 + 12 * attempts + 3 * len(F), sol=sol)

@@ -11,7 +11,6 @@ trajectory tracer confirms orbit closure for rational shape exponents.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +20,8 @@ from .exceptions import BracketError, ConvergenceError, GeometryError
 from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
                     coupling_quantized, default_grid, parse_kappa, potential,
                     state_quantum_numbers)
-from .numkit import newton2d
+from .numkit import bracketed_root, newton2d
+from .numkit import dop853 as solve_ivp  # the orbit integrator; tracers and tests swap this name
 from .susy import partner_plus_d2r, partner_plus_dr
 
 __all__ = [
@@ -37,16 +37,6 @@ __all__ = [
     "classical_trajectory",
     "trajectory_path_on_angles",
 ]
-
-
-def __getattr__(name: str):
-    # scipy.integrate loads on the first read of ``solve_ivp`` (PEP 562), which
-    # then binds it here, where tracers and tests swap it
-    if name != "solve_ivp":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import solve_ivp
-    globals()[name] = solve_ivp
-    return solve_ivp
 
 
 _OVERFLOW_LIMIT = 1e250
@@ -246,7 +236,7 @@ def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
     brackets exactly one eigencoupling.  Only the outward leg is propagated;
     the potential is even in ln rho, so the inward leg is its mirror image.
     Every state's defect is a vector element of one bracketed root search
-    (scipy's elementwise Chandrupatla), so a row is the same, bit for bit,
+    (``numkit.bracketed_root``), so a row is the same, bit for bit,
     whichever other states share the call.  ``brackets`` gives one
     (lo, hi) or None per state; None is +-30% around the closed-form
     ladder value, cut at (2 kappa (N + a - 1))^2 and (2 kappa (N + a))^2,
@@ -260,7 +250,8 @@ def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
         If the defect does not change sign over a state's bracket; the
         message names the state.
     ConvergenceError
-        If the root search stops without converging for a state.
+        If a state's defect is not finite, or its root search stops without
+        converging; the message names the state.
     """
     states = list(states)
     rows = []
@@ -277,17 +268,18 @@ def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
             raise ValueError(f"invalid bracket {bracket}")
         rows.append((kappa_f, l, lo, hi))
     kappas, ls, los, his = (np.array(col, dtype=float) for col in zip(*rows))
-    from scipy.optimize.elementwise import find_root
-    res = find_root(_match_defect, (los, his), args=(kappas, ls + 0.5),
-                    tolerances={"xatol": 1e-14})
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite defect is raised below
+        res = bracketed_root(_match_defect, los, his, args=(kappas, ls + 0.5))
     for i in np.flatnonzero(res.status != 0):
         (N, _, l), (kappa_f, _, lo, hi) = states[i], rows[i]
         name = f"N={N}, kappa={kappa_f}, l={l}"
         if res.status[i] == -1:
             raise BracketError(
                 f"defect has no sign change on bracket ({lo:.6g}, {hi:.6g}) for {name}: "
-                f"d(lo)={res.f_bracket[0][i]:.3e}, d(hi)={res.f_bracket[1][i]:.3e}")
-        raise ConvergenceError(f"root search stopped with status {res.status[i]} for {name}")
+                f"d(lo)={res.f_lo[i]:.3e}, d(hi)={res.f_hi[i]:.3e}")
+        problem = ("the matching defect is not finite" if res.status[i] == -3 else
+                   f"the root search did not converge in {res.nfev[i]} defect evaluations")
+        raise ConvergenceError(f"{problem} on bracket ({lo:.6g}, {hi:.6g}) for {name}")
 
     grid = np.array(default_grid() if grid is None else grid, dtype=float)  # u reads it later
     return [ShootingResult(w_star=float(res.x[i]), match_defect=float(res.f_x[i]),
@@ -448,7 +440,7 @@ class Trajectory:
     energy_drift: float
     rhs_evaluations: int
     samples: int = field(repr=False, compare=False)
-    orbit: object = field(repr=False, compare=False)   # solve_ivp result over |theta|
+    orbit: object = field(repr=False, compare=False)   # numkit.dop853 result over |theta|
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -492,7 +484,7 @@ def _angle_rhs(kappa: float, w: float, inv_l: float):
     lo, hi, gain = 1.0 - kappa, 1.0 + kappa, 2.0 * w * inv_l
 
     def rhs(theta, s):
-        x, y, vx, vy, _t = s
+        x, y, vx, vy, _t = s.tolist()   # Python floats: faster than numpy scalars
         r2 = x * x + y * y
         dt = r2 * inv_l
         p = r2 ** kappa
@@ -502,8 +494,8 @@ def _angle_rhs(kappa: float, w: float, inv_l: float):
 
 
 def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
-                     direction_deg: float, t_eval=None):
-    """DOP853 from |theta| = 0 to ``angle``, dense unless ``t_eval`` is given."""
+                     direction_deg: float):
+    """DOP853 from |theta| = 0 to ``angle``, with dense output."""
     _check_rho(rho0, "rho0")
     # a non-finite angle never ends the integration; inf % 360 is NaN
     if not angle <= 2.0 * math.pi * _MAX_REVOLUTIONS:
@@ -527,25 +519,17 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
     state0 = [rho0, 0.0, v0 * math.cos(phi), math.copysign(v0 * math.sin(phi), 180.0 - d), 0.0]
     inv_l = 1.0 / abs(rho0 * state0[3])
 
-    events = (lambda th, s, *_: math.hypot(s[0], s[1]) - 1e-6,   # reached the origin
-              lambda th, s, *_: math.hypot(s[0], s[1]) - 1e3)    # escaped
-    for event in events:
-        event.terminal = True  # type: ignore[attr-defined]
-    solve_ivp = sys.modules[__name__].solve_ivp  # per call: a wrapper bound in its place runs
-    sol = solve_ivp(_angle_rhs(kappa, w, inv_l), (0.0, angle), state0,
-                    method="DOP853", rtol=_RTOL, atol=1e-14, max_step=_MAX_ANGLE_STEP,
-                    events=events, t_eval=t_eval, dense_output=t_eval is None)
-    if len(sol.t_events[0]):
-        raise GeometryError(
-            f"orbit reached the origin at t = {sol.y_events[0][0][4]:.6g}",
-            kind="origin", rho=1e-6)
-    if len(sol.t_events[1]):
-        raise GeometryError(
-            f"orbit escaped beyond rho = 1e3 at t = {sol.y_events[1][0][4]:.6g}",
-            kind="escape", rho=1e3)
-    if sol.status != 0:
-        raise ConvergenceError(f"orbit failed to accumulate the requested angle: "
-                               f"{sol.message}")
+    def guard(theta, s):   # on each accepted step
+        r = math.hypot(s[0], s[1])
+        if r < 1e-6:
+            raise GeometryError(f"orbit reached the origin at t = {s[4]:.6g}",
+                                kind="origin", rho=1e-6)
+        if r > 1e3:
+            raise GeometryError(f"orbit escaped beyond rho = 1e3 at t = {s[4]:.6g}",
+                                kind="escape", rho=1e3)
+
+    sol = solve_ivp(_angle_rhs(kappa, w, inv_l), (0.0, angle), state0, rtol=_RTOL,
+                    atol=1e-14, max_step=_MAX_ANGLE_STEP, check=guard)
     return sol, np.array(state0), v0
 
 
@@ -626,13 +610,12 @@ def trajectory_path_on_angles(kappa, w: float, rho0: float, thetas,
     reach at most 100 revolutions.
     """
     kappa_f, _ = parse_kappa(kappa)
-    angles, where = np.unique(np.abs(np.asarray(thetas, dtype=float)), return_inverse=True)
-    if not angles.size or angles[-1] == 0.0:
+    angles = np.abs(np.asarray(thetas, dtype=float)).reshape(-1)
+    if not angles.size or angles.max() == 0.0:
         raise ValueError("the angles must reach past 0: an orbit traced over no angle "
-                         f"has no path, got |theta| = {angles.tolist()!r}")
-    sol, _s0, _v0 = _integrate_orbit(kappa_f, w, rho0, float(angles[-1]),
-                                     direction_deg, t_eval=angles)
-    return _path_and_speed(sol.y[:, where.reshape(-1)])
+                         f"has no path, got |theta| = {np.unique(angles).tolist()!r}")
+    sol, _s0, _v0 = _integrate_orbit(kappa_f, w, rho0, float(angles.max()), direction_deg)
+    return _path_and_speed(sol.sol(angles))
 
 
 def _path_and_speed(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ def test_quantize_cross_checks_by_shooting(capsys):
     assert lines[0] == "3.0"
     assert "shooting cross-check: w_star = " in lines[1]
     assert lines[1].endswith("[ok]")
+
+
+def test_quantize_with_a_non_finite_defect_fails_quietly(capsys):
+    # At N = 10^6 the Magnus cells overflow; the search stops on the first
+    # non-finite defect, and no numpy warning reaches stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", "1000000")
+    assert rc == 1
+    assert out == "3999999999999.0\n"
+    assert len(err.splitlines()) == 1
+    assert err.startswith("dosusy: failure:")
+    assert "not finite" in err and "N=1000000" in err
 
 
 def test_partners_point_report(capsys):

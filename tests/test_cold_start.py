@@ -1,4 +1,5 @@
-"""Cold start: scipy loads on first use, not with the package.
+"""Cold start: the package and every subcommand run on numpy alone, with no
+scipy module loaded.
 
 Each test runs a fresh interpreter, since an import made by any other test
 would already sit in this process's ``sys.modules``.
@@ -66,24 +67,25 @@ print(json.dumps({"passed": all(r.passed for r in results), "count": len(results
     assert out == {"passed": True, "count": 5, "cli": False}
 
 
-def test_solve_ivp_binds_into_solver_on_first_read(tmp_path):
+def test_shooting_tracing_and_verify_commands_load_no_scipy(tmp_path):
     out = run_fresh("""
-from dosusy import solver
-before = "solve_ivp" in vars(solver)
-f = getattr(solver, "solve_ivp")
-from scipy.integrate import solve_ivp
-try:
-    solver.no_such_name
-    unknown = "resolved"
-except AttributeError:
-    unknown = "AttributeError"
-print(json.dumps({"before": before, "bound": vars(solver).get("solve_ivp") is f,
-                  "is_scipy": f is solve_ivp, "unknown": unknown}))
+import contextlib, io
+from dosusy import cli
+codes = []
+for argv in (["quantize", "--kappa", "1", "--N", "2"],
+             ["trace", "--kappa", "1/2", "--w", "2", "--rho", "0.5"],
+             ["verify", "--suite", "closure"],
+             ["verify", "--suite", "eigenvalue"],
+             ["verify", "--suite", "family"],
+             ["family", "--kappa", "1", "--lambda", "-0.5", "--out", "curves"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "scipy": scipy_modules()}))
 """, tmp_path)
-    assert out == {"before": False, "bound": True, "is_scipy": True,
-                   "unknown": "AttributeError"}
+    assert out == {"codes": [0] * 6, "scipy": []}
 
 
+# first calls into the root search (shooting, v_zeros) and the orbit integrator
 FIRST_SCIPY_USERS = {
     "shoot_coupling": ("from dosusy.solver import shoot_coupling",
                        "shoot_coupling(2, '1', 0).w_star",
@@ -107,5 +109,5 @@ value = float({call})
 print(json.dumps({{"before": before, "value": value, "after": len(scipy_modules())}}))
 """, tmp_path)
     assert out["before"] == []
-    assert out["after"] > 0
+    assert out["after"] == 0
     assert out["value"] == expected

@@ -1,4 +1,5 @@
-"""Numerical kernel tests: polynomial recurrence, quadrature, stencils, Newton.
+"""Numerical kernel tests: polynomial recurrence, quadrature, stencils, Newton,
+bracketed root search and the DOP853 integrator.
 
 Expected values come from closed-form antiderivatives and textbook polynomial
 identities, evaluated independently of the code under test.
@@ -12,7 +13,9 @@ import pytest
 from dosusy import model, numkit
 from dosusy.exceptions import ConvergenceError, QuadratureError
 from dosusy.numkit import (
+    bracketed_root,
     derivative,
+    dop853,
     fornberg_weights,
     gegenbauer_eval,
     grid_derivative,
@@ -388,3 +391,126 @@ class TestNewton2d:
         F = lambda z: np.array([z[0] ** 2 + z[1] ** 2 + 1.0, z[0] - z[1]])  # noqa: E731
         with pytest.raises(ConvergenceError):
             newton2d(F, np.array([0.3, 0.1]), max_iter=25)
+
+
+# ----------------------------------------------------------------------
+# bracketed root search
+# ----------------------------------------------------------------------
+
+def _root_tol(x):
+    return 1e-14 + 4.0 * np.finfo(float).eps * abs(x)
+
+
+class TestBracketedRoot:
+    def test_known_roots_to_the_tolerance(self):
+        # x^2 = a on (0, a + 1) and cos x = x near 0.739
+        a = np.array([0.5, 2.0, 9.0, 1e4])
+        res = bracketed_root(lambda x, a: x * x - a, np.zeros(4), a + 1.0, args=(a,))
+        assert res.status.tolist() == [0, 0, 0, 0]
+        for x, root in zip(res.x, np.sqrt(a)):
+            assert abs(x - root) <= _root_tol(root)
+        np.testing.assert_array_equal(res.f_x, res.x * res.x - a)
+        dottie = 0.7390851332151607
+        res = bracketed_root(lambda x: np.cos(x) - x, [0.0], [1.0])
+        assert abs(res.x[0] - dottie) <= _root_tol(dottie)
+        assert 2 < res.nfev[0] < 20
+
+    def test_rows_alone_and_in_a_batch_are_bit_identical(self):
+        c = np.array([3.0, 4.0, 5.0, -1.0, 0.25])
+        f = lambda x, c: x ** 3 - 2.0 * x - c  # noqa: E731
+        lo, hi = np.full(5, -3.0), np.full(5, 3.0)
+        batch = bracketed_root(f, lo, hi, args=(c,))
+        for i in range(5):
+            one = bracketed_root(f, lo[i:i + 1], hi[i:i + 1], args=(c[i:i + 1],))
+            for key in ("x", "f_x", "nfev", "f_lo", "f_hi", "status"):
+                np.testing.assert_array_equal(getattr(one, key), getattr(batch, key)[i:i + 1])
+
+    def test_reports_a_bracket_without_sign_change(self):
+        res = bracketed_root(lambda x: x * x + 1.0, [-1.0, 0.0], [2.0, 3.0])
+        assert res.status.tolist() == [-1, -1]
+        assert res.f_lo.tolist() == [2.0, 1.0]
+        assert res.f_hi.tolist() == [5.0, 10.0]
+        assert res.nfev.tolist() == [2, 2]
+
+    def test_reports_a_non_finite_value_and_keeps_the_other_rows(self):
+        f = lambda x: np.where(x > 10.0, np.nan, np.where(x > 5.0, np.inf, x - 1.0))  # noqa: E731
+        res = bracketed_root(f, [0.0, 0.0, 0.0], [3.0, 20.0, 7.0])
+        assert res.status.tolist() == [0, -3, -3]
+        assert abs(res.x[0] - 1.0) <= _root_tol(1.0)
+
+    def test_no_brackets_give_empty_results(self):
+        res = bracketed_root(lambda x: x, np.zeros(0), np.zeros(0))
+        assert res.x.shape == res.status.shape == (0,)
+
+    def test_an_exact_zero_stops_the_search(self):
+        res = bracketed_root(lambda x: x - 0.5, [0.0], [1.0])
+        assert res.status[0] == 0 and res.x[0] == 0.5 and res.f_x[0] == 0.0
+        assert res.nfev[0] == 3
+
+
+# ----------------------------------------------------------------------
+# DOP853
+# ----------------------------------------------------------------------
+
+def _oscillator():
+    # y'' = -y from (1, 0): y = cos t, y' = -sin t, over ten periods
+    return dop853(lambda t, y: [y[1], -y[0]], (0.0, 20.0 * math.pi), [1.0, 0.0],
+                  rtol=1e-12, atol=1e-14)
+
+
+class TestDop853:
+    def test_oscillator_over_ten_periods(self):
+        sol = _oscillator()
+        assert sol.t[0] == 0.0 and sol.t[-1] == 20.0 * math.pi
+        assert np.max(np.abs(sol.y[0] - np.cos(sol.t))) < 1e-10
+        assert np.max(np.abs(sol.y[1] + np.sin(sol.t))) < 1e-10
+        t = np.linspace(0.0, 20.0 * math.pi, 2001)
+        y = sol.sol(t)
+        assert y.shape == (2, 2001)
+        assert np.max(np.abs(y[0] - np.cos(t))) < 1e-10
+        assert np.max(np.abs(y[1] + np.sin(t))) < 1e-10
+        assert sol.nfev == 2 + 12 * (len(sol.t) - 1) + 3 * (len(sol.t) - 1)  # no rejection
+
+    def test_dense_output_at_step_ends_is_the_step_state(self):
+        sol = _oscillator()
+        np.testing.assert_array_equal(sol.sol(sol.t), sol.y)
+        for k in (0, 1, len(sol.t) // 2, len(sol.t) - 1):
+            np.testing.assert_array_equal(sol.sol(sol.t[k]), sol.y[:, k])
+
+    def test_coefficients_match_scipy_table(self):
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        for ours, theirs in ((numkit._DOP_C, coeffs.C), (numkit._DOP_A, coeffs.A),
+                             (numkit._DOP_E, np.stack([coeffs.E5, coeffs.E3])),
+                             (numkit._DOP_D, coeffs.D)):
+            assert ours.shape == theirs.shape
+            np.testing.assert_allclose(ours, theirs, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(numkit._DOP_A[12, :12], coeffs.B, rtol=1e-15, atol=0.0)
+
+    def test_check_runs_on_each_accepted_step_and_can_stop_it(self):
+        seen = []
+        dop853(lambda t, y: [1.0], (0.0, 1.0), [0.0], rtol=1e-8, atol=1e-10,
+               max_step=0.1, check=lambda t, y: seen.append(t))
+        assert len(seen) >= 10 and seen[-1] == 1.0
+
+        class Stop(Exception):
+            pass
+
+        def stop(t, y):
+            if y[0] > 0.5:
+                raise Stop(t)
+        with pytest.raises(Stop):
+            dop853(lambda t, y: [1.0], (0.0, 1.0), [0.0], rtol=1e-8, atol=1e-10,
+                   max_step=0.1, check=stop)
+
+    def test_a_blow_up_stops_with_a_convergence_error(self):
+        # y' = y^2 from y(0) = 1 is 1/(1 - t): the steps shrink toward t = 1
+        with pytest.raises(ConvergenceError, match="float spacings"):
+            dop853(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-10)
+        for rhs, y0 in ((lambda t, y: [math.nan], 0.0), (lambda t, y: [1.0], math.nan)):
+            with pytest.raises(ConvergenceError, match="float spacings"):   # a NaN step too
+                dop853(rhs, (0.0, 1.0), [y0], rtol=1e-8, atol=1e-10)
+
+    def test_span_must_run_forward(self):
+        for span in ((1.0, 1.0), (1.0, 0.0), (0.0, math.nan), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="forward"):
+                dop853(lambda t, y: [1.0], span, [0.0], rtol=1e-8, atol=1e-10)

@@ -374,6 +374,16 @@ def test_radial_plunge_hits_origin():
     assert info.value.kind == "origin"
 
 
+def test_near_radial_plunge_stops_at_the_origin_guard():
+    # A launch 0.001 deg off the plunge dives to r ~ 1e-10; the step-end check
+    # on r < 1e-6 stops it on the way in, with the physical time of that step.
+    with pytest.raises(GeometryError) as info:
+        classical_trajectory("1/2", 2.0, 0.5, direction_deg=179.999)
+    assert info.value.kind == "origin"
+    t = float(str(info.value).rpartition("t = ")[2])
+    assert t == pytest.approx(0.1532, rel=1e-3)
+
+
 @pytest.mark.parametrize("direction", [0.0, 360.0, -720.0])
 def test_outward_radial_launch_is_rejected_up_front(direction, monkeypatch):
     def refuse(*args, **kwargs):
