@@ -461,21 +461,27 @@ def suite_degeneracy() -> list[CheckResult]:
 # CSV emission (locale-independent, '#'-commented headers)
 # ----------------------------------------------------------------------
 
-def _csv_column(c):
-    if np.ndim(c) == 0:  # a constant column, formatted once
-        return itertools.repeat(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c))
-    return map(repr, np.asarray(c).tolist())
-
-
 def _curve_csv(title: str, column_doc: str, param_doc: str,
                header: str, blocks) -> str:
-    """Each block is a tuple of columns, at least one of them an array."""
+    """Each block is a tuple of columns, at least one of them an array; an
+    array shared by several blocks (the same object) is formatted once."""
+    blocks = list(blocks)   # every column lives through the call, so its id is its own
+    formatted = {}
+
+    def column(c):
+        if np.ndim(c) == 0:  # a constant column, formatted once
+            return itertools.repeat(
+                repr(float(c)) if isinstance(c, (float, np.floating)) else str(c))
+        if id(c) not in formatted:
+            formatted[id(c)] = list(map(repr, np.asarray(c).tolist()))
+        return formatted[id(c)]
+
     lines = [f"# {title}", f"# columns: {column_doc}"]
     if param_doc:
         lines.append(f"# parameters: {param_doc}")
     lines.append(header)
     for columns in blocks:
-        lines.extend(map(",".join, zip(*map(_csv_column, columns))))
+        lines.extend(map(",".join, zip(*map(column, columns))))
     return "\n".join(lines) + "\n"
 
 

@@ -260,29 +260,40 @@ def fornberg_weights(z: float, xs, m: int) -> np.ndarray:
     Returns an array ``w`` of shape (m+1, len(xs)) such that
     ``w[k] @ f(xs)`` approximates the k-th derivative of f at ``z``.  The
     recursion runs on Python floats: for a handful of nodes that is several
-    times cheaper than indexing numpy scalars.
+    times cheaper than indexing numpy scalars.  A list of Python numbers is
+    used as it is; any other ``xs`` is converted to floats first.
     """
-    xs = np.asarray(xs, dtype=float).tolist()
+    if type(xs) is not list:
+        xs = np.asarray(xs, dtype=float).tolist()
     n = len(xs)
     w = [[0.0] * n for _ in range(m + 1)]
-    w[0][0] = 1.0
+    w0 = w[0]
+    w0[0] = 1.0
+    rows = [(k, w[k], w[k - 1]) for k in range(m, 0, -1)]   # k = m .. 1
     c1 = 1.0
     c4 = xs[0] - z
     for i in range(1, n):
-        mn = min(i, m)
+        active = rows[max(m - i, 0):]   # k = min(i, m) .. 1
+        xi = xs[i]
         c2 = 1.0
         c5 = c4
-        c4 = xs[i] - z
-        for j in range(i):
-            c3 = xs[i] - xs[j]
+        c4 = xi - z
+        for j in range(i - 1):
+            c3 = xi - xs[j]
             c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k][i] = c1 * (k * w[k - 1][i - 1] - c5 * w[k][i - 1]) / c2
-                w[0][i] = -c1 * c5 * w[0][i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k][j] = (c4 * w[k][j] - k * w[k - 1][j]) / c3
-            w[0][j] = c4 * w[0][j] / c3
+            for k, wk, wl in active:
+                wk[j] = (c4 * wk[j] - k * wl[j]) / c3
+            w0[j] = c4 * w0[j] / c3
+        # the last column j = i - 1: the new column i reads it before its update
+        j = i - 1
+        c3 = xi - xs[j]
+        c2 *= c3
+        for k, wk, wl in active:
+            wk[i] = c1 * (k * wl[j] - c5 * wk[j]) / c2
+        w0[i] = -c1 * c5 * w0[j] / c2
+        for k, wk, wl in active:
+            wk[j] = (c4 * wk[j] - k * wl[j]) / c3
+        w0[j] = c4 * w0[j] / c3
         c1 = c2
     return np.array(w)
 
@@ -538,7 +549,7 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
 
     K = np.empty((16, n))   # stages; row 12 is f at the step's end
     stages = [(s, K[:s].T, _DOP_A[s, :s], _DOP_C[s]) for s in range(1, 16) if s != 12]
-    ts, ys, dense, attempts = [t], [y], [], 0
+    ts, ys, blocks, attempts = [t], [y], [], 0
     while t < t_end:
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
         h_abs, rejected = min(max(h_abs, min_step), max_step), False
@@ -569,12 +580,15 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
             check(t_new, y_new)
         for s, KT, a, c in stages[11:]:
             K[s] = fun(t + c * h, y + KT.dot(a) * h)
-        dy = y_new - y
-        dense.append(np.array([dy, h * f - dy, 2 * dy - h * (f_new + f), *(h * _DOP_D.dot(K))]))
+        blocks.append(K.copy())
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    T, Y, F = np.array(ts), np.array(ys), np.array(dense)
+    # dense coefficients of every step at once; K[:, 0] and K[:, 12] are f at its ends
+    T, Y, K = np.array(ts), np.array(ys), np.array(blocks)
+    h, dy = np.diff(T)[:, None], np.diff(Y, axis=0)
+    F = np.concatenate([np.stack([dy, h * K[:, 0] - dy, 2 * dy - h * (K[:, 12] + K[:, 0])], 1),
+                        h[..., None] * (_DOP_D @ K)], axis=1)
 
     def sol(times):
         x = np.asarray(times, dtype=float)

@@ -201,7 +201,8 @@ class ShootingResult:
     match_defect is the scale-normalized Wronskian of the outward and
     inward branches at the matching radius rho = 1 (zero iff the branches
     are proportional; stays regular even when the eigenfunction has a node
-    exactly at the matching radius).  u is assembled on first read.
+    exactly at the matching radius).  u is assembled on first read, on
+    ``grid`` (None: the default grid, built then).
     """
 
     w_star: float
@@ -210,11 +211,12 @@ class ShootingResult:
     defect_evaluations: int
     kappa: float = field(repr=False, compare=False)
     l: int = field(repr=False, compare=False)
-    grid: np.ndarray = field(repr=False, compare=False)
+    grid: np.ndarray | None = field(repr=False, compare=False)
 
     @cached_property
     def u(self) -> SampledFunction:
-        return _assemble_eigenfunction(self.w_star, self.kappa, self.l, self.grid)
+        grid = default_grid() if self.grid is None else self.grid
+        return _assemble_eigenfunction(self.w_star, self.kappa, self.l, grid)
 
 
 def _match_defect(w, kappa, L):
@@ -281,7 +283,7 @@ def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
                    f"the root search did not converge in {res.nfev[i]} defect evaluations")
         raise ConvergenceError(f"{problem} on bracket ({lo:.6g}, {hi:.6g}) for {name}")
 
-    grid = np.array(default_grid() if grid is None else grid, dtype=float)  # u reads it later
+    grid = None if grid is None else np.array(grid, dtype=float)   # u reads it later
     return [ShootingResult(w_star=float(res.x[i]), match_defect=float(res.f_x[i]),
                            bracket=(rows[i][2], rows[i][3]),
                            defect_evaluations=int(res.nfev[i]),
@@ -342,6 +344,13 @@ def _pocket_indicator(l: float, kappa: float, rho_grid: np.ndarray) -> tuple[flo
     return float(slopes[i]), float(rho_grid[i])
 
 
+def _largest_slopes(ls: np.ndarray, kappa: float, rho_grid: np.ndarray) -> list[float]:
+    """_pocket_indicator's largest slope at each l, for 16 values of l per
+    closed-form call: one call for all of them would hold far larger temporaries."""
+    return np.concatenate([partner_plus_dr(rho_grid, kappa, ls[i:i + 16, None]).max(axis=1)
+                           for i in range(0, len(ls), 16)]).tolist()
+
+
 def critical_angular_all(kappa: float) -> list[CriticalPoint]:
     """All pocket-threshold points in the scan window l in (1, 20), rho in (0.1, 10).
 
@@ -355,7 +364,7 @@ def critical_angular_all(kappa: float) -> list[CriticalPoint]:
         raise ValueError(f"kappa must be positive, got {kappa}")
     rho_grid = np.geomspace(0.1, 10.0, 241)
     l_grid = np.linspace(1.05, 20.0, 96)
-    ind = [_pocket_indicator(l, kappa, rho_grid)[0] for l in l_grid]
+    ind = _largest_slopes(l_grid, kappa, rho_grid)
 
     points: list[CriticalPoint] = []
     for i in range(len(l_grid) - 1):

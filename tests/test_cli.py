@@ -278,6 +278,23 @@ def test_columnar_csv_matches_rowwise_on_mixed_values():
     assert cli._curve_csv(*args, blocks) == _rowwise_csv(*args, _rows(blocks))
 
 
+def test_shared_columns_format_as_in_their_own_blocks():
+    grid, other = np.geomspace(1e-3, 1e3, 9), [1.5, -0.0, np.nan]
+    args = ("t", "x, y, k", "p", "x,y,k")
+    head = cli._curve_csv(*args, [])
+
+    def one_by_one(blocks):
+        return head + "".join(cli._curve_csv(*args, [b])[len(head):] for b in blocks)
+
+    shared = [(grid, np.sin(k * grid), k) for k in (1.0, 2.0, 3.0)]
+    shared += [(other, other, "a"), (grid, grid, 0.5), (other, [0, 1, 2], "b")]
+    assert cli._curve_csv(*args, shared) == one_by_one(shared)
+
+    def fresh():   # blocks from a generator, each with a new temporary column
+        return ((grid, grid * k, k) for k in range(1, 9))
+    assert cli._curve_csv(*args, fresh()) == one_by_one(fresh())
+
+
 def test_every_csv_writer_matches_rowwise_bytes(tmp_path, capsys, monkeypatch):
     seen = []
     curve_csv = cli._curve_csv

@@ -305,6 +305,48 @@ class TestFornberg:
             assert w[1] @ p(xs) == pytest.approx(p.deriv(1)(z), rel=1e-9, abs=1e-9)
             assert w[2] @ p(xs) == pytest.approx(p.deriv(2)(z), rel=1e-8, abs=1e-8)
 
+    @staticmethod
+    def _reference(z, xs, m):
+        # Fornberg's recursion as first written here, with plain nested indexing
+        xs = np.asarray(xs, dtype=float).tolist()
+        n = len(xs)
+        w = [[0.0] * n for _ in range(m + 1)]
+        w[0][0] = 1.0
+        c1 = 1.0
+        c4 = xs[0] - z
+        for i in range(1, n):
+            mn = min(i, m)
+            c2 = 1.0
+            c5 = c4
+            c4 = xs[i] - z
+            for j in range(i):
+                c3 = xs[i] - xs[j]
+                c2 *= c3
+                if j == i - 1:
+                    for k in range(mn, 0, -1):
+                        w[k][i] = c1 * (k * w[k - 1][i - 1] - c5 * w[k][i - 1]) / c2
+                    w[0][i] = -c1 * c5 * w[0][i - 1] / c2
+                for k in range(mn, 0, -1):
+                    w[k][j] = (c4 * w[k][j] - k * w[k - 1][j]) / c3
+                w[0][j] = c4 * w[0][j] / c3
+            c1 = c2
+        return np.array(w)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_bit_identical_to_the_reference_recursion(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        for _ in range(20):
+            xs = np.sort(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3))
+            ints = np.sort(rng.choice(np.arange(-40, 40), n, replace=False))
+            for nodes in (xs, xs.tolist(), ints.tolist()):
+                lo, hi = float(min(nodes)), float(max(nodes))
+                for z in (float(rng.uniform(lo, hi)), nodes[int(rng.integers(n))]):
+                    got = fornberg_weights(z, nodes, m)
+                    assert got.shape == (m + 1, n)
+                    ref = self._reference(z, nodes, m)
+                    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
 
 class TestGridDerivative:
     def test_quartic_exact_on_log_grid(self):

@@ -260,6 +260,15 @@ def test_eigenfunction_is_assembled_once_on_first_read(monkeypatch):
     assert u.node_count() == 1
 
 
+def test_default_grid_is_built_only_when_u_is_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(solver, "default_grid", lambda: built.append(1) or default_grid())
+    res = solver.shoot_couplings([(1, "1", 0), (2, "1/2", 0)])
+    assert built == []
+    assert np.array_equal(res[1].u.grid, default_grid())
+    assert built == [1]
+
+
 def test_lazy_eigenfunction_matches_eager_assembly_on_explicit_grid():
     grid = np.geomspace(0.02, 40.0, 257)
     res = shoot_coupling(3, "1/2", 1, grid=grid)
@@ -313,6 +322,16 @@ def test_critical_scan_finds_single_threshold():
     assert len(points) == 1
     with pytest.raises(ValueError):
         critical_angular_all(-1.0)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("count", [96, 37])   # the scan's 96 values, and a partial last block
+def test_blocked_slope_scan_is_the_per_l_indicator_bit_for_bit(kappa, count):
+    rho_grid = np.geomspace(0.1, 10.0, 241)
+    l_grid = np.linspace(1.05, 20.0, count)
+    got = solver._largest_slopes(l_grid, kappa, rho_grid)
+    expected = [solver._pocket_indicator(l, kappa, rho_grid)[0] for l in l_grid]
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(expected).view(np.uint64))
 
 
 @pytest.mark.parametrize("l, changes", [(7, 2), (6, 0)])
