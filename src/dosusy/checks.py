@@ -426,7 +426,8 @@ def suite_closure() -> list[CheckResult]:
     thetas = np.linspace(0.05, 2.0 * math.pi - 0.05, 40)
     # the w side is the kappa = 1 closure orbit itself; 4w gets its own solve
     p1, s1 = trajs["1"].path_on_angles(thetas)
-    p4, s4 = solver.trajectory_path_on_angles("1", 12.0, 0.5, thetas, 63.0)
+    p4, s4 = solver.classical_trajectory("1", w=12.0, rho0=0.5,
+                                         direction_deg=63.0).path_on_angles(thetas)
     results.append(_check(
         "closure:w-scaling:path",
         float(np.max(np.hypot(p1[:, 0] - p4[:, 0], p1[:, 1] - p4[:, 1]))), 1e-8,

@@ -191,36 +191,14 @@ def _falling(start: float, step: float, count: int) -> float:
     return out
 
 
-_LOG_SPACE_L = 15  # switch combinatorial prefactors to log space above this
-
-
 def _odd_double_factorial(n: int) -> float:
-    """n!! for odd n as a direct product.
-
-    Its callers pass n = 4l + 1 only for l <= _LOG_SPACE_L, so n <= 61;
-    above that they work with ln(n!!) from _log_dfact.
-    """
+    """n!! for odd n as a direct product."""
     if n < 0 or n % 2 == 0:
         raise ValueError(f"expected odd non-negative n, got {n}")
     out = 1.0
     for m in range(n, 1, -2):
         out *= m
     return out
-
-
-def _log_dfact(n: int) -> float:
-    """ln(n!!) for odd n via the identity (2k+1)!! = (2k+1)! / (2^k k!)."""
-    k = (n - 1) // 2
-    return math.lgamma(n + 1.0) - k * math.log(2.0) - math.lgamma(k + 1.0)
-
-
-def _log_coeff_aufbau(l: int) -> float:
-    """The logarithm-term prefactor 4 (4l+1)!! 4^l / (2l+1)!."""
-    if l <= _LOG_SPACE_L:
-        return 4.0 * _odd_double_factorial(4 * l + 1) * 4.0 ** l / math.factorial(2 * l + 1)
-    ln = (math.log(4.0) + _log_dfact(4 * l + 1) + l * math.log(4.0)
-          - math.lgamma(2 * l + 2.0))
-    return math.exp(ln)
 
 
 def printed_series_eval(alpha, l: int, formula_id: str):
@@ -256,7 +234,8 @@ def printed_series_eval(alpha, l: int, formula_id: str):
             den = _falling(2 * l, 1.0, m)
             bracket = bracket + num / ((2.0 * csc2) ** m * den)
         lead = -(2.0 ** (4 * l + 3) / (2 * l + 1)) * cos_a * csc2 ** (2 * l + 1) * bracket
-        out = lead + _log_coeff_aufbau(l) * np.log(np.tan(0.5 * a))
+        log_coeff = 4.0 * _odd_double_factorial(4 * l + 1) * 4.0 ** l / math.factorial(2 * l + 1)
+        out = lead + log_coeff * np.log(np.tan(0.5 * a))
     elif formula_id == "V1":
         bracket = np.ones_like(a)
         for m in range(1, l + 1):
@@ -271,10 +250,7 @@ def printed_series_eval(alpha, l: int, formula_id: str):
             bracket = bracket + (0.5 * sin_a ** 2) ** m * num / den
         lead = (2.0 * cos_a / (2 * l + 1)) * np.tan(0.5 * a) ** 2 * bracket
         # log-term prefactor as typeset: 4 (4l+1)!! / ((2l+1)! csc^4(alpha/2))
-        if l <= _LOG_SPACE_L:
-            base = 4.0 * _odd_double_factorial(4 * l + 1) / math.factorial(2 * l + 1)
-        else:
-            base = math.exp(math.log(4.0) + _log_dfact(4 * l + 1) - math.lgamma(2 * l + 2.0))
+        base = 4.0 * _odd_double_factorial(4 * l + 1) / math.factorial(2 * l + 1)
         out = lead + base * (0.5 * sin_a ** 2) ** (2 * l) * np.sin(0.5 * a) ** 4 \
             * np.log(np.tan(0.5 * a))
     return float(out) if scalar else out

@@ -294,7 +294,13 @@ def coupling_quantized(N: int, kappa: float) -> float:
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     half = 1.0 / (2.0 * kappa)
-    return (2.0 * kappa) ** 2 * (N + half - 1.0) * (N + half)
+    try:
+        w = (2.0 * kappa) ** 2 * (N + half - 1.0) * (N + half)
+    except OverflowError:   # float ** raises where float * gives inf
+        w = math.inf
+    if w == math.inf:
+        raise ValueError(f"the coupling w(N={N}, kappa={kappa}) overflows the float range")
+    return w
 
 
 @_radial
@@ -384,7 +390,8 @@ def normalization_constant(N: int, l: int, kappa) -> float:
     """Positive constant scaling u to unit half-line norm.
 
     Evaluated as 1/sqrt(integral of u^2 d rho) with the half-line folded to
-    a finite alpha-interval through rho^kappa = tan(alpha/2).
+    alpha in (0, pi) through rho^kappa = tan(alpha/2), so that
+    d rho = rho / (kappa sin(alpha)) d alpha.
 
     Raises
     ------
@@ -397,10 +404,11 @@ def normalization_constant(N: int, l: int, kappa) -> float:
             f"state (N={N}, l={l}, kappa={kappa_f}) is not normalizable: "
             "u tends to a non-zero constant at large rho")
 
-    def integrand(r):
-        return radial_u(r, N, l, kappa) ** 2
+    def integrand(alpha):
+        rho = np.tan(0.5 * alpha) ** (1.0 / kappa_f)
+        return radial_u(rho, N, l, kappa) ** 2 * (rho / (kappa_f * np.sin(alpha)))
 
-    norm2 = integrate_adaptive(integrand, 0.0, np.inf, tail_power=kappa_f)
+    norm2 = integrate_adaptive(integrand, 0.0, math.pi)
     return 1.0 / np.sqrt(norm2)
 
 

@@ -119,33 +119,24 @@ _GAUSS_WEIGHTS = np.array([
 _GAUSS_SLOTS = slice(1, 14, 2)
 
 
-def _panels(f, a, b, half_line, pw):
+def _panels(f, a, b):
     """One Gauss-Kronrod pass over each panel [a_i, b_i], all nodes in one
     call of f: returns (K15 values, error estimates).
 
-    Panels flagged ``half_line`` live in alpha, rho = tan(alpha/2)^(1/pw).
     Each weighted sum runs over the nodes in a fixed order, so a panel's
     value does not depend on which other panels share the call.
     """
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _KRONROD_NODES[:, None]   # (15, panels)
-    jac = None
-    if half_line.any():
-        alpha = x[:, half_line]
-        rho = np.tan(0.5 * alpha) ** (1.0 / pw)
-        jac = rho / (pw * np.sin(alpha))
-        x[:, half_line] = rho
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    if jac is not None:
-        fx[:, half_line] *= jac
     k15 = half * reduce(np.add, _KRONROD_WEIGHTS[:, None] * fx)
     g7 = half * reduce(np.add, _GAUSS_WEIGHTS[:, None] * fx[_GAUSS_SLOTS])
     return k15, np.abs(k15 - g7)
 
 
-def integrate_adaptive(f, a, b, tol: float = 1e-10, tail_power: float = 1.0,
-                       max_panels: int = 4000):
-    """Integrate f over (a, b) to ``tol`` with nested-rule refinement.
+def integrate_adaptive(f, a, b, tol: float = 1e-10, max_panels: int = 4000):
+    """Integrate f over the finite interval (a, b) to ``tol`` with
+    nested-rule refinement.
 
     ``a`` and ``b`` are scalars or broadcastable arrays of limits, one
     integral per element; scalar limits give a float, array limits an array
@@ -154,34 +145,19 @@ def integrate_adaptive(f, a, b, tol: float = 1e-10, tail_power: float = 1.0,
     the nodes of every integral still refining.  Each integral stops on its
     own when its summed error estimate is at most ``tol (1 + |I|)``.
 
-    ``b = inf`` is supported through the half-line substitution
-    rho = tan(alpha/2)^(1/tail_power), which maps (a, inf), a >= 0, to a
-    finite alpha-interval inside (0, pi); ``tail_power`` is the exponent
-    kappa of that map and is ignored for finite intervals.
-
     Raises
     ------
     QuadratureError
-        If an integral's summed error estimate still exceeds the tolerance
+        If an integral's estimate is not finite (the message names its
+        limits), or its summed error estimate still exceeds the tolerance
         after ``max_panels`` panel evaluations.  The exception carries the
         best estimate and its bound for the worst such integral.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a.shape
     lo, hi = a.flatten(), b.flatten()
-    half_line = hi == np.inf
-    if np.any(np.isinf(lo) | (hi == -np.inf)):
-        raise ValueError("only upper-endpoint infinity is supported")
-    if np.any(np.isnan(lo) | np.isnan(hi)):
-        raise ValueError("interval endpoints must be finite (or b = inf)")
-    pw = float(tail_power)
-    if half_line.any():
-        if np.any(lo[half_line] < 0):
-            raise ValueError("half-line integrals need a >= 0")
-        if not pw > 0:
-            raise ValueError("tail_power must be positive")
-        lo[half_line] = 2.0 * np.arctan(lo[half_line] ** pw)
-        hi[half_line] = math.pi
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("interval endpoints must be finite")
     sign = np.where(hi < lo, -1.0, 1.0)
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
@@ -192,7 +168,8 @@ def integrate_adaptive(f, a, b, tol: float = 1e-10, tail_power: float = 1.0,
     new_own = np.flatnonzero(lo < hi)   # the integral each panel belongs to; a == b stays 0
     new_a, new_b = lo[new_own], hi[new_own]
     while new_own.size:
-        new_val, new_err = _panels(f, new_a, new_b, half_line[new_own], pw)
+        with np.errstate(all="ignore"):   # a non-finite estimate is raised below
+            new_val, new_err = _panels(f, new_a, new_b)
         evaluated += np.bincount(new_own, minlength=n)
         own, pa, pb, val, err = (np.concatenate(pair) for pair in (
             (own, new_own), (pa, new_a), (pb, new_b), (val, new_val), (err, new_err)))
@@ -200,6 +177,10 @@ def integrate_adaptive(f, a, b, tol: float = 1e-10, tail_power: float = 1.0,
         total = np.bincount(own, val, n)
         bound = np.bincount(own, err, n)
         count = np.bincount(own, minlength=n)
+        if not np.all(np.isfinite(total + bound)):   # NaN and inf never fail the test below
+            k = np.argmin(np.isfinite(total + bound))
+            raise QuadratureError(f"the integral estimate is not finite on ({float(a.flat[k])!r}, "
+                                  f"{float(b.flat[k])!r})", math.nan, math.inf)
         refine = (count > 0) & (bound > tol * (1.0 + np.abs(total)))
         settled = (count > 0) & ~refine
         result[settled] = total[settled]

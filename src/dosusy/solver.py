@@ -35,7 +35,6 @@ __all__ = [
     "critical_angular",
     "critical_angular_all",
     "classical_trajectory",
-    "trajectory_path_on_angles",
 ]
 
 
@@ -112,25 +111,23 @@ def _product(M: np.ndarray) -> np.ndarray:
     return M[..., 0, :, :]
 
 
-def _scan(w: float, kappa: float, l: int, side: int, samples: np.ndarray, t_end: float):
-    """Carry the regular (side = -1) or decaying (side = +1) branch from its
-    tail through the sample points t to t_end, on the graded shooting cells split
-    at every sample: one pairwise product up to the first sample, then a
-    sequential scan keeping (y, y') at unit 1-norm and its size in log space.
-    Returns y and log-scale at the samples, and (y, y', log-scale) at t_end.
+def _scan(w: float, kappa: float, l: int, samples: np.ndarray, t_end: float):
+    """Carry the regular branch from its tail through the sample points t (at
+    most t_end) to t_end, on the graded shooting cells split at every sample:
+    one pairwise product up to the first sample, then a sequential scan
+    keeping (y, y') at unit 1-norm and its size in log space.
+    Returns y and log-scale at the samples, and (y, y') at t_end.
     """
     L = l + 0.5
     leg = _leg_edges(w, kappa, L)
     base = np.concatenate([leg, -leg[-2::-1]])
-    t0 = side * max(base[-1], np.max(side * samples, initial=0.0))
+    t0 = min(base[0], np.min(samples, initial=0.0))
     edges = np.union1d(base, np.concatenate([samples, [t0, t_end]]))
-    edges = edges[(edges >= min(t0, t_end)) & (edges <= max(t0, t_end))]
+    edges = edges[(edges >= t0) & (edges <= t_end)]
     idx = np.searchsorted(edges, samples)
-    if side > 0:
-        edges, idx = edges[::-1], len(edges) - 1 - idx
     M = _cells(edges, w, kappa, L)
     first = int(np.min(idx, initial=len(M)))
-    y, dy = (_product(M[:first]) @ (1.0, -side * L)).tolist() if first else (1.0, -side * L)
+    y, dy = (_product(M[:first]) @ (1.0, L)).tolist() if first else (1.0, L)
     ys, logs, lg = [], [], 0.0   # the leading identity cell records the first sample
     for m00, m01, m10, m11 in [(1.0, 0.0, 0.0, 1.0)] + M[first:].reshape(-1, 4).tolist():
         y, dy = m00 * y + m01 * dy, m10 * y + m11 * dy
@@ -139,7 +136,7 @@ def _scan(w: float, kappa: float, l: int, side: int, samples: np.ndarray, t_end:
         ys.append(y)
         logs.append(lg)
     log_scale = np.asarray(logs) + L * np.abs(edges[first:] - t0)
-    return np.asarray(ys)[idx - first], log_scale[idx - first], (y, dy, log_scale[-1])
+    return np.asarray(ys)[idx - first], log_scale[idx - first], (y, dy)
 
 
 def _as_u(t, y, log_scale) -> np.ndarray:
@@ -167,7 +164,7 @@ def integrate_radial(w: float, kappa: float, l: int, grid) -> SampledFunction:
     _check_coupling(w)
     grid = _check_grid(grid)
     t = np.log(grid)
-    y, log_scale, _ = _scan(w, kappa, l, -1, t, t[-1])
+    y, log_scale, _ = _scan(w, kappa, l, t, t[-1])
     over = np.nonzero(0.5 * (t - t[0]) + log_scale - log_scale[0] > math.log(_OVERFLOW_LIMIT))[0]
     if len(over):
         raise ConvergenceError(
@@ -304,16 +301,17 @@ def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = 
 
 
 def _assemble_eigenfunction(w: float, kappa: float, l: int, grid) -> SampledFunction:
-    """Join outward and inward branches at rho = 1 on the given grid."""
+    """The eigenfunction on the given grid from one outward scan to rho = 1.
+
+    q is even in t = ln rho, so the decaying branch is the regular one
+    mirrored, and at an eigencoupling the state is even or odd in t: the
+    scan runs at -|t|, and the t > 0 half changes sign when y' is farther
+    from a node than y at the joint.
+    """
     t = np.log(grid)
-    left = t <= 0.0
-    yl, sl, (yo, dyo, so) = _scan(w, kappa, l, -1, t[left], 0.0)
-    yr, sr, (yi, dyi, si) = _scan(w, kappa, l, +1, t[~left], 0.0)
-    # Scale the inward branch onto the outward one at the joint, preferring
-    # whichever of (y, y') is farther from a node there.
-    ratio = yo / yi if abs(yi) > abs(dyi) else dyo / dyi
-    y = np.concatenate([yl, yr * np.sign(ratio)])
-    log_scale = np.concatenate([sl, sr + math.log(abs(ratio)) + so - si])
+    y, log_scale, (y0, dy0) = _scan(w, kappa, l, -np.abs(t), 0.0)
+    if abs(y0) <= abs(dy0):
+        y = np.where(t > 0.0, -y, y)
     return SampledFunction(grid, _as_u(t, y, log_scale))
 
 
@@ -465,13 +463,19 @@ class Trajectory:
     vy = property(lambda self: self._states[3])
 
     def path_on_angles(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and speeds at accumulated angles |theta| inside the
-        traced span, read from the dense orbit without a new solve."""
+        """Positions (n, 2) and speeds (n,) at accumulated angles |theta|
+        inside the traced span, read from the dense orbit without a new solve.
+
+        The accumulated angle is monotonic (central force), so it serves as a
+        parametrization-free clock: orbits traced at couplings w and 4w can be
+        compared point by point on a shared angle grid.
+        """
         angles = np.abs(np.asarray(thetas, dtype=float)).reshape(-1)
-        if angles.size and angles.max() > self.orbit.t[-1]:
+        if angles.size and not angles.max() <= self.orbit.t[-1]:   # NaN included
             raise ValueError(f"angle {angles.max():.6g} lies beyond the traced span "
                              f"{self.orbit.t[-1]:.6g}")
-        return _path_and_speed(self.orbit.sol(angles))
+        x, y, vx, vy, _t = self.orbit.sol(angles)
+        return np.column_stack([x, y]), np.hypot(vx, vy)
 
 
 # At most 1/64 revolution per step.  Past a deep pericenter the clock otherwise
@@ -505,7 +509,8 @@ def _angle_rhs(kappa: float, w: float, inv_l: float):
 def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
                      direction_deg: float):
     """DOP853 from |theta| = 0 to ``angle``, with dense output."""
-    _check_rho(rho0, "rho0")
+    if not 1e-6 <= _check_rho(rho0, "rho0") <= 1e3:
+        raise ValueError(f"rho0 must lie within the guard radii [1e-6, 1e3], got {rho0!r}")
     # a non-finite angle never ends the integration; inf % 360 is NaN
     if not angle <= 2.0 * math.pi * _MAX_REVOLUTIONS:
         raise ValueError(f"the traced span must be finite and at most {_MAX_REVOLUTIONS} "
@@ -606,27 +611,3 @@ def classical_trajectory(kappa, w: float, rho0: float,
                       focal_time=float(s_half[4]),
                       energy_drift=drift, rhs_evaluations=int(sol.nfev),
                       samples=samples, orbit=sol)
-
-
-def trajectory_path_on_angles(kappa, w: float, rho0: float, thetas,
-                              direction_deg: float = 90.0) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and speeds at fixed accumulated polar angles |theta|.
-
-    The accumulated angle is monotonic (central force), so it serves as a
-    parametrization-free clock: orbits traced at couplings w and 4w can be
-    compared point by point on a shared angle grid.  The orbit is integrated
-    in that clock and reported at exactly the requested angles, which may
-    reach at most 100 revolutions.
-    """
-    kappa_f, _ = parse_kappa(kappa)
-    angles = np.abs(np.asarray(thetas, dtype=float)).reshape(-1)
-    if not angles.size or angles.max() == 0.0:
-        raise ValueError("the angles must reach past 0: an orbit traced over no angle "
-                         f"has no path, got |theta| = {np.unique(angles).tolist()!r}")
-    sol, _s0, _v0 = _integrate_orbit(kappa_f, w, rho0, float(angles.max()), direction_deg)
-    return _path_and_speed(sol.sol(angles))
-
-
-def _path_and_speed(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (n, 2) and speeds (n,) of the states (x, y, vx, vy, t) in columns."""
-    return np.column_stack([s[0], s[1]]), np.hypot(s[2], s[3])

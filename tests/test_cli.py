@@ -60,14 +60,20 @@ def test_eval_rejects_non_finite_or_non_positive_radius(capsys, rho):
     ("eval", "U", "--kappa", "1/0", "--w", "1", "--rho", "2"),
     ("eval", "U", "--kappa", "1" + "0" * 400 + "/1", "--w", "1", "--rho", "2"),
     ("trace", "--kappa", "1/0", "--w", "3", "--rho", "0.5"),
+    ("trace", "--kappa", "1", "--w", "3", "--rho", "1e150"),
+    ("trace", "--kappa", "1", "--w", "3", "--rho", "1e-300"),
+    ("quantize", "--kappa", "1e200", "--N", "2"),
+    ("quantize", "--kappa", "1e300", "--N", "2"),
 ], ids=["U-w-nan", "Ueff-w-inf", "family-lambda-nan", "kappa-nan", "kappa-inf",
         "kappa-overflow", "kappa-zero-denominator", "kappa-huge-ratio",
-        "trace-kappa-zero-denominator"])
+        "trace-kappa-zero-denominator", "trace-rho-1e150", "trace-rho-1e-300",
+        "quantize-kappa-1e200", "quantize-kappa-1e300"])
 def test_non_finite_parameters_are_usage_errors(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err.startswith("dosusy: error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_eval_u_requires_ladder_label(capsys):
@@ -150,6 +156,18 @@ def test_family_point_reports_singularity(capsys):
     assert lines[0].startswith("V        = ")
     assert abs(float(lines[0].split("= ")[1])) < 1e-12
     assert lines[1].startswith("W_lambda = singular (")
+
+
+@pytest.mark.parametrize("rho", ["1e200", "1e-200", "1e300", "1e-300"])
+def test_family_point_with_a_non_finite_integral_fails_quietly(capsys, rho):
+    # 1/f^2 overflows far from the unit radius; the quadrature refuses the estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "family", "--kappa", "1", "--l", "1", "--rho", rho)
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("dosusy: failure:") and "not finite" in err
 
 
 def test_family_curve_lists_zero_loci(tmp_path, capsys):

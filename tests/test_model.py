@@ -12,10 +12,12 @@ so the unit-norm constants are 4/sqrt(3 pi) and 2/sqrt(7 pi).
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from dosusy import numkit
 from dosusy.exceptions import NonNormalizableStateError
 from dosusy.model import (
     SampledFunction,
@@ -254,6 +256,10 @@ def test_coupling_validation():
             coupling_quantized(bad, 1.0)
     with pytest.raises(ValueError):
         coupling_quantized(1, -1.0)
+    # (2 kappa)^2 overflows: as a float power it raises, as a numpy one it is inf
+    for kappa in (1e200, 1e300, np.float64(1e200)):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="N=2, kappa=1e"):
+            coupling_quantized(2, kappa)
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +356,34 @@ def test_normalization_constants_against_analytic_values():
         4.0 / math.sqrt(3.0 * math.pi), rel=1e-10)
     assert normalization_constant(3, 1, "1") == pytest.approx(
         2.0 / math.sqrt(7.0 * math.pi), rel=1e-10)
+
+
+def _half_line_panels(kappa):
+    """The quadrature's former half-line panels, frozen: Gauss-Kronrod nodes
+    in alpha, mapped to rho = tan(alpha/2)^(1/kappa), values times d rho/d alpha."""
+    def panels(f, a, b):
+        half = 0.5 * (b - a)
+        alpha = 0.5 * (a + b) + half * numkit._KRONROD_NODES[:, None]
+        rho = np.tan(0.5 * alpha) ** (1.0 / kappa)
+        fx = np.asarray(f(rho.ravel()), dtype=float).reshape(rho.shape)
+        fx *= rho / (kappa * np.sin(alpha))
+        k15 = half * reduce(np.add, numkit._KRONROD_WEIGHTS[:, None] * fx)
+        g7 = half * reduce(np.add, numkit._GAUSS_WEIGHTS[:, None] * fx[numkit._GAUSS_SLOTS])
+        return k15, np.abs(k15 - g7)
+    return panels
+
+
+@pytest.mark.parametrize("N, l, kappa", [
+    (2, 1, "1"), (3, 1, "1"), (4, 2, "1"), (3, 1, "1/2"), (5, 1, "1/2"),
+    (4, 2, "2/3"), (3, 3, "3/2"), (3, 2, 2.0), (4, 3, 3.0),
+])
+def test_normalization_constant_is_the_former_half_line_integral_bit_for_bit(
+        N, l, kappa, monkeypatch):
+    expected = normalization_constant(N, l, kappa)
+    kappa_f, _ = parse_kappa(kappa)
+    monkeypatch.setattr(numkit, "_panels", _half_line_panels(kappa_f))
+    norm2 = numkit.integrate_adaptive(lambda r: radial_u(r, N, l, kappa) ** 2, 0.0, math.pi)
+    assert expected == 1.0 / np.sqrt(norm2)
 
 
 def test_normalized_radial_u_scaling():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dosusy import solver
+from dosusy import checks, solver
 from dosusy.exceptions import BracketError, ConvergenceError, GeometryError
 from dosusy.model import (
     SampledFunction,
@@ -26,6 +26,8 @@ from dosusy.model import (
     default_grid,
     f_factor,
     potential,
+    radial_u,
+    state_quantum_numbers,
 )
 from dosusy.solver import (
     CriticalPoint,
@@ -37,7 +39,6 @@ from dosusy.solver import (
     critical_angular_all,
     integrate_radial,
     shoot_coupling,
-    trajectory_path_on_angles,
 )
 from dosusy.susy import partner_plus_dr
 
@@ -158,6 +159,16 @@ def test_shooting_small_kappa(N, kappa):
 def test_shooting_recovers_ladder_for_continuous_kappa(kappa, N):
     res = shoot_coupling(N, kappa, 0)
     assert res.w_star == pytest.approx(coupling_quantized(N, kappa), rel=1e-9)
+
+
+@pytest.mark.parametrize("N, kappa, l", [(N, kappa, l) for kappa, N, l in checks._EIGEN_STATES]
+                         + [(6, 0.226, 0)])
+def test_mirrored_eigenfunction_is_the_closed_form(N, kappa, l):
+    u = shoot_coupling(N, kappa, l).u
+    assert u.node_count() == state_quantum_numbers(N, l, kappa)[0]
+    ref = radial_u(u.grid, N, l, kappa)
+    ref = ref / np.max(np.abs(ref))
+    assert np.max(np.abs(u.values * np.sign(u.values @ ref) - ref)) < 1e-10
 
 
 def test_radial_path_does_not_use_solve_ivp(monkeypatch):
@@ -412,7 +423,7 @@ def test_outward_radial_launch_is_rejected_up_front(direction, monkeypatch):
     with pytest.raises(ValueError, match="radial"):
         classical_trajectory("1", 3.0, 0.5, direction_deg=direction)
     with pytest.raises(ValueError, match="radial"):
-        trajectory_path_on_angles("1", 3.0, 0.5, [0.5, 1.0], direction_deg=direction)
+        classical_trajectory("1", 3.0, 0.5, direction_deg=direction).path_on_angles([0.5, 1.0])
 
 
 @pytest.mark.parametrize("direction", [180.0, -180.0, 540.0])
@@ -422,8 +433,8 @@ def test_inward_radial_launch_is_rejected_up_front(direction, monkeypatch):
 
     monkeypatch.setattr(solver, "solve_ivp", refuse)
     for trace in (lambda: classical_trajectory("1", 3.0, 0.5, direction_deg=direction),
-                  lambda: trajectory_path_on_angles("1", 3.0, 0.5, [0.5, 1.0],
-                                                    direction_deg=direction)):
+                  lambda: classical_trajectory("1", 3.0, 0.5, direction_deg=direction)
+                  .path_on_angles([0.5, 1.0])):
         with pytest.raises(GeometryError, match="plunge") as info:
             trace()
         assert info.value.kind == "origin"
@@ -443,8 +454,8 @@ def test_mirrored_launch_mirrors_the_orbit(kappa, w, phi):
     assert b.focal_point[1] == pytest.approx(-a.focal_point[1], rel=1e-10, abs=1e-14)
 
     thetas = np.array([4.0, 0.3, 2.2, 1.0])
-    pos_a, speed_a = trajectory_path_on_angles(kappa, w, 0.5, thetas, phi)
-    pos_b, speed_b = trajectory_path_on_angles(kappa, w, 0.5, thetas, 360.0 - phi)
+    pos_a, speed_a = a.path_on_angles(thetas)
+    pos_b, speed_b = b.path_on_angles(thetas)
     np.testing.assert_allclose(pos_b[:, 0], pos_a[:, 0], rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(pos_b[:, 1], -pos_a[:, 1], rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(speed_b, speed_a, rtol=1e-10)
@@ -483,19 +494,32 @@ def test_trajectory_validation():
         classical_trajectory("1", math.nan, 0.5)
 
 
+@pytest.mark.parametrize("rho0", [1e150, 1e200, 1e300, 1e-200, 1e-300, 9.9e-7, 1.01e3])
+def test_start_radius_beyond_the_guard_radii_is_refused_before_integrating(rho0, monkeypatch):
+    # v0 underflows to 0 at the extremes; the orbit guard stops any step past 1e-6 or 1e3
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit from beyond the guard radii was integrated")
+
+    monkeypatch.setattr(solver, "solve_ivp", refuse)
+    with pytest.raises(ValueError, match="guard radii"):
+        classical_trajectory("1", 3.0, rho0)
+
+
 def test_trajectory_rejects_unending_spans_up_front():
     # a non-finite span never ends the integration: the calls run in a child
     # process, whose timeout fails the test instead of hanging it
     script = """
 import math
-from dosusy.solver import classical_trajectory, trajectory_path_on_angles
+from dosusy.solver import classical_trajectory
 calls = [lambda: classical_trajectory("1", 3.0, 0.5, revolutions=math.nan),
          lambda: classical_trajectory("1", 3.0, 0.5, revolutions=math.inf),
          lambda: classical_trajectory("1", 3.0, 0.5, direction_deg=math.nan),
          lambda: classical_trajectory("1", 3.0, 0.5, direction_deg=math.inf),
          lambda: classical_trajectory("1", 3.0, 0.5, samples=1),
-         lambda: trajectory_path_on_angles("1", 3.0, 0.5, [1.0, math.inf]),
-         lambda: trajectory_path_on_angles("1", 3.0, 0.5, [1.0], math.nan)]
+         lambda: classical_trajectory("1", 3.0, 0.5).path_on_angles([1.0, math.inf]),
+         lambda: classical_trajectory("1", 3.0, 0.5).path_on_angles([1.0, math.nan]),
+         lambda: classical_trajectory("1", 3.0, 0.5, direction_deg=math.nan)
+         .path_on_angles([1.0])]
 for call in calls:
     try:
         call()
@@ -506,17 +530,17 @@ for call in calls:
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 7
+    assert proc.stdout.split() == ["ValueError"] * 8
 
 
 @pytest.mark.parametrize("thetas", [[], [0.0], [-0.0, 0.0]])
-def test_path_on_angles_rejects_an_empty_span_up_front(thetas, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an orbit over no angle was integrated")
-
-    monkeypatch.setattr(solver, "solve_ivp", refuse)
-    with pytest.raises(ValueError, match="no angle"):
-        trajectory_path_on_angles("1", 3.0, 0.5, thetas)
+def test_path_on_angles_at_no_angle_reads_the_launch_state(thetas):
+    traj = classical_trajectory("1", 3.0, 0.5, direction_deg=63.0)
+    pos, speed = traj.path_on_angles(thetas)
+    assert pos.shape == (len(thetas), 2) and speed.shape == (len(thetas),)
+    x, y, vx, vy, _t = traj.orbit.y[:, 0]
+    assert pos.tolist() == [[x, y]] * len(thetas)
+    assert speed.tolist() == [math.hypot(vx, vy)] * len(thetas)
 
 
 @pytest.mark.parametrize("trace", [
@@ -524,7 +548,8 @@ def test_path_on_angles_rejects_an_empty_span_up_front(thetas, monkeypatch):
     lambda: classical_trajectory("1", 3.0, 0.5, revolutions=100.5),
     lambda: classical_trajectory("1/101", 3.0, 0.5),   # closure span k2 = 101 revolutions
     lambda: classical_trajectory("1", 3.0, 0.5, samples=1_000_001),
-    lambda: trajectory_path_on_angles("1", 3.0, 0.5, [1.0, 2.0 * math.pi * 100.5]),
+    lambda: classical_trajectory("1", 3.0, 0.5, revolutions=100.5)
+    .path_on_angles([1.0, 2.0 * math.pi * 100.5]),
 ], ids=["revolutions-1e9", "revolutions-100.5", "closure-span-101", "samples-1000001",
         "angles-100.5-revolutions"])
 def test_trajectory_caps_are_checked_before_integrating(trace, monkeypatch):
@@ -538,8 +563,8 @@ def test_trajectory_caps_are_checked_before_integrating(trace, monkeypatch):
 
 def test_quadrupled_coupling_preserves_path_and_doubles_speed():
     thetas = np.array([0.3, 1.0, 2.2, 4.0])
-    pos1, speed1 = trajectory_path_on_angles("1", 3.0, 0.5, thetas)
-    pos4, speed4 = trajectory_path_on_angles("1", 12.0, 0.5, thetas)
+    pos1, speed1 = classical_trajectory("1", 3.0, 0.5).path_on_angles(thetas)
+    pos4, speed4 = classical_trajectory("1", 12.0, 0.5).path_on_angles(thetas)
     assert pos1.shape == (4, 2) and speed1.shape == (4,)
     assert np.max(np.hypot(pos1[:, 0] - pos4[:, 0], pos1[:, 1] - pos4[:, 1])) < 1e-8
     np.testing.assert_allclose(speed4 / speed1, 2.0, rtol=1e-6)
@@ -547,17 +572,18 @@ def test_quadrupled_coupling_preserves_path_and_doubles_speed():
 
 @pytest.mark.parametrize("kappa, w", [("1", 3.0), ("1/2", 2.0)])
 def test_path_on_angles_reads_the_traced_orbit(kappa, w, monkeypatch):
+    # dense output is exact at the step ends, in either sign of the angle
     traj = classical_trajectory(kappa, w, 0.5, direction_deg=63.0)
-    thetas = np.array([4.0, 0.05, -2.2, 1.0])
-    expected = trajectory_path_on_angles(kappa, w, 0.5, thetas, 63.0)
+    thetas = traj.orbit.t * np.where(np.arange(len(traj.orbit.t)) % 2, -1.0, 1.0)
+    x, y, vx, vy, _t = traj.orbit.y
 
     def refuse(*args, **kwargs):
         raise AssertionError("the traced orbit was integrated again")
 
     monkeypatch.setattr(solver, "solve_ivp", refuse)
     pos, speed = traj.path_on_angles(thetas)
-    assert pos.shape == (4, 2) and speed.shape == (4,)
-    np.testing.assert_allclose(pos, expected[0], rtol=1e-10, atol=1e-14)
-    np.testing.assert_allclose(speed, expected[1], rtol=1e-10)
+    assert pos.shape == (len(thetas), 2) and speed.shape == (len(thetas),)
+    np.testing.assert_array_equal(pos, np.column_stack([x, y]))
+    np.testing.assert_array_equal(speed, np.hypot(vx, vy))
     with pytest.raises(ValueError, match="beyond the traced span"):
         traj.path_on_angles([2.0 * math.pi * traj.k2 + 0.1])
