@@ -54,6 +54,10 @@ AUDIT_MATCH_TOL = 1e-8
 
 FORMULA_IDS = ("S1", "S_half", "V1", "V_half")
 
+# Largest l taken by printed_series_eval: S_half's log coefficient
+# 4 (4l+1)!! 4^l / (2l+1)! has a finite numerator up to here and overflows at 67.
+_MAX_L = 66
+
 
 def _check_member(lam: float, side: str) -> None:
     """Rejects a family parameter that is not finite, and an unknown side."""
@@ -207,11 +211,13 @@ def printed_series_eval(alpha, l: int, formula_id: str):
     Formula ids: "S1" and "V1" belong to the kappa = 1 profile, "S_half"
     and "V_half" to kappa = 1/2.  Values are reproduced exactly as typeset;
     any discrepancy with the quadrature oracles is the audit's finding.
+    l runs from 0 to 66; past that a prefactor overflows, so a larger l
+    raises ValueError.
     """
     if formula_id not in FORMULA_IDS:
         raise ValueError(f"unknown formula id {formula_id!r}")
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
+    if not 0 <= l <= _MAX_L:
+        raise ValueError(f"l must lie in [0, {_MAX_L}], got {l}")
     scalar = np.isscalar(alpha)
     a = np.asarray(alpha, dtype=float)
     if np.any((a <= 0.0) | (a >= math.pi)):

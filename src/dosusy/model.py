@@ -41,7 +41,6 @@ __all__ = [
     "f_factor",
     "state_quantum_numbers",
     "radial_u",
-    "is_normalizable",
     "normalization_constant",
     "effective_potential_general",
     "make_state",
@@ -375,7 +374,7 @@ def radial_u(rho, N: int, l: int, kappa, normalized: bool = False):
     return u
 
 
-def is_normalizable(N: int, l: int, kappa) -> bool:
+def _is_normalizable(N: int, l: int, kappa) -> bool:
     """Whether the norm integral of u converges on (0, inf).
 
     The tail behaves as u ~ rho^(-l) times a non-vanishing polynomial value,
@@ -399,7 +398,7 @@ def normalization_constant(N: int, l: int, kappa) -> float:
         For l = 0 states (divergent norm; nothing is silently rescaled).
     """
     kappa_f, _ = parse_kappa(kappa)
-    if not is_normalizable(N, l, kappa):
+    if not _is_normalizable(N, l, kappa):
         raise NonNormalizableStateError(
             f"state (N={N}, l={l}, kappa={kappa_f}) is not normalizable: "
             "u tends to a non-zero constant at large rho")

@@ -13,7 +13,7 @@ call.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -235,48 +235,57 @@ def derivative(f, x, order: int = 1, step: float = 1e-4):
     return float(d) if scalar else d
 
 
+_FORNBERG_MAX = 9  # most nodes, and highest order, a generated kernel is built for
+
+
 def fornberg_weights(z: float, xs, m: int) -> np.ndarray:
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
     Returns an array ``w`` of shape (m+1, len(xs)) such that
     ``w[k] @ f(xs)`` approximates the k-th derivative of f at ``z``.  The
-    recursion runs on Python floats: for a handful of nodes that is several
-    times cheaper than indexing numpy scalars.  A list of Python numbers is
-    used as it is; any other ``xs`` is converted to floats first.
+    recursion runs as a straight-line kernel on Python floats, generated
+    once per shape (len(xs), m) and cached; 1 to 9 nodes and an integer
+    order 0 to 9 are accepted, anything else raises ValueError.  A list of
+    Python numbers is used as it is; any other ``xs`` is converted to
+    floats first.
     """
     if type(xs) is not list:
         xs = np.asarray(xs, dtype=float).tolist()
     n = len(xs)
-    w = [[0.0] * n for _ in range(m + 1)]
-    w0 = w[0]
-    w0[0] = 1.0
-    rows = [(k, w[k], w[k - 1]) for k in range(m, 0, -1)]   # k = m .. 1
-    c1 = 1.0
-    c4 = xs[0] - z
+    if not (isinstance(m, (int, np.integer)) and 0 <= m <= _FORNBERG_MAX
+            and 1 <= n <= _FORNBERG_MAX):
+        raise ValueError(f"fornberg_weights takes 1 to {_FORNBERG_MAX} nodes and an integer "
+                         f"order 0 to {_FORNBERG_MAX}, got {n} nodes and m = {m!r}")
+    return _fornberg_kernel(n, int(m))(z, xs)
+
+
+@cache
+def _fornberg_kernel(n: int, m: int):
+    """Fornberg's recursion for n nodes and orders 0..m as one function of
+    (z, xs) without loops: every statement the recursion executes, in its
+    order, on locals w{k}_{j} (order k, node j).  Zero and unit terms stay
+    as written, so signed zeros, infinities and NaNs land where the loop
+    put them."""
+    body = [", ".join(f"x{j}" for j in range(n)) + ", = xs", "w0_0 = 1.0"]
+    body += [f"w{k}_{j} = 0.0" for k in range(m + 1) for j in range(n) if k or j]
+    body += ["c1 = 1.0", "c4 = x0 - z"]
     for i in range(1, n):
-        active = rows[max(m - i, 0):]   # k = min(i, m) .. 1
-        xi = xs[i]
-        c2 = 1.0
-        c5 = c4
-        c4 = xi - z
-        for j in range(i - 1):
-            c3 = xi - xs[j]
-            c2 *= c3
-            for k, wk, wl in active:
-                wk[j] = (c4 * wk[j] - k * wl[j]) / c3
-            w0[j] = c4 * w0[j] / c3
-        # the last column j = i - 1: the new column i reads it before its update
-        j = i - 1
-        c3 = xi - xs[j]
-        c2 *= c3
-        for k, wk, wl in active:
-            wk[i] = c1 * (k * wl[j] - c5 * wk[j]) / c2
-        w0[i] = -c1 * c5 * w0[j] / c2
-        for k, wk, wl in active:
-            wk[j] = (c4 * wk[j] - k * wl[j]) / c3
-        w0[j] = c4 * w0[j] / c3
-        c1 = c2
-    return np.array(w)
+        ks = range(min(i, m), 0, -1)
+        body += ["c2 = 1.0", "c5 = c4", f"c4 = x{i} - z"]
+        for j in range(i):
+            body += [f"c3 = x{i} - x{j}", "c2 *= c3"]
+            if j == i - 1:  # the new column i reads column j before its update
+                body += [f"w{k}_{i} = c1 * ({k} * w{k - 1}_{j} - c5 * w{k}_{j}) / c2" for k in ks]
+                body.append(f"w0_{i} = -c1 * c5 * w0_{j} / c2")
+            body += [f"w{k}_{j} = (c4 * w{k}_{j} - {k} * w{k - 1}_{j}) / c3" for k in ks]
+            body.append(f"w0_{j} = c4 * w0_{j} / c3")
+        body.append("c1 = c2")
+    flat = ", ".join(f"w{k}_{j}" for k in range(m + 1) for j in range(n))
+    body.append(f"return array([{flat}]).reshape({m + 1}, {n})")
+    scope = {"array": np.array}
+    source = "def kernel(z, xs):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, f"<fornberg kernel n={n} m={m}>", "exec"), scope)
+    return scope["kernel"]
 
 
 def grid_derivative(grid, values, order: int = 1, stencil: int = 5) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "CriticalPoint",
     "Trajectory",
     "integrate_radial",
-    "classify_tail",
     "shoot_coupling",
     "shoot_couplings",
     "critical_angular",
@@ -171,24 +170,6 @@ def integrate_radial(w: float, kappa: float, l: int, grid) -> SampledFunction:
             f"radial solution overflowed at rho = {grid[over[0]]:.6g} "
             f"(w = {w}, kappa = {kappa}, l = {l})")
     return SampledFunction(grid, _as_u(t, y, log_scale))
-
-
-def classify_tail(u: SampledFunction, l: int) -> str:
-    """Label the large-radius behaviour of a radial sample.
-
-    The decaying branch falls like rho^(-l) and the dominant one grows like
-    rho^(l+1); their log-log slopes always straddle +1/2, so the final
-    decade's slope classifies the sample as "decaying" or "non-decaying".
-    """
-    grid, vals = u.grid, np.abs(u.values)
-    mask = grid >= grid[-1] / 10.0
-    if np.count_nonzero(mask) < 2:
-        mask = np.zeros_like(grid, dtype=bool)
-        mask[-2:] = True
-    x = np.log(grid[mask])
-    y = np.log(np.maximum(vals[mask], 1e-290))
-    slope = np.polyfit(x, y, 1)[0]
-    return "decaying" if slope < 0.5 else "non-decaying"
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ print(json.dumps({"codes": codes, "scipy": scipy_modules()}))
 
 
 # first calls into the root search (shooting, v_zeros) and the orbit integrator
-FIRST_SCIPY_USERS = {
+FIRST_CALLS = {
     "shoot_coupling": ("from dosusy.solver import shoot_coupling",
                        "shoot_coupling(2, '1', 0).w_star",
                        pytest.approx(15.0, rel=1e-9)),
@@ -99,9 +99,9 @@ FIRST_SCIPY_USERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FIRST_SCIPY_USERS))
-def test_first_scipy_user_in_a_fresh_interpreter(name, tmp_path):
-    setup, call, expected = FIRST_SCIPY_USERS[name]
+@pytest.mark.parametrize("name", sorted(FIRST_CALLS))
+def test_first_call_loads_no_scipy_in_a_fresh_interpreter(name, tmp_path):
+    setup, call, expected = FIRST_CALLS[name]
     out = run_fresh(f"""
 {setup}
 before = scipy_modules()

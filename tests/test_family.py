@@ -244,6 +244,16 @@ def test_printed_series_validation():
     assert out.shape == (2,)
 
 
+@pytest.mark.parametrize("formula_id", FORMULA_IDS)
+def test_printed_series_cap_is_the_last_l_with_finite_prefactors(formula_id):
+    top = family._MAX_L
+    assert np.all(np.isfinite(printed_series_eval(np.array([1.0, 0.5 * math.pi]), top, formula_id)))
+    with pytest.raises(ValueError, match=f"\\[0, {top}\\]"):
+        printed_series_eval(1.0, top + 1, formula_id)
+    # one past the cap, S_half's log coefficient 4 (4l+1)!! 4^l is no longer finite
+    assert 4.0 * family._odd_double_factorial(4 * top + 5) * 4.0 ** (top + 1) == math.inf
+
+
 # ----------------------------------------------------------------------
 # audit records
 # ----------------------------------------------------------------------

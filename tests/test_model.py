@@ -27,7 +27,6 @@ from dosusy.model import (
     effective_potential_general,
     enumerate_shell,
     f_factor,
-    is_normalizable,
     make_state,
     map_coordinates,
     normalization_constant,
@@ -395,7 +394,6 @@ def test_normalized_radial_u_scaling():
 
 @pytest.mark.parametrize("N", [1, 2, 4])
 def test_l_zero_states_are_not_normalizable(N):
-    assert not is_normalizable(N, 0, "1")
     with pytest.raises(NonNormalizableStateError):
         normalization_constant(N, 0, "1")
     with pytest.raises(NonNormalizableStateError):
@@ -403,10 +401,10 @@ def test_l_zero_states_are_not_normalizable(N):
 
 
 def test_is_normalizable_positive_l():
-    assert is_normalizable(2, 1, "1")
-    assert is_normalizable(3, 3, "3/2")
+    assert 0.0 < normalization_constant(2, 1, "1") < math.inf
+    assert 0.0 < normalization_constant(3, 3, "3/2") < math.inf
     with pytest.raises(ValueError):
-        is_normalizable(1, 1, "1")  # state does not exist at all
+        normalization_constant(1, 1, "1")  # state does not exist at all
 
 
 # ----------------------------------------------------------------------

@@ -323,8 +323,8 @@ class TestFornberg:
             c1 = c2
         return np.array(w)
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("m", range(10))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_bit_identical_to_the_reference_recursion(self, m, n):
         rng = np.random.default_rng(1000 * m + n)
         for _ in range(20):
@@ -337,6 +337,20 @@ class TestFornberg:
                     assert got.shape == (m + 1, n)
                     ref = self._reference(z, nodes, m)
                     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_shapes_past_the_cap_raise_and_a_shape_reuses_its_kernel(self):
+        xs = np.linspace(0.0, 1.0, 10).tolist()
+        with pytest.raises(ValueError, match="1 to 9 nodes"):
+            fornberg_weights(0.5, xs, 1)
+        for m in (10, -1, 1.0):
+            with pytest.raises(ValueError, match="order 0 to 9"):
+                fornberg_weights(0.5, xs[:5], m)
+        numkit._fornberg_kernel.cache_clear()
+        first = fornberg_weights(0.3, xs[:5], 2)
+        second = fornberg_weights(0.7, xs[2:7], 2)
+        info = numkit._fornberg_kernel.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert first.shape == second.shape == (3, 5)
 
 
 class TestGridDerivative:
