@@ -55,44 +55,49 @@ def _write_text(path: str, payload: str) -> None:
         fh.write(payload)
 
 
+def _emit(outdir: str, payloads: dict) -> None:
+    """Write each {file name: payload} into outdir and print its path."""
+    os.makedirs(outdir, exist_ok=True)
+    for fname, payload in payloads.items():
+        path = os.path.join(outdir, fname)
+        _write_text(path, payload)
+        print(path)
+
+
+def _no_nan(name: str, values, where: str):
+    """values, or a computation failure naming the quantity if one is NaN."""
+    if np.isnan(values).any():
+        raise RuntimeError(f"{name} is NaN {where}")
+    return values
+
+
 # ----------------------------------------------------------------------
 # subcommand handlers
 # ----------------------------------------------------------------------
 
-_EVAL_CHOICES = ("W", "dW", "Uminus", "Uplus", "U", "Ueff", "f", "u", "xi", "alpha")
+# eval quantity -> (flag it needs, or None; its value from the arguments and float kappa)
+_EVAL = {
+    "W": (None, lambda a, k: susy.superpotential(a.rho, k, a.l)),
+    "dW": (None, lambda a, k: susy.superpotential_dr(a.rho, k, a.l)),
+    "Uminus": (None, lambda a, k: susy.partner_minus_closed(a.rho, k, a.l)),
+    "Uplus": (None, lambda a, k: susy.partner_plus_closed(a.rho, k, a.l)),
+    "U": ("w", lambda a, k: model.potential(a.rho, a.w, k)),
+    "Ueff": ("w", lambda a, k: model.effective_potential_general(a.rho, a.w, k, a.l)),
+    "f": (None, lambda a, k: model.f_factor(a.rho, k, a.l)),
+    "u": ("N", lambda a, k: model.radial_u(a.rho, a.N, a.l, a.kappa, normalized=a.normalized)),
+    "xi": (None, lambda a, k: model.map_coordinates(a.rho, k)[0]),
+    "alpha": (None, lambda a, k: model.map_coordinates(a.rho, k)[1]),
+}
 
 
 def _cmd_eval(args) -> int:
     kappa, _ = model.parse_kappa(args.kappa)
-    q = args.quantity
-    if q == "W":
-        val = susy.superpotential(args.rho, kappa, args.l)
-    elif q == "dW":
-        val = susy.superpotential_dr(args.rho, kappa, args.l)
-    elif q == "Uminus":
-        val = susy.partner_minus_closed(args.rho, kappa, args.l)
-    elif q == "Uplus":
-        val = susy.partner_plus_closed(args.rho, kappa, args.l)
-    elif q == "U":
-        if args.w is None:
-            raise ValueError("eval U needs --w")
-        val = model.potential(args.rho, args.w, kappa)
-    elif q == "Ueff":
-        if args.w is None:
-            raise ValueError("eval Ueff needs --w")
-        val = model.effective_potential_general(args.rho, args.w, kappa, args.l)
-    elif q == "f":
-        val = model.f_factor(args.rho, kappa, args.l)
-    elif q == "u":
-        if args.N is None:
-            raise ValueError("eval u needs --N")
-        val = model.radial_u(args.rho, args.N, args.l, args.kappa,
-                             normalized=args.normalized)
-    elif q == "xi":
-        val = model.map_coordinates(args.rho, kappa)[0]
-    else:  # alpha
-        val = model.map_coordinates(args.rho, kappa)[1]
-    print(repr(float(val)))
+    needs, value = _EVAL[args.quantity]
+    if needs and getattr(args, needs) is None:
+        raise ValueError(f"eval {args.quantity} needs --{needs}")
+    with np.errstate(all="ignore"):
+        val = value(args, kappa)
+    print(repr(float(_no_nan(args.quantity, val, f"at rho = {args.rho!r}"))))
     return 0
 
 
@@ -111,26 +116,25 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_partners(args) -> int:
     kappa, _ = model.parse_kappa(args.kappa)
-    if args.rho is not None:
-        print(f"W       = {susy.superpotential(args.rho, kappa, args.l)!r}")
-        print(f"U_minus = {susy.partner_minus_closed(args.rho, kappa, args.l)!r}")
-        print(f"U_plus  = {susy.partner_plus_closed(args.rho, kappa, args.l)!r}")
+    point = args.rho is not None
+    rho = args.rho if point else _grid_of(args)
+    parts = (("W", "partners_w", "superpotential W(rho)", susy.superpotential),
+             ("U_minus", "partners_minus", "lower partner U_minus(rho)",
+              susy.partner_minus_closed),
+             ("U_plus", "partners_plus", "upper partner U_plus(rho)", susy.partner_plus_closed))
+    where = f"at rho = {rho!r}" if point else "on the grid"
+    with np.errstate(all="ignore"):
+        values = [_no_nan(name, fn(rho, kappa, args.l), where) for name, _, _, fn in parts]
+    if point:
+        for (name, *_), val in zip(parts, values):
+            print(f"{name:<7} = {val!r}")
         return 0
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    grid = _grid_of(args)
-    parts = (("partners_w.csv", "superpotential W(rho)", susy.superpotential),
-             ("partners_minus.csv", "lower partner U_minus(rho)", susy.partner_minus_closed),
-             ("partners_plus.csv", "upper partner U_plus(rho)", susy.partner_plus_closed))
-    for fname, desc, fn in parts:
-        vals = fn(grid, kappa, args.l)
-        payload = _curve_csv(f"{fname[:-4]}: {desc}",
-                             "rho (units R), value (units E0; W in 1/R), kappa, l",
-                             f"kappa={args.kappa}, l={args.l}",
-                             "rho,value,kappa,l", [(grid, vals, kappa, args.l)])
-        path = os.path.join(outdir, fname)
-        _write_text(path, payload)
-        print(path)
+    _emit(args.out or ".", {
+        f"{stem}.csv": _curve_csv(f"{stem}: {desc}",
+                                  "rho (units R), value (units E0; W in 1/R), kappa, l",
+                                  f"kappa={args.kappa}, l={args.l}", "rho,value,kappa,l",
+                                  [(rho, vals, kappa, args.l)])
+        for (_, stem, desc, _), vals in zip(parts, values)})
     return 0
 
 
@@ -153,11 +157,7 @@ def _cmd_family(args) -> int:
         "rho (units R), value, kappa, l",
         f"kappa={args.kappa}, l={args.l}, lambda={args.lam}, side={args.side}",
         "rho,value,kappa,l", [(grid, vals, kappa, args.l)])
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "family_v.csv")
-    _write_text(path, payload)
-    print(path)
+    _emit(args.out or ".", {"family_v.csv": payload})
     if zeros:
         print("singular loci of W_lambda (zeros of V): "
               + ", ".join(repr(z) for z in zeros))
@@ -204,12 +204,8 @@ def _cmd_critical(args) -> int:
 
 def _cmd_figures(args) -> int:
     names = ("fig1", "fig2") if args.figure == "all" else (args.figure,)
-    os.makedirs(args.out, exist_ok=True)
-    for name in names:
-        for fname, payload in figure_payloads(name).items():
-            path = os.path.join(args.out, fname)
-            _write_text(path, payload)
-            print(path)
+    _emit(args.out, {fname: payload for name in names
+                     for fname, payload in figure_payloads(name).items()})
     return 0
 
 
@@ -218,7 +214,6 @@ def _cmd_trace(args) -> int:
                                        direction_deg=args.direction,
                                        samples=args.samples,
                                        revolutions=args.revolutions)
-    speed = np.hypot(traj.vx, traj.vy)
     print(f"kappa = {traj.k1}/{traj.k2}, w = {traj.w!r}, rho0 = {args.rho!r}, "
           f"direction = {args.direction!r} deg")
     print(f"closure_defect = {traj.closure_defect:.3e} after "
@@ -233,7 +228,7 @@ def _cmd_trace(args) -> int:
             "t (scaled time), x (units R), y (units R), speed",
             f"kappa={args.kappa}, w={args.w}, rho0={args.rho}, "
             f"direction_deg={args.direction}",
-            "t,x,y,speed", [(traj.t, traj.x, traj.y, speed)])
+            "t,x,y,speed", [(traj.t, traj.x, traj.y, np.hypot(traj.vx, traj.vy))])
         _write_text(args.out, payload)
         print(args.out)
     return 0
@@ -272,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("eval", help="evaluate a closed-form quantity at a point")
-    p.add_argument("quantity", choices=_EVAL_CHOICES)
+    p.add_argument("quantity", choices=_EVAL)
     p.add_argument("--kappa", required=True,
                    help="shape exponent, decimal or rational 'k1/k2'")
     p.add_argument("--l", type=int, default=0, help="orbital number (default 0)")

@@ -187,24 +187,6 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
 # in S1 the falling product stops at (l+1-m), in V1 at (l-m) — the audit's
 # job is to measure the consequences, not to harmonize them.
 
-def _falling(start: float, step: float, count: int) -> float:
-    """Iterative product start * (start-step) * ...; empty product = 1."""
-    out = 1.0
-    for i in range(count):
-        out *= start - step * i
-    return out
-
-
-def _odd_double_factorial(n: int) -> float:
-    """n!! for odd n as a direct product."""
-    if n < 0 or n % 2 == 0:
-        raise ValueError(f"expected odd non-negative n, got {n}")
-    out = 1.0
-    for m in range(n, 1, -2):
-        out *= m
-    return out
-
-
 def printed_series_eval(alpha, l: int, formula_id: str):
     """Evaluate one of the four printed series at angle alpha in (0, pi).
 
@@ -225,40 +207,38 @@ def printed_series_eval(alpha, l: int, formula_id: str):
 
     sin_a = np.sin(a)
     cos_a = np.cos(a)
+    # Each coefficient's falling products gain one factor per term, in the
+    # order the notation prints them.
+    num = den = 1.0
     if formula_id == "S1":
         csc = 1.0 / sin_a
         total = csc ** (2 * l + 1)
         for m in range(1, l + 1):
-            coef = 2.0 ** m * _falling(l, 1.0, m) / _falling(2 * l - 1, 2.0, m)
-            total = total + coef * csc ** (2 * l + 1 - 2 * m)
+            num, den = num * (l - (m - 1.0)), den * (2 * l - 1 - 2.0 * (m - 1))
+            total = total + 2.0 ** m * num / den * csc ** (2 * l + 1 - 2 * m)
         out = -(2.0 ** (2 * l + 1) / (2 * l + 1)) * cos_a * total
-    elif formula_id == "S_half":
-        csc2 = 1.0 / sin_a ** 2
-        bracket = np.ones_like(a)
-        for m in range(1, 2 * l + 1):
-            num = _falling(4 * l + 1, 2.0, m)
-            den = _falling(2 * l, 1.0, m)
-            bracket = bracket + num / ((2.0 * csc2) ** m * den)
-        lead = -(2.0 ** (4 * l + 3) / (2 * l + 1)) * cos_a * csc2 ** (2 * l + 1) * bracket
-        log_coeff = 4.0 * _odd_double_factorial(4 * l + 1) * 4.0 ** l / math.factorial(2 * l + 1)
-        out = lead + log_coeff * np.log(np.tan(0.5 * a))
     elif formula_id == "V1":
-        bracket = np.ones_like(a)
+        bracket, num = np.ones_like(a), 1.0 * l
         for m in range(1, l + 1):
-            coef = _falling(l, 1.0, m + 1) / _falling(2 * l - 1, 2.0, m)
-            bracket = bracket + (2.0 * sin_a ** 2) ** m * coef
+            num, den = num * (l - 1.0 * m), den * (2 * l - 1 - 2.0 * (m - 1))
+            bracket = bracket + (2.0 * sin_a ** 2) ** m * (num / den)
         out = (2.0 * cos_a / (2 * l + 1)) * np.tan(0.5 * a) * bracket
-    else:  # V_half
+    else:   # S_half and V_half: one sum over m <= 2l, then (4l+1)!! in the log term
+        csc2, half_sin2 = 1.0 / sin_a ** 2, 0.5 * sin_a ** 2
         bracket = np.ones_like(a)
         for m in range(1, 2 * l + 1):
-            num = _falling(4 * l + 1, 2.0, m)
-            den = _falling(2 * l, 1.0, m)
-            bracket = bracket + (0.5 * sin_a ** 2) ** m * num / den
-        lead = (2.0 * cos_a / (2 * l + 1)) * np.tan(0.5 * a) ** 2 * bracket
-        # log-term prefactor as typeset: 4 (4l+1)!! / ((2l+1)! csc^4(alpha/2))
-        base = 4.0 * _odd_double_factorial(4 * l + 1) / math.factorial(2 * l + 1)
-        out = lead + base * (0.5 * sin_a ** 2) ** (2 * l) * np.sin(0.5 * a) ** 4 \
-            * np.log(np.tan(0.5 * a))
+            num, den = num * (4 * l + 1 - 2.0 * (m - 1)), den * (2 * l - 1.0 * (m - 1))
+            bracket = bracket + (num / ((2.0 * csc2) ** m * den) if formula_id == "S_half"
+                                 else half_sin2 ** m * num / den)
+        log_tan = np.log(np.tan(0.5 * a))   # num is now (4l+1)!!
+        if formula_id == "S_half":
+            lead = -(2.0 ** (4 * l + 3) / (2 * l + 1)) * cos_a * csc2 ** (2 * l + 1) * bracket
+            out = lead + 4.0 * num * 4.0 ** l / math.factorial(2 * l + 1) * log_tan
+        else:
+            lead = (2.0 * cos_a / (2 * l + 1)) * np.tan(0.5 * a) ** 2 * bracket
+            # log-term prefactor as typeset: 4 (4l+1)!! / ((2l+1)! csc^4(alpha/2))
+            out = lead + 4.0 * num / math.factorial(2 * l + 1) * half_sin2 ** (2 * l) \
+                * np.sin(0.5 * a) ** 4 * log_tan
     return float(out) if scalar else out
 
 
@@ -360,18 +340,12 @@ def _audit_V(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
                              ratio=ratio, verdict=verdict)
 
 
-def series_audit(formula_ids=FORMULA_IDS, l_values=(0, 1, 2, 3)) -> list[SeriesAuditRecord]:
-    """Audit printed formulas against quadrature oracles.
+def series_audit() -> list[SeriesAuditRecord]:
+    """Audit the four printed formulas at l = 0..3 against quadrature oracles.
 
     Returns one record per (formula, l), in deterministic order.  Verdicts
     are informative measurements; the caller decides what is load-bearing.
     """
-    records = []
-    for fid in formula_ids:
-        kappa = 1.0 if fid in ("S1", "V1") else 0.5
-        for l in l_values:
-            if fid.startswith("S"):
-                records.append(_audit_S(fid, int(l), kappa))
-            else:
-                records.append(_audit_V(fid, int(l), kappa))
-    return records
+    return [(_audit_S if fid.startswith("S") else _audit_V)(
+                fid, l, 1.0 if fid in ("S1", "V1") else 0.5)
+            for fid in FORMULA_IDS for l in range(4)]

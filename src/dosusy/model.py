@@ -263,7 +263,8 @@ def _ueff(rho, w: float, kappa: float, l):
     _check_coupling(w)
     x, p, v = _fold(rho, kappa)
     if l:
-        return (l * (l + 1.0) - w * p * v * v) / rho / rho
+        with np.errstate(over="ignore"):   # +inf where l(l+1)/rho^2 passes the float range
+            return (l * (l + 1.0) - w * p * v * v) / rho / rho
     return -w * x ** np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0) * (v * v)
 
 
@@ -374,31 +375,23 @@ def radial_u(rho, N: int, l: int, kappa, normalized: bool = False):
     return u
 
 
-def _is_normalizable(N: int, l: int, kappa) -> bool:
-    """Whether the norm integral of u converges on (0, inf).
-
-    The tail behaves as u ~ rho^(-l) times a non-vanishing polynomial value,
-    so the integral of u^2 converges exactly when l >= 1; every l = 0 member
-    tends to a constant and diverges linearly.
-    """
-    state_quantum_numbers(N, l, kappa)  # existence check
-    return l >= 1
-
-
 def normalization_constant(N: int, l: int, kappa) -> float:
     """Positive constant scaling u to unit half-line norm.
 
     Evaluated as 1/sqrt(integral of u^2 d rho) with the half-line folded to
     alpha in (0, pi) through rho^kappa = tan(alpha/2), so that
-    d rho = rho / (kappa sin(alpha)) d alpha.
+    d rho = rho / (kappa sin(alpha)) d alpha.  The tail behaves as
+    u ~ rho^(-l) times a non-vanishing polynomial value, so the integral
+    converges exactly when l >= 1.
 
     Raises
     ------
     NonNormalizableStateError
         For l = 0 states (divergent norm; nothing is silently rescaled).
     """
-    kappa_f, _ = parse_kappa(kappa)
-    if not _is_normalizable(N, l, kappa):
+    kappa_f, exact = parse_kappa(kappa)
+    _degree_order(N, l, kappa_f, exact)  # existence check
+    if l < 1:
         raise NonNormalizableStateError(
             f"state (N={N}, l={l}, kappa={kappa_f}) is not normalizable: "
             "u tends to a non-zero constant at large rho")

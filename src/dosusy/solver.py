@@ -179,8 +179,8 @@ class ShootingResult:
     match_defect is the scale-normalized Wronskian of the outward and
     inward branches at the matching radius rho = 1 (zero iff the branches
     are proportional; stays regular even when the eigenfunction has a node
-    exactly at the matching radius).  u is assembled on first read, on
-    ``grid`` (None: the default grid, built then).
+    exactly at the matching radius).  u is assembled on first read, on the
+    default grid, built then.
     """
 
     w_star: float
@@ -189,12 +189,10 @@ class ShootingResult:
     defect_evaluations: int
     kappa: float = field(repr=False, compare=False)
     l: int = field(repr=False, compare=False)
-    grid: np.ndarray | None = field(repr=False, compare=False)
 
     @cached_property
     def u(self) -> SampledFunction:
-        grid = default_grid() if self.grid is None else self.grid
-        return _assemble_eigenfunction(self.w_star, self.kappa, self.l, grid)
+        return _assemble_eigenfunction(self.w_star, self.kappa, self.l, default_grid())
 
 
 def _match_defect(w, kappa, L):
@@ -208,7 +206,7 @@ def _match_defect(w, kappa, L):
     return (duo * yi - dui * yo) / (np.hypot(yo, duo) * np.hypot(yi, dui))
 
 
-def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
+def shoot_couplings(states) -> list[ShootingResult]:
     """Recover the quantized couplings of many (N, kappa, l) states at once.
 
     The defect function is the normalized Wronskian mismatch of the regular
@@ -217,12 +215,11 @@ def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
     the potential is even in ln rho, so the inward leg is its mirror image.
     Every state's defect is a vector element of one bracketed root search
     (``numkit.bracketed_root``), so a row is the same, bit for bit,
-    whichever other states share the call.  ``brackets`` gives one
-    (lo, hi) or None per state; None is +-30% around the closed-form
-    ladder value, cut at (2 kappa (N + a - 1))^2 and (2 kappa (N + a))^2,
-    a = 1/(2 kappa), which separate it from its ladder neighbours for every
-    N and kappa; the root search itself never consults the closed form.
-    Each result's ``u`` is assembled on first read, on ``grid``.
+    whichever other states share the call.  Each bracket is +-30% around
+    the closed-form ladder value, cut at (2 kappa (N + a - 1))^2 and
+    (2 kappa (N + a))^2, a = 1/(2 kappa), which separate it from its ladder
+    neighbours for every N and kappa; the root search itself never consults
+    the closed form.
 
     Raises
     ------
@@ -235,18 +232,14 @@ def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
     """
     states = list(states)
     rows = []
-    for (N, kappa, l), bracket in zip(states, brackets or [None] * len(states), strict=True):
+    for N, kappa, l in states:
         kappa_f, _ = parse_kappa(kappa)
         state_quantum_numbers(N, l, kappa)  # validates the (N, l, kappa) combination
-        if bracket is None:
-            w_bar = coupling_quantized(N, kappa_f)
-            a = 0.5 / kappa_f
-            bracket = (max(w_bar / 1.3, (2.0 * kappa_f * (N + a - 1.0)) ** 2),
-                       min(w_bar * 1.3, (2.0 * kappa_f * (N + a)) ** 2))
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not (0 < lo < hi):
-            raise ValueError(f"invalid bracket {bracket}")
-        rows.append((kappa_f, l, lo, hi))
+        w_bar = coupling_quantized(N, kappa_f)
+        a = 0.5 / kappa_f
+        bracket = (max(w_bar / 1.3, (2.0 * kappa_f * (N + a - 1.0)) ** 2),
+                   min(w_bar * 1.3, (2.0 * kappa_f * (N + a)) ** 2))
+        rows.append((kappa_f, l, *map(float, bracket)))
     kappas, ls, los, his = (np.array(col, dtype=float) for col in zip(*rows))
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite defect is raised below
         res = bracketed_root(_match_defect, los, his, args=(kappas, ls + 0.5))
@@ -261,16 +254,14 @@ def shoot_couplings(states, brackets=None, grid=None) -> list[ShootingResult]:
                    f"the root search did not converge in {res.nfev[i]} defect evaluations")
         raise ConvergenceError(f"{problem} on bracket ({lo:.6g}, {hi:.6g}) for {name}")
 
-    grid = None if grid is None else np.array(grid, dtype=float)   # u reads it later
     return [ShootingResult(w_star=float(res.x[i]), match_defect=float(res.f_x[i]),
                            bracket=(rows[i][2], rows[i][3]),
                            defect_evaluations=int(res.nfev[i]),
-                           kappa=rows[i][0], l=states[i][2], grid=grid)
+                           kappa=rows[i][0], l=states[i][2])
             for i in range(len(states))]
 
 
-def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = None,
-                   grid=None) -> ShootingResult:
+def shoot_coupling(N: int, kappa, l: int) -> ShootingResult:
     """Recover one quantized coupling: the one-state call of shoot_couplings.
 
     Raises
@@ -278,7 +269,7 @@ def shoot_coupling(N: int, kappa, l: int, bracket: tuple[float, float] | None = 
     BracketError
         If the defect does not change sign over the bracket.
     """
-    return shoot_couplings([(N, kappa, l)], [bracket], grid)[0]
+    return shoot_couplings([(N, kappa, l)])[0]
 
 
 def _assemble_eigenfunction(w: float, kappa: float, l: int, grid) -> SampledFunction:

@@ -41,10 +41,13 @@ __all__ = [
 
 # --- W and its derivatives from T = 1/(1 + rho^(2 kappa)) -------------
 
-def _power(rho, k):
-    """rho^k for a denominator: where it overflows, its reciprocal is 0 and right."""
-    with np.errstate(over="ignore"):
-        return rho ** k
+def _quotient(rho, k, num=1.0, plus=0.0):
+    """num / (plus + rho^k) with no warning where rho^k overflows or underflows.
+
+    The quotient is then 0 or a correctly signed infinity; only a NaN warns.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return num / (plus + rho ** k)
 
 
 def _numerators(rho, kappa: float, l, order: int) -> list:
@@ -56,7 +59,7 @@ def _numerators(rho, kappa: float, l, order: int) -> list:
     the power overflows keeps every B_n finite.
     """
     k = 2.0 * kappa
-    T = 1.0 / (1.0 + _power(rho, k))
+    T = _quotient(rho, k, plus=1.0)
     cT = (2.0 * l + 1.0) * T
     B = [l - cT]
     if order >= 1:
@@ -96,7 +99,7 @@ def superpotential_d3r(rho, kappa: float, l):
 
 @_radial
 def _w_derivative(rho, kappa, l, n):
-    return _numerators(rho, kappa, l, n)[n] / _power(rho, n + 1)
+    return _quotient(rho, n + 1, _numerators(rho, kappa, l, n)[n])
 
 
 # --- partner potentials -------------------------------------------------
@@ -114,7 +117,7 @@ def partner_plus(rho, kappa: float, l):
 @_radial
 def _partner(rho, kappa, l, sign):
     B0, B1 = _numerators(rho, kappa, l, 1)
-    return (B0 * B0 + sign * B1) / _power(rho, 2)
+    return _quotient(rho, 2, B0 * B0 + sign * B1)
 
 
 @_radial
@@ -148,14 +151,14 @@ def partner_plus_closed(rho, kappa: float, l):
 def partner_plus_dr(rho, kappa: float, l):
     """d U_+ / d rho from the factorized form 2 W W' + W''."""
     B0, B1, B2 = _numerators(rho, kappa, l, 2)
-    return (2.0 * B0 * B1 + B2) / _power(rho, 3)
+    return _quotient(rho, 3, 2.0 * B0 * B1 + B2)
 
 
 @_radial
 def partner_plus_d2r(rho, kappa: float, l):
     """d^2 U_+ / d rho^2 = 2 (W'^2 + W W'') + W'''."""
     B0, B1, B2, B3 = _numerators(rho, kappa, l, 3)
-    return (2.0 * (B1 * B1 + B0 * B2) + B3) / _power(rho, 4)
+    return _quotient(rho, 4, 2.0 * (B1 * B1 + B0 * B2) + B3)
 
 
 def apply_ladder(u: SampledFunction, kappa, l, which: str = "A") -> SampledFunction:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dosusy
-from dosusy import checks, cli
+from dosusy import checks, cli, solver
 from dosusy.cli import main
 
 
@@ -116,6 +116,52 @@ def test_quantize_with_a_non_finite_defect_fails_quietly(capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("dosusy: failure:")
     assert "not finite" in err and "N=1000000" in err
+
+
+def test_quantize_past_float_resolution_is_the_same_failure(capsys):
+    # At N = 10^16 both ends of the default bracket round to 4e32; the
+    # defect there is not finite, as it already is at N = 10^12.
+    for N in ("1000000000000", "10000000000000000"):
+        rc, _, err = run(capsys, "quantize", "--kappa", "1", "--N", N)
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("dosusy: failure:")
+        assert "not finite" in err and f"N={N}" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("eval", "Uminus", "--kappa", "1e150", "--l", "1", "--rho", "2"), "Uminus"),
+    (("eval", "Uplus", "--kappa", "1e150", "--l", "1", "--rho", "2"), "Uplus"),
+    (("partners", "--kappa", "1e150", "--rho", "2"), "U_minus"),
+], ids=["eval-Uminus", "eval-Uplus", "partners-point"])
+def test_a_nan_value_is_a_failure_not_a_printed_nan(capsys, argv, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("dosusy: failure:") and len(err.splitlines()) == 1
+    assert f"{name} is NaN" in err
+
+
+def test_partner_curves_with_a_nan_write_no_file(tmp_path, capsys):
+    outdir = tmp_path / "curves"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "partners", "--kappa", "1e150", "--out", str(outdir))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("dosusy: failure:") and len(err.splitlines()) == 1
+    assert "U_minus is NaN" in err
+    assert not outdir.exists()
+
+
+def test_an_infinite_value_still_prints(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "eval", "Ueff", "--kappa", "1", "--w", "3", "--l", "1",
+                           "--rho", "1e-200")
+    assert (rc, out, err) == (0, "inf\n", "")
 
 
 def test_partners_point_report(capsys):
@@ -255,6 +301,16 @@ def test_trace_summary_and_csv(tmp_path, capsys):
     data = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     assert data[0] == "t,x,y,speed"
     assert len(data) == 1 + 1000  # default sampling
+
+
+def test_trace_without_csv_builds_no_time_uniform_samples(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("time-uniform samples built without --out")
+
+    monkeypatch.setattr(solver, "_states_at_times", refuse)
+    rc, out, _ = run(capsys, "trace", "--kappa", "1", "--w", "3", "--rho", "0.5")
+    assert rc == 0
+    assert len(out.splitlines()) == 4
 
 
 def test_trace_csv_is_byte_identical_across_runs(tmp_path, capsys):

@@ -213,10 +213,16 @@ def test_closed_forms_raise_no_warning_at_extreme_radii(kappa, l):
         radial_u(1e-200, 3, 0, kappa)
         potential(1e-200, 3.0, kappa)
         map_coordinates(1e-200, kappa)
-    # W^(n) ~ -(l+1) (-1)^n n! / rho^(n+1) passes the largest double there
-    with np.errstate(divide="ignore"):
+        # the rest pass the largest double there and are infinities of their sign:
+        # W^(n) ~ -(l+1) (-1)^n n! / rho^(n+1), U+ ~ (l+1)(l+2) / rho^2 and its
+        # derivatives, and for l > 0 U- and U_eff ~ l(l+1) / rho^2
         derivs = [fn(1e-200, kappa, l) for fn in W_DERIVATIVES[1:]]
+        plus = [fn(1e-200, kappa, l) for fn in (partner_plus, partner_plus_dr, partner_plus_d2r)]
+        if l:   # at l = 0 U-'s numerator cancels to 0 and the quotient is NaN
+            assert partner_minus(1e-200, kappa, l) == math.inf
+            assert effective_potential_general(1e-200, 3.0, kappa, l) == math.inf
     assert derivs == [math.inf, -math.inf, math.inf]
+    assert plus == [math.inf, -math.inf, math.inf]
 
 
 # (kappa, l) pairs with l/kappa an integer, each with polynomial degrees 0, 1, 3

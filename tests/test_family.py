@@ -251,7 +251,8 @@ def test_printed_series_cap_is_the_last_l_with_finite_prefactors(formula_id):
     with pytest.raises(ValueError, match=f"\\[0, {top}\\]"):
         printed_series_eval(1.0, top + 1, formula_id)
     # one past the cap, S_half's log coefficient 4 (4l+1)!! 4^l is no longer finite
-    assert 4.0 * family._odd_double_factorial(4 * top + 5) * 4.0 ** (top + 1) == math.inf
+    double_factorial = math.prod(range(4 * top + 5, 1, -2), start=1.0)   # (4l+5)!! as a float
+    assert 4.0 * double_factorial * 4.0 ** (top + 1) == math.inf
 
 
 # ----------------------------------------------------------------------

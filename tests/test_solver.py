@@ -191,38 +191,42 @@ def test_radial_path_does_not_use_solve_ivp(monkeypatch):
     integrate_radial(15.0, 1.0, 0, FINE)
 
 
-def test_shooting_bracket_without_root():
-    # (6, 9) sits strictly between the first two couplings of the l = 0
-    # ladder at kappa = 1; the defect cannot change sign there.
-    with pytest.raises(BracketError):
-        shoot_coupling(1, "1", 0, bracket=(6.0, 9.0))
+def _no_root_in_default_bracket(monkeypatch, N, kappa):
+    """Centre the default bracket of (N, kappa) on 7.5: at kappa = 1 it then
+    lies inside (7.5 / 1.3, 7.5 * 1.3), strictly between the first two
+    couplings 3 and 15 of the l = 0 ladder, so the defect has no root in it."""
+    ladder = solver.coupling_quantized
+    monkeypatch.setattr(solver, "coupling_quantized",
+                        lambda n, k: 7.5 if (n, k) == (N, kappa) else ladder(n, k))
+
+
+def test_shooting_bracket_without_root(monkeypatch):
+    _no_root_in_default_bracket(monkeypatch, 1, 1.0)
+    with pytest.raises(BracketError, match=r"N=1, kappa=1\.0, l=0"):
+        shoot_coupling(1, "1", 0)
 
 
 def test_batched_shooting_rows_equal_single_calls():
     states = [(1, "1", 0), (3, "1/2", 1), (2, 0.226, 0), (3, "3/2", 3), (2, "1", 0)]
-    brackets = [None, None, None, None, (3.0 / 1.3 * 5, 3.0 * 1.3 * 5)]
-    batch = solver.shoot_couplings(states, brackets)
-    for (N, kappa, l), bracket, row in zip(states, brackets, batch):
-        single = shoot_coupling(N, kappa, l, bracket=bracket)
+    batch = solver.shoot_couplings(states)
+    for (N, kappa, l), row in zip(states, batch):
+        single = shoot_coupling(N, kappa, l)
         assert (row.w_star, row.match_defect, row.bracket, row.defect_evaluations) == (
             single.w_star, single.match_defect, single.bracket, single.defect_evaluations)
 
 
-def test_bracket_error_names_the_failing_state():
+def test_bracket_error_names_the_failing_state(monkeypatch):
+    _no_root_in_default_bracket(monkeypatch, 1, 1.0)
     with pytest.raises(BracketError, match=r"N=1, kappa=1\.0, l=0"):
-        solver.shoot_couplings([(2, "1", 1), (1, "1", 0)], [None, (6.0, 9.0)])
+        solver.shoot_couplings([(2, "1", 1), (1, "1", 0)])
 
 
 def test_shooting_validation():
     with pytest.raises(ValueError):
-        shoot_coupling(1, "1", 0, bracket=(-1.0, 2.0))
-    with pytest.raises(ValueError):
         shoot_coupling(1, "1", 2)  # no such state on the ladder
+    with pytest.raises(ValueError):
+        shoot_coupling(0, "1", 0)  # no ladder label below 1
 
-
-# ----------------------------------------------------------------------
-# one shooting leg and its mirror image
-# ----------------------------------------------------------------------
 
 def _two_leg_defect(w, kappa, l):
     """The matching defect with both legs propagated, as it was first written."""
@@ -291,28 +295,27 @@ def test_default_grid_is_built_only_when_u_is_read(monkeypatch):
     assert built == [1]
 
 
-def test_lazy_eigenfunction_matches_eager_assembly_on_explicit_grid():
-    grid = np.geomspace(0.02, 40.0, 257)
-    res = shoot_coupling(3, "1/2", 1, grid=grid)
-    eager = solver._assemble_eigenfunction(res.w_star, 0.5, 1, grid.copy())
-    grid[:] = 1.0  # the result keeps its own copy of the grid
+def test_lazy_eigenfunction_matches_eager_assembly_on_the_default_grid():
+    res = shoot_coupling(3, "1/2", 1)
+    eager = solver._assemble_eigenfunction(res.w_star, 0.5, 1, default_grid())
     assert np.array_equal(res.u.grid, eager.grid)
     assert np.array_equal(res.u.values, eager.values)
 
 
-def test_shooting_result_compares_and_reprs_without_the_grid():
+def test_shooting_result_compares_and_reprs_without_kappa_and_l():
     class Untouchable:
         def __eq__(self, other):
-            raise AssertionError("grid compared")
+            raise AssertionError("compared")
 
         def __repr__(self):
-            raise AssertionError("grid formatted")
+            raise AssertionError("formatted")
 
-        __hash__ = object.__hash__
+        def __hash__(self):
+            raise AssertionError("hashed")
 
     fields = dict(w_star=3.0, match_defect=0.0, bracket=(2.0, 4.0), defect_evaluations=7)
-    a = ShootingResult(**fields, kappa=1.0, l=0, grid=Untouchable())
-    b = ShootingResult(**fields, kappa=2.0, l=1, grid=Untouchable())
+    a = ShootingResult(**fields, kappa=Untouchable(), l=Untouchable())
+    b = ShootingResult(**fields, kappa=Untouchable(), l=Untouchable())
     assert a == b
     assert hash(a) == hash(b)
     assert repr(a) == ("ShootingResult(w_star=3.0, match_defect=0.0, bracket=(2.0, 4.0), "
