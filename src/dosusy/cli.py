@@ -104,10 +104,10 @@ def _cmd_eval(args) -> int:
 def _cmd_quantize(args) -> int:
     kappa, _ = model.parse_kappa(args.kappa)
     w = model.coupling_quantized(args.N, kappa)
-    print(repr(w))
     res = solver.shoot_coupling(args.N, args.kappa, args.l)
     rel = abs(res.w_star - w) / w
     ok = rel < 1e-6
+    print(repr(w))
     print(f"shooting cross-check: w_star = {res.w_star!r} "
           f"(relative deviation {rel:.3e}, {res.defect_evaluations} defect "
           f"evaluations) [{'ok' if ok else 'FAIL'}]")

@@ -339,6 +339,8 @@ def state_quantum_numbers(N: int, l: int, kappa) -> tuple[int, float]:
 
 
 def _degree_order(N: int, l: int, kappa_f: float, exact: Fraction | None) -> tuple[int, float]:
+    if l < 0:
+        raise ValueError(f"no state at (N={N}, l={l}): l must be >= 0")
     if exact is not None:
         ratio = Fraction(l) / exact
         if ratio.denominator != 1:
@@ -366,8 +368,6 @@ def radial_u(rho, N: int, l: int, kappa, normalized: bool = False):
     """
     kappa_f, exact = parse_kappa(kappa)
     degree, q = _degree_order(N, l, kappa_f, exact)
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
     f, p = _folded_f(rho, kappa_f, l)
     u = f * gegenbauer_eval(degree, q, _xi(rho, p))
     if normalized:

@@ -288,38 +288,37 @@ def _fornberg_kernel(n: int, m: int):
     return scope["kernel"]
 
 
-def grid_derivative(grid, values, order: int = 1, stencil: int = 5) -> np.ndarray:
-    """Differentiate sampled values on a (possibly non-uniform) grid.
+def grid_derivative(grid, values) -> np.ndarray:
+    """First derivative of sampled values on a (possibly non-uniform) grid.
 
-    Uses a sliding ``stencil``-point window (centered in the interior,
-    one-sided at the edges) with Fornberg weights, so log-spaced grids are
-    handled without loss of order.  ``values`` is one sampled function of
-    shape (n,) or m of them stacked as (m, n); the weights depend only on
-    the grid, so each point's weights are computed once for all rows.
+    Uses a sliding 5-point window (centered in the interior, one-sided at
+    the edges) with Fornberg weights, so log-spaced grids are handled
+    without loss of order.  ``values`` is one sampled function of shape
+    (n,) or m of them stacked as (m, n); the weights depend only on the
+    grid, so each point's weights are computed once for all rows.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(grid)
-    if n < stencil:
-        raise ValueError(f"need at least {stencil} grid points, got {n}")
+    if n < 5:
+        raise ValueError(f"need at least 5 grid points, got {n}")
     if grid.ndim != 1 or values.ndim > 2 or values.shape[-1:] != grid.shape:
         raise ValueError("values must be (n,) or (m, n) on a 1-D grid of n points")
-    half = stencil // 2
-    top = n - stencil + half + 1  # points half .. top-1 have centred windows
+    top = n - 2  # points 2 .. top-1 have centred windows
     nodes = grid.tolist()
-    weights = np.empty((stencil, n))
+    weights = np.empty((5, n))
     for i in range(n):
-        lo = min(max(i - half, 0), n - stencil)
-        weights[:, i] = fornberg_weights(nodes[i], nodes[lo:lo + stencil], order)[order]
+        lo = min(max(i - 2, 0), n - 5)
+        weights[:, i] = fornberg_weights(nodes[i], nodes[lo:lo + 5], 1)[1]
     # out_row[i] = sum_j weights[j, i] * v[lo(i) + j]: a slice of v at the
     # centred points and one sample at each edge.  Rows are done one at a
     # time, so no (m, n) temporary is built beyond the output.
     out = np.zeros_like(values)
     for v, row in zip(values.reshape(-1, n), out.reshape(-1, n)):
         for j, w in enumerate(weights):
-            row[:half] += w[:half] * v[j]
-            row[half:top] += w[half:top] * v[j:j + top - half]
-            row[top:] += w[top:] * v[n - stencil + j]
+            row[:2] += w[:2] * v[j]
+            row[2:top] += w[2:top] * v[j:j + top - 2]
+            row[top:] += w[top:] * v[n - 5 + j]
     return out
 
 

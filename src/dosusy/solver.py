@@ -307,56 +307,43 @@ class CriticalPoint:
     newton_iterations: int
 
 
-def _pocket_indicator(l: float, kappa: float, rho_grid: np.ndarray) -> tuple[float, float]:
-    """Largest slope of U_+ over the scan grid and its location."""
-    slopes = partner_plus_dr(rho_grid, kappa, l)
-    i = int(np.argmax(slopes))
-    return float(slopes[i]), float(rho_grid[i])
-
-
-def _largest_slopes(ls: np.ndarray, kappa: float, rho_grid: np.ndarray) -> list[float]:
-    """_pocket_indicator's largest slope at each l, for 16 values of l per
-    closed-form call: one call for all of them would hold far larger temporaries."""
-    return np.concatenate([partner_plus_dr(rho_grid, kappa, ls[i:i + 16, None]).max(axis=1)
-                           for i in range(0, len(ls), 16)]).tolist()
+def _largest_slopes(ls: np.ndarray, kappa: float, rho_grid: np.ndarray) -> np.ndarray:
+    """Largest slope of U_+ over the scan grid at each l, 16 values of l per
+    closed-form call: one call for all would hold far larger temporaries."""
+    out = np.empty(len(ls))
+    for i in range(0, len(ls), 16):
+        out[i:i + 16] = partner_plus_dr(rho_grid, kappa, ls[i:i + 16, None]).max(axis=1)
+    return out
 
 
 def critical_angular_all(kappa: float) -> list[CriticalPoint]:
     """All pocket-threshold points in the scan window l in (1, 20), rho in (0.1, 10).
 
     Below the threshold U_+ decreases monotonically (slope < 0 everywhere);
-    above it a rising stretch appears.  The threshold in l is first located
-    by deterministic bisection on the sign of the largest slope, then the
-    pair (l_cr, rho_cr) is polished by the damped two-dimensional Newton on
-    (dU_+/d rho, d^2 U_+/d rho^2) with analytic derivative evaluations.
+    above it a rising stretch appears.  Each sign change of the largest
+    slope along the l scan brackets a threshold, and one bracketed root
+    search (``numkit.bracketed_root``) refines them all.  Each pair
+    (l_cr, rho_cr), seeded where the slope is largest, is then polished by
+    the damped two-dimensional Newton on (dU_+/d rho, d^2 U_+/d rho^2) with
+    analytic derivative evaluations.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     rho_grid = np.geomspace(0.1, 10.0, 241)
     l_grid = np.linspace(1.05, 20.0, 96)
-    ind = _largest_slopes(l_grid, kappa, rho_grid)
+    falling = _largest_slopes(l_grid, kappa, rho_grid) < 0.0
+    i = np.flatnonzero(falling[:-1] != falling[1:])
+    seeds = bracketed_root(lambda ls: _largest_slopes(ls, kappa, rho_grid),
+                           l_grid[i], l_grid[i + 1]).x
+    rho_seeds = rho_grid[np.argmax(partner_plus_dr(rho_grid, kappa, seeds[:, None]), axis=1)]
+
+    def F(z):
+        l, rho = z
+        return np.array([partner_plus_dr(rho, kappa, l), partner_plus_d2r(rho, kappa, l)])
 
     points: list[CriticalPoint] = []
-    for i in range(len(l_grid) - 1):
-        if not (ind[i] < 0.0 <= ind[i + 1] or ind[i] >= 0.0 > ind[i + 1]):
-            continue
-        lo, hi = float(l_grid[i]), float(l_grid[i + 1])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            v, _rho = _pocket_indicator(mid, kappa, rho_grid)
-            if (v < 0.0) == (ind[i] < 0.0):
-                lo = mid
-            else:
-                hi = mid
-        l_seed = 0.5 * (lo + hi)
-        _, rho_seed = _pocket_indicator(l_seed, kappa, rho_grid)
-
-        def F(z):
-            l, rho = z
-            return np.array([partner_plus_dr(rho, kappa, l),
-                             partner_plus_d2r(rho, kappa, l)])
-
-        x, fx, iters = newton2d(F, np.array([l_seed, rho_seed]))
+    for seed in zip(seeds, rho_seeds):
+        x, fx, iters = newton2d(F, np.array(seed))
         points.append(CriticalPoint(l_cr=float(x[0]), rho_cr=float(x[1]),
                                     slope_residual=abs(float(fx[0])),
                                     curvature_residual=abs(float(fx[1])),

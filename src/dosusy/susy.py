@@ -176,7 +176,7 @@ def apply_ladder(u: SampledFunction, kappa, l, which: str = "A") -> SampledFunct
     """
     if which not in ("A", "Adag"):
         raise ValueError(f"which must be 'A' or 'Adag', got {which!r}")
-    out = grid_derivative(u.grid, u.values, order=1, stencil=5)
+    out = grid_derivative(u.grid, u.values)
     if which == "Adag":
         np.negative(out, out=out)
     n = len(u.grid)

@@ -112,10 +112,18 @@ def test_quantize_with_a_non_finite_defect_fails_quietly(capsys):
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", "1000000")
     assert rc == 1
-    assert out == "3999999999999.0\n"
+    assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("dosusy: failure:")
     assert "not finite" in err and "N=1000000" in err
+
+
+@pytest.mark.parametrize("N, l", [("2", "-1"), ("1", "2")])
+def test_quantize_of_a_missing_state_is_a_usage_error_with_nothing_on_stdout(capsys, N, l):
+    rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", N, "--l", l)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"dosusy: error: no state at (N={N}, l={l})")
 
 
 def test_quantize_past_float_resolution_is_the_same_failure(capsys):

@@ -311,6 +311,8 @@ def test_state_quantum_numbers(N, l, kappa, p, q):
     (2, 3, "3/2"),   # negative degree
     (3, 1, "3/2"),   # l/kappa not an integer
     (2, 1, "1/2"),   # negative degree
+    (2, -1, "1"),    # negative l, though p = N - 1 - l/kappa = 2 is a degree
+    (1, -2, "2"),    # negative l, p = 1
 ])
 def test_state_quantum_numbers_invalid(N, l, kappa):
     with pytest.raises(ValueError):
@@ -447,6 +449,18 @@ def test_make_state_validation():
         make_state(2, 1, "3/2")       # l/kappa not an integer
     with pytest.raises(ValueError):
         make_state(2, 0, math.sqrt(2.0) / 2.0)  # no exact rational form
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_state(2, -1, "1"),
+    lambda: radial_u(1.0, 2, -1, "1"),
+    lambda: normalization_constant(2, -1, "1"),
+], ids=["make_state", "radial_u", "normalization_constant"])
+def test_every_state_entry_point_refuses_negative_l_with_one_message(call):
+    # (N=2, l=-1, kappa=1) gives the integer degree p = 2; l < 0 alone rules it out,
+    # with the message state_quantum_numbers gives
+    with pytest.raises(ValueError, match=r"^no state at \(N=2, l=-1\): l must be >= 0$"):
+        call()
 
 
 def test_state_label_validation():

@@ -39,7 +39,8 @@ from dosusy.solver import (
     integrate_radial,
     shoot_coupling,
 )
-from dosusy.susy import partner_plus_dr
+from dosusy.numkit import newton2d
+from dosusy.susy import partner_plus_d2r, partner_plus_dr
 
 FINE = np.geomspace(0.05, 20.0, 1501)
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
@@ -226,6 +227,8 @@ def test_shooting_validation():
         shoot_coupling(1, "1", 2)  # no such state on the ladder
     with pytest.raises(ValueError):
         shoot_coupling(0, "1", 0)  # no ladder label below 1
+    with pytest.raises(ValueError, match=r"no state at \(N=3, l=-1\): l must be >= 0"):
+        shoot_coupling(3, 1, -1)   # p = 3 would be a degree, but l < 0 is no state
 
 
 def _two_leg_defect(w, kappa, l):
@@ -355,8 +358,54 @@ def test_blocked_slope_scan_is_the_per_l_indicator_bit_for_bit(kappa, count):
     rho_grid = np.geomspace(0.1, 10.0, 241)
     l_grid = np.linspace(1.05, 20.0, count)
     got = solver._largest_slopes(l_grid, kappa, rho_grid)
-    expected = [solver._pocket_indicator(l, kappa, rho_grid)[0] for l in l_grid]
-    assert np.array_equal(np.array(got).view(np.uint64), np.array(expected).view(np.uint64))
+    expected = np.array([partner_plus_dr(rho_grid, kappa, l).max() for l in l_grid])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _bisection_thresholds(kappa):
+    """The pocket search as it was before it shared numkit.bracketed_root: 60
+    halvings of each scan bracket on the sign of the largest slope, then the
+    same Newton polish from the midpoint and the radius of its largest slope."""
+    rho_grid = np.geomspace(0.1, 10.0, 241)
+    l_grid = np.linspace(1.05, 20.0, 96)
+    ind = [partner_plus_dr(rho_grid, kappa, l).max() for l in l_grid]
+
+    def F(z):
+        l, rho = z
+        return np.array([partner_plus_dr(rho, kappa, l), partner_plus_d2r(rho, kappa, l)])
+
+    points = []
+    for i in range(len(l_grid) - 1):
+        if (ind[i] < 0.0) == (ind[i + 1] < 0.0):
+            continue
+        lo, hi = l_grid[i], l_grid[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if (partner_plus_dr(rho_grid, kappa, mid).max() < 0.0) == (ind[i] < 0.0):
+                lo = mid
+            else:
+                hi = mid
+        l_seed = 0.5 * (lo + hi)
+        rho_seed = rho_grid[np.argmax(partner_plus_dr(rho_grid, kappa, l_seed))]
+        points.append(newton2d(F, np.array([l_seed, rho_seed])))
+    return points
+
+
+@pytest.mark.parametrize("kappa", np.linspace(0.2, 4.0, 40).tolist())
+def test_root_search_finds_the_thresholds_of_the_former_bisection(kappa):
+    got = critical_angular_all(kappa)
+    expected = _bisection_thresholds(kappa)
+    assert len(got) == len(expected)
+    for cp, (x, _fx, iters) in zip(got, expected):
+        assert cp.newton_iterations == iters
+        assert abs(cp.l_cr - x[0]) <= 1e-12 and abs(cp.rho_cr - x[1]) <= 1e-12
+        assert cp.slope_residual < 1e-8 and cp.curvature_residual < 1e-8
+
+
+def test_critical_window_without_a_threshold_gives_no_points():
+    assert critical_angular_all(0.1) == []
+    with pytest.raises(ConvergenceError, match="no pocket threshold"):
+        critical_angular(0.1)
 
 
 @pytest.mark.parametrize("l, changes", [(7, 2), (6, 0)])
