@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, SingularPointError
 from .model import _check_grid, _check_rho, f_factor
-from .numkit import bracketed_root, integrate_adaptive
+from .numkit import _anchored_integral, bracketed_root, integrate_adaptive
 from .susy import superpotential
 
 __all__ = [
@@ -74,10 +74,10 @@ def _integrand(kappa: float, l: int, side: str):
     return lambda r: f_factor(r, kappa, l) ** 2
 
 
-def _tail_integral(rho, kappa: float, l: int, side: str, tol: float = 1e-10):
-    """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho,
-    in one quadrature call."""
-    return integrate_adaptive(_integrand(kappa, l, side), 1.0, rho, tol)
+def _tail_integral(rho, kappa: float, l: int, side: str):
+    """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho
+    (any shape; a scalar rho gives a float), prefix-summed in one quadrature call."""
+    return _anchored_integral(_integrand(kappa, l, side), 1.0, rho)
 
 
 def _v_lambda(rho, lam, integral, kappa: float, l: int, side: str):
@@ -100,30 +100,11 @@ def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic")
                            kappa, l, side))
 
 
-def _prefix_integral(integrand, pts: np.ndarray, anchor: float) -> np.ndarray:
-    """Integral of integrand from anchor to each of the sorted pts.
-
-    The anchor is spliced in and all segments between neighbours are
-    integrated in one call, then prefix-summed.
-    """
-    nodes = np.unique(np.concatenate([pts, [anchor]]))
-    cum = np.concatenate([[0.0], np.cumsum(integrate_adaptive(integrand, nodes[:-1],
-                                                              nodes[1:]))])
-    cum -= cum[np.searchsorted(nodes, anchor)]
-    return cum[np.searchsorted(nodes, pts)]
-
-
 def family_on_grid(kappa: float, l: int, lam: float, side: str, grid) -> np.ndarray:
-    """V_lambda sampled on a sorted grid with one quadrature sweep.
-
-    The anchored integral is additive over segments, so the grid (with the
-    reference radius spliced in) is integrated segment by segment in one
-    call and prefix-summed.
-    """
+    """V_lambda sampled on a sorted grid with one quadrature sweep."""
     _check_member(lam, side)
     grid = _check_grid(grid)
-    ints = _prefix_integral(_integrand(kappa, l, side), grid, 1.0)
-    return _v_lambda(grid, lam, ints, kappa, l, side)
+    return _v_lambda(grid, lam, _tail_integral(grid, kappa, l, side), kappa, l, side)
 
 
 def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
@@ -167,7 +148,7 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
     _check_member(lam, side)
     grid = _check_grid(grid)
     integrand = _integrand(kappa, l, side)
-    g = lam + _prefix_integral(integrand, grid, 1.0)
+    g = lam + _tail_integral(grid, kappa, l, side)
     i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
     res = bracketed_root(lambda r, a, ga: ga + integrate_adaptive(integrand, a, r),
                          grid[i], grid[i + 1], args=(grid[i], g[i]))
@@ -287,7 +268,7 @@ def _alpha_integrand(kappa: float, l: int):
 
 def _anchored_oracle(alphas: np.ndarray, kappa: float, l: int) -> np.ndarray:
     """Antiderivative of the angle-variable integrand, zero at pi/2."""
-    return _prefix_integral(_alpha_integrand(kappa, l), alphas, 0.5 * math.pi)
+    return _anchored_integral(_alpha_integrand(kappa, l), 0.5 * math.pi, alphas)
 
 
 def _audit_S(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:

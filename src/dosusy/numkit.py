@@ -134,16 +134,15 @@ def _panels(f, a, b):
     return k15, np.abs(k15 - g7)
 
 
-def integrate_adaptive(f, a, b, tol: float = 1e-10, max_panels: int = 4000):
-    """Integrate f over the finite interval (a, b) to ``tol`` with
-    nested-rule refinement.
+def integrate_adaptive(f, a, b, max_panels: int = 4000):
+    """Integrate f over the finite interval (a, b) with nested-rule refinement.
 
     ``a`` and ``b`` are scalars or broadcastable arrays of limits, one
     integral per element; scalar limits give a float, array limits an array
     of their broadcast shape.  ``f`` must accept an ndarray of abscissae and
     return values elementwise; it is called once per refinement sweep, with
     the nodes of every integral still refining.  Each integral stops on its
-    own when its summed error estimate is at most ``tol (1 + |I|)``.
+    own when its summed error estimate is at most ``1e-10 (1 + |I|)``.
 
     Raises
     ------
@@ -181,7 +180,7 @@ def integrate_adaptive(f, a, b, tol: float = 1e-10, max_panels: int = 4000):
             k = np.argmin(np.isfinite(total + bound))
             raise QuadratureError(f"the integral estimate is not finite on ({float(a.flat[k])!r}, "
                                   f"{float(b.flat[k])!r})", math.nan, math.inf)
-        refine = (count > 0) & (bound > tol * (1.0 + np.abs(total)))
+        refine = (count > 0) & (bound > 1e-10 * (1.0 + np.abs(total)))
         settled = (count > 0) & ~refine
         result[settled] = total[settled]
         stalled = refine & (evaluated >= max_panels)
@@ -203,6 +202,21 @@ def integrate_adaptive(f, a, b, tol: float = 1e-10, max_panels: int = 4000):
         own, pa, pb, val, err = own[keep], pa[keep], pb[keep], val[keep], err[keep]
     out = sign * result
     return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _anchored_integral(f, anchor: float, pts):
+    """Integral of f from ``anchor`` to each of ``pts`` (any shape, unsorted;
+    a scalar point gives a float).
+
+    The segments between neighbouring distinct points, anchor included, go
+    to one quadrature call and are prefix-summed: nearby points differ only
+    by short segments, and a single point is exactly the direct integral.
+    """
+    x = np.asarray(pts, dtype=float)
+    nodes = np.unique(np.append(x, anchor))
+    cum = np.concatenate([[0.0], np.cumsum(integrate_adaptive(f, nodes[:-1], nodes[1:]))])
+    out = cum[np.searchsorted(nodes, x)] - cum[np.searchsorted(nodes, anchor)]
+    return float(out) if x.ndim == 0 else out
 
 
 # =====================================================================

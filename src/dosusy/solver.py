@@ -325,16 +325,25 @@ def critical_angular_all(kappa: float) -> list[CriticalPoint]:
     search (``numkit.bracketed_root``) refines them all.  Each pair
     (l_cr, rho_cr), seeded where the slope is largest, is then polished by
     the damped two-dimensional Newton on (dU_+/d rho, d^2 U_+/d rho^2) with
-    analytic derivative evaluations.
+    analytic derivative evaluations.  A non-finite scanned slope, a failed
+    root search or a Newton point outside the window is a ConvergenceError.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     rho_grid = np.geomspace(0.1, 10.0, 241)
     l_grid = np.linspace(1.05, 20.0, 96)
-    falling = _largest_slopes(l_grid, kappa, rho_grid) < 0.0
-    i = np.flatnonzero(falling[:-1] != falling[1:])
-    seeds = bracketed_root(lambda ls: _largest_slopes(ls, kappa, rho_grid),
-                           l_grid[i], l_grid[i + 1]).x
+    with np.errstate(all="ignore"):   # a non-finite slope is raised below
+        slopes = _largest_slopes(l_grid, kappa, rho_grid)
+        if not np.all(np.isfinite(slopes)):
+            raise ConvergenceError(f"the slope of U_+ is not finite in the scan "
+                                   f"window for kappa = {kappa}")
+        i = np.flatnonzero((slopes[:-1] < 0.0) != (slopes[1:] < 0.0))
+        res = bracketed_root(lambda ls: _largest_slopes(ls, kappa, rho_grid),
+                             l_grid[i], l_grid[i + 1])
+    if np.any(res.status != 0):
+        raise ConvergenceError(f"the threshold search failed for kappa = {kappa} on "
+                               f"l brackets starting at {l_grid[i][res.status != 0].tolist()}")
+    seeds = res.x
     rho_seeds = rho_grid[np.argmax(partner_plus_dr(rho_grid, kappa, seeds[:, None]), axis=1)]
 
     def F(z):
@@ -343,7 +352,13 @@ def critical_angular_all(kappa: float) -> list[CriticalPoint]:
 
     points: list[CriticalPoint] = []
     for seed in zip(seeds, rho_seeds):
-        x, fx, iters = newton2d(F, np.array(seed))
+        where = f"kappa = {kappa}, seed (l, rho) = ({float(seed[0])!r}, {float(seed[1])!r})"
+        try:
+            x, fx, iters = newton2d(F, np.array(seed))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{exc} ({where})") from exc
+        if not (1.0 < x[0] < 20.0 and 0.1 < x[1] < 10.0):
+            raise ConvergenceError(f"Newton left the scan window ({where}) at {tuple(x.tolist())}")
         points.append(CriticalPoint(l_cr=float(x[0]), rho_cr=float(x[1]),
                                     slope_residual=abs(float(fx[0])),
                                     curvature_residual=abs(float(fx[1])),

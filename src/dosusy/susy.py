@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import SampledFunction, _check_rho, _fold, _radial, _well_root, _xi
-from .numkit import grid_derivative, integrate_adaptive
+from .numkit import _anchored_integral, grid_derivative
 
 __all__ = [
     "superpotential",
@@ -202,8 +202,8 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
     (checked by the caller as a constant-ratio property).  The integral is
     anchored at xi = 0, i.e. rho = 1, and taken in t = ln rho: there
     d xi/dt = -kappa (1 - xi^2), so Q(xi) d xi = (2q+1) kappa xi(t) dt with a
-    bounded integrand, even where xi rounds to +-1.  All grid points go to
-    one quadrature call.
+    bounded integrand, even where xi rounds to +-1.  The integrals to all
+    grid points are one prefix-summed quadrature call.
     """
     grid = _check_rho(grid)
     q = (2.0 * l + 1.0) / (2.0 * kappa) + 0.5
@@ -212,7 +212,7 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
         rho = np.exp(t)
         return _xi(rho, _fold(rho, kappa)[1])
 
-    integral = (2.0 * q + 1.0) * kappa * integrate_adaptive(xi_of_t, 0.0, np.log(grid))
+    integral = (2.0 * q + 1.0) * kappa * _anchored_integral(xi_of_t, 0.0, np.log(grid))
     # |d xi/d rho| = 4 kappa p v^2 / rho on the fold, p = x^(2 kappa): taken in logs
     # so that neither it nor its inverse square root overflows
     x, p, _ = _fold(grid, kappa)

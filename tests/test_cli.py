@@ -6,9 +6,12 @@ test at the end confirms the installed entry point wiring.
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +279,26 @@ def test_critical_report(capsys):
     assert "newton_iterations" in lines[2]
 
 
+@pytest.mark.parametrize("all_flag", [(), ("--all",)], ids=["first", "all"])
+@pytest.mark.parametrize("kappa, reason", [
+    ("1e200", "slope of U_+ is not finite"),
+    ("1e300", "slope of U_+ is not finite"),
+    ("250", "Newton left the scan window"),
+    ("280", "no descent direction"),
+])
+def test_critical_failures_print_nothing_on_stdout(capsys, kappa, reason, all_flag):
+    # (2 kappa)^2 overflows past kappa ~ 7e153; at kappa = 250 Newton runs
+    # from a threshold seed to l ~ 4e-16, outside the window it searches, and
+    # at kappa = 280 it finds no descent direction.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "critical", "--kappa", kappa, *all_flag)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("dosusy: failure:") and len(err.splitlines()) == 1
+    assert reason in err and f"kappa = {float(kappa)}" in err
+
+
 # ----------------------------------------------------------------------
 # figures / trace
 # ----------------------------------------------------------------------
@@ -478,6 +501,25 @@ def test_no_subcommand_takes_a_tolerance_flag(capsys):
             with pytest.raises(SystemExit) as info:
                 parser.parse_args([*argv, flag, "1e-9"])
             assert info.value.code == 2
+
+
+def _readme_examples() -> list[str]:
+    """The ``dosusy ...`` lines of the README's command-line example block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line tool", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("dosusy ")]
+
+
+@pytest.mark.parametrize("line", [pytest.param(line, id=line.partition("#")[0].strip())
+                                  for line in _readme_examples()])
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, line):
+    # A bare number in the inline comment is the exact expected output.
+    command, _, comment = line.partition("#")
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert rc == 0
+    if re.fullmatch(r"-?[0-9.]+(e[-+]?[0-9]+)?", comment.strip()):
+        assert out == comment.strip() + "\n"
 
 
 def test_unknown_command_exits_with_usage_error(capsys):

@@ -53,6 +53,12 @@ def test_bosonic_spot_values():
 
 
 @pytest.mark.parametrize("side", ["bosonic", "fermionic"])
+def test_point_values_are_plain_floats(side):
+    assert type(v_family(2.0, 1.0, 0, 0.25, side)) is float
+    assert type(family_superpotential(2.0, 1.0, 0, 0.25, side)) is float
+
+
+@pytest.mark.parametrize("side", ["bosonic", "fermionic"])
 @pytest.mark.parametrize("lam", [-2.0, 0.5, 3.0])
 def test_lambda_shift_is_exact(side, lam):
     # Shifting lambda adds -lam f^2 (bosonic) or +lam/f^2 (fermionic);
@@ -165,7 +171,8 @@ def test_v_zeros_shifted_member():
 
 
 def test_v_zeros_probes_integrate_from_the_bracket(monkeypatch):
-    # One prefix sweep over the grid, then one short quadrature per brentq probe.
+    # The prefix sweep over the grid runs in numkit; here each root-search
+    # probe is one short quadrature from its bracket's left node.
     calls = []
     quad = family.integrate_adaptive
     monkeypatch.setattr(family, "integrate_adaptive",

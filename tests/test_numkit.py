@@ -208,6 +208,25 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             integrate_adaptive(f, np.nan, 1.0)
 
+    def test_anchored_integral_over_an_unsorted_2d_array_with_repeats(self):
+        # pts on both sides of the anchor, repeated, and equal to it
+        pts = np.array([[2.5, 0.3, 1.0], [0.3, 4.0, 1.0]])
+        got = numkit._anchored_integral(np.cos, 1.0, pts)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, np.sin(pts) - math.sin(1.0), rtol=1e-13, atol=1e-15)
+        assert got[0, 1] == got[1, 0] and got[0, 2] == got[1, 2] == 0.0
+
+    def test_anchored_integral_at_the_anchor_only(self):
+        assert numkit._anchored_integral(np.cos, 1.0, 1.0) == 0.0
+        assert numkit._anchored_integral(np.cos, 1.0, np.ones(3)).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("x", [0.2, 1.0, 3.7])
+    def test_anchored_integral_at_one_point_is_the_direct_integral(self, x):
+        f = lambda r: 1.0 / (1.0 + r * r) + np.cos(3.0 * r)  # noqa: E731
+        got = numkit._anchored_integral(f, 1.0, x)
+        assert type(got) is float
+        assert got == integrate_adaptive(f, 1.0, x)
+
     @pytest.mark.parametrize("f", [lambda x: 1.0 / x, np.sqrt], ids=["inf", "nan"])
     def test_a_non_finite_estimate_is_an_error_naming_its_limits(self, f):
         # the first panel of (-1, 1) has its middle node at x = 0; sqrt is NaN left of it

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dosusy import checks, solver
+from dosusy import checks, numkit, solver
 from dosusy.exceptions import BracketError, ConvergenceError, GeometryError
 from dosusy.model import (
     SampledFunction,
@@ -400,6 +400,28 @@ def test_root_search_finds_the_thresholds_of_the_former_bisection(kappa):
         assert cp.newton_iterations == iters
         assert abs(cp.l_cr - x[0]) <= 1e-12 and abs(cp.rho_cr - x[1]) <= 1e-12
         assert cp.slope_residual < 1e-8 and cp.curvature_residual < 1e-8
+
+
+@pytest.mark.parametrize("kappa", np.geomspace(0.2, 1e3, 48).tolist())
+def test_critical_points_lie_in_the_window_or_the_search_fails(kappa):
+    try:
+        points = critical_angular_all(kappa)
+    except ConvergenceError as exc:
+        assert f"kappa = {kappa}" in str(exc)
+        return
+    for cp in points:
+        assert 1.0 < cp.l_cr < 20.0 and 0.1 < cp.rho_cr < 10.0
+
+
+def test_a_failed_threshold_search_is_a_convergence_error(monkeypatch):
+    def stalled(f, lo, hi, args=()):
+        res = numkit.bracketed_root(f, lo, hi, args)
+        res.status[:] = -2
+        return res
+
+    monkeypatch.setattr(solver, "bracketed_root", stalled)
+    with pytest.raises(ConvergenceError, match="threshold search failed for kappa = 1.0"):
+        critical_angular_all(1.0)
 
 
 def test_critical_window_without_a_threshold_gives_no_points():
