@@ -13,6 +13,7 @@ call.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import cache, reduce
 from types import SimpleNamespace
 
@@ -320,16 +321,16 @@ def grid_derivative(grid, values) -> np.ndarray:
         raise ValueError("values must be (n,) or (m, n) on a 1-D grid of n points")
     top = n - 2  # points 2 .. top-1 have centred windows
     nodes = grid.tolist()
-    weights = np.empty((5, n))
-    for i in range(n):
-        lo = min(max(i - 2, 0), n - 5)
-        weights[:, i] = fornberg_weights(nodes[i], nodes[lo:lo + 5], 1)[1]
-    # out_row[i] = sum_j weights[j, i] * v[lo(i) + j]: a slice of v at the
+    starts = [0, 0, *range(n - 4), n - 5, n - 5]   # point i's window is nodes[starts[i]:][:5]
+    weights = np.empty((n, 5))
+    for i, lo in enumerate(starts):
+        weights[i] = fornberg_weights(nodes[i], nodes[lo:lo + 5], 1)[1]
+    # out_row[i] = sum_j weights[i, j] * v[starts[i] + j]: a slice of v at the
     # centred points and one sample at each edge.  Rows are done one at a
     # time, so no (m, n) temporary is built beyond the output.
     out = np.zeros_like(values)
     for v, row in zip(values.reshape(-1, n), out.reshape(-1, n)):
-        for j, w in enumerate(weights):
+        for j, w in enumerate(weights.T):
             row[:2] += w[:2] * v[j]
             row[2:top] += w[2:top] * v[j:j + top - 2]
             row[top:] += w[top:] * v[n - 5 + j]
@@ -516,6 +517,38 @@ _DOP_D = _table("""
     96.32455395918828 -39.17726167561544 -149.72683625798564""", (4, 16))
 
 
+@cache
+def _dop853_kernels(n: int):
+    """One DOP853 attempt, and the dense-output stages of an accepted step, as
+    straight-line code on Python floats for n equations, generated once per n:
+    stage s is k{s}_0 .. k{s}_{n-1}, nonzero table entries are repr literals."""
+    def ks(*rows):
+        return "".join(f"k{s}_{i}, " for s in rows for i in range(n))
+
+    def dot(weights, i):
+        return " + ".join(f"{float(a)!r} * k{j}_{i}" for j, a in enumerate(weights) if a)
+
+    def stages(rows):   # each argument is kept as z{i}: row 12 (c = 1) leaves y_new there
+        return [f"{ks(s)}= fun(t + {float(_DOP_C[s])!r} * h, [" + "".join(
+            f"(z{i} := y{i} + ({dot(_DOP_A[s, :s], i)}) * h), " for i in range(n)) + "])"
+            for s in rows]
+
+    unpack = "".join(f"y{i}, " for i in range(n)) + "= y"
+    step = ["def step(fun, t, h, y, f, rtol, atol):", unpack, f"{ks(0)}= f", *stages(range(1, 13)),
+            "e5 = e3 = 0.0"]
+    for i in range(n):   # squares as u * u: a float ** 2 raises OverflowError past 1e154
+        step += [f"sc = atol + max(abs(z{i}), abs(y{i})) * rtol",   # z first: a NaN propagates
+                 f"u, v = ({dot(_DOP_E[0], i)}) / sc, ({dot(_DOP_E[1], i)}) / sc",
+                 "e5 += u * u", "e3 += v * v"]
+    z = ", ".join(f"z{i}" for i in range(n))
+    step.append(f"return [{z}], [{ks(12)}], e5, e3, ({ks(*range(13))})")
+    dense = ["def dense(fun, t, h, y, k):", unpack, f"{ks(*range(13))}= k", *stages(range(13, 16)),
+             f"return ({ks(13, 14, 15)})"]
+    source = "\n".join("\n    ".join(body) for body in (step, dense)) + "\n"
+    exec(compile(source, f"<dop853 kernels n={n}>", "exec"), scope := {})
+    return scope["step"], scope["dense"]
+
+
 def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.inf,
            check=None):
     """Integrate y' = fun(t, y) forward over t_span = (t0, t1) by DOP853.
@@ -524,7 +557,9 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
     atol + rtol max(|y_old|, |y_new|); a step passes when it is below 1, and
     the next step is 0.9 norm^(-1/8) times the last, the factor kept in
     [0.2, 10] (at most 1 after a rejection) and the step at most
-    ``max_step``.  The first step follows Hairer's initial-step rule.
+    ``max_step``.  The first step follows Hairer's initial-step rule.  Each
+    attempt is one generated straight-line function on Python floats, so
+    ``fun(t, y)`` gets a list and should return a sequence of floats.
     ``check(t, y)`` runs on each accepted step and may raise to stop.
 
     Returns the step ends ``t``, the states ``y`` there as columns, the
@@ -542,19 +577,20 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
         raise ValueError(f"the span must be finite and run forward, got {t_span!r}")
     y = np.array(y0, dtype=float)
     n = y.size
-    f = np.asarray(fun(t, y), dtype=float)
+    f = np.asarray(fun(t, y.tolist()), dtype=float)
     scale = atol + np.abs(y) * rtol
     d0, d1 = np.linalg.norm(y / scale) / n ** 0.5, np.linalg.norm(f / scale) / n ** 0.5
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    d2 = np.linalg.norm((np.asarray(fun(t + h0, y + h0 * f)) - f) / scale) / n ** 0.5 / h0
+    # floats, not the norms' np.float64: that would make every step numpy-scalar arithmetic
+    h0 = float(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t))
+    d2 = np.linalg.norm((np.asarray(fun(t + h0, (y + h0 * f).tolist())) - f) / scale) / n ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    h_abs = min(100 * h0, h1, t_end - t, max_step)
+    h_abs = float(min(100 * h0, h1, t_end - t, max_step))
 
-    K = np.empty((16, n))   # stages; row 12 is f at the step's end
-    stages = [(s, K[:s].T, _DOP_A[s, :s], _DOP_C[s]) for s in range(1, 16) if s != 12]
-    ts, ys, blocks, attempts = [t], [y], [], 0
+    step, dense = _dop853_kernels(n)
+    y, f = y.tolist(), f.tolist()
+    ts, ys, blocks, attempts = [t], [y], array("d"), 0   # blocks: 16 stages a step, as doubles
     while t < t_end:
-        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = min(max(h_abs, min_step), max_step), False
         while True:
             if not h_abs >= min_step:   # NaN included
@@ -562,17 +598,9 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
                                        f"spacings at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            K[0] = f
-            for s, KT, a, c in stages[:11]:
-                K[s] = fun(t + c * h, y + KT.dot(a) * h)
-            y_new = y + h * K[:12].T.dot(_DOP_A[12, :12])
-            K[12] = f_new = np.asarray(fun(t + h, y_new), dtype=float)
+            y_new, f_new, e5, e3, k = step(fun, t, h, y, f, rtol, atol)
             attempts += 1
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            # rounded as norm(v) ** 2, root then square: the orbit steps, and so the
-            # verify report's closure values, depend on these bits
-            e5, e3 = (math.sqrt(v.dot(v)) ** 2 for v in (K[:13].T.dot(e) / scale for e in _DOP_E))
-            err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * n)
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -581,14 +609,12 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
             rejected = True
         if check is not None:
             check(t_new, y_new)
-        for s, KT, a, c in stages[11:]:
-            K[s] = fun(t + c * h, y + KT.dot(a) * h)
-        blocks.append(K.copy())
+        blocks.extend(k + dense(fun, t, h, y, k))
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
     # dense coefficients of every step at once; K[:, 0] and K[:, 12] are f at its ends
-    T, Y, K = np.array(ts), np.array(ys), np.array(blocks)
+    T, Y, K = np.array(ts), np.array(ys), np.array(blocks).reshape(-1, 16, n)
     h, dy = np.diff(T)[:, None], np.diff(Y, axis=0)
     F = np.concatenate([np.stack([dy, h * K[:, 0] - dy, 2 * dy - h * (K[:, 12] + K[:, 0])], 1),
                         h[..., None] * (_DOP_D @ K)], axis=1)

@@ -326,7 +326,7 @@ def critical_angular_all(kappa: float) -> list[CriticalPoint]:
     (l_cr, rho_cr), seeded where the slope is largest, is then polished by
     the damped two-dimensional Newton on (dU_+/d rho, d^2 U_+/d rho^2) with
     analytic derivative evaluations.  A non-finite scanned slope, a failed
-    root search or a Newton point outside the window is a ConvergenceError.
+    root search or Newton leaving the window or rho > 0 is a ConvergenceError.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -357,6 +357,8 @@ def critical_angular_all(kappa: float) -> list[CriticalPoint]:
             x, fx, iters = newton2d(F, np.array(seed))
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} ({where})") from exc
+        except ValueError as exc:   # from _check_rho, at an iterate with rho <= 0
+            raise ConvergenceError(f"Newton stepped out of the domain: {exc} ({where})") from exc
         if not (1.0 < x[0] < 20.0 and 0.1 < x[1] < 10.0):
             raise ConvergenceError(f"Newton left the scan window ({where}) at {tuple(x.tolist())}")
         points.append(CriticalPoint(l_cr=float(x[0]), rho_cr=float(x[1]),
@@ -471,7 +473,7 @@ def _angle_rhs(kappa: float, w: float, inv_l: float):
     lo, hi, gain = 1.0 - kappa, 1.0 + kappa, 2.0 * w * inv_l
 
     def rhs(theta, s):
-        x, y, vx, vy, _t = s.tolist()   # Python floats: faster than numpy scalars
+        x, y, vx, vy, _t = s
         r2 = x * x + y * y
         dt = r2 * inv_l
         p = r2 ** kappa

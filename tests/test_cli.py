@@ -285,11 +285,13 @@ def test_critical_report(capsys):
     ("1e300", "slope of U_+ is not finite"),
     ("250", "Newton left the scan window"),
     ("280", "no descent direction"),
+    ("250.4807509070144", "Newton stepped out of the domain"),
 ])
 def test_critical_failures_print_nothing_on_stdout(capsys, kappa, reason, all_flag):
     # (2 kappa)^2 overflows past kappa ~ 7e153; at kappa = 250 Newton runs
-    # from a threshold seed to l ~ 4e-16, outside the window it searches, and
-    # at kappa = 280 it finds no descent direction.
+    # from a threshold seed to l ~ 4e-16, outside the window it searches, at
+    # kappa = 280 it finds no descent direction, and at kappa = 250.48...
+    # a line-search iterate lands at rho <= 0, where U_+ is not defined.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "critical", "--kappa", kappa, *all_flag)

@@ -5,13 +5,16 @@ Expected values come from closed-form antiderivatives and textbook polynomial
 identities, evaluated independently of the code under test.
 """
 
+import functools
 import math
+import operator
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dosusy import model, numkit
+from dosusy import model, numkit, solver
 from dosusy.exceptions import ConvergenceError, QuadratureError
 from dosusy.numkit import (
     bracketed_root,
@@ -405,16 +408,26 @@ class TestGridDerivative:
 
     @pytest.mark.parametrize("m", [1, 9])
     def test_one_weight_set_per_point_for_any_row_count(self, m, monkeypatch):
+        self._check_windows(m, 40, monkeypatch)
+
+    @pytest.mark.parametrize("m, n", [(1, 5), (2, 6)])
+    def test_windows_held_inside_a_short_grid(self, m, n, monkeypatch):
+        self._check_windows(m, n, monkeypatch)
+
+    @staticmethod
+    def _check_windows(m, n, monkeypatch):
         calls = []
 
         def counted(z, xs, order):
-            calls.append(z)
+            calls.append((z, list(xs)))
             return fornberg_weights(z, xs, order)
 
         monkeypatch.setattr(numkit, "fornberg_weights", counted)
-        grid = np.geomspace(0.1, 10.0, 40)
-        grid_derivative(grid, np.ones((m, 40)))
-        assert calls == grid.tolist()
+        nodes = np.geomspace(0.1, 10.0, n).tolist()
+        grid_derivative(nodes, np.ones((m, n)))
+        # point i's window starts at i - 2, held inside the grid
+        starts = [min(max(i - 2, 0), n - 5) for i in range(n)]
+        assert calls == [(z, nodes[lo:lo + 5]) for z, lo in zip(nodes, starts)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -576,3 +589,176 @@ class TestDop853:
         for span in ((1.0, 1.0), (1.0, 0.0), (0.0, math.nan), (0.0, math.inf)):
             with pytest.raises(ValueError, match="forward"):
                 dop853(lambda t, y: [1.0], span, [0.0], rtol=1e-8, atol=1e-10)
+
+
+def _reference_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf, blas=False):
+    """The step loop as first written here: numpy arrays, one table row at a
+    time.  With ``blas`` each weighted sum of stages is ``K.T.dot(a)`` and each
+    squared norm ``v.dot(v)``, as that loop had them; without, the same sums
+    run in table order over the nonzero weights, the order the generated
+    kernel uses, so the two agree bit for bit."""
+    A, C, E, D = numkit._DOP_A, numkit._DOP_C, numkit._DOP_E, numkit._DOP_D
+
+    def wsum(K, a):   # sum_j a_j K_j
+        if blas:
+            return K.T.dot(a)
+        terms = [a[j] * K[j] for j in np.flatnonzero(a)]
+        return functools.reduce(operator.add, terms)
+
+    def sq(v):   # |v|^2
+        if blas:
+            return math.sqrt(v.dot(v)) ** 2
+        return functools.reduce(operator.add, (v * v).tolist(), 0.0)
+
+    t, t_end = float(t_span[0]), float(t_span[1])
+    y = np.array(y0, dtype=float)
+    n = y.size
+    f = np.asarray(fun(t, y.tolist()), dtype=float)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = np.linalg.norm(y / scale) / n ** 0.5, np.linalg.norm(f / scale) / n ** 0.5
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = np.linalg.norm((np.asarray(fun(t + h0, (y + h0 * f).tolist())) - f) / scale)
+    d2 = d2 / n ** 0.5 / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, t_end - t, max_step)
+    K = np.empty((16, n))
+    ts, ys, blocks, attempts = [t], [y], [], 0
+    while t < t_end:
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        h_abs, rejected = min(max(h_abs, min_step), max_step), False
+        while True:
+            if not h_abs >= min_step:
+                raise ConvergenceError("float spacings")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, 12):
+                K[s] = fun(t + C[s] * h, (y + wsum(K[:s], A[s, :s]) * h).tolist())
+            y_new = y + h * wsum(K[:12], A[12, :12])
+            K[12] = f_new = np.asarray(fun(t + h, y_new.tolist()), dtype=float)
+            attempts += 1
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5, e3 = (sq(wsum(K[:13], e) / scale) for e in E)
+            err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        for s in range(13, 16):
+            K[s] = fun(t + C[s] * h, (y + wsum(K[:s], A[s, :s]) * h).tolist())
+        blocks.append(K.copy())
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    T, Y, K = np.array(ts), np.array(ys), np.array(blocks)
+    dy = np.diff(Y, axis=0)
+    h = np.diff(T)[:, None]
+    F = np.concatenate([np.stack([dy, h * K[:, 0] - dy, 2 * dy - h * (K[:, 12] + K[:, 0])], 1),
+                        h[..., None] * (D @ K)], axis=1)
+    return SimpleNamespace(t=T, y=Y.T, nfev=2 + 12 * attempts + 3 * len(F), F=F)
+
+
+def _orbit_problem(kappa, w, rho0, direction):
+    """(fun, span, y0, options) of the one solve that tracing this orbit makes."""
+    calls = []
+
+    def record(fun, t_span, y0, **kwargs):
+        calls.append((fun, t_span, y0, {k: v for k, v in kwargs.items() if k != "check"}))
+        return dop853(fun, t_span, y0, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve_ivp", record)
+        solver.classical_trajectory(kappa, w=w, rho0=rho0, direction_deg=direction)
+    (problem,) = calls
+    return problem
+
+
+def _kernel_problem(case):
+    if case == "scalar":
+        return (lambda t, y: [y[0] * math.cos(t) - 0.1 * y[0] * y[0]], (0.0, 30.0), [0.5],
+                dict(rtol=1e-10, atol=1e-12))
+    if case == "oscillator":
+        return (lambda t, y: [y[1], -y[0]], (0.0, 20.0 * math.pi), [1.0, 0.0],
+                dict(rtol=1e-12, atol=1e-14))
+    return _orbit_problem(*case)
+
+
+# n = 5: the five kappa of the benchmark's trace requests, then the closure suite's orbits
+_ORBITS = [(k, 5.0, 1.3, 120.0) for k in ("1", "1/2", "2", "3/2", "2/3")] + [
+    ("1", 3.0, 0.5, 63.0), ("1/2", 2.0, 0.5, 63.0), ("1", 12.0, 0.5, 63.0)]
+
+
+def _case_id(case):
+    return case if isinstance(case, str) else "kappa={}-w={}-rho0={}-direction={}".format(*case)
+
+
+class TestDop853Kernel:
+    @pytest.mark.parametrize("case", ["scalar", "oscillator", *_ORBITS], ids=_case_id)
+    def test_bit_identical_to_the_loop_in_table_order(self, case):
+        fun, span, y0, opts = _kernel_problem(case)
+        got, ref = dop853(fun, span, y0, **opts), _reference_dop853(fun, span, y0, **opts)
+        assert got.nfev == ref.nfev
+        np.testing.assert_array_equal(got.t, ref.t)
+        np.testing.assert_array_equal(got.y, ref.y)
+        # mid-step dense output: coefficient k weighs u^(k//2 + 1) (1 - u)^((k + 1)//2), u = 1/2
+        dense = sum(ref.F[:, k].T * 0.5 ** (k + 1) for k in range(7))
+        mid = 0.5 * (ref.t[:-1] + ref.t[1:])
+        np.testing.assert_allclose(got.sol(mid), ref.y[:, :-1] + dense, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(ref.y)))
+
+    @pytest.mark.parametrize("case", ["oscillator", *_ORBITS], ids=_case_id)
+    def test_same_steps_as_the_blas_loop(self, case):
+        # BLAS sums round differently.  The error estimates cancel O(1) stage
+        # values down to about rtol, so they, and the step sizes set from them,
+        # differ from the second step on (up to 0.4 % on the oscillator).  The
+        # oscillator and the orbits still take as many steps and rejections;
+        # on the scalar problem one rounding turns an accepted attempt into a
+        # rejection, so equal counts are not a property of every problem.
+        fun, span, y0, opts = _kernel_problem(case)
+        got = dop853(fun, span, y0, **opts)
+        ref = _reference_dop853(fun, span, y0, blas=True, **opts)
+        assert (len(got.t), got.nfev) == (len(ref.t), ref.nfev)
+        np.testing.assert_allclose(got.y[:, -1], ref.y[:, -1], rtol=1e-9, atol=1e-10)
+
+    def test_the_kernel_runs_on_python_floats(self):
+        # an np.float64 anywhere (the initial step comes from np.linalg.norm)
+        # would turn every step into numpy-scalar arithmetic
+        fun_args, check_args = [], []
+
+        def fun(t, y):
+            fun_args.append((type(t), type(y), *map(type, y)))
+            return [y[1], -y[0]]
+
+        sol = dop853(fun, (0.0, 1.0), np.array([1.0, 0.0]), rtol=1e-10, atol=1e-12,
+                     check=lambda t, y: check_args.append((type(t), type(y), *map(type, y))))
+        assert len(fun_args) == sol.nfev and len(check_args) == len(sol.t) - 1
+        assert set(fun_args) == set(check_args) == {(float, list, float, float)}
+        step, dense = numkit._dop853_kernels(2)
+        y_new, f_new, e5, e3, k = step(fun, 0.0, 0.1, [1.0, 0.0], [0.0, -1.0], 1e-10, 1e-12)
+        values = [*y_new, *f_new, e5, e3, *k, *dense(fun, 0.0, 0.1, [1.0, 0.0], k)]
+        assert len(values) == 2 + 2 + 2 + 13 * 2 + 3 * 2
+        assert {type(v) for v in values} == {float}
+
+    def test_a_huge_finite_error_estimate_rejects_the_step(self):
+        # one stage value of 1e160 under a pure absolute tolerance: its error
+        # terms are finite, their squares (written v * v, as v ** 2 would raise
+        # OverflowError) are inf, and the step is rejected
+        def spike_at(call):
+            calls = []
+
+            def fun(t, y):
+                calls.append(t)
+                return [1e160 if len(calls) == call else math.cos(t)]
+            return fun
+
+        step, _ = numkit._dop853_kernels(1)
+        _, _, e5, e3, _ = step(spike_at(5), 0.0, 0.1, [0.0], [1.0], 0.0, 1e-12)   # stage 5
+        assert e5 == e3 == math.inf
+        # the first attempt, 100 h0 = 1e-4, has the spike at call 7 (stage 5)
+        # and is cut by the factor 0.2
+        clean = dop853(spike_at(0), (0.0, 1.0), [0.0], rtol=0.0, atol=1e-12)
+        got = dop853(spike_at(7), (0.0, 1.0), [0.0], rtol=0.0, atol=1e-12)
+        assert clean.t[1] == 100 * 1e-6 and got.t[1] == clean.t[1] * 0.2
+        assert abs(got.y[0, -1] - math.sin(1.0)) < 1e-10
