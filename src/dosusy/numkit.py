@@ -280,7 +280,8 @@ def _fornberg_kernel(n: int, m: int):
     (z, xs) without loops: every statement the recursion executes, in its
     order, on locals w{k}_{j} (order k, node j).  Zero and unit terms stay
     as written, so signed zeros, infinities and NaNs land where the loop
-    put them."""
+    put them.  A factor k is the float k.0 (none at k = 1): the loop's bits, on float products."""
+    kf = ["", ""] + [f"{k}.0 * " for k in range(2, m + 1)]
     body = [", ".join(f"x{j}" for j in range(n)) + ", = xs", "w0_0 = 1.0"]
     body += [f"w{k}_{j} = 0.0" for k in range(m + 1) for j in range(n) if k or j]
     body += ["c1 = 1.0", "c4 = x0 - z"]
@@ -290,9 +291,9 @@ def _fornberg_kernel(n: int, m: int):
         for j in range(i):
             body += [f"c3 = x{i} - x{j}", "c2 *= c3"]
             if j == i - 1:  # the new column i reads column j before its update
-                body += [f"w{k}_{i} = c1 * ({k} * w{k - 1}_{j} - c5 * w{k}_{j}) / c2" for k in ks]
+                body += [f"w{k}_{i} = c1 * ({kf[k]}w{k - 1}_{j} - c5 * w{k}_{j}) / c2" for k in ks]
                 body.append(f"w0_{i} = -c1 * c5 * w0_{j} / c2")
-            body += [f"w{k}_{j} = (c4 * w{k}_{j} - {k} * w{k - 1}_{j}) / c3" for k in ks]
+            body += [f"w{k}_{j} = (c4 * w{k}_{j} - {kf[k]}w{k - 1}_{j}) / c3" for k in ks]
             body.append(f"w0_{j} = c4 * w0_{j} / c3")
         body.append("c1 = c2")
     flat = ", ".join(f"w{k}_{j}" for k in range(m + 1) for j in range(n))

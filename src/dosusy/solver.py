@@ -22,7 +22,7 @@ from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
                     state_quantum_numbers)
 from .numkit import bracketed_root, newton2d
 from .numkit import dop853 as solve_ivp  # the orbit integrator; tracers and tests swap this name
-from .susy import partner_plus_d2r, partner_plus_dr
+from .susy import _numerators_t, partner_plus_d2r, partner_plus_dr
 
 __all__ = [
     "ShootingResult",
@@ -307,79 +307,78 @@ class CriticalPoint:
     newton_iterations: int
 
 
-def _largest_slopes(ls: np.ndarray, kappa: float, rho_grid: np.ndarray) -> np.ndarray:
-    """Largest slope of U_+ over the scan grid at each l, 16 values of l per
-    closed-form call: one call for all would hold far larger temporaries."""
-    out = np.empty(len(ls))
-    for i in range(0, len(ls), 16):
-        out[i:i + 16] = partner_plus_dr(rho_grid, kappa, ls[i:i + 16, None]).max(axis=1)
-    return out
+@np.errstate(all="ignore")   # non-finite coefficients are raised; T = 0 is rho = inf
+def _common_zeros(T, kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R = m^2 - n o, l = -m/n and rho at T = 1/(1 + rho^(2 kappa)).  The slope
+    and curvature numerators of U_+ are quadratics in l (B_n = a_n + l b_n) with
+    the common root l where their Sylvester resultant R vanishes (Cox, Little &
+    O'Shea, ch. 3).  Unit-scaled coefficients keep R finite; its sign and l stay."""
+    a0, a1, a2, a3 = a = _numerators_t(T, kappa, 0.0, 3)
+    b0, b1, b2, b3 = (x - y for x, y in zip(_numerators_t(T, kappa, 1.0, 3), a))
+    c = np.array([2.0 * a0 * a1 + a2, 2.0 * (a0 * b1 + b0 * a1) + b2, 2.0 * b0 * b1])
+    d = np.array([2.0 * (a1 * a1 + a0 * a2) + a3,
+                  2.0 * (2.0 * a1 * b1 + a0 * b2 + b0 * a2) + b3, 2.0 * (b1 * b1 + b0 * b2)])
+    for name, q in (("slope", c), ("curvature", d)):
+        if not np.all(np.isfinite(q)):
+            raise ConvergenceError(f"the {name} of U_+ is not finite for kappa = {kappa}")
+    c, d = c / np.max(np.abs(c), axis=0), d / np.max(np.abs(d), axis=0)
+    m, n, o = c[2] * d[0] - c[0] * d[2], c[2] * d[1] - c[1] * d[2], c[1] * d[0] - c[0] * d[1]
+    return m * m - n * o, -m / n, ((1.0 - T) / T) ** (0.5 / kappa)
+
+
+def _accepts(l: float, rho: float, kappa: float) -> bool:
+    """(l, rho) lies in the window, and the slope of U_+ has a maximum at rho: the
+    curvature is + and - at 1e-4 of the feature width 1/(2 kappa) in and out."""
+    if not (1.0 < l < 20.0 and 0.1 < rho < 10.0):
+        return False
+    h = 1e-4 / (2.0 * kappa)
+    inside, outside = partner_plus_d2r(rho * np.array([1.0 - h, 1.0 + h]), kappa, l)
+    return inside > 0.0 > outside
 
 
 def critical_angular_all(kappa: float) -> list[CriticalPoint]:
-    """All pocket-threshold points in the scan window l in (1, 20), rho in (0.1, 10).
+    """All pocket-threshold points in the window l in (1, 20), rho in (0.1, 10), by l.
 
-    Below the threshold U_+ decreases monotonically (slope < 0 everywhere);
-    above it a rising stretch appears.  Each sign change of the largest
-    slope along the l scan brackets a threshold, and one bracketed root
-    search (``numkit.bracketed_root``) refines them all.  Each pair
-    (l_cr, rho_cr), seeded where the slope is largest, is then polished by
-    the damped two-dimensional Newton on (dU_+/d rho, d^2 U_+/d rho^2) with
-    analytic derivative evaluations.  A non-finite scanned slope, a failed
-    root search or Newton leaving the window or rho > 0 is a ConvergenceError.
+    At a threshold the slope and curvature of U_+ vanish together, at a maximum
+    of the slope: at a root T of the resultant of _common_zeros, on one T grid
+    for every kappa (U_+'s features of width 1/kappa are O(1) wide in T).  Newton
+    polishes each candidate that _accepts on F = 1e-2 (slope, curvature), so its
+    stop |F| < 1e-10 is the acceptance bound 1e-8, above F's rounding floor
+    (1e-10 at kappa ~ 22); the result must pass _accepts again.  A failed search
+    or polish is a ConvergenceError.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    rho_grid = np.geomspace(0.1, 10.0, 241)
-    l_grid = np.linspace(1.05, 20.0, 96)
-    with np.errstate(all="ignore"):   # a non-finite slope is raised below
-        slopes = _largest_slopes(l_grid, kappa, rho_grid)
-        if not np.all(np.isfinite(slopes)):
-            raise ConvergenceError(f"the slope of U_+ is not finite in the scan "
-                                   f"window for kappa = {kappa}")
-        i = np.flatnonzero((slopes[:-1] < 0.0) != (slopes[1:] < 0.0))
-        res = bracketed_root(lambda ls: _largest_slopes(ls, kappa, rho_grid),
-                             l_grid[i], l_grid[i + 1])
+    t_hi = 1.0 / (1.0 + 0.1 ** (2.0 * kappa))   # rho = 0.1; rho = 10 is at 1 - t_hi
+    T = np.linspace(1.0 - t_hi, t_hi, 512)      # 256 points find every threshold of the tests
+    r = _common_zeros(T, kappa)[0]
+    i = np.flatnonzero((r[:-1] < 0.0) != (r[1:] < 0.0))
+    res = bracketed_root(lambda t: _common_zeros(t, kappa)[0], T[i], T[i + 1])
     if np.any(res.status != 0):
-        raise ConvergenceError(f"the threshold search failed for kappa = {kappa} on "
-                               f"l brackets starting at {l_grid[i][res.status != 0].tolist()}")
-    seeds = res.x
-    rho_seeds = rho_grid[np.argmax(partner_plus_dr(rho_grid, kappa, seeds[:, None]), axis=1)]
+        raise ConvergenceError(f"the threshold search failed for kappa = {kappa}")
 
     def F(z):
         l, rho = z
-        return np.array([partner_plus_dr(rho, kappa, l), partner_plus_d2r(rho, kappa, l)])
-
-    points: list[CriticalPoint] = []
-    for seed in zip(seeds, rho_seeds):
-        where = f"kappa = {kappa}, seed (l, rho) = ({float(seed[0])!r}, {float(seed[1])!r})"
+        return 1e-2 * np.array([partner_plus_dr(rho, kappa, l), partner_plus_d2r(rho, kappa, l)])
+    points = []
+    for seed in zip(*(v.tolist() for v in _common_zeros(res.x, kappa)[1:])):
+        if not _accepts(*seed, kappa):
+            continue
         try:
             x, fx, iters = newton2d(F, np.array(seed))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{exc} ({where})") from exc
-        except ValueError as exc:   # from _check_rho, at an iterate with rho <= 0
-            raise ConvergenceError(f"Newton stepped out of the domain: {exc} ({where})") from exc
-        if not (1.0 < x[0] < 20.0 and 0.1 < x[1] < 10.0):
-            raise ConvergenceError(f"Newton left the scan window ({where}) at {tuple(x.tolist())}")
-        points.append(CriticalPoint(l_cr=float(x[0]), rho_cr=float(x[1]),
-                                    slope_residual=abs(float(fx[0])),
-                                    curvature_residual=abs(float(fx[1])),
-                                    newton_iterations=iters))
-    return points
+        except (ConvergenceError, ValueError) as exc:   # ValueError: an iterate at rho <= 0
+            raise ConvergenceError(f"the Newton polish failed: {exc} (kappa = {kappa}, "
+                                   f"candidate (l, rho) = {seed!r})") from exc
+        if _accepts(*x.tolist(), kappa):
+            points.append(CriticalPoint(*x.tolist(), *np.abs(1e2 * fx).tolist(), iters))
+    return sorted(points, key=lambda cp: cp.l_cr)
 
 
 def critical_angular(kappa: float) -> CriticalPoint:
-    """First pocket-threshold point (see critical_angular_all).
-
-    Raises
-    ------
-    ConvergenceError
-        If no threshold exists in the scan window.
-    """
+    """The first point of critical_angular_all; a ConvergenceError if it has none."""
     points = critical_angular_all(kappa)
     if not points:
-        raise ConvergenceError(
-            f"no pocket threshold found for kappa = {kappa} in the scan window")
+        raise ConvergenceError(f"no pocket threshold found for kappa = {kappa} in the scan window")
     return points[0]
 
 

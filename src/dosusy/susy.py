@@ -51,15 +51,18 @@ def _quotient(rho, k, num=1.0, plus=0.0):
 
 
 def _numerators(rho, kappa: float, l, order: int) -> list:
+    """_numerators_t at T = 1/(1 + rho^(2 kappa)), which is 0 where the power overflows."""
+    return _numerators_t(_quotient(rho, 2.0 * kappa, plus=1.0), kappa, l, order)
+
+
+def _numerators_t(T, kappa: float, l, order: int) -> list:
     """[B_0, ..., B_order] with d^n W / d rho^n = B_n / rho^(n+1).
 
     Each B_n is a polynomial in T and S = 1 - T, because rho dT/d rho =
     -k T S with k = 2 kappa: one power rho^k serves every order.  S enters
-    only next to O(1) terms, so 1 - T is precise enough, and T -> 0 where
-    the power overflows keeps every B_n finite.
+    only next to O(1) terms, so 1 - T is precise enough.  B_n is affine in l.
     """
     k = 2.0 * kappa
-    T = _quotient(rho, k, plus=1.0)
     cT = (2.0 * l + 1.0) * T
     B = [l - cT]
     if order >= 1:

@@ -283,15 +283,9 @@ def test_critical_report(capsys):
 @pytest.mark.parametrize("kappa, reason", [
     ("1e200", "slope of U_+ is not finite"),
     ("1e300", "slope of U_+ is not finite"),
-    ("250", "Newton left the scan window"),
-    ("280", "no descent direction"),
-    ("250.4807509070144", "Newton stepped out of the domain"),
 ])
 def test_critical_failures_print_nothing_on_stdout(capsys, kappa, reason, all_flag):
-    # (2 kappa)^2 overflows past kappa ~ 7e153; at kappa = 250 Newton runs
-    # from a threshold seed to l ~ 4e-16, outside the window it searches, at
-    # kappa = 280 it finds no descent direction, and at kappa = 250.48...
-    # a line-search iterate lands at rho <= 0, where U_+ is not defined.
+    # (2 kappa)^2, a factor of the slope's numerator, overflows past kappa ~ 7e153
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "critical", "--kappa", kappa, *all_flag)
@@ -299,6 +293,43 @@ def test_critical_failures_print_nothing_on_stdout(capsys, kappa, reason, all_fl
     assert out == ""
     assert err.startswith("dosusy: failure:") and len(err.splitlines()) == 1
     assert reason in err and f"kappa = {float(kappa)}" in err
+
+
+@pytest.mark.parametrize("all_flag", [(), ("--all",)], ids=["first", "all"])
+@pytest.mark.parametrize("kappa", ["250", "280", "250.4807509070144"])
+def test_critical_without_a_threshold_exits_1(capsys, kappa, all_flag):
+    # no threshold in the window here: the l scan of tests/test_solver.py
+    # sees no sign change of the largest slope of U_+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "critical", "--kappa", kappa, *all_flag)
+    assert rc == 1
+    if all_flag:
+        assert err == ""
+        assert out == "no pocket threshold in the scan window (l in (1, 20), rho in (0.1, 10))\n"
+    else:
+        assert out == ""
+        assert err == f"dosusy: failure: no pocket threshold found for kappa = {float(kappa)} " \
+                      "in the scan window\n"
+
+
+@pytest.mark.parametrize("kappa, l_crs", [
+    ("5.684102", (1.0276, 9.6747)), ("16.0617", (11.4381, 19.8551)),
+    ("21.68", (17.0391,)), ("22.71", (18.0667,)), ("22.16597208579026", (17.5239,)),
+])
+def test_critical_all_prints_every_threshold(capsys, kappa, l_crs):
+    # thresholds that a 96 x 241 (l, rho) scan missed (l ~ 1.0276 and 19.855)
+    # or could not polish (kappa 21.68, 22.71), and one at F's rounding floor
+    rc, out, _ = run(capsys, "critical", "--kappa", kappa, "--all")
+    assert rc == 0
+    points = solver.critical_angular_all(float(kappa))
+    assert [cp.l_cr for cp in points] == pytest.approx(l_crs, abs=1e-4)
+    lines = out.splitlines()
+    assert len(lines) == 3 * len(points)
+    for cp, l_line, rho_line in zip(points, lines[0::3], lines[1::3]):
+        assert (l_line, rho_line) == (f"l_cr  = {cp.l_cr!r}", f"rho_cr = {cp.rho_cr!r}")
+    rc, out, _ = run(capsys, "critical", "--kappa", kappa)
+    assert rc == 0 and out == "\n".join(lines[:3]) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from dosusy.solver import (
     integrate_radial,
     shoot_coupling,
 )
-from dosusy.numkit import newton2d
 from dosusy.susy import partner_plus_d2r, partner_plus_dr
 
 FINE = np.geomspace(0.05, 20.0, 1501)
@@ -332,11 +332,15 @@ def test_shooting_result_compares_and_reprs_without_kappa_and_l():
 def test_critical_point_location():
     cp = critical_angular(1.0)
     assert isinstance(cp, CriticalPoint)
-    assert cp.l_cr == pytest.approx(6.8766066514135975, abs=1e-6)
-    assert cp.rho_cr == pytest.approx(1.5993663589673839, abs=1e-6)
+    # within 1e-10 of the point a scan-and-Newton route found (Newton stops
+    # at |F| < 1e-10, so the last digits are the seed's)
+    assert cp.l_cr == pytest.approx(6.876606651413599, abs=1e-10)
+    assert cp.rho_cr == pytest.approx(1.5993663589673832, abs=1e-10)
     assert cp.slope_residual < 1e-8
     assert cp.curvature_residual < 1e-8
-    assert cp.newton_iterations >= 1
+    # the resultant's root is already far inside the acceptance bound
+    assert max(cp.slope_residual, cp.curvature_residual) < 1e-11
+    assert cp.newton_iterations == 0
 
 
 def test_critical_point_is_deterministic():
@@ -352,54 +356,86 @@ def test_critical_scan_finds_single_threshold():
         critical_angular_all(-1.0)
 
 
-@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("count", [96, 37])   # the scan's 96 values, and a partial last block
-def test_blocked_slope_scan_is_the_per_l_indicator_bit_for_bit(kappa, count):
-    rho_grid = np.geomspace(0.1, 10.0, 241)
-    l_grid = np.linspace(1.05, 20.0, count)
-    got = solver._largest_slopes(l_grid, kappa, rho_grid)
-    expected = np.array([partner_plus_dr(rho_grid, kappa, l).max() for l in l_grid])
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+_ORACLE_RHO = np.geomspace(0.1, 10.0, 100_001)
 
 
-def _bisection_thresholds(kappa):
-    """The pocket search as it was before it shared numkit.bracketed_root: 60
-    halvings of each scan bracket on the sign of the largest slope, then the
-    same Newton polish from the midpoint and the radius of its largest slope."""
-    rho_grid = np.geomspace(0.1, 10.0, 241)
-    l_grid = np.linspace(1.05, 20.0, 96)
-    ind = [partner_plus_dr(rho_grid, kappa, l).max() for l in l_grid]
-
-    def F(z):
-        l, rho = z
-        return np.array([partner_plus_dr(rho, kappa, l), partner_plus_d2r(rho, kappa, l)])
-
-    points = []
-    for i in range(len(l_grid) - 1):
-        if (ind[i] < 0.0) == (ind[i + 1] < 0.0):
-            continue
-        lo, hi = l_grid[i], l_grid[i + 1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if (partner_plus_dr(rho_grid, kappa, mid).max() < 0.0) == (ind[i] < 0.0):
-                lo = mid
-            else:
-                hi = mid
-        l_seed = 0.5 * (lo + hi)
-        rho_seed = rho_grid[np.argmax(partner_plus_dr(rho_grid, kappa, l_seed))]
-        points.append(newton2d(F, np.array([l_seed, rho_seed])))
-    return points
+def _largest_slope(kappa, l, rho=_ORACLE_RHO):
+    return float(np.max(partner_plus_dr(rho, kappa, l)))
 
 
-@pytest.mark.parametrize("kappa", np.linspace(0.2, 4.0, 40).tolist())
-def test_root_search_finds_the_thresholds_of_the_former_bisection(kappa):
-    got = critical_angular_all(kappa)
-    expected = _bisection_thresholds(kappa)
-    assert len(got) == len(expected)
-    for cp, (x, _fx, iters) in zip(got, expected):
-        assert cp.newton_iterations == iters
-        assert abs(cp.l_cr - x[0]) <= 1e-12 and abs(cp.rho_cr - x[1]) <= 1e-12
+# thresholds that a 96 x 241 (l, rho) scan missed, failed to polish, or (22.166)
+# that sit at F's rounding floor, where Newton's 1e-10 stop is out of reach
+_HARD_KAPPAS = [5.684102, 16.0617, 21.68, 22.71, 22.16597208579026]
+
+
+@pytest.mark.parametrize("kappa", np.geomspace(0.2, 1e3, 200).tolist() + _HARD_KAPPAS[-1:])
+def test_every_returned_point_is_a_threshold_of_the_fine_grid_oracle(kappa):
+    # Nothing raises at any of these kappa.  At a threshold, the largest slope
+    # of U_+ over 10^5 radii in the window changes sign between l_cr -+ 1e-3.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = critical_angular_all(kappa)
+    for cp in points:
+        assert 1.0 < cp.l_cr < 20.0 and 0.1 < cp.rho_cr < 10.0
         assert cp.slope_residual < 1e-8 and cp.curvature_residual < 1e-8
+        below, above = (_largest_slope(kappa, cp.l_cr + dl) for dl in (-1e-3, 1e-3))
+        assert (below < 0.0) != (above < 0.0), (cp, below, above)
+
+
+@pytest.mark.parametrize("kappa", [1.0] + _HARD_KAPPAS[:4] + [250.0, 280.0, 250.4807509070144])
+def test_an_l_scan_finds_no_threshold_the_search_lacks(kappa):
+    # the largest slope over 2 x 10^4 radii at l = 1, 1.01, ..., 20: each of
+    # its sign changes needs a returned point within 0.01 in l (the last three
+    # kappa have neither)
+    rho = np.geomspace(0.1, 10.0, 20_001)
+    ls = np.linspace(1.0, 20.0, 1901)
+    largest = np.concatenate([partner_plus_dr(rho, kappa, ls[i:i + 32, None]).max(axis=1)
+                              for i in range(0, len(ls), 32)])
+    l_crs = [cp.l_cr for cp in critical_angular_all(kappa)]
+    changes = np.flatnonzero((largest[:-1] < 0.0) != (largest[1:] < 0.0))
+    assert bool(len(changes)) == bool(l_crs)
+    for k in changes:
+        assert any(ls[k] - 0.01 <= l <= ls[k + 1] + 0.01 for l in l_crs), (ls[k], l_crs)
+
+
+def test_first_point_has_the_least_l():
+    assert critical_angular(5.684102).l_cr == pytest.approx(1.0276140647, abs=1e-9)
+
+
+def test_accepts_only_a_slope_maximum_inside_the_window():
+    cp = critical_angular(1.0)
+    assert solver._accepts(cp.l_cr, cp.rho_cr, 1.0)
+    # at l = 7 the slope of U_+ rises to a maximum and then falls to a minimum
+    rho = np.geomspace(0.5, 5.0, 2001)
+    curv = partner_plus_d2r(rho, 1.0, 7.0)
+    i = np.flatnonzero((curv[:-1] < 0.0) != (curv[1:] < 0.0))
+    assert len(i) == 2 and curv[i[0]] > 0.0 > curv[i[1]]
+    peak, dip = numkit.bracketed_root(lambda r: partner_plus_d2r(r, 1.0, 7.0), rho[i], rho[i + 1]).x
+    assert solver._accepts(7.0, peak, 1.0)
+    assert not solver._accepts(7.0, dip, 1.0)
+    for l, r in ((1.0, 1.6), (20.0, 1.6), (6.9, 0.1), (6.9, 10.0), (np.nan, 1.6), (6.9, np.inf)):
+        assert not solver._accepts(l, r, 1.0)
+
+
+def test_resultant_root_is_the_common_zero_of_slope_and_curvature():
+    t_star = 1.0 / (1.0 + 1.5993663589673832 ** 2)   # kappa = 1
+    T = np.array([t_star - 1e-3, t_star, t_star + 1e-3])
+    R, ls, rhos = solver._common_zeros(T, 1.0)
+    assert R[0] * R[2] < 0.0
+    assert ls[1] == pytest.approx(6.876606651413599, abs=1e-6)
+    assert rhos[1] == pytest.approx(1.5993663589673832, rel=1e-14)
+
+
+@pytest.mark.parametrize("error", [ConvergenceError("no descent direction"),
+                                   ValueError("rho must be strictly positive")])
+def test_a_failed_polish_is_a_convergence_error_naming_the_candidate(monkeypatch, error):
+    def failing(F, x0, max_iter=60):
+        raise error
+
+    monkeypatch.setattr(solver, "newton2d", failing)
+    with pytest.raises(ConvergenceError, match=r"Newton polish failed: .* \(kappa = 1\.0, "
+                                               r"candidate \(l, rho\) = \(6\.87660665"):
+        critical_angular_all(1.0)
 
 
 @pytest.mark.parametrize("kappa", np.geomspace(0.2, 1e3, 48).tolist())
