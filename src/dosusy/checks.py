@@ -421,7 +421,7 @@ def suite_closure() -> list[CheckResult]:
         results.append(_check(
             f"closure:energy:kappa={kappa}", traj.energy_drift, 1e-8,
             kappa=kappa, w=w, rho0=0.5, direction_deg=63.0,
-            scaling="max |E| relative to |U(start)|"))
+            scaling="max |E| relative to max |U| on the orbit"))
 
     thetas = np.linspace(0.05, 2.0 * math.pi - 0.05, 40)
     # the w side is the kappa = 1 closure orbit itself; 4w gets its own solve

@@ -221,7 +221,7 @@ def _cmd_trace(args) -> int:
           f"closure_time = {traj.closure_time!r}")
     print(f"focal_point = ({traj.focal_point[0]!r}, {traj.focal_point[1]!r}) "
           f"at t = {traj.focal_time!r}")
-    print(f"energy_drift = {traj.energy_drift:.3e} (relative to |U(start)|)")
+    print(f"energy_drift = {traj.energy_drift:.3e} (relative to max |U| on the orbit)")
     if args.out:
         payload = _curve_csv(
             "trace: classical zero-energy orbit",

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-__all__ = ["QuadratureError", "ConvergenceError", "BracketError",
-           "NonNormalizableStateError", "SingularPointError", "GeometryError"]
+__all__ = ["QuadratureError", "ConvergenceError", "NonNormalizableStateError",
+           "SingularPointError", "GeometryError"]
 
 
 class QuadratureError(RuntimeError):
@@ -21,10 +21,6 @@ class QuadratureError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver (Newton, shooting) did not converge."""
-
-
-class BracketError(ValueError):
-    """A root bracket does not enclose a sign change."""
 
 
 class NonNormalizableStateError(ValueError):

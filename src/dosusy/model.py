@@ -76,7 +76,8 @@ def parse_kappa(value) -> tuple[float, Fraction | None]:
             kappa = math.inf if value > 0 else -math.inf
     elif isinstance(value, float):
         exact = Fraction(value).limit_denominator(64) if math.isfinite(value) else None
-        if exact is not None and abs(float(exact) - value) > 1e-12 * max(1.0, abs(value)):
+        if exact is not None and (abs(float(exact) - value) > 1e-12 * max(1.0, abs(value))
+                                  or exact == 0):   # no snap of a tiny value to 0
             exact = None
         kappa = float(exact) if exact is not None else value
     else:

@@ -580,11 +580,14 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
     n = y.size
     f = np.asarray(fun(t, y.tolist()), dtype=float)
     scale = atol + np.abs(y) * rtol
-    d0, d1 = np.linalg.norm(y / scale) / n ** 0.5, np.linalg.norm(f / scale) / n ** 0.5
-    # floats, not the norms' np.float64: that would make every step numpy-scalar arithmetic
-    h0 = float(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t))
-    d2 = np.linalg.norm((np.asarray(fun(t + h0, (y + h0 * f).tolist())) - f) / scale) / n ** 0.5 / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    # a norm past the float range is inf: then h0 = h1 = 0 and the steps start at their floor
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0, d1 = np.linalg.norm(y / scale) / n ** 0.5, np.linalg.norm(f / scale) / n ** 0.5
+        # floats, not the norms' np.float64: that would make every step numpy-scalar arithmetic
+        h0 = float(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t))
+        f1 = np.asarray(fun(t + h0, (y + h0 * f).tolist()))
+        d2 = np.linalg.norm((f1 - f) / scale) / n ** 0.5 / h0
+        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = float(min(100 * h0, h1, t_end - t, max_step))
 
     step, dense = _dop853_kernels(n)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import BracketError, ConvergenceError, GeometryError
+from .exceptions import ConvergenceError, GeometryError
 from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
                     coupling_quantized, default_grid, parse_kappa, potential,
                     state_quantum_numbers)
@@ -223,12 +223,10 @@ def shoot_couplings(states) -> list[ShootingResult]:
 
     Raises
     ------
-    BracketError
-        If the defect does not change sign over a state's bracket; the
-        message names the state.
     ConvergenceError
-        If a state's defect is not finite, or its root search stops without
-        converging; the message names the state.
+        If a state's defect does not change sign over its bracket, is not
+        finite, or its root search stops without converging; the message
+        names the state.
     """
     states = list(states)
     rows = []
@@ -241,18 +239,16 @@ def shoot_couplings(states) -> list[ShootingResult]:
                    min(w_bar * 1.3, (2.0 * kappa_f * (N + a)) ** 2))
         rows.append((kappa_f, l, *map(float, bracket)))
     kappas, ls, los, his = (np.array(col, dtype=float) for col in zip(*rows))
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite defect is raised below
+    with np.errstate(all="ignore"):   # a non-finite defect is raised below
         res = bracketed_root(_match_defect, los, his, args=(kappas, ls + 0.5))
     for i in np.flatnonzero(res.status != 0):
         (N, _, l), (kappa_f, _, lo, hi) = states[i], rows[i]
-        name = f"N={N}, kappa={kappa_f}, l={l}"
-        if res.status[i] == -1:
-            raise BracketError(
-                f"defect has no sign change on bracket ({lo:.6g}, {hi:.6g}) for {name}: "
-                f"d(lo)={res.f_lo[i]:.3e}, d(hi)={res.f_hi[i]:.3e}")
-        problem = ("the matching defect is not finite" if res.status[i] == -3 else
+        status, name = res.status[i], f"N={N}, kappa={kappa_f}, l={l}"
+        problem = ("defect has no sign change" if status == -1 else
+                   "the matching defect is not finite" if status == -3 else
                    f"the root search did not converge in {res.nfev[i]} defect evaluations")
-        raise ConvergenceError(f"{problem} on bracket ({lo:.6g}, {hi:.6g}) for {name}")
+        ends = f": d(lo)={res.f_lo[i]:.3e}, d(hi)={res.f_hi[i]:.3e}" if status == -1 else ""
+        raise ConvergenceError(f"{problem} on bracket ({lo:.6g}, {hi:.6g}) for {name}{ends}")
 
     return [ShootingResult(w_star=float(res.x[i]), match_defect=float(res.f_x[i]),
                            bracket=(rows[i][2], rows[i][3]),
@@ -262,13 +258,7 @@ def shoot_couplings(states) -> list[ShootingResult]:
 
 
 def shoot_coupling(N: int, kappa, l: int) -> ShootingResult:
-    """Recover one quantized coupling: the one-state call of shoot_couplings.
-
-    Raises
-    ------
-    BracketError
-        If the defect does not change sign over the bracket.
-    """
+    """Recover one quantized coupling: the one-state call of shoot_couplings."""
     return shoot_couplings([(N, kappa, l)])[0]
 
 
@@ -402,13 +392,14 @@ class Trajectory:
     closure_defect is max(|r_end - r_start| / max(1, rho0),
     |v_end - v_start| / max(1, v0)) evaluated after k2 full revolutions;
     focal_point is the position after k2/2 revolutions.  energy_drift is
-    the largest |E| along the orbit relative to |U(start)|, taken at
-    ``samples`` points uniform in accumulated angle, both ends included.
+    the largest |E| along the orbit relative to the largest |U| along it,
+    each read at ``samples`` points uniform in accumulated angle, ends
+    included.
     rhs_evaluations counts the integrator's right-hand-side calls.
 
     t, x, y, vx, vy are ``samples`` points uniform in time over
     [0, closure_time]; they are computed on first read from the dense
-    orbit, by inverting the monotone t(theta).
+    orbit, at the angles where its clock reads each time.
     """
 
     kappa: float
@@ -430,7 +421,7 @@ class Trajectory:
 
     @cached_property
     def _states(self) -> np.ndarray:
-        return _states_at_times(self.orbit, self.t, self.closure_time)
+        return _states_at_times(self.orbit, self.t)
 
     x = property(lambda self: self._states[0])
     y = property(lambda self: self._states[1])
@@ -522,23 +513,18 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
     return sol, np.array(state0), v0
 
 
-def _states_at_times(sol, times: np.ndarray, t_end: float) -> np.ndarray:
+def _states_at_times(sol, times: np.ndarray) -> np.ndarray:
     """Dense states (x, y, vx, vy, t) at the given physical times.
 
-    Inverts the monotone t(|theta|) by Newton steps with dt/d|theta| = r^2/|L|,
-    started from linear interpolation over the accepted steps.
+    t(|theta|) is monotone, so the accepted step whose end clocks hold a
+    time brackets the one angle where the clock reads it.
     """
-    s0 = sol.y[:, 0]
-    abs_l = abs(s0[0] * s0[3] - s0[1] * s0[2])
-    theta = np.interp(times, sol.y[4], sol.t)
-    for _ in range(30):
-        s = sol.sol(theta)
-        resid = s[4] - times
-        if np.max(np.abs(resid), initial=0.0) <= 1e-13 * t_end:
-            return s
-        theta = np.clip(theta - resid * abs_l / (s[0] ** 2 + s[1] ** 2),
-                        sol.t[0], sol.t[-1])
-    raise ConvergenceError("time-uniform orbit samples did not converge")
+    i = np.clip(np.searchsorted(sol.y[4], times), 1, len(sol.t) - 1)
+    res = bracketed_root(lambda theta, time: sol.sol(theta)[4] - time,
+                         sol.t[i - 1], sol.t[i], args=(times,))
+    if np.any(res.status != 0):
+        raise ConvergenceError("time-uniform orbit samples did not converge")
+    return sol.sol(res.x)
 
 
 def classical_trajectory(kappa, w: float, rho0: float,
@@ -577,8 +563,8 @@ def classical_trajectory(kappa, w: float, rho0: float,
     s_half = sol.sol(math.pi * revs)
 
     ys = sol.sol(np.linspace(0.0, sol.t[-1], samples))
-    energy = 0.5 * (ys[2] ** 2 + ys[3] ** 2) + potential(np.hypot(ys[0], ys[1]), w, kappa_f)
-    drift = float(np.max(np.abs(energy)) / abs(potential(rho0, w, kappa_f)))
+    U = potential(np.hypot(ys[0], ys[1]), w, kappa_f)
+    drift = float(np.max(np.abs(0.5 * (ys[2] ** 2 + ys[3] ** 2) + U)) / np.max(np.abs(U)))
 
     return Trajectory(kappa=kappa_f, k1=k1, k2=k2, w=w,
                       closure_defect=float(defect), closure_time=float(s_close[4]),

@@ -95,6 +95,25 @@ def test_eval_normalized_s_wave_is_rejected(capsys):
     assert "dosusy: error:" in err
 
 
+def test_a_tiny_positive_kappa_is_not_read_as_zero(capsys):
+    rc, out, err = run(capsys, "eval", "U", "--kappa", "1e-20", "--w", "1", "--rho", "2")
+    assert (rc, out, err) == (0, "-0.0625\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("critical", "--kappa", "1e-300"),
+    ("quantize", "--kappa", "1e-300", "--N", "1"),
+    ("family", "--kappa", "1e-300"),
+], ids=lambda argv: argv[0])
+def test_a_tiny_positive_kappa_fails_as_a_computation(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("dosusy: failure:") and len(err.splitlines()) == 1
+
+
 # ----------------------------------------------------------------------
 # quantize / partners / family
 # ----------------------------------------------------------------------
@@ -119,6 +138,17 @@ def test_quantize_with_a_non_finite_defect_fails_quietly(capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("dosusy: failure:")
     assert "not finite" in err and "N=1000000" in err
+
+
+def test_quantize_bracket_without_a_root_is_a_failure(capsys, monkeypatch):
+    # a shooting bracket comes from the solver, never from the user: centred
+    # on 7.5 it holds no coupling of the kappa = 1 ladder, and that is exit 1
+    monkeypatch.setattr(solver, "coupling_quantized", lambda N, kappa: 7.5)
+    rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", "1")
+    assert rc == 1
+    assert out == ""
+    assert err == ("dosusy: failure: defect has no sign change on bracket (5.76923, 9) for "
+                   "N=1, kappa=1.0, l=0: d(lo)=-8.548e-01, d(hi)=-8.125e-01\n")
 
 
 @pytest.mark.parametrize("N, l", [("2", "-1"), ("1", "2")])
@@ -365,6 +395,32 @@ def test_trace_summary_and_csv(tmp_path, capsys):
     data = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     assert data[0] == "t,x,y,speed"
     assert len(data) == 1 + 1000  # default sampling
+
+
+def test_trace_energy_drift_is_on_the_orbit_scale(capsys):
+    # from rho = 1e3 the orbit swings through its focus at rho = 1e-3, where
+    # |U| is 1e12 times |U(start)|; the drift is relative to that largest |U|
+    rc, out, _ = run(capsys, "trace", "--kappa", "1", "--w", "3", "--rho", "1e3")
+    assert rc == 0
+    drift, suffix = out.splitlines()[3].removeprefix("energy_drift = ").split(" ", 1)
+    assert suffix == "(relative to max |U| on the orbit)"
+    assert float(drift) < 1e-10
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    (("trace", "--kappa", "1", "--w", "1e-300", "--rho", "0.5"), 0, 4),
+    (("quantize", "--kappa", "1e6", "--N", "2"), 1, 0),
+], ids=["trace", "quantize"])
+def test_extreme_inputs_leak_no_runtime_warning(capsys, argv, code, lines):
+    # a tiny coupling overflows the initial-step norm of the orbit integrator;
+    # a huge kappa underflows the first shooting edge to log(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv)
+    assert rc == code
+    assert len(out.splitlines()) == lines
+    assert len(err.splitlines()) == code   # exit 1: its one failure line
+    assert all(line.startswith("dosusy: failure:") for line in err.splitlines())
 
 
 def test_trace_without_csv_builds_no_time_uniform_samples(capsys, monkeypatch):

@@ -86,6 +86,14 @@ def test_parse_kappa_reads_a_decimal_string_as_its_float(text):
     assert parse_kappa(text) == parse_kappa(float(text))
 
 
+@pytest.mark.parametrize("tiny", [1e-20, 1e-300, 5e-324])
+def test_parse_kappa_keeps_a_tiny_positive_float(tiny):
+    # the nearest small-denominator fraction is 0, which is no shape exponent
+    assert parse_kappa(tiny) == parse_kappa(str(tiny)) == (tiny, None)
+    with pytest.raises(ValueError, match=f"got {-tiny}"):
+        parse_kappa(-tiny)
+
+
 def test_parse_kappa_rejects_garbage():
     with pytest.raises(TypeError):
         parse_kappa(None)

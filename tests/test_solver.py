@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosusy import checks, numkit, solver
-from dosusy.exceptions import BracketError, ConvergenceError, GeometryError
+from dosusy.exceptions import ConvergenceError, GeometryError
 from dosusy.model import (
     SampledFunction,
     coupling_quantized,
@@ -202,9 +202,12 @@ def _no_root_in_default_bracket(monkeypatch, N, kappa):
 
 
 def test_shooting_bracket_without_root(monkeypatch):
+    # a bracket without a sign change is the solver's failure, not the caller's
     _no_root_in_default_bracket(monkeypatch, 1, 1.0)
-    with pytest.raises(BracketError, match=r"N=1, kappa=1\.0, l=0"):
+    with pytest.raises(ConvergenceError) as info:
         shoot_coupling(1, "1", 0)
+    assert str(info.value) == ("defect has no sign change on bracket (5.76923, 9) for "
+                               "N=1, kappa=1.0, l=0: d(lo)=-8.548e-01, d(hi)=-8.125e-01")
 
 
 def test_batched_shooting_rows_equal_single_calls():
@@ -218,7 +221,7 @@ def test_batched_shooting_rows_equal_single_calls():
 
 def test_bracket_error_names_the_failing_state(monkeypatch):
     _no_root_in_default_bracket(monkeypatch, 1, 1.0)
-    with pytest.raises(BracketError, match=r"N=1, kappa=1\.0, l=0"):
+    with pytest.raises(ConvergenceError, match=r"N=1, kappa=1\.0, l=0"):
         solver.shoot_couplings([(2, "1", 1), (1, "1", 0)])
 
 
@@ -593,13 +596,22 @@ def test_time_uniform_samples_are_lazy_and_exact(monkeypatch):
     assert len(traj.x) == len(traj.vy) == 301
     assert len(calls) == 1
     # the orbit's own clock at the inverted angles is the requested time
-    states = invert(traj.orbit, traj.t, traj.closure_time)
-    assert np.max(np.abs(states[4] - traj.t)) <= 1e-12 * traj.closure_time
+    states = invert(traj.orbit, traj.t)
+    assert np.max(np.abs(states[4] - traj.t)) <= 1e-13 * traj.closure_time
     np.testing.assert_array_equal(states[0], traj.x)
     # time-uniform samples still lie on the zero-energy shell
     r = np.hypot(traj.x, traj.y)
     energy = 0.5 * (traj.vx ** 2 + traj.vy ** 2) + potential(r, 2.0, 0.5)
     assert np.max(np.abs(energy)) < 1e-8 * abs(potential(0.5, 2.0, 0.5))
+
+
+@pytest.mark.parametrize("kappa, w", [("1", 3.0), ("1/2", 2.0), ("2/3", 2.5)])
+def test_time_uniform_samples_sit_at_their_times(kappa, w):
+    traj = classical_trajectory(kappa, w, 0.5, direction_deg=63.0)
+    clock = solver._states_at_times(traj.orbit, traj.t)[4]
+    # the root search stops on a bracket of a few float spacings in the angle
+    assert np.max(np.abs(clock - traj.t)) <= 1e-14 * traj.closure_time
+    assert clock[0] == 0.0 and clock[-1] == traj.closure_time
 
 
 def test_trajectory_validation():
