@@ -273,23 +273,28 @@ def suite_critical() -> list[CheckResult]:
 _LAMBDAS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 
 
+def _v_and_slope(radii, kappa, l, side):
+    """V_lambda at the radii for every lambda of _LAMBDAS (rows), its 5-point difference
+    at step 1e-3 rho, and the tail integral at the radii.  The anchored integrals are
+    prefix-summed: stencil neighbours differ only by short segments, and the anchor
+    segment's error only shifts lambda, which the defining equation absorbs."""
+    h = 1e-3 * radii
+    nodes = radii + np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None] * h
+    ints = fam._tail_integral(nodes, kappa, l, side)
+    vs = fam._v_lambda(nodes, np.array(_LAMBDAS)[:, None, None], ints, kappa, l, side)
+    return vs[:, 2], (8.0 * (vs[:, 3] - vs[:, 1]) - (vs[:, 4] - vs[:, 0])) / (12.0 * h), ints[2]
+
+
 def suite_family() -> list[CheckResult]:
     results = []
-    # The anchored integrals are prefix-summed: stencil neighbours differ only
-    # by short segments, and the error of the anchor segment only shifts
-    # lambda, which the defining equation absorbs.
     radii = np.array([0.2, 0.35, 0.6, 0.9, 1.4, 2.2, 3.5])
-    h = 1e-3 * radii
-    nodes = radii + np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None] * h   # 5-point stencils
     lams = np.array(_LAMBDAS)
     for kappa in (1.0, 0.5):
         for l in (0, 1, 2):
             w2 = 2.0 * susy.superpotential(radii, kappa, l)
             for side in ("bosonic", "fermionic"):
-                ints = fam._tail_integral(nodes, kappa, l, side)
-                vs = fam._v_lambda(nodes, lams[:, None, None], ints, kappa, l, side)
-                d = (8.0 * (vs[:, 3] - vs[:, 1]) - (vs[:, 4] - vs[:, 0])) / (12.0 * h)
-                wv = w2 * vs[:, 2]
+                v, d, _ = _v_and_slope(radii, kappa, l, side)
+                wv = w2 * v
                 raw = d + wv + 1.0 if side == "bosonic" else d - wv - 1.0
                 rel = (np.abs(raw) / (1.0 + np.abs(d) + np.abs(wv))).T   # (radius, lambda)
                 worst, i, worst_lambda = _worst(rel, lams)
@@ -303,8 +308,8 @@ def suite_family() -> list[CheckResult]:
     pts = np.geomspace(0.12, 8.0, 21)
     for kappa in (1.0, 0.5):
         for l in (0, 1, 2):
-            integrals = fam._tail_integral(pts, kappa, l, "bosonic")  # lambda-free
-            v = fam._v_lambda(pts, lams[:, None], integrals, kappa, l, "bosonic")
+            # V' from the stencil, not from the defining equation under test
+            v, vp, integrals = _v_and_slope(pts, kappa, l, "bosonic")
             # adjacent to a zero of V, W_lambda is singular: those points are skipped
             scale = np.abs(fam._v_lambda(pts, np.abs(lams[:, None]), np.abs(integrals),
                                          kappa, l, "bosonic"))
@@ -312,8 +317,7 @@ def suite_family() -> list[CheckResult]:
             w, w1, um = (np.broadcast_to(x, v.shape)[keep] for x in (
                 susy.superpotential(pts, kappa, l), susy.superpotential_dr(pts, kappa, l),
                 susy.partner_minus_closed(pts, kappa, l)))
-            v = v[keep]
-            vp = -1.0 - 2.0 * w * v
+            v, vp = v[keep], vp[keep]
             wl = w + 1.0 / v
             wlp = w1 - vp / (v * v)
             raw = wl * wl - wlp - um
@@ -323,6 +327,7 @@ def suite_family() -> list[CheckResult]:
             results.append(_check(
                 f"family:partner-identity:kappa={_fmt_kappa(kappa)}:l={l}", worst, 1e-7,
                 kappa=_fmt_kappa(kappa), l=l, side="bosonic", lambdas=list(_LAMBDAS),
+                derivative="5-point differences of the quadrature V",
                 points_kept=kept, points_skipped_near_zero=keep.size - kept))
 
     # Parameter shifts move V by an exact multiple of f^2 (or f^-2).

@@ -18,8 +18,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, GeometryError
 from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
-                    coupling_quantized, default_grid, parse_kappa, potential,
-                    state_quantum_numbers)
+                    coupling_quantized, parse_kappa, potential, state_quantum_numbers)
 from .numkit import bracketed_root, newton2d
 from .numkit import dop853 as solve_ivp  # the orbit integrator; tracers and tests swap this name
 from .susy import _numerators_t, partner_plus_d2r, partner_plus_dr
@@ -75,13 +74,16 @@ def _leg_edges(w, kappa, L) -> np.ndarray:
     return np.log(u + np.exp(-c * T) * (1.0 - u)) / c
 
 
-def _cells(t: np.ndarray, w: float, kappa: float, L: float) -> np.ndarray:
-    """Magnus propagators over the cells between consecutive edges t.
+def _cells(t: np.ndarray, w: float, kappa: float, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Magnus propagators over the cells between consecutive edges t, and
+    their log growth.
 
     exp(Omega) for the traceless Omega = [[a, h], [c, -a]] is cosh(r) I +
-    sinh(r)/r Omega, r^2 = a^2 + h c (cos, sin when r^2 < 0).  Each cell is
-    scaled by exp(-L |h|), so products never overflow; edges may run either
-    way along the last axis.
+    sinh(r)/r Omega, r^2 = a^2 + h c (cos, sin when r^2 < 0).  A growing cell
+    (r^2 > 0) is scaled by its own exp(-r), returned as its log growth r; an
+    oscillating cell is left unscaled, log growth 0.  So no cell or product
+    carries exponential growth or decay, and none over- or underflows where
+    q dips below L^2.  Edges may run either way along the last axis.
     """
     h, mid = np.diff(t, axis=-1), 0.5 * (t[..., 1:] + t[..., :-1])
 
@@ -93,12 +95,13 @@ def _cells(t: np.ndarray, w: float, kappa: float, L: float) -> np.ndarray:
     a, c = _COMM * h * h * (q1 - q2), 0.5 * h * (q1 + q2)
     r2 = a * a + h * c
     r = np.sqrt(np.abs(r2))
-    rg = np.where(r2 >= 0.0, r, 0.0)
-    damp, up = np.exp(-L * np.abs(h)), np.exp(rg - L * np.abs(h))
-    sinhc = np.divide(-np.expm1(-2.0 * rg), 2.0 * rg, out=np.ones_like(rg), where=rg > 0.0)
-    ch = np.where(r2 >= 0.0, 0.5 * (up + damp * np.exp(-rg)), damp * np.cos(r))
-    sh = np.where(r2 >= 0.0, up * sinhc, damp * np.sinc(r / np.pi))
-    return np.stack([ch + sh * a, sh * h, sh * c, ch - sh * a], axis=-1).reshape(h.shape + (2, 2))
+    grow = np.where(r2 >= 0.0, r, 0.0)
+    decay = -np.expm1(-2.0 * grow)   # 1 - exp(-2r)
+    sinhc = np.divide(decay, 2.0 * grow, out=np.ones_like(grow), where=grow > 0.0)
+    ch = np.where(r2 >= 0.0, 1.0 - 0.5 * decay, np.cos(r))
+    sh = np.where(r2 >= 0.0, sinhc, np.sinc(r / np.pi))
+    M = np.stack([ch + sh * a, sh * h, sh * c, ch - sh * a], axis=-1).reshape(h.shape + (2, 2))
+    return M, grow
 
 
 def _product(M: np.ndarray) -> np.ndarray:
@@ -110,40 +113,6 @@ def _product(M: np.ndarray) -> np.ndarray:
     return M[..., 0, :, :]
 
 
-def _scan(w: float, kappa: float, l: int, samples: np.ndarray, t_end: float):
-    """Carry the regular branch from its tail through the sample points t (at
-    most t_end) to t_end, on the graded shooting cells split at every sample:
-    one pairwise product up to the first sample, then a sequential scan
-    keeping (y, y') at unit 1-norm and its size in log space.
-    Returns y and log-scale at the samples, and (y, y') at t_end.
-    """
-    L = l + 0.5
-    leg = _leg_edges(w, kappa, L)
-    base = np.concatenate([leg, -leg[-2::-1]])
-    t0 = min(base[0], np.min(samples, initial=0.0))
-    edges = np.union1d(base, np.concatenate([samples, [t0, t_end]]))
-    edges = edges[(edges >= t0) & (edges <= t_end)]
-    idx = np.searchsorted(edges, samples)
-    M = _cells(edges, w, kappa, L)
-    first = int(np.min(idx, initial=len(M)))
-    y, dy = (_product(M[:first]) @ (1.0, L)).tolist() if first else (1.0, L)
-    ys, logs, lg = [], [], 0.0   # the leading identity cell records the first sample
-    for m00, m01, m10, m11 in [(1.0, 0.0, 0.0, 1.0)] + M[first:].reshape(-1, 4).tolist():
-        y, dy = m00 * y + m01 * dy, m10 * y + m11 * dy
-        n = abs(y) + abs(dy)
-        y, dy, lg = y / n, dy / n, lg + math.log(n)
-        ys.append(y)
-        logs.append(lg)
-    log_scale = np.asarray(logs) + L * np.abs(edges[first:] - t0)
-    return np.asarray(ys)[idx - first], log_scale[idx - first], (y, dy)
-
-
-def _as_u(t, y, log_scale) -> np.ndarray:
-    """u = rho^(1/2) y at t = ln rho, rescaled to unit sup-norm."""
-    u = y * np.exp(0.5 * t + log_scale - np.max(0.5 * t + log_scale))
-    return u / np.max(np.abs(u))
-
-
 def integrate_radial(w: float, kappa: float, l: int, grid) -> SampledFunction:
     """Outward zero-energy integration of the half-line problem onto a grid.
 
@@ -152,6 +121,11 @@ def integrate_radial(w: float, kappa: float, l: int, grid) -> SampledFunction:
     scale of a linear homogeneous solution is a convention).  At a
     quantized coupling this reproduces the bound-family u; away from one
     the returned samples grow ~ rho^(l+1) at large radius.
+
+    The branch runs on the graded shooting cells split at every grid point:
+    one pairwise product up to the first point, then a sequential scan that
+    keeps (y, y') at unit 1-norm and its size, with the cells' log growth,
+    in log space.
 
     Raises
     ------
@@ -163,13 +137,31 @@ def integrate_radial(w: float, kappa: float, l: int, grid) -> SampledFunction:
     _check_coupling(w)
     grid = _check_grid(grid)
     t = np.log(grid)
-    y, log_scale, _ = _scan(w, kappa, l, t, t[-1])
-    over = np.nonzero(0.5 * (t - t[0]) + log_scale - log_scale[0] > math.log(_OVERFLOW_LIMIT))[0]
+    L = l + 0.5
+    leg = _leg_edges(w, kappa, L)
+    base = np.concatenate([leg, -leg[-2::-1]])
+    edges = np.union1d(base, np.concatenate([t, [min(base[0], t[0])]]))
+    edges = edges[edges <= t[-1]]
+    idx = np.searchsorted(edges, t)
+    M, grow = _cells(edges, w, kappa, L)
+    first = int(idx[0])
+    y, dy = (_product(M[:first]) @ (1.0, L)).tolist() if first else (1.0, L)
+    ys, logs, lg = [], [], 0.0   # the leading identity cell records the first point
+    for m00, m01, m10, m11 in [(1.0, 0.0, 0.0, 1.0)] + M[first:].reshape(-1, 4).tolist():
+        y, dy = m00 * y + m01 * dy, m10 * y + m11 * dy
+        n = abs(y) + abs(dy)
+        y, dy, lg = y / n, dy / n, lg + math.log(n)
+        ys.append(y)
+        logs.append(lg)
+    log_scale = (np.asarray(logs) + np.cumsum(np.concatenate([[0.0], grow[first:]])))[idx - first]
+    log_size = 0.5 * t + log_scale   # u = rho^(1/2) y
+    over = np.nonzero(log_size - log_size[0] > math.log(_OVERFLOW_LIMIT))[0]
     if len(over):
         raise ConvergenceError(
             f"radial solution overflowed at rho = {grid[over[0]]:.6g} "
             f"(w = {w}, kappa = {kappa}, l = {l})")
-    return SampledFunction(grid, _as_u(t, y, log_scale))
+    u = np.asarray(ys)[idx - first] * np.exp(log_size - np.max(log_size))
+    return SampledFunction(grid, u / np.max(np.abs(u)))
 
 
 @dataclass(frozen=True)
@@ -179,25 +171,19 @@ class ShootingResult:
     match_defect is the scale-normalized Wronskian of the outward and
     inward branches at the matching radius rho = 1 (zero iff the branches
     are proportional; stays regular even when the eigenfunction has a node
-    exactly at the matching radius).  u is assembled on first read, on the
-    default grid, built then.
+    exactly at the matching radius).
     """
 
     w_star: float
     match_defect: float
     bracket: tuple[float, float]
     defect_evaluations: int
-    kappa: float = field(repr=False, compare=False)
-    l: int = field(repr=False, compare=False)
-
-    @cached_property
-    def u(self) -> SampledFunction:
-        return _assemble_eigenfunction(self.w_star, self.kappa, self.l, default_grid())
 
 
 def _match_defect(w, kappa, L):
     """Scale-normalized Wronskian of the two branches at rho = 1, elementwise."""
-    M = _product(_cells(_leg_edges(w, kappa, L), w[..., None], kappa[..., None], L[..., None]))
+    # the defect is scale-free, so the cells' log growth is not needed
+    M = _product(_cells(_leg_edges(w, kappa, L), w[..., None], kappa[..., None], L[..., None])[0])
     yo, dyo = M[..., 0, 0] + M[..., 0, 1] * L, M[..., 1, 0] + M[..., 1, 1] * L   # M @ (1, L)
     # q depends on |t| only, so on the mirrored edges (h -> -h) each cell is exactly
     # diag(1, -1) M diag(1, -1): the inward leg from (1, -L) ends at exactly (yo, -dyo).
@@ -252,29 +238,13 @@ def shoot_couplings(states) -> list[ShootingResult]:
 
     return [ShootingResult(w_star=float(res.x[i]), match_defect=float(res.f_x[i]),
                            bracket=(rows[i][2], rows[i][3]),
-                           defect_evaluations=int(res.nfev[i]),
-                           kappa=rows[i][0], l=states[i][2])
+                           defect_evaluations=int(res.nfev[i]))
             for i in range(len(states))]
 
 
 def shoot_coupling(N: int, kappa, l: int) -> ShootingResult:
     """Recover one quantized coupling: the one-state call of shoot_couplings."""
     return shoot_couplings([(N, kappa, l)])[0]
-
-
-def _assemble_eigenfunction(w: float, kappa: float, l: int, grid) -> SampledFunction:
-    """The eigenfunction on the given grid from one outward scan to rho = 1.
-
-    q is even in t = ln rho, so the decaying branch is the regular one
-    mirrored, and at an eigencoupling the state is even or odd in t: the
-    scan runs at -|t|, and the t > 0 half changes sign when y' is farther
-    from a node than y at the joint.
-    """
-    t = np.log(grid)
-    y, log_scale, (y0, dy0) = _scan(w, kappa, l, -np.abs(t), 0.0)
-    if abs(y0) <= abs(dy0):
-        y = np.where(t > 0.0, -y, y)
-    return SampledFunction(grid, _as_u(t, y, log_scale))
 
 
 # ======================================================================

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dosusy import solver
+from dosusy import family, solver
 from dosusy.checks import (
     SUITE_NAMES,
     CheckResult,
@@ -137,6 +137,17 @@ def test_report_is_canonical_and_reproducible():
     assert summary["exit_code"] == 0
     for entry in payload["checks"]:
         assert set(entry) == {"check_id", "params", "measured", "threshold", "pass"}
+
+
+def test_family_checks_fail_on_a_perturbed_v(monkeypatch):
+    # V 0.1 % off its defining equation: V' comes from the same quadrature V,
+    # so the shared-partner identity sees the defect as well as the ODE does
+    v_lambda = family._v_lambda
+    monkeypatch.setattr(family, "_v_lambda", lambda *args: 1.001 * v_lambda(*args))
+    results = run_suites(("family",))
+    for prefix in ("family:ode:", "family:partner-identity:"):
+        checked = [r for r in results if r.check_id.startswith(prefix)]
+        assert checked and not any(r.passed for r in checked)
 
 
 def test_closure_suite_orbit_work_budget(monkeypatch):

@@ -127,17 +127,41 @@ def test_quantize_cross_checks_by_shooting(capsys):
     assert lines[1].endswith("[ok]")
 
 
-def test_quantize_with_a_non_finite_defect_fails_quietly(capsys):
-    # At N = 10^6 the Magnus cells overflow; the search stops on the first
-    # non-finite defect, and no numpy warning reaches stderr.
+def test_quantize_beyond_the_cell_resolution_fails_quietly(capsys):
+    # At N = 10^6 the well holds far more oscillations than the Magnus cells
+    # resolve: the defect stays finite but does not change sign on the narrow
+    # bracket, and no numpy warning reaches stderr.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", "1000000")
     assert rc == 1
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("dosusy: failure:")
-    assert "not finite" in err and "N=1000000" in err
+    assert err == ("dosusy: failure: defect has no sign change on bracket (4e+12, 4e+12) for "
+                   "N=1000000, kappa=1.0, l=0: d(lo)=1.882e-06, d(hi)=2.303e-06\n")
+
+
+@pytest.mark.parametrize("kappa, w", [("1e-4", "1.0002"), ("1e-5", "1.00002")])
+def test_quantize_at_a_small_kappa_recovers_the_coupling(capsys, kappa, w):
+    # the potential dips far below L^2 over a leg of length ~ 1/kappa; each
+    # Magnus cell is scaled by its own growth, so the defect stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "quantize", "--kappa", kappa, "--N", "1")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == w
+    assert lines[1].endswith("[ok]")
+
+
+def test_quantize_at_kappa_1e_8_finds_no_sign_change(capsys):
+    # the N = 1 bracket (1, 1 + 4e-8) is narrower than the defect's error at a
+    # leg length ~ 1/kappa, so the defect keeps one sign on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "quantize", "--kappa", "1e-8", "--N", "1")
+    assert (rc, out) == (1, "")
+    assert err == ("dosusy: failure: defect has no sign change on bracket (1, 1) for "
+                   "N=1, kappa=1e-08, l=0: d(lo)=1.279e-05, d(hi)=1.255e-05\n")
 
 
 def test_quantize_bracket_without_a_root_is_a_failure(capsys, monkeypatch):
@@ -161,13 +185,14 @@ def test_quantize_of_a_missing_state_is_a_usage_error_with_nothing_on_stdout(cap
 
 def test_quantize_past_float_resolution_is_the_same_failure(capsys):
     # At N = 10^16 both ends of the default bracket round to 4e32; the
-    # defect there is not finite, as it already is at N = 10^12.
-    for N in ("1000000000000", "10000000000000000"):
-        rc, _, err = run(capsys, "quantize", "--kappa", "1", "--N", N)
-        assert rc == 1
-        assert len(err.splitlines()) == 1
-        assert err.startswith("dosusy: failure:")
-        assert "not finite" in err and f"N={N}" in err
+    # defect there has no sign change, as already at N = 10^12.
+    for N, ends in (("1000000000000", "4e+24, 4e+24"), ("10000000000000000", "4e+32, 4e+32")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", N)
+        assert (rc, out) == (1, "")
+        assert err == (f"dosusy: failure: defect has no sign change on bracket ({ends}) for "
+                       f"N={N}, kappa=1.0, l=0: d(lo)=-5.218e-09, d(hi)=-5.218e-09\n")
 
 
 @pytest.mark.parametrize("argv, name", [
