@@ -95,7 +95,7 @@ def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic")
     fermionic: V =  f^-2 (lambda + Int_1^rho f^2),  solves V' - 2WV = +1.
     """
     _check_member(lam, side)
-    rho = float(_check_rho(rho))
+    rho = float(_check_rho(rho)[0])
     return float(_v_lambda(rho, lam, _tail_integral(rho, kappa, l, side),
                            kappa, l, side))
 
@@ -119,7 +119,7 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
         smoothed over.
     """
     _check_member(lam, side)
-    rho = float(_check_rho(rho))
+    rho = float(_check_rho(rho)[0])
     integral = _tail_integral(rho, kappa, l, side)
     v = _v_lambda(rho, lam, integral, kappa, l, side)
     scale = abs(_v_lambda(rho, abs(lam), abs(integral), kappa, l, side))

@@ -20,6 +20,7 @@ alpha = 2 arctan(rho^kappa).
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -46,6 +47,7 @@ __all__ = [
     "make_state",
     "enumerate_shell",
 ]
+_SPAN = contextvars.ContextVar("_SPAN", default=math.inf)   # set by _radial; inf: judge lanes
 
 
 def parse_kappa(value) -> tuple[float, Fraction | None]:
@@ -130,17 +132,17 @@ def make_state(N: int, l: int, kappa, m: int = 0) -> StateLabel:
 # --- the argument contract shared by every closed form and oracle ------
 
 def _check_rho(rho, name: str = "rho"):
-    """Radius (scalar or array) as a float array; rejects rho <= 0, NaN and inf."""
+    """Radius as a float array and its largest |log2 rho|; rejects rho <= 0, NaN and inf."""
     rho = np.asarray(rho, dtype=float)
-    # min and max propagate NaN, so one reduction each checks the whole range
-    if not (rho.min(initial=np.inf) > 0 and rho.max(initial=0.0) < np.inf):
+    lo, hi = rho.min(initial=np.inf), rho.max(initial=1.0)   # each propagates a NaN
+    if not (lo > 0 and hi < np.inf):
         raise ValueError(f"{name} must be strictly positive and finite")
-    return rho
+    return rho, max(-math.log2(min(lo, 1.0)), math.log2(hi))
 
 
 def _check_grid(grid) -> np.ndarray:
     """Radial grid as a float array: positive and finite radii, strictly increasing."""
-    grid = _check_rho(grid, "grid")
+    grid, _ = _check_rho(grid, "grid")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     return grid
@@ -152,16 +154,34 @@ def _check_coupling(w) -> None:
         raise ValueError(f"coupling w must be positive and finite, got {w}")
 
 
+def _pow(b, e):
+    """b ** e, bit for bit, for a base b > 0 made from the radii (rho or its fold x).
+
+    Powers under 2^-1100 or over 2^1030 are 0.0 or +inf without pow's slow path or a warning.
+    """
+    span, arr = _SPAN.get(), isinstance(e, np.ndarray)
+    if b.ndim == 0 or span * (np.abs(e).max() if arr else abs(e)) < 1e3:   # no power near 0 or inf
+        return b ** e
+    with np.errstate(divide="ignore", over="ignore"):
+        s, m = np.where(e < 0, 1.0 / b, b), np.abs(e)   # b^e = s^m
+        zero, inf = s < np.exp2(-1100.0 / m), s > np.exp2(1030.0 / m)
+        out, keep = np.where(inf, np.inf, 0.0), ~(zero | inf)
+        out[keep] = b[keep] ** (e[keep] if arr else e)   # e itself keeps numpy's fast paths
+    return out
+
+
 def _radial(closed_form):
     """Give a closed form closed_form(rho, ...) the radius contract.
 
-    rho passes _check_rho and reaches the closed form as a float array.  A
-    scalar rho gives a float back (a tuple of floats for a tuple of
-    results); for array input the closed form's arrays pass through.
+    rho passes _check_rho and reaches the closed form as a float array, and
+    _pow reads its span from _SPAN.  A scalar rho gives a float back (a tuple
+    of floats for a tuple of results); for array input the arrays pass through.
     """
     @functools.wraps(closed_form)
     def contracted(rho, *args, **kwargs):
-        out = closed_form(_check_rho(rho), *args, **kwargs)
+        checked, span = _check_rho(rho)
+        (context := contextvars.copy_context()).run(_SPAN.set, span)   # for this call only
+        out = context.run(closed_form, checked, *args, **kwargs)
         if not np.isscalar(rho):
             return out
         return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
@@ -229,7 +249,7 @@ def _fold(rho, kappa):
     where rho^(2k) does.
     """
     x = np.minimum(rho, 1.0 / rho)
-    p = x ** (2.0 * kappa)
+    p = _pow(x, 2.0 * kappa)
     return x, p, 1.0 / (1.0 + p)
 
 
@@ -248,7 +268,7 @@ def map_coordinates(rho, kappa: float):
     fold: alpha = 2 arctan(x^kappa) inside rho = 1 and pi minus that beyond.
     """
     x, p, _ = _fold(rho, kappa)
-    alpha = 2.0 * np.arctan(x ** float(kappa))
+    alpha = 2.0 * np.arctan(_pow(x, float(kappa)))
     return _xi(rho, p), np.where(rho > 1.0, np.pi - alpha, alpha)
 
 
@@ -266,7 +286,7 @@ def _ueff(rho, w: float, kappa: float, l):
     if l:
         with np.errstate(over="ignore"):   # +inf where l(l+1)/rho^2 passes the float range
             return (l * (l + 1.0) - w * p * v * v) / rho / rho
-    return -w * x ** np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0) * (v * v)
+    return -w * _pow(x, np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0)) * (v * v)
 
 
 def _well_root(rho, kappa):
@@ -277,7 +297,7 @@ def _well_root(rho, kappa):
     the finite fold of _ueff, until perfbench's seed-variation test stops
     relying on failing closed-form-grid batches (ROADMAP, Known defects).
     """
-    t = rho ** kappa
+    t = _pow(rho, kappa)
     h = 1.0 / ((1.0 + t * t) * rho)
     return t * h, h
 
@@ -326,7 +346,7 @@ def _folded_f(rho, kappa: float, l):
     polynomial degree 0.
     """
     x, p, v = _fold(rho, kappa)
-    f = x ** l * v ** ((2.0 * l + 1.0) / (2.0 * kappa)) * np.minimum(rho, 1.0)
+    f = _pow(x, l) * v ** ((2.0 * l + 1.0) / (2.0 * kappa)) * np.minimum(rho, 1.0)
     return f, p
 
 

@@ -445,7 +445,7 @@ def _angle_rhs(kappa: float, w: float, inv_l: float):
 def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
                      direction_deg: float):
     """DOP853 from |theta| = 0 to ``angle``, with dense output."""
-    if not 1e-6 <= _check_rho(rho0, "rho0") <= 1e3:
+    if not 1e-6 <= _check_rho(rho0, "rho0")[0] <= 1e3:
         raise ValueError(f"rho0 must lie within the guard radii [1e-6, 1e3], got {rho0!r}")
     # a non-finite angle never ends the integration; inf % 360 is NaN
     if not angle <= 2.0 * math.pi * _MAX_REVOLUTIONS:

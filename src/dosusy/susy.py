@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SampledFunction, _check_rho, _fold, _radial, _well_root, _xi
+from .model import SampledFunction, _check_rho, _fold, _pow, _radial, _well_root, _xi
 from .numkit import _anchored_integral, grid_derivative
 
 __all__ = [
@@ -47,7 +47,7 @@ def _quotient(rho, k, num=1.0, plus=0.0):
     The quotient is then 0 or a correctly signed infinity; only a NaN warns.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        return num / (plus + rho ** k)
+        return num / (plus + _pow(rho, k))
 
 
 def _numerators(rho, kappa: float, l, order: int) -> list:
@@ -208,7 +208,7 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
     bounded integrand, even where xi rounds to +-1.  The integrals to all
     grid points are one prefix-summed quadrature call.
     """
-    grid = _check_rho(grid)
+    grid, _ = _check_rho(grid)
     q = (2.0 * l + 1.0) / (2.0 * kappa) + 0.5
 
     def xi_of_t(t):
