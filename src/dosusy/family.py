@@ -81,11 +81,23 @@ def _tail_integral(rho, kappa: float, l: int, side: str):
 
 
 def _v_lambda(rho, lam, integral, kappa: float, l: int, side: str):
-    """V_lambda from the anchored integral, elementwise over broadcast arrays."""
+    """V_lambda from the anchored integral, elementwise over broadcast arrays.
+
+    Where f^2 underflows to 0 the fermionic V overflows to the infinity signed
+    as lambda + integral; where that is 0 as well, V is 0/0 and RuntimeError
+    is raised.
+    """
     f2 = f_factor(rho, kappa, l) ** 2
+    g = lam + integral
     if side == "bosonic":
-        return -f2 * (lam + integral)
-    return (lam + integral) / f2
+        return -f2 * g
+    undetermined = (f2 == 0.0) & (g == 0.0)
+    if np.any(undetermined):
+        where = float(np.asarray(rho)[undetermined].flat[0])
+        raise RuntimeError(f"V_lambda is 0/0 at rho = {where!r}: f^2 underflows to 0 "
+                           "where lambda + I_+ is 0")
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(g, f2)
 
 
 def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic") -> float:
@@ -121,9 +133,10 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
     _check_member(lam, side)
     rho = float(_check_rho(rho)[0])
     integral = _tail_integral(rho, kappa, l, side)
-    v = _v_lambda(rho, lam, integral, kappa, l, side)
+    v = float(_v_lambda(rho, lam, integral, kappa, l, side))
     scale = abs(_v_lambda(rho, abs(lam), abs(integral), kappa, l, side))
-    if abs(v) <= 1e-10 * scale + 1e-300:
+    # an overflowed V is no zero, though its scale is infinite too
+    if not math.isinf(v) and abs(v) <= 1e-10 * scale + 1e-300:
         raise SingularPointError(
             f"family member (kappa={kappa}, l={l}, lambda={lam}, {side}) "
             f"is singular at rho = {rho}", rho=rho)

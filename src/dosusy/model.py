@@ -220,18 +220,22 @@ class SampledFunction:
         return int(np.sum(np.sign(v[:-1]) != np.sign(v[1:])))
 
 
+_MAX_GRID_POINTS = 1_000_000
+
+
 def default_grid(lo: float = 1e-3, hi: float = 1e3, n: int = 400) -> np.ndarray:
     """Log-spaced radial grid used by curve emitters and grid checks.
 
     When the range brackets rho = 1 the grid contains it exactly (it is the
     potential's symmetry point, the branch-matching radius, and the anchor
     of the one-parameter families), by splicing two log-spaced sections of
-    imperceptibly different ratios.
+    imperceptibly different ratios.  n runs from 2 to 10^6; a larger grid is
+    refused with ValueError before anything is allocated.
     """
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    if n < 2:
-        raise ValueError("need at least two points")
+    if not 2 <= n <= _MAX_GRID_POINTS:
+        raise ValueError(f"need 2 to {_MAX_GRID_POINTS} grid points, got {n}")
     if not (lo < 1.0 < hi):
         return np.geomspace(lo, hi, n)
     n_lo = int(round((n - 1) * np.log(1.0 / lo) / np.log(hi / lo)))

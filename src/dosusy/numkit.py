@@ -250,58 +250,35 @@ def derivative(f, x, order: int = 1, step: float = 1e-4):
     return float(d) if scalar else d
 
 
-_FORNBERG_MAX = 9  # most nodes, and highest order, a generated kernel is built for
-
-
-def fornberg_weights(z: float, xs, m: int) -> np.ndarray:
-    """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
-
-    Returns an array ``w`` of shape (m+1, len(xs)) such that
-    ``w[k] @ f(xs)`` approximates the k-th derivative of f at ``z``.  The
-    recursion runs as a straight-line kernel on Python floats, generated
-    once per shape (len(xs), m) and cached; 1 to 9 nodes and an integer
-    order 0 to 9 are accepted, anything else raises ValueError.  A list of
-    Python numbers is used as it is; any other ``xs`` is converted to
-    floats first.
-    """
-    if type(xs) is not list:
-        xs = np.asarray(xs, dtype=float).tolist()
-    n = len(xs)
-    if not (isinstance(m, (int, np.integer)) and 0 <= m <= _FORNBERG_MAX
-            and 1 <= n <= _FORNBERG_MAX):
-        raise ValueError(f"fornberg_weights takes 1 to {_FORNBERG_MAX} nodes and an integer "
-                         f"order 0 to {_FORNBERG_MAX}, got {n} nodes and m = {m!r}")
-    return _fornberg_kernel(n, int(m))(z, xs)
-
-
-@cache
-def _fornberg_kernel(n: int, m: int):
-    """Fornberg's recursion for n nodes and orders 0..m as one function of
-    (z, xs) without loops: every statement the recursion executes, in its
-    order, on locals w{k}_{j} (order k, node j).  Zero and unit terms stay
-    as written, so signed zeros, infinities and NaNs land where the loop
-    put them.  A factor k is the float k.0 (none at k = 1): the loop's bits, on float products."""
-    kf = ["", ""] + [f"{k}.0 * " for k in range(2, m + 1)]
-    body = [", ".join(f"x{j}" for j in range(n)) + ", = xs", "w0_0 = 1.0"]
-    body += [f"w{k}_{j} = 0.0" for k in range(m + 1) for j in range(n) if k or j]
-    body += ["c1 = 1.0", "c4 = x0 - z"]
-    for i in range(1, n):
-        ks = range(min(i, m), 0, -1)
+def _fornberg_kernel():
+    """Fornberg's recursion for the first derivative on five nodes as one
+    function of (z, xs) without loops: every statement the recursion executes,
+    in its order, on locals w{k}_{j} (order k = 0, 1, node j).  Zero and unit
+    terms stay as written, so signed zeros, infinities and NaNs land where the
+    loop put them."""
+    body = ["x0, x1, x2, x3, x4, = xs", "w0_0 = 1.0", "w1_0 = 0.0", "c1 = 1.0", "c4 = x0 - z"]
+    for i in range(1, 5):
         body += ["c2 = 1.0", "c5 = c4", f"c4 = x{i} - z"]
         for j in range(i):
             body += [f"c3 = x{i} - x{j}", "c2 *= c3"]
             if j == i - 1:  # the new column i reads column j before its update
-                body += [f"w{k}_{i} = c1 * ({kf[k]}w{k - 1}_{j} - c5 * w{k}_{j}) / c2" for k in ks]
-                body.append(f"w0_{i} = -c1 * c5 * w0_{j} / c2")
-            body += [f"w{k}_{j} = (c4 * w{k}_{j} - {kf[k]}w{k - 1}_{j}) / c3" for k in ks]
-            body.append(f"w0_{j} = c4 * w0_{j} / c3")
+                body += [f"w1_{i} = c1 * (w0_{j} - c5 * w1_{j}) / c2",
+                         f"w0_{i} = -c1 * c5 * w0_{j} / c2"]
+            body += [f"w1_{j} = (c4 * w1_{j} - w0_{j}) / c3", f"w0_{j} = c4 * w0_{j} / c3"]
         body.append("c1 = c2")
-    flat = ", ".join(f"w{k}_{j}" for k in range(m + 1) for j in range(n))
-    body.append(f"return array([{flat}]).reshape({m + 1}, {n})")
-    scope = {"array": np.array}
-    source = "def kernel(z, xs):\n" + "".join(f"    {line}\n" for line in body)
-    exec(compile(source, f"<fornberg kernel n={n} m={m}>", "exec"), scope)
-    return scope["kernel"]
+    body.append("return w1_0, w1_1, w1_2, w1_3, w1_4")
+    source = "def fornberg_weights(z, xs):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<fornberg kernel>", "exec"), scope := {"__name__": __name__})
+    return scope["fornberg_weights"]
+
+
+fornberg_weights = _fornberg_kernel()
+fornberg_weights.__doc__ = """First-derivative weights at z on five nodes (Fornberg's recursion).
+
+    Returns five floats w such that sum(w[j] * f(xs[j])) approximates f'(z).
+    The recursion runs as a straight-line kernel on the numbers as given,
+    generated once at import; a node count other than five raises ValueError.
+    """
 
 
 def grid_derivative(grid, values) -> np.ndarray:
@@ -323,9 +300,9 @@ def grid_derivative(grid, values) -> np.ndarray:
     top = n - 2  # points 2 .. top-1 have centred windows
     nodes = grid.tolist()
     starts = [0, 0, *range(n - 4), n - 5, n - 5]   # point i's window is nodes[starts[i]:][:5]
-    weights = np.empty((n, 5))
-    for i, lo in enumerate(starts):
-        weights[i] = fornberg_weights(nodes[i], nodes[lo:lo + 5], 1)[1]
+    # one (n, 5) table filled straight from the kernel's tuples, with no list of them
+    weights = np.fromiter((fornberg_weights(nodes[i], nodes[lo:lo + 5])
+                           for i, lo in enumerate(starts)), dtype=(float, 5), count=n)
     # out_row[i] = sum_j weights[i, j] * v[starts[i] + j]: a slice of v at the
     # centred points and one sample at each edge.  Rows are done one at a
     # time, so no (m, n) temporary is built beyond the output.

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dosusy import family, solver
+from dosusy import family, solver, susy
 from dosusy.checks import (
     SUITE_NAMES,
     CheckResult,
@@ -148,6 +148,18 @@ def test_family_checks_fail_on_a_perturbed_v(monkeypatch):
     for prefix in ("family:ode:", "family:partner-identity:"):
         checked = [r for r in results if r.check_id.startswith(prefix)]
         assert checked and not any(r.passed for r in checked)
+
+
+def test_riccati_checks_fail_on_a_perturbed_partner(monkeypatch):
+    # the suite looks the closed forms up in susy when it runs
+    partner_plus = susy.partner_plus_closed
+    monkeypatch.setattr(susy, "partner_plus_closed",
+                        lambda *args: (1.0 + 1e-6) * partner_plus(*args))
+    results = run_suites(("riccati",))
+    plus = [r for r in results if r.check_id.startswith("riccati:plus:")]
+    minus = [r for r in results if r.check_id.startswith("riccati:minus:")]
+    assert len(plus) == len(minus) == 3
+    assert not any(r.passed for r in plus) and all(r.passed for r in minus)
 
 
 def test_closure_suite_orbit_work_budget(monkeypatch):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import dosusy
-from dosusy import checks, cli, solver
+from dosusy import checks, cli, solver, susy
 from dosusy.cli import main
 
 
@@ -280,6 +280,47 @@ def test_family_point_with_a_non_finite_integral_fails_quietly(capsys, rho):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("dosusy: failure:") and "not finite" in err
+
+
+@pytest.mark.parametrize("rho", ["1e-60", "1e-40"])
+def test_family_fermionic_point_where_f_squared_underflows(capsys, rho):
+    # f^2 is 0 at 1e-60 and subnormal at 1e-40: V overflows to -inf (lambda + I_+ < 0
+    # below the anchor) and W_lambda = W + 1/V is W, not a singular point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "family", "--kappa", "1", "--l", "3",
+                           "--side", "fermionic", "--rho", rho)
+    assert (rc, err) == (0, "")
+    assert out == (f"V        = -inf\n"
+                   f"W_lambda = {susy.superpotential(float(rho), 1.0, 3)!r}\n")
+
+
+@pytest.mark.parametrize("kappa, l, rho", [("1e-3", "1", "0.5"), ("1", "3", "1e80")])
+def test_family_fermionic_point_at_zero_over_zero_fails_quietly(capsys, kappa, l, rho):
+    # f^2 underflows to 0 where lambda + I_+ is exactly 0: at kappa = 1e-3 f^2 is 0
+    # all the way to the anchor; at 1e80 the quadrature's I_+ is 0.0 (ROADMAP,
+    # Known defects: one panel from 1 to 1e80 misses the integrand's mass near 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "family", "--kappa", kappa, "--l", l,
+                           "--side", "fermionic", "--rho", rho)
+    assert (rc, out) == (1, "")
+    assert err == (f"dosusy: failure: V_lambda is 0/0 at rho = {float(rho)!r}: "
+                   "f^2 underflows to 0 where lambda + I_+ is 0\n")
+
+
+def test_family_fermionic_curve_where_f_squared_underflows(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "family", "--kappa", "1", "--l", "3", "--side", "fermionic",
+                           "--grid-min", "1e-100", "--grid-max", "10", "--grid-points", "50",
+                           "--out", str(tmp_path))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == str(tmp_path / "family_v.csv")
+    rows = (tmp_path / "family_v.csv").read_text().splitlines()[4:]
+    values = np.array([float(row.split(",")[1]) for row in rows])
+    assert len(values) == 50 and not np.isnan(values).any()
+    assert values[0] == -np.inf and np.isfinite(values[-1])
 
 
 def test_family_curve_lists_zero_loci(tmp_path, capsys):
@@ -563,6 +604,18 @@ def test_trace_span_beyond_its_cap_is_a_usage_error(capsys, monkeypatch, flag, v
     assert rc == 2
     assert out == ""
     assert err.startswith("dosusy: error:")
+
+
+@pytest.mark.parametrize("command", ["partners", "family"])
+def test_grid_points_beyond_the_cap_is_a_usage_error(capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid past the cap was allocated")
+
+    monkeypatch.setattr(np, "geomspace", refuse)
+    rc, out, err = run(capsys, command, "--kappa", "1", "--grid-points", "1000001")
+    assert rc == 2
+    assert out == ""
+    assert err == "dosusy: error: need 2 to 1000000 grid points, got 1000001\n"
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,8 @@ def test_default_grid_validation():
         default_grid(-1.0, 2.0)
     with pytest.raises(ValueError):
         default_grid(0.1, 10.0, n=1)
+    with pytest.raises(ValueError, match="need 2 to 1000000 grid points"):
+        default_grid(0.1, 10.0, n=1_000_001)
 
 
 class TestSampledFunction:

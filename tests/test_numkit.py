@@ -301,22 +301,19 @@ class TestDerivative:
 class TestFornberg:
     def test_uniform_central_weights(self):
         xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        w = fornberg_weights(0.0, xs, 2)
-        np.testing.assert_allclose(w[0], [0, 0, 1, 0, 0], atol=1e-14)
-        np.testing.assert_allclose(w[1], np.array([1, -8, 0, 8, -1]) / 12.0, atol=1e-13)
-        np.testing.assert_allclose(w[2], np.array([-1, 16, -30, 16, -1]) / 12.0, atol=1e-13)
+        w = fornberg_weights(0.0, xs)
+        np.testing.assert_allclose(w, np.array([1, -8, 0, 8, -1]) / 12.0, atol=1e-13)
 
     def test_polynomial_exactness_on_random_nodes(self):
-        # 5 nodes give exact first/second derivatives for degree-4 polynomials
+        # 5 nodes give exact first derivatives for degree-4 polynomials
         # regardless of node placement.
         for _ in range(4):
             xs = np.sort(RNG.uniform(0.5, 3.0, size=5))
             z = float(RNG.uniform(xs[1], xs[3]))
             coeffs = RNG.normal(size=5)
             p = np.polynomial.Polynomial(coeffs)
-            w = fornberg_weights(z, xs, 2)
-            assert w[1] @ p(xs) == pytest.approx(p.deriv(1)(z), rel=1e-9, abs=1e-9)
-            assert w[2] @ p(xs) == pytest.approx(p.deriv(2)(z), rel=1e-8, abs=1e-8)
+            w = fornberg_weights(z, xs)
+            assert np.array(w) @ p(xs) == pytest.approx(p.deriv(1)(z), rel=1e-9, abs=1e-9)
 
     @staticmethod
     def _reference(z, xs, m):
@@ -345,34 +342,43 @@ class TestFornberg:
             c1 = c2
         return np.array(w)
 
-    @pytest.mark.parametrize("m", range(10))
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_bit_identical_to_the_reference_recursion(self, m, n):
-        rng = np.random.default_rng(1000 * m + n)
-        for _ in range(20):
-            xs = np.sort(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3))
-            ints = np.sort(rng.choice(np.arange(-40, 40), n, replace=False))
+    def _assert_reference_bits(self, z, nodes):
+        try:
+            ref = self._reference(z, nodes, 1)[1]
+        except ZeroDivisionError:   # the product of node gaps underflowed to 0
+            with pytest.raises(ZeroDivisionError):
+                fornberg_weights(z, nodes)
+            return
+        got = fornberg_weights(z, nodes)
+        assert type(got) is tuple and len(got) == 5
+        # bit for bit, a NaN by position only: the sign bit of a NaN from the
+        # recursion has been seen to depend on interpreter warm-up
+        got, nan = np.array(got), np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+    def test_bit_identical_to_the_reference_recursion(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(1000):
+            xs = np.sort(rng.uniform(-1.0, 1.0, 5) * 10.0 ** rng.uniform(-3, 3))
+            ints = np.sort(rng.choice(np.arange(-40, 40), 5, replace=False))
             for nodes in (xs, xs.tolist(), ints.tolist()):
                 lo, hi = float(min(nodes)), float(max(nodes))
-                for z in (float(rng.uniform(lo, hi)), nodes[int(rng.integers(n))]):
-                    got = fornberg_weights(z, nodes, m)
-                    assert got.shape == (m + 1, n)
-                    ref = self._reference(z, nodes, m)
-                    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+                for z in (float(rng.uniform(lo, hi)), nodes[int(rng.integers(5))]):
+                    self._assert_reference_bits(z, nodes)
+        # log-spaced windows at every scale of the float range, with z on each
+        # node as grid_derivative takes them; below about 1e-80 the gap products
+        # underflow (ZeroDivisionError) and above about 1e80 overflow (NaN)
+        # alike on both sides
+        grid = np.geomspace(1e-300, 1e300, 601).tolist()
+        for lo in range(len(grid) - 4):
+            for z in grid[lo:lo + 5]:
+                self._assert_reference_bits(z, grid[lo:lo + 5])
 
-    def test_shapes_past_the_cap_raise_and_a_shape_reuses_its_kernel(self):
-        xs = np.linspace(0.0, 1.0, 10).tolist()
-        with pytest.raises(ValueError, match="1 to 9 nodes"):
-            fornberg_weights(0.5, xs, 1)
-        for m in (10, -1, 1.0):
-            with pytest.raises(ValueError, match="order 0 to 9"):
-                fornberg_weights(0.5, xs[:5], m)
-        numkit._fornberg_kernel.cache_clear()
-        first = fornberg_weights(0.3, xs[:5], 2)
-        second = fornberg_weights(0.7, xs[2:7], 2)
-        info = numkit._fornberg_kernel.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert first.shape == second.shape == (3, 5)
+    def test_a_node_count_other_than_five_raises(self):
+        for n in (1, 4, 6, 9):
+            with pytest.raises(ValueError):
+                fornberg_weights(0.5, np.linspace(0.0, 1.0, n).tolist())
 
 
 class TestGridDerivative:
@@ -393,8 +399,8 @@ class TestGridDerivative:
         expected = np.empty_like(grid)
         for i in range(len(grid)):
             lo = min(max(i - 2, 0), len(grid) - 5)
-            w = fornberg_weights(grid[i], grid[lo:lo + 5], 1)
-            expected[i] = w[1] @ values[lo:lo + 5]
+            w = fornberg_weights(grid[i], grid[lo:lo + 5])
+            expected[i] = np.array(w) @ values[lo:lo + 5]
         got = grid_derivative(grid, values)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -418,9 +424,9 @@ class TestGridDerivative:
     def _check_windows(m, n, monkeypatch):
         calls = []
 
-        def counted(z, xs, order):
+        def counted(z, xs):
             calls.append((z, list(xs)))
-            return fornberg_weights(z, xs, order)
+            return fornberg_weights(z, xs)
 
         monkeypatch.setattr(numkit, "fornberg_weights", counted)
         nodes = np.geomspace(0.1, 10.0, n).tolist()
