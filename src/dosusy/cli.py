@@ -27,7 +27,7 @@ import numpy as np
 
 from . import checks, model, solver, susy
 from . import family as fam
-from .checks import _curve_csv, figure_payloads
+from .checks import _EIGEN_TOL, _curve_csv, figure_payloads
 from .exceptions import SingularPointError
 
 __all__ = ["main", "build_parser", "figure_payloads"]
@@ -106,7 +106,7 @@ def _cmd_quantize(args) -> int:
     w = model.coupling_quantized(args.N, kappa)
     res = solver.shoot_coupling(args.N, args.kappa, args.l)
     rel = abs(res.w_star - w) / w
-    ok = rel < 1e-6
+    ok = rel < _EIGEN_TOL
     print(repr(w))
     print(f"shooting cross-check: w_star = {res.w_star!r} "
           f"(relative deviation {rel:.3e}, {res.defect_evaluations} defect "

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, SingularPointError
-from .model import _check_grid, _check_rho, f_factor
+from .model import _check_grid, _check_rho, _radial, f_factor
 from .numkit import _anchored_integral, bracketed_root, integrate_adaptive
 from .susy import superpotential
 
@@ -68,16 +68,18 @@ def _check_member(lam: float, side: str) -> None:
 
 
 def _integrand(kappa: float, l: int, side: str):
-    """f^-2 (bosonic) or f^2 (fermionic), the integrand of the anchored integral."""
-    if side == "bosonic":
-        return lambda r: 1.0 / f_factor(r, kappa, l) ** 2
-    return lambda r: f_factor(r, kappa, l) ** 2
+    """The integrand in t = ln rho, f^-2 (bosonic) or f^2 (fermionic) times rho = e^t over 2^e
+    near its value at rho = 1 so no absolute error floor swamps a small integral, and e."""
+    power = -2 if side == "bosonic" else 2
+    e = power * math.frexp(f_factor(1.0, kappa, l))[1]   # 0 where f(1) underflows
+    return (lambda t: np.ldexp(f_factor(rho := np.exp(t), kappa, l) ** power * rho, -e)), e
 
 
 def _tail_integral(rho, kappa: float, l: int, side: str):
-    """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho
-    (any shape; a scalar rho gives a float), prefix-summed in one quadrature call."""
-    return _anchored_integral(_integrand(kappa, l, side), 1.0, rho)
+    """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho (any shape),
+    prefix-summed in one quadrature call in t = ln rho, where its scale is about 1/kappa."""
+    integrand, e = _integrand(kappa, l, side)
+    return np.ldexp(_anchored_integral(integrand, 0.0, np.log(rho)), e)
 
 
 def _v_lambda(rho, lam, integral, kappa: float, l: int, side: str):
@@ -100,23 +102,20 @@ def _v_lambda(rho, lam, integral, kappa: float, l: int, side: str):
         return np.divide(g, f2)
 
 
-def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic") -> float:
-    """Family coefficient V_lambda at a single radius.
+@_radial
+def v_family(rho, kappa: float, l: int, lam: float = 0.0, side: str = "bosonic"):
+    """Family coefficient V_lambda at each radius (any shape; a scalar gives a float).
 
     bosonic:   V = -f^2 (lambda + Int_1^rho f^-2),  solves V' + 2WV = -1;
     fermionic: V =  f^-2 (lambda + Int_1^rho f^2),  solves V' - 2WV = +1.
     """
     _check_member(lam, side)
-    rho = float(_check_rho(rho)[0])
-    return float(_v_lambda(rho, lam, _tail_integral(rho, kappa, l, side),
-                           kappa, l, side))
+    return _v_lambda(rho, lam, _tail_integral(rho, kappa, l, side), kappa, l, side)
 
 
 def family_on_grid(kappa: float, l: int, lam: float, side: str, grid) -> np.ndarray:
-    """V_lambda sampled on a sorted grid with one quadrature sweep."""
-    _check_member(lam, side)
-    grid = _check_grid(grid)
-    return _v_lambda(grid, lam, _tail_integral(grid, kappa, l, side), kappa, l, side)
+    """V_lambda sampled on a sorted grid: v_family on the checked grid."""
+    return v_family(_check_grid(grid), kappa, l, lam, side)
 
 
 def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
@@ -148,10 +147,10 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
 
     V_lambda changes sign exactly where lambda + Int_1^rho does.  Every sign
     change of that term between grid nodes is refined in one bracketed root
-    search (``numkit.bracketed_root``, to 1e-14 + 4 eps rho); each probe sweep
-    is one quadrature call from the brackets' left nodes, plus the nodes'
-    prefix integrals.  Zeros are a legitimate feature of family members — they
-    are returned, not raised.
+    search in t = ln rho (``numkit.bracketed_root``, to 1e-14 + 4 eps |t|) on
+    the integrand of the nodes' prefix integrals; each probe sweep is one
+    quadrature call from the brackets' left nodes.  Zeros are a legitimate
+    feature of family members — they are returned, not raised.
 
     Raises
     ------
@@ -160,15 +159,15 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
     """
     _check_member(lam, side)
     grid = _check_grid(grid)
-    integrand = _integrand(kappa, l, side)
     g = lam + _tail_integral(grid, kappa, l, side)
     i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-    res = bracketed_root(lambda r, a, ga: ga + integrate_adaptive(integrand, a, r),
-                         grid[i], grid[i + 1], args=(grid[i], g[i]))
+    t, (integrand, e) = np.log(grid), _integrand(kappa, l, side)
+    res = bracketed_root(lambda s, a, ga: ga + integrate_adaptive(integrand, a, s),
+                         t[i], t[i + 1], args=(t[i], np.ldexp(g[i], -e)))
     if np.any(res.status != 0):
         raise ConvergenceError(f"zero search of V_lambda failed near rho = "
                                f"{grid[i][res.status != 0].tolist()}")
-    return np.sort(np.concatenate([grid[g == 0.0], res.x])).tolist()
+    return np.sort(np.concatenate([grid[g == 0.0], np.exp(res.x)])).tolist()
 
 
 # =====================================================================
@@ -272,11 +271,7 @@ def _audit_alphas() -> np.ndarray:
 def _alpha_integrand(kappa: float, l: int):
     coef = 2.0 ** ((2.0 * l + 1.0) / kappa) / kappa
     expo = (2.0 * l + kappa + 1.0) / kappa
-
-    def g(a):
-        return coef / np.sin(np.asarray(a, dtype=float)) ** expo
-
-    return g
+    return lambda a: coef / np.sin(np.asarray(a, dtype=float)) ** expo
 
 
 def _anchored_oracle(alphas: np.ndarray, kappa: float, l: int) -> np.ndarray:

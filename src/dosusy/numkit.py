@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import cache, reduce
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,6 +119,7 @@ _GAUSS_WEIGHTS = np.array([
     0.1294849661688697,
 ])
 _GAUSS_SLOTS = slice(1, 14, 2)
+_MAX_PANELS = 4000   # panel evaluations per integral before it counts as stalled
 
 
 def _panels(f, a, b):
@@ -135,7 +137,7 @@ def _panels(f, a, b):
     return k15, np.abs(k15 - g7)
 
 
-def integrate_adaptive(f, a, b, max_panels: int = 4000):
+def integrate_adaptive(f, a, b):
     """Integrate f over the finite interval (a, b) with nested-rule refinement.
 
     ``a`` and ``b`` are scalars or broadcastable arrays of limits, one
@@ -150,7 +152,7 @@ def integrate_adaptive(f, a, b, max_panels: int = 4000):
     QuadratureError
         If an integral's estimate is not finite (the message names its
         limits), or its summed error estimate still exceeds the tolerance
-        after ``max_panels`` panel evaluations.  The exception carries the
+        after 4000 panel evaluations (``_MAX_PANELS``).  The exception carries the
         best estimate and its bound for the worst such integral.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -177,14 +179,15 @@ def integrate_adaptive(f, a, b, max_panels: int = 4000):
         total = np.bincount(own, val, n)
         bound = np.bincount(own, err, n)
         count = np.bincount(own, minlength=n)
-        if not np.all(np.isfinite(total + bound)):   # NaN and inf never fail the test below
-            k = np.argmin(np.isfinite(total + bound))
+        finite = np.isfinite(total) & np.isfinite(bound)   # their sum may overflow
+        if not finite.all():   # NaN and inf never fail the test below
+            k = np.argmin(finite)
             raise QuadratureError(f"the integral estimate is not finite on ({float(a.flat[k])!r}, "
                                   f"{float(b.flat[k])!r})", math.nan, math.inf)
         refine = (count > 0) & (bound > 1e-10 * (1.0 + np.abs(total)))
         settled = (count > 0) & ~refine
         result[settled] = total[settled]
-        stalled = refine & (evaluated >= max_panels)
+        stalled = refine & (evaluated >= _MAX_PANELS)
         if stalled.any():
             worst = np.flatnonzero(stalled)[
                 np.argmax(bound[stalled] / (1.0 + np.abs(total[stalled])))]
@@ -298,11 +301,14 @@ def grid_derivative(grid, values) -> np.ndarray:
     if grid.ndim != 1 or values.ndim > 2 or values.shape[-1:] != grid.shape:
         raise ValueError("values must be (n,) or (m, n) on a 1-D grid of n points")
     top = n - 2  # points 2 .. top-1 have centred windows
-    nodes = grid.tolist()
-    starts = [0, 0, *range(n - 4), n - 5, n - 5]   # point i's window is nodes[starts[i]:][:5]
-    # one (n, 5) table filled straight from the kernel's tuples, with no list of them
-    weights = np.fromiter((fornberg_weights(nodes[i], nodes[lo:lo + 5])
-                           for i, lo in enumerate(starts)), dtype=(float, 5), count=n)
+    starts = np.r_[0, 0, :n - 4, n - 5, n - 5]   # point i's window is grid[starts[i]:][:5]
+    # windows reach the kernel scaled by 2^-e, e their span's exponent, so no product of gaps
+    # under- or overflows and the weights scale back exactly; they become floats by blocks
+    scale = np.ldexp(1.0, -np.frexp(grid[starts + 4] - grid[starts])[1])[:, None]
+    windows = np.lib.stride_tricks.sliding_window_view(grid, 5)[starts] * scale
+    rows = chain.from_iterable(windows[k:k + 1024].tolist() for k in range(0, n, 1024))
+    weights = np.fromiter(map(fornberg_weights, (grid * scale[:, 0]).tolist(), rows),
+                          dtype=(float, 5), count=n) * scale   # filled from the kernel's tuples
     # out_row[i] = sum_j weights[i, j] * v[starts[i] + j]: a slice of v at the
     # centred points and one sample at each edge.  Rows are done one at a
     # time, so no (m, n) temporary is built beyond the output.
@@ -329,7 +335,10 @@ def _jacobian2(F, x):
     return J
 
 
-def newton2d(F, x0, max_iter: int = 60) -> tuple[np.ndarray, np.ndarray, int]:
+_NEWTON_MAX_ITER = 60
+
+
+def newton2d(F, x0) -> tuple[np.ndarray, np.ndarray, int]:
     """Solve F(x) = 0 for x in R^2 with a damped Newton iteration.
 
     The Jacobian is estimated by central differences at relative step 1e-4;
@@ -339,12 +348,12 @@ def newton2d(F, x0, max_iter: int = 60) -> tuple[np.ndarray, np.ndarray, int]:
     Raises
     ------
     ConvergenceError
-        If the residual norm fails to drop below 1e-10 within
-        ``max_iter`` iterations, or the Jacobian becomes singular.
+        If the residual norm fails to drop below 1e-10 within 60
+        iterations (``_NEWTON_MAX_ITER``), or the Jacobian becomes singular.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = np.asarray(F(x), dtype=float)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         norm = float(np.max(np.abs(fx)))
         if norm < 1e-10:
             return x, fx, it - 1
@@ -365,7 +374,7 @@ def newton2d(F, x0, max_iter: int = 60) -> tuple[np.ndarray, np.ndarray, int]:
                 f"no descent direction at x = {x.tolist()} (|F| = {norm:.3e})")
         x, fx = x_new, f_new
     raise ConvergenceError(
-        f"Newton failed to converge in {max_iter} iterations "
+        f"Newton failed to converge in {_NEWTON_MAX_ITER} iterations "
         f"(|F| = {float(np.max(np.abs(fx))):.3e})")
 
 

@@ -210,12 +210,8 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
     """
     grid, _ = _check_rho(grid)
     q = (2.0 * l + 1.0) / (2.0 * kappa) + 0.5
-
-    def xi_of_t(t):
-        rho = np.exp(t)
-        return _xi(rho, _fold(rho, kappa)[1])
-
-    integral = (2.0 * q + 1.0) * kappa * _anchored_integral(xi_of_t, 0.0, np.log(grid))
+    integral = (2.0 * q + 1.0) * kappa * _anchored_integral(
+        lambda t: _xi(rho := np.exp(t), _fold(rho, kappa)[1]), 0.0, np.log(grid))
     # |d xi/d rho| = 4 kappa p v^2 / rho on the fold, p = x^(2 kappa): taken in logs
     # so that neither it nor its inverse square root overflows
     x, p, _ = _fold(grid, kappa)

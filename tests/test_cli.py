@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import dosusy
-from dosusy import checks, cli, solver, susy
+from dosusy import checks, cli, family, solver, susy
 from dosusy.cli import main
 
 
@@ -295,11 +295,30 @@ def test_family_fermionic_point_where_f_squared_underflows(capsys, rho):
                    f"W_lambda = {susy.superpotential(float(rho), 1.0, 3)!r}\n")
 
 
-@pytest.mark.parametrize("kappa, l, rho", [("1e-3", "1", "0.5"), ("1", "3", "1e80")])
+def test_family_fermionic_point_far_past_the_anchor(capsys):
+    # f^2 underflows to 0 at 1e80 while I_+ keeps the integrand's mass near rho = 1,
+    # so V is +inf and W_lambda = W + 1/V is W
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "family", "--kappa", "1", "--l", "3",
+                           "--side", "fermionic", "--rho", "1e80")
+    assert (rc, err) == (0, "")
+    assert out == f"V        = inf\nW_lambda = {susy.superpotential(1e80, 1.0, 3)!r}\n"
+
+
+def test_family_point_is_the_grid_route_at_its_radius(capsys):
+    rc, out, err = run(capsys, "family", "--kappa", "1", "--l", "3",
+                       "--side", "fermionic", "--rho", "1e5")
+    assert (rc, err) == (0, "")
+    v = float(out.splitlines()[0].split("= ")[1])
+    on_grid = family.family_on_grid(1.0, 3, 0.0, "fermionic", np.geomspace(1.0, 1e5, 200))
+    assert abs(v - on_grid[-1]) <= 1e-12 * abs(on_grid[-1])
+
+
+@pytest.mark.parametrize("kappa, l, rho", [("1e-3", "1", "0.5")])
 def test_family_fermionic_point_at_zero_over_zero_fails_quietly(capsys, kappa, l, rho):
     # f^2 underflows to 0 where lambda + I_+ is exactly 0: at kappa = 1e-3 f^2 is 0
-    # all the way to the anchor; at 1e80 the quadrature's I_+ is 0.0 (ROADMAP,
-    # Known defects: one panel from 1 to 1e80 misses the integrand's mass near 1)
+    # all the way to the anchor
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "family", "--kappa", kappa, "--l", l,

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dosusy import family
 from dosusy.exceptions import SingularPointError
@@ -93,6 +95,31 @@ def test_family_on_grid_matches_pointwise():
     for r, v in zip(grid, vals):
         assert v == pytest.approx(v_family(r, 1.0, 1, -0.4, "bosonic"),
                                   rel=1e-11, abs=1e-13)
+
+
+def test_v_family_on_a_sorted_array_is_family_on_grid_bit_for_bit():
+    grid = np.geomspace(1e-3, 1e6, 97)
+    for side in ("bosonic", "fermionic"):
+        got = v_family(grid, 0.7, 2, -0.3, side)
+        expected = family_on_grid(0.7, 2, -0.3, side, grid)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.sampled_from(["bosonic", "fermionic"]), kappa=st.floats(0.2, 4.0),
+       l=st.integers(0, 4), lam=st.floats(-2.0, 2.0), log_rho=st.floats(-8.0, 20.0))
+def test_point_value_is_the_grid_route_at_its_radius(side, kappa, l, lam, log_rho):
+    # One segment from the anchor to a far radius must still find the integrand's
+    # mass near rho = 1.  Where V crosses zero a relative comparison means nothing,
+    # so the bound is relative to the scale f^+-2 (|lambda| + |I|).
+    assume(abs(log_rho) >= 1e-3)
+    rho = 10.0 ** log_rho
+    grid = np.geomspace(min(rho, 1.0), max(rho, 1.0), 200)
+    on_grid = family_on_grid(kappa, l, lam, side, grid)[0 if rho < 1.0 else -1]
+    point = v_family(rho, kappa, l, lam, side)
+    integral = family._tail_integral(rho, kappa, l, side)
+    scale = abs(family._v_lambda(rho, abs(lam), abs(integral), kappa, l, side))
+    assert point == on_grid or abs(point - on_grid) <= 1e-9 * scale
 
 
 def test_family_on_grid_validation():

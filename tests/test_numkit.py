@@ -148,9 +148,10 @@ class TestQuadrature:
         val = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
         assert val == pytest.approx(2.0, rel=1e-8)
 
-    def test_stall_reports_best_estimate(self):
+    def test_stall_reports_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(numkit, "_MAX_PANELS", 8)
         with pytest.raises(QuadratureError) as info:
-            integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, max_panels=8)
+            integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
         err = info.value
         assert "panels" in str(err)
         assert 1.5 < err.best_estimate < 2.5
@@ -190,15 +191,21 @@ class TestQuadrature:
         np.testing.assert_allclose(got, np.sin(b), rtol=1e-13)
         assert isinstance(integrate_adaptive(np.cos, 0.0, 1.0), float)
 
-    def test_a_stalled_integral_stops_the_batch_with_its_own_estimate(self):
+    def test_a_stalled_integral_stops_the_batch_with_its_own_estimate(self, monkeypatch):
+        monkeypatch.setattr(numkit, "_MAX_PANELS", 8)
         f = lambda x: 1.0 / np.sqrt(x)  # noqa: E731
         with pytest.raises(QuadratureError) as single:
-            integrate_adaptive(f, 0.0, 1.0, max_panels=8)
+            integrate_adaptive(f, 0.0, 1.0)
         with pytest.raises(QuadratureError) as batch:
-            integrate_adaptive(f, np.array([0.5, 0.0, 0.25]), 1.0, max_panels=8)
+            integrate_adaptive(f, np.array([0.5, 0.0, 0.25]), 1.0)
         assert batch.value.best_estimate == single.value.best_estimate
         assert batch.value.error_bound == single.value.error_bound
         assert str(batch.value) == str(single.value)
+
+    def test_an_integral_near_the_float_range_needs_no_warning(self):
+        # its first estimate and error bound are each finite, their sum is not
+        got = integrate_adaptive(np.exp, 0.0, 709.5)
+        assert got == pytest.approx(math.expm1(709.5), rel=1e-13)
 
     def test_invalid_intervals(self):
         f = lambda x: x  # noqa: E731
@@ -431,9 +438,30 @@ class TestGridDerivative:
         monkeypatch.setattr(numkit, "fornberg_weights", counted)
         nodes = np.geomspace(0.1, 10.0, n).tolist()
         grid_derivative(nodes, np.ones((m, n)))
-        # point i's window starts at i - 2, held inside the grid
+        # point i's window starts at i - 2, held inside the grid, and reaches the
+        # kernel scaled by 2^-e, e the exponent of the window's span
         starts = [min(max(i - 2, 0), n - 5) for i in range(n)]
-        assert calls == [(z, nodes[lo:lo + 5]) for z, lo in zip(nodes, starts)]
+        scales = [2.0 ** -math.frexp(nodes[lo + 4] - nodes[lo])[1] for lo in starts]
+        assert calls == [(z * s, [x * s for x in nodes[lo:lo + 5]])
+                         for z, lo, s in zip(nodes, starts, scales)]
+
+    def test_scaled_windows_keep_every_weight_bit_for_bit(self):
+        # unit rows read the weight table back exactly: column i of row k is the
+        # weight of node k at point i
+        grid = np.geomspace(1e-3, 1e3, 301)
+        n = len(grid)
+        table = grid_derivative(grid, np.eye(n))
+        for i in range(n):
+            lo = min(max(i - 2, 0), n - 5)
+            expected = np.array(fornberg_weights(grid[i], grid[lo:lo + 5].tolist()))
+            assert np.array_equal(table[lo:lo + 5, i].view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("lo, hi", [(1e-100, 10.0), (1e70, 1e100)])
+    def test_grids_far_from_unit_scale(self, lo, hi):
+        # unscaled, the kernel's product of four node gaps underflows to 0 on the
+        # first grid (ZeroDivisionError) and loses the derivative on the second
+        grid = np.geomspace(lo, hi, 400)
+        np.testing.assert_allclose(grid_derivative(grid, grid ** 2), 2.0 * grid, rtol=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -468,10 +496,11 @@ class TestNewton2d:
         with pytest.raises(ConvergenceError):
             newton2d(F, np.array([1.0, 1.0]))
 
-    def test_no_root(self):
+    def test_no_root(self, monkeypatch):
+        monkeypatch.setattr(numkit, "_NEWTON_MAX_ITER", 25)
         F = lambda z: np.array([z[0] ** 2 + z[1] ** 2 + 1.0, z[0] - z[1]])  # noqa: E731
         with pytest.raises(ConvergenceError):
-            newton2d(F, np.array([0.3, 0.1]), max_iter=25)
+            newton2d(F, np.array([0.3, 0.1]))
 
 
 # ----------------------------------------------------------------------

@@ -395,7 +395,7 @@ def test_resultant_root_is_the_common_zero_of_slope_and_curvature():
 @pytest.mark.parametrize("error", [ConvergenceError("no descent direction"),
                                    ValueError("rho must be strictly positive")])
 def test_a_failed_polish_is_a_convergence_error_naming_the_candidate(monkeypatch, error):
-    def failing(F, x0, max_iter=60):
+    def failing(F, x0):
         raise error
 
     monkeypatch.setattr(solver, "newton2d", failing)
