@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, SingularPointError
 from .model import _check_grid, _check_rho, _radial, f_factor
-from .numkit import _anchored_integral, bracketed_root, integrate_adaptive
+from .numkit import _anchored_integral, _median, bracketed_root, integrate_adaptive
 from .susy import superpotential
 
 __all__ = [
@@ -289,7 +289,7 @@ def _audit_S(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
     d_oracle = np.diff(oracle)
     dev_diff = float(np.max(np.abs(d_printed - d_oracle) / (1.0 + np.abs(d_oracle))))
     keep = np.abs(d_oracle) > 1e-12
-    ratio = float(np.median(d_printed[keep] / d_oracle[keep]))
+    ratio = _median(d_printed[keep] / d_oracle[keep])
 
     if dev_pw < AUDIT_MATCH_TOL:
         verdict = "match"
@@ -311,7 +311,7 @@ def _audit_V(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
 
     dev_pw = float(np.max(np.abs(v_printed - v_oracle) / (1.0 + np.abs(v_oracle))))
     keep = np.abs(v_oracle) > 1e-10
-    ratio = float(np.median(v_printed[keep] / v_oracle[keep]))
+    ratio = _median(v_printed[keep] / v_oracle[keep])
 
     # Defining-equation residual of the printed expression itself,
     # V' + 2 W V + 1 with V' by Richardson differences in rho, all radii at once.

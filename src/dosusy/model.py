@@ -154,18 +154,57 @@ def _check_coupling(w) -> None:
         raise ValueError(f"coupling w must be positive and finite, got {w}")
 
 
+# --- in-place arithmetic -----------------------------------------------
+#
+# A closed form writes only into arrays it allocated itself, never into an
+# argument: each result of a ufunc on a grid is a new 128 KiB array at
+# 16,384 points, and holding fewer of them at once keeps the heap from
+# growing and being trimmed from one form to the next.  Augmented assignment
+# works in place on an array and rebinds a numpy scalar; the helpers below
+# cover the ops whose result goes over the second operand.  Each keeps the
+# IEEE operation and its operands' order, so every value keeps its bits.
+
+def _into(a, b=None):
+    """out= for a ufunc of a and b written over a, an array the closed form made.
+
+    a when the result keeps a's shape, else None: a numpy scalar has no
+    buffer, and a result broadcast past a's shape needs a new one.
+    """
+    return a if isinstance(a, np.ndarray) and getattr(b, "shape", ()) in ((), a.shape) else None
+
+
+def _rsub(a, b):
+    """a - b, written over b (the closed form's own) where it fits; scalars take the operator."""
+    return np.subtract(a, b, out=b) if _into(b, a) is not None else a - b
+
+
+def _rdiv(a, b):
+    """a / b, written over b (the closed form's own) where it fits; scalars take the operator."""
+    return np.divide(a, b, out=b) if _into(b, a) is not None else a / b
+
+
+def _rmul(a, b):
+    """a * b, written over b (the closed form's own) where it fits; scalars take the operator."""
+    return np.multiply(a, b, out=b) if _into(b, a) is not None else a * b
+
+
 def _pow(b, e):
     """b ** e, bit for bit, for a base b > 0 made from the radii (rho or its fold x).
 
     Powers under 2^-1100 or over 2^1030 are 0.0 or +inf without pow's slow path or a warning.
+    The result is a new array (or a numpy scalar) that the caller may write into.
     """
     span, arr = _SPAN.get(), isinstance(e, np.ndarray)
     if b.ndim == 0 or span * (np.abs(e).max() if arr else abs(e)) < 1e3:   # no power near 0 or inf
         return b ** e
     with np.errstate(divide="ignore", over="ignore"):
-        s, m = np.where(e < 0, 1.0 / b, b), np.abs(e)   # b^e = s^m
+        m = np.abs(e)   # b^e = s^m
+        s = np.where(e < 0, 1.0 / b, b) if arr else (1.0 / b if e < 0 else b)
         zero, inf = s < np.exp2(-1100.0 / m), s > np.exp2(1030.0 / m)
-        out, keep = np.where(inf, np.inf, 0.0), ~(zero | inf)
+        del s   # 1/b, if made, goes before out is
+        out = np.where(inf, np.inf, 0.0)
+        zero |= inf
+        keep = np.logical_not(zero, out=zero)
         out[keep] = b[keep] ** (e[keep] if arr else e)   # e itself keeps numpy's fast paths
     return out
 
@@ -254,12 +293,18 @@ def _fold(rho, kappa):
     """
     x = np.minimum(rho, 1.0 / rho)
     p = _pow(x, 2.0 * kappa)
-    return x, p, 1.0 / (1.0 + p)
+    return x, p, _rdiv(1.0, p + 1.0)
 
 
 def _xi(rho, p):
-    """xi = (1 - rho^(2k)) / (1 + rho^(2k)) from the fold, negative beyond rho = 1."""
-    return np.copysign((1.0 - p) / (1.0 + p), 1.0 - rho)
+    """xi = (1 - rho^(2k)) / (1 + rho^(2k)) from the fold, negative beyond rho = 1.
+
+    xi is written over p, which the caller made and reads no more.
+    """
+    d = p + 1.0
+    xi = _rsub(1.0, p)
+    xi /= d
+    return np.copysign(xi, 1.0 - rho, out=_into(xi, rho))
 
 
 @_radial
@@ -288,9 +333,19 @@ def _ueff(rho, w: float, kappa: float, l):
     _check_coupling(w)
     x, p, v = _fold(rho, kappa)
     if l:
+        p *= w   # w p v v
+        p *= v
+        p *= v
+        u = _rsub(l * (l + 1.0), p)
         with np.errstate(over="ignore"):   # +inf where l(l+1)/rho^2 passes the float range
-            return (l * (l + 1.0) - w * p * v * v) / rho / rho
-    return -w * _pow(x, np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0)) * (v * v)
+            u /= rho
+            u /= rho
+        return u
+    v *= v
+    u = _pow(x, np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0))
+    u *= -w
+    u *= v
+    return u
 
 
 def _well_root(rho, kappa):
@@ -302,8 +357,12 @@ def _well_root(rho, kappa):
     relying on failing closed-form-grid batches (ROADMAP, Known defects).
     """
     t = _pow(rho, kappa)
-    h = 1.0 / ((1.0 + t * t) * rho)
-    return t * h, h
+    h = t * t
+    h += 1.0
+    h *= rho
+    h = _rdiv(1.0, h)
+    t *= h
+    return t, h
 
 
 @_radial
@@ -337,11 +396,13 @@ def f_factor(rho, kappa: float, l: int):
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    return _folded_f(rho, kappa, l)[0]
+    x, p, v = _fold(rho, kappa)
+    del p   # only xi reads p: let it go before f is made
+    return _folded_f(rho, x, v, kappa, l)
 
 
-def _folded_f(rho, kappa: float, l):
-    """f on the fold, with the fold's p for xi.
+def _folded_f(rho, x, v, kappa: float, l):
+    """f on the fold, from _fold's x and v, which it writes over.
 
     The inversion rho -> 1/rho turns rho^(l+1) / (1 + rho^(2k))^a into
     rho^-l v^a, a = (2l+1)/(2k), so f = x^l v^a min(rho, 1) with every
@@ -349,9 +410,11 @@ def _folded_f(rho, kappa: float, l):
     it is representable.  radial_u shares it, so u = f bit for bit at
     polynomial degree 0.
     """
-    x, p, v = _fold(rho, kappa)
-    f = _pow(x, l) * v ** ((2.0 * l + 1.0) / (2.0 * kappa)) * np.minimum(rho, 1.0)
-    return f, p
+    f = _pow(x, l)
+    v **= (2.0 * l + 1.0) / (2.0 * kappa)
+    f *= v
+    f *= np.minimum(rho, 1.0, out=_into(x, rho))
+    return f
 
 
 def state_quantum_numbers(N: int, l: int, kappa) -> tuple[int, float]:
@@ -393,10 +456,13 @@ def radial_u(rho, N: int, l: int, kappa, normalized: bool = False):
     """
     kappa_f, exact = parse_kappa(kappa)
     degree, q = _degree_order(N, l, kappa_f, exact)
-    f, p = _folded_f(rho, kappa_f, l)
-    u = f * gegenbauer_eval(degree, q, _xi(rho, p))
+    x, p, v = _fold(rho, kappa_f)
+    f = _folded_f(rho, x, v, kappa_f, l)
+    del x, v   # f is written over them: let them go before the polynomial's arrays are made
+    u = gegenbauer_eval(degree, q, _xi(rho, p))
+    u *= f
     if normalized:
-        u = u * normalization_constant(N, l, kappa)
+        u *= normalization_constant(N, l, kappa)
     return u
 
 

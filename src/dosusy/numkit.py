@@ -67,17 +67,25 @@ def gegenbauer_eval(p: int, q: float, x):
         raise ValueError(f"degree p must be an integer, got {p!r}")
     if p < 0:
         raise ValueError(f"degree p must be non-negative, got {p}")
-    xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0 + 1e-14):
+    xs = np.asarray(x, dtype=float)   # x itself when it is a float array: read, never written
+    # fmin/fmax skip a NaN, which passes through as a NaN value
+    if (np.fmin.reduce(xs, axis=None, initial=-1.0) < -1.0 - 1e-14
+            or np.fmax.reduce(xs, axis=None, initial=1.0) > 1.0 + 1e-14):
         raise ValueError("argument outside [-1, 1]")
 
-    c_prev = np.ones_like(xs)
     if p == 0:
-        return c_prev if isinstance(x, np.ndarray) else float(c_prev)
-    two_x = 2.0 * xs
-    c_cur = q * two_x
+        ones = np.ones_like(xs)
+        return ones if isinstance(x, np.ndarray) else float(ones)
+    # C_0 = 1 stays a scalar, and 2x is formed anew where it is used: two arrays fewer
+    c_prev, c_cur = 1.0, 2.0 * xs
+    c_cur *= q
     for k in range(2, p + 1):
-        c_prev, c_cur = c_cur, (k + q - 1.0) / k * two_x * c_cur - (k + 2.0 * q - 2.0) / k * c_prev
+        c_next = 2.0 * xs
+        c_next *= (k + q - 1.0) / k
+        c_next *= c_cur
+        c_prev *= (k + 2.0 * q - 2.0) / k
+        c_next -= c_prev
+        c_prev, c_cur = c_cur, c_next
     return c_cur if isinstance(x, np.ndarray) else float(c_cur)
 
 
@@ -208,6 +216,27 @@ def integrate_adaptive(f, a, b):
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
+# np.unique and np.median import numpy.ma on first use, which costs a fresh
+# process a few milliseconds; these two do the same sort-based work without it.
+
+def _distinct(x) -> np.ndarray:
+    """The distinct values of x, sorted: np.unique's sort and neighbour compare,
+    for finite values."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _median(x) -> float:
+    """np.median of a non-empty 1-D array, bit for bit: the middle value, or the
+    mean (a + b) / 2 of the two middle ones, NaN if any value is.  As in
+    np.mean, the sum starts from +0.0 (a -0.0 median is +0.0)."""
+    x = np.sort(x)
+    h = len(x) // 2
+    if np.isnan(x[-1]):
+        return math.nan
+    return float(0.0 + x[h] if len(x) % 2 else (0.0 + x[h - 1] + x[h]) / 2.0)
+
+
 def _anchored_integral(f, anchor: float, pts):
     """Integral of f from ``anchor`` to each of ``pts`` (any shape, unsorted;
     a scalar point gives a float).
@@ -217,7 +246,7 @@ def _anchored_integral(f, anchor: float, pts):
     by short segments, and a single point is exactly the direct integral.
     """
     x = np.asarray(pts, dtype=float)
-    nodes = np.unique(np.append(x, anchor))
+    nodes = _distinct(np.append(x, anchor))
     cum = np.concatenate([[0.0], np.cumsum(integrate_adaptive(f, nodes[:-1], nodes[1:]))])
     out = cum[np.searchsorted(nodes, x)] - cum[np.searchsorted(nodes, anchor)]
     return float(out) if x.ndim == 0 else out

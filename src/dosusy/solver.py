@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import ConvergenceError, GeometryError
 from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
                     coupling_quantized, parse_kappa, potential, state_quantum_numbers)
-from .numkit import bracketed_root, newton2d
+from .numkit import _distinct, bracketed_root, newton2d
 from .numkit import dop853 as solve_ivp  # the orbit integrator; tracers and tests swap this name
 from .susy import _numerators_t, partner_plus_d2r, partner_plus_dr
 
@@ -140,7 +140,7 @@ def integrate_radial(w: float, kappa: float, l: int, grid) -> SampledFunction:
     L = l + 0.5
     leg = _leg_edges(w, kappa, L)
     base = np.concatenate([leg, -leg[-2::-1]])
-    edges = np.union1d(base, np.concatenate([t, [min(base[0], t[0])]]))
+    edges = _distinct(np.concatenate([base, t, [min(base[0], t[0])]]))
     edges = edges[edges <= t[-1]]
     idx = np.searchsorted(edges, t)
     M, grow = _cells(edges, w, kappa, L)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SampledFunction, _check_rho, _fold, _pow, _radial, _well_root, _xi
+from .model import (SampledFunction, _check_rho, _fold, _pow, _radial, _rdiv, _rmul, _rsub,
+                    _well_root, _xi)
 from .numkit import _anchored_integral, grid_derivative
 
 __all__ = [
@@ -45,9 +46,16 @@ def _quotient(rho, k, num=1.0, plus=0.0):
     """num / (plus + rho^k) with no warning where rho^k overflows or underflows.
 
     The quotient is then 0 or a correctly signed infinity; only a NaN warns.
+    An array num must be the caller's own: the quotient is written over it.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        return num / (plus + _pow(rho, k))
+        d = _pow(rho, k)
+        if plus:   # rho^k is never -0.0, so plus = 0.0 may be skipped
+            d += plus
+        if not isinstance(num, np.ndarray):
+            return _rdiv(num, d)
+        num /= d   # num has the result's shape: d has rho's, num that of l and T together
+        return num
 
 
 def _numerators(rho, kappa: float, l, order: int) -> list:
@@ -61,20 +69,29 @@ def _numerators_t(T, kappa: float, l, order: int) -> list:
     Each B_n is a polynomial in T and S = 1 - T, because rho dT/d rho =
     -k T S with k = 2 kappa: one power rho^k serves every order.  S enters
     only next to O(1) terms, so 1 - T is precise enough.  B_n is affine in l.
+    T is read, never written: each B_n is a new array.  They are formed from
+    the highest order down, so that B_1 and B_0 are written over kS and cT.
     """
     k = 2.0 * kappa
     cT = (2.0 * l + 1.0) * T
-    B = [l - cT]
+    B = []
     if order >= 1:
-        kS = k * (1.0 - T)
-        B.append(cT * (1.0 + kS) - l)
+        kS = 1.0 - T
+        kS *= k
     if order >= 2:
         k2Sd = k * kS * (2.0 * T - 1.0)  # k^2 S (T - S)
-        B.append(2.0 * l - cT * (2.0 + 3.0 * kS - k2Sd))
     if order >= 3:
         k3Se = k * k * kS * (1.0 - 6.0 * T * (1.0 - T))  # k^3 S (1 - 6 T S)
         B.append(cT * (6.0 + 11.0 * kS - 6.0 * k2Sd + k3Se) - 6.0 * l)
-    return B
+    if order >= 2:
+        B.append(2.0 * l - cT * (2.0 + 3.0 * kS - k2Sd))
+    if order >= 1:
+        kS += 1.0
+        B1 = _rmul(cT, kS)
+        B1 -= l
+        B.append(B1)   # cT (1 + kS) - l
+    B.append(_rsub(l, cT))   # l - cT
+    return B[::-1]
 
 
 @_radial
@@ -84,7 +101,10 @@ def superpotential(rho, kappa: float, l) -> np.ndarray | float:
     Near the origin W ~ -(l+1)/rho (it is built from the regular branch);
     at large rho W ~ l/rho.
     """
-    return _numerators(rho, kappa, l, 0)[0] / rho
+    W = _numerators(rho, kappa, l, 0)[0]
+    with np.errstate(over="ignore"):   # +-inf where W passes the float range
+        W /= rho
+    return W
 
 
 def superpotential_dr(rho, kappa: float, l):
@@ -106,6 +126,18 @@ def _w_derivative(rho, kappa, l, n):
 
 
 # --- partner potentials -------------------------------------------------
+
+def _centrifugal(a, r2):
+    """a / r2 for r2 = rho * rho, written over r2 when it has the result's shape.
+
+    Where rho * rho underflows to 0 the quotient is its limit: an exact 0
+    for a = 0, and the infinity of a's sign otherwise (the caller ignores
+    the divide by zero).
+    """
+    if not (np.all(a) if isinstance(a, np.ndarray) else a):   # 0/0 would be NaN: divide by 1
+        r2 = np.where((a == 0) & (r2 == 0), 1.0, r2)
+    return _rdiv(a, r2)
+
 
 def partner_minus(rho, kappa: float, l):
     """Lower partner W^2 - W' (equals the effective potential on the ladder)."""
@@ -132,9 +164,13 @@ def partner_minus_closed(rho, kappa: float, l):
     The well coefficient (2l+1)(2l+2k+1) is exactly the quantized coupling
     at the bottom of the l-ladder, N = 1 + l/kappa.
     """
-    g, _ = _well_root(rho, kappa)
+    g = _well_root(rho, kappa)[0]
     c = 2.0 * l + 1.0
-    return l * (l + 1.0) / (rho * rho) - c * (c + 2.0 * kappa) * (g * g)
+    with np.errstate(over="ignore", divide="ignore"):   # +-inf past the float range
+        g *= g
+        u = _centrifugal(l * (l + 1.0), rho * rho)
+        u -= _rmul(c * (c + 2.0 * kappa), g)
+    return u
 
 
 @_radial
@@ -146,8 +182,13 @@ def partner_plus_closed(rho, kappa: float, l):
     """
     g, h = _well_root(rho, kappa)
     c = 2.0 * l + 1.0
-    return (l * (l - 1.0) / (rho * rho) - c * (c - 2.0 * kappa - 2.0) * (g * g)
-            + 2.0 * c * (h * h))
+    with np.errstate(over="ignore", divide="ignore"):   # +-inf past the float range
+        g *= g
+        h *= h
+        u = _centrifugal(l * (l - 1.0), rho * rho)
+        u -= _rmul(c * (c - 2.0 * kappa - 2.0), g)
+        u += _rmul(2.0 * c, h)
+    return u
 
 
 @_radial

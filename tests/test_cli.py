@@ -5,6 +5,7 @@ test at the end confirms the installed entry point wiring.
 """
 
 import json
+import math
 import os
 import re
 import shlex
@@ -228,6 +229,38 @@ def test_an_infinite_value_still_prints(capsys):
         rc, out, err = run(capsys, "eval", "Ueff", "--kappa", "1", "--w", "3", "--l", "1",
                            "--rho", "1e-200")
     assert (rc, out, err) == (0, "inf\n", "")
+
+
+# Below rho ~ 1.5e-154, rho * rho underflows to 0: a centrifugal term with a zero
+# coefficient is 0 there, not 0/0, and one with a non-zero coefficient is infinite.
+@pytest.mark.parametrize("argv, value", [
+    (("eval", "Uminus", "--kappa", "1", "--l", "0", "--rho", "1e-200"), -3.0),
+    # mpmath at 50 digits: -2.0e200
+    (("eval", "Uminus", "--kappa", "0.5", "--l", "0", "--rho", "1e-200"), -2e200),
+    (("eval", "Uplus", "--kappa", "1", "--l", "0", "--rho", "1e-200"), math.inf),
+    (("eval", "Uplus", "--kappa", "1", "--l", "1", "--rho", "1e-200"), math.inf),
+], ids=["Uminus-kappa-1", "Uminus-kappa-1/2", "Uplus-l-0", "Uplus-l-1"])
+def test_partners_where_rho_squared_underflows(capsys, argv, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert float(out) == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("partners", "--kappa", "1", "--l", "0", "--rho", "1e-200"),
+     ["W       = -1e+200", "U_minus = -3.0", "U_plus  = inf"]),
+    # W ~ -(l+1)/rho passes the largest double
+    (("family", "--kappa", "1", "--l", "2", "--side", "fermionic", "--rho", "1e-308"),
+     ["V        = -inf", "W_lambda = -inf"]),
+], ids=["partners", "family"])
+def test_point_reports_at_the_smallest_radii(capsys, argv, lines):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == lines
 
 
 def test_partners_point_report(capsys):

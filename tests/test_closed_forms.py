@@ -14,6 +14,7 @@ values beyond the largest must be the infinity of their sign.
 
 import contextlib
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dosusy import model, susy
+from dosusy import model, numkit, susy
 from dosusy.model import (
     effective_potential_general,
     f_factor,
@@ -223,6 +224,16 @@ def test_closed_forms_raise_no_warning_at_extreme_radii(kappa, l):
         if l:   # at l = 0 U-'s numerator cancels to 0 and the quotient is NaN
             assert partner_minus(1e-200, kappa, l) == math.inf
             assert effective_potential_general(1e-200, 3.0, kappa, l) == math.inf
+        # rho * rho underflows to 0: the reduced partners' centrifugal term is 0 where
+        # its coefficient is (U- at l = 0 is its well alone) and +inf elsewhere
+        minus, plus_closed = (fn(1e-200, kappa, l)
+                              for fn in (partner_minus_closed, partner_plus_closed))
+        # W ~ -(l+1)/rho passes the largest double at 1e-308 for l > 0
+        w_edge = superpotential(1e-308, kappa, l)
+    well = -(1.0 + 2.0 * kappa) * float(mp.mpf("1e-200") ** (2 * kappa - 2))
+    assert minus == (math.inf if l else pytest.approx(well, rel=1e-12, abs=0.0))
+    assert plus_closed == math.inf
+    assert w_edge == (-math.inf if l else pytest.approx(-1e308, rel=1e-12))
     assert derivs == [math.inf, -math.inf, math.inf]
     assert plus == [math.inf, -math.inf, math.inf]
 
@@ -335,6 +346,100 @@ def test_radius_contract(name):
             form(bad)
         with pytest.raises(ValueError, match="rho"):
             form(np.array([0.5, bad]))
+
+
+# ----------------------------------------------------------------------
+# closed forms compute in arrays they made: no argument is written
+# ----------------------------------------------------------------------
+
+def frozen(a):
+    """A read-only float copy of a: a write into it raises."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def assert_own_results(out, *inputs):
+    """Each result shares no memory with any input."""
+    for x in out if isinstance(out, tuple) else (out,):
+        assert not any(np.shares_memory(x, a) for a in inputs)
+
+
+L_COLUMN = np.arange(32.0).reshape(32, 1) * 0.37   # continuous l, one per row
+
+
+@pytest.mark.parametrize("case", ["0-d", "grid", "l-column"])
+def test_closed_forms_write_no_argument_and_return_their_own_arrays(case):
+    rho = frozen(0.7 if case == "0-d" else np.geomspace(1e-3, 1e3, 301))
+    if case == "l-column":
+        l = frozen(L_COLUMN)
+        forms = {fn.__name__: (lambda r, fn=fn: fn(r, 1.37, l))
+                 for fn in (*W_DERIVATIVES, partner_minus, partner_plus, partner_minus_closed,
+                            partner_plus_closed, partner_plus_dr, partner_plus_d2r)}
+        inputs = (rho, l)
+    else:
+        forms = {**contract_forms(1.37, 7), **contract_forms(0.5, 0),
+                 "radial_u at l": lambda r: radial_u(r, 4, 1, 0.5),
+                 "radial_u normalized": lambda r: radial_u(r, 4, 1, 0.5, normalized=True)}
+        inputs = (rho,)
+    copies = [a.copy() for a in inputs]
+    for name, form in forms.items():
+        out = form(rho)
+        assert np.shape(out[0] if isinstance(out, tuple) else out) == np.broadcast_shapes(
+            *(a.shape for a in inputs)), name
+        assert_own_results(out, *inputs)
+    for a, copy in zip(inputs, copies):
+        assert same_bits(a, copy)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_gegenbauer_eval_writes_no_argument(p):
+    x = frozen(np.linspace(-1.0, 1.0, 301))
+    out = numkit.gegenbauer_eval(p, 2.37, x)
+    assert_own_results(out, x)
+    assert same_bits(x, np.linspace(-1.0, 1.0, 301))
+
+
+@pytest.mark.parametrize("l", [0.0, 1.0, L_COLUMN], ids=["l=0", "l=1", "l-column"])
+def test_numerators_leave_t_to_the_next_call(l):
+    # the solver takes two sets of numerators from one T
+    T = frozen(np.linspace(0.0, 1.0, 257))
+    B = susy._numerators_t(T, 1.3, l, 3)
+    assert_own_results(tuple(B), T)
+    assert same_bits(T, np.linspace(0.0, 1.0, 257))
+    assert same_bits(susy._numerators_t(T, 1.3, l, 3)[3], B[3])
+
+
+# Peak traced memory of each form on a 16,384-point grid (128 KiB an array),
+# in units of its output, when each form evaluated its expression in one go
+# with a new array for every operation.
+EXPRESSION_AT_ONCE_PEAKS = {"W": 3.0, "W'": 6.0, "U-": 5.0, "U+": 5.0, "f": 6.0, "u": 9.0,
+                            "U_eff": 5.0}
+
+
+def test_closed_form_grid_forms_hold_few_grid_arrays():
+    kappa, l, N = 1.37, 7, 3
+    grid = np.geomspace(1e-6, 1e6, 16384)
+    forms = {"W": lambda: superpotential(grid, kappa, l),
+             "W'": lambda: superpotential_dr(grid, kappa, l),
+             "U-": lambda: partner_minus_closed(grid, kappa, l),
+             "U+": lambda: partner_plus_closed(grid, kappa, l),
+             "f": lambda: f_factor(grid, kappa, l),
+             "u": lambda: radial_u(grid, N, 0, kappa),
+             "U_eff": lambda: effective_potential_general(
+                 grid, (2 * l + 1.0) * (2 * l + 2 * kappa + 1.0), kappa, l)}
+    peaks = {}
+    for name, form in forms.items():
+        form()
+        tracemalloc.start()
+        try:
+            out = form()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / out.nbytes
+        finally:
+            tracemalloc.stop()
+    # 0.1 of an array covers the small objects a call allocates besides its arrays
+    assert all(peaks[name] <= EXPRESSION_AT_ONCE_PEAKS[name] + 0.1 for name in forms), peaks
+    assert sum(peaks.values()) <= 27.0, peaks
 
 
 # ----------------------------------------------------------------------

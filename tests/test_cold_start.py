@@ -49,12 +49,16 @@ for argv in (["eval", "U", "--kappa", "1", "--w", "3", "--rho", "0.5"],
              ["family", "--kappa", "1", "--lambda", "-0.5", "--rho", "1.3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
+from dosusy import model, solver
+solver.integrate_radial(model.coupling_quantized(1, 1.0), 1.0, 0, [0.1, 1.0, 10.0])
 print(json.dumps({"after_import": after_import, "codes": codes,
-                  "after_commands": scipy_modules()}))
+                  "after_commands": scipy_modules(), "numpy.ma": "numpy.ma" in sys.modules}))
 """, tmp_path)
     assert out["after_import"] == []
     assert out["codes"] == [0] * 8
     assert out["after_commands"] == []
+    # np.unique and np.median import numpy.ma on first use; the sort-based helpers do not
+    assert out["numpy.ma"] is False
 
 
 def test_figures_suite_runs_without_the_cli(tmp_path):

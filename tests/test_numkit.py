@@ -797,3 +797,25 @@ class TestDop853Kernel:
         got = dop853(spike_at(7), (0.0, 1.0), [0.0], rtol=0.0, atol=1e-12)
         assert clean.t[1] == 100 * 1e-6 and got.t[1] == clean.t[1] * 0.2
         assert abs(got.y[0, -1] - math.sin(1.0)) < 1e-10
+
+
+# ----------------------------------------------------------------------
+# sort-based helpers that stand in for np.unique and np.median
+# ----------------------------------------------------------------------
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=float)).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 255, 256])
+def test_distinct_and_median_match_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for trial in range(40):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0)
+        if trial % 4 == 0:   # repeats, and zeros of both signs
+            x = np.round(x / np.max(np.abs(x)) * 3.0) * rng.choice([-0.0, 0.0, 1.0], n)
+        assert np.array_equal(_bits(numkit._distinct(x)), _bits(np.unique(x)))
+        assert np.array_equal(_bits(numkit._median(x)), _bits(np.median(x)))
+    if n > 2:
+        x[n // 2] = math.nan
+        assert math.isnan(numkit._median(x))
