@@ -117,20 +117,19 @@ _RICCATI_SIDES = (("minus", -1.0, "partner_minus_closed"),
 
 def suite_riccati() -> list[CheckResult]:
     results = []
+    l = np.arange(11.0)[:, None]   # every closed form broadcasts l: one row per l
     for kappa in (0.5, 1.0, 1.5):
+        w = susy.superpotential(_GRID, kappa, l)
+        w1 = susy.superpotential_dr(_GRID, kappa, l)
         for side, sign, partner_closed in _RICCATI_SIDES:
-            rel = []
-            for l in range(11):
-                w = susy.superpotential(_GRID, kappa, l)
-                w1 = susy.superpotential_dr(_GRID, kappa, l)
-                closed = getattr(susy, partner_closed)(_GRID, kappa, l)
-                # Scale by the term magnitudes: near the origin W^2 and W'
-                # separately reach ~1/rho^2 while their combination nearly
-                # cancels, and a naive pointwise ratio would measure only
-                # that floating-point cancellation, not the identity.
-                scale = w * w + np.abs(w1) + np.abs(closed) + 1e-300
-                rel.append(np.abs(w * w + sign * w1 - closed) / scale)
-            worst, worst_l, worst_rho = _worst(np.array(rel), _GRID)
+            closed = getattr(susy, partner_closed)(_GRID, kappa, l)
+            # Scale by the term magnitudes: near the origin W^2 and W'
+            # separately reach ~1/rho^2 while their combination nearly
+            # cancels, and a naive pointwise ratio would measure only
+            # that floating-point cancellation, not the identity.
+            scale = w * w + np.abs(w1) + np.abs(closed) + 1e-300
+            rel = np.abs(w * w + sign * w1 - closed) / scale
+            worst, worst_l, worst_rho = _worst(rel, _GRID)
             results.append(_check(
                 f"riccati:{side}:kappa={_fmt_kappa(kappa)}", worst, 1e-10,
                 kappa=_fmt_kappa(kappa), side=side, l_values="0..10",

@@ -336,8 +336,9 @@ def grid_derivative(grid, values) -> np.ndarray:
     scale = np.ldexp(1.0, -np.frexp(grid[starts + 4] - grid[starts])[1])[:, None]
     windows = np.lib.stride_tricks.sliding_window_view(grid, 5)[starts] * scale
     rows = chain.from_iterable(windows[k:k + 1024].tolist() for k in range(0, n, 1024))
-    weights = np.fromiter(map(fornberg_weights, (grid * scale[:, 0]).tolist(), rows),
-                          dtype=(float, 5), count=n) * scale   # filled from the kernel's tuples
+    sets = map(fornberg_weights, (grid * scale[:, 0]).tolist(), rows)   # one 5-tuple a point
+    weights = np.fromiter(chain.from_iterable(sets), float, count=5 * n).reshape(n, 5)
+    weights *= scale
     # out_row[i] = sum_j weights[i, j] * v[starts[i] + j]: a slice of v at the
     # centred points and one sample at each edge.  Rows are done one at a
     # time, so no (m, n) temporary is built beyond the output.

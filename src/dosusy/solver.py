@@ -37,13 +37,9 @@ __all__ = [
 
 
 _OVERFLOW_LIMIT = 1e250
-# Magnus cells per shooting leg, on the graded edges of _leg_edges; the error
-# scales as cells^-4.  Measured: 800 keeps the relative coupling error of the
-# verify states near 2e-11 and of random kappa in [0.2, 4], N <= 6 under 1e-10.
-_CELLS = 800
+_CELL_FLOOR, _CELL_CAP = 200, 500_000   # Magnus cells per shooting leg (_leg_cells)
 _TAIL = 1e-17     # potential term, relative to (l+1/2)^2, where the legs start
-_GAUSS = math.sqrt(3.0) / 6.0   # Gauss points sit at mid -+ _GAUSS * h
-_COMM = math.sqrt(3.0) / 12.0   # commutator weight of the 4th-order Magnus step
+_GAUSS = math.sqrt(15.0) / 10.0   # Gauss points sit at mid and mid -+ _GAUSS * h
 
 
 # ======================================================================
@@ -53,37 +49,52 @@ _COMM = math.sqrt(3.0) / 12.0   # commutator weight of the 4th-order Magnus step
 # -u'' + [ l(l+1)/rho^2 + U(rho) ] u = 0 becomes, in t = ln rho with
 # u = rho^(1/2) y, the Poeschl-Teller problem y'' = q(t) y with
 # q(t) = L^2 - w / (4 cosh^2(kappa t)) and L = l + 1/2, integrated as
-# Y' = [[0, 1], [q, 0]] Y by the 4th-order Magnus propagator with two Gauss
+# Y' = [[0, 1], [q, 0]] Y by the 6th-order Magnus propagator with three Gauss
 # points per cell.  Far out on either side q = L^2 to rounding, so the
 # regular branch starts as Y = (1, L) at t = -T and the decaying branch as
 # Y = (1, -L) at t = +T.  At rho = 1, du/drho = y' + y/2.
+
+def _leg_cells(w, kappa, L):
+    """Magnus cells per leg, elementwise: the floor, one per radian of the well's
+    WKB phase (pi/kappa) max(0, sqrt(w)/2 - L), or 4 phase^(1/3) / sqrt(kappa),
+    whichever is most.  Measured relative coupling errors: the floor keeps the
+    verify states under 1e-12, the phase count large N near 3e-4/N^2, and the
+    last small kappa near 1e-6 of the rung spacing 2 kappa."""
+    phase = np.pi / kappa * np.maximum(0.5 * np.sqrt(w) - L, 0.0)
+    n = np.ceil(np.maximum(np.maximum(phase, 4.0 * np.cbrt(phase) / np.sqrt(kappa)), _CELL_FLOOR))
+    if np.any(n > _CELL_CAP):
+        raise ConvergenceError(f"the shooting legs need {np.max(n):.6g} Magnus cells, "
+                               f"past the cap of {_CELL_CAP} per leg")
+    return n
+
 
 def _leg_edges(w, kappa, L) -> np.ndarray:
     """Edges of the outward leg, t = -T ... 0, along a new last axis.
 
     T is where w / (4 cosh^2(kappa T)) falls to _TAIL * L^2 (at least 1).
-    The edges are uniform in s = (1 - e^(-c|t|)) / c with c = kappa/2, so
-    cells widen like e^(kappa |t| / 2) into the tail: a 4th-order Magnus
-    cell's error follows the derivatives of q, which fall off like
-    e^(-2 kappa |t|).  Parameters broadcast, one leg per element.
+    The edges are uniform in s = (1 - e^(-c|t|)) / c with c = kappa/3, so
+    cells widen like e^(kappa |t| / 3) into the tail, where q's derivatives
+    fall off like e^(-2 kappa |t|).  Parameters broadcast, one leg per element;
+    a leg of fewer cells than the longest ends in empty ones (identities).
     """
     w, kappa, L = (np.asarray(x, dtype=float)[..., None] for x in (w, kappa, L))
     T = np.maximum(np.log(w / (4.0 * _TAIL * L * L)) / (2.0 * kappa), 1.0)
-    c = 0.5 * kappa
-    u = np.arange(_CELLS + 1) / _CELLS
-    return np.log(u + np.exp(-c * T) * (1.0 - u)) / c
+    n = _leg_cells(w, kappa, L)
+    u = np.minimum(np.arange(int(n.max()) + 1), n) / n
+    return np.log(u + np.exp(-kappa * T / 3.0) * (1.0 - u)) * (3.0 / kappa)
 
 
 def _cells(t: np.ndarray, w: float, kappa: float, L: float) -> tuple[np.ndarray, np.ndarray]:
     """Magnus propagators over the cells between consecutive edges t, and
     their log growth.
 
-    exp(Omega) for the traceless Omega = [[a, h], [c, -a]] is cosh(r) I +
-    sinh(r)/r Omega, r^2 = a^2 + h c (cos, sin when r^2 < 0).  A growing cell
-    (r^2 > 0) is scaled by its own exp(-r), returned as its log growth r; an
-    oscillating cell is left unscaled, log growth 0.  So no cell or product
-    carries exponential growth or decay, and none over- or underflows where
-    q dips below L^2.  Edges may run either way along the last axis.
+    A = [[0, 1], [q, 0]] and its commutators have two zero entries each, so the
+    6th-order Omega (Blanes, Casas & Ros, BIT 40 (2000) 434) is [[a, b], [c, -a]]
+    and exp(Omega) = cosh(r) I + sinh(r)/r Omega, r^2 = a^2 + b c (cos, sin when
+    r^2 < 0).  A growing cell (r^2 > 0) is scaled by its own exp(-r), returned
+    as its log growth r; an oscillating cell is left unscaled, log growth 0.  So
+    no cell or product carries exponential growth or decay, nor over- or
+    underflows where q dips below L^2.  Edges may run either way along the last axis.
     """
     h, mid = np.diff(t, axis=-1), 0.5 * (t[..., 1:] + t[..., :-1])
 
@@ -91,17 +102,26 @@ def _cells(t: np.ndarray, w: float, kappa: float, L: float) -> tuple[np.ndarray,
         z = np.exp(-2.0 * kappa * np.abs(x))   # 1/(4 cosh^2) = z/(1+z)^2
         return L * L - w * z / (1.0 + z) ** 2
 
-    q1, q2 = q(mid - _GAUSS * h), q(mid + _GAUSS * h)
-    a, c = _COMM * h * h * (q1 - q2), 0.5 * h * (q1 + q2)
-    r2 = a * a + h * c
-    r = np.sqrt(np.abs(r2))
-    grow = np.where(r2 >= 0.0, r, 0.0)
-    decay = -np.expm1(-2.0 * grow)   # 1 - exp(-2r)
-    sinhc = np.divide(decay, 2.0 * grow, out=np.ones_like(grow), where=grow > 0.0)
-    ch = np.where(r2 >= 0.0, 1.0 - 0.5 * decay, np.cos(r))
-    sh = np.where(r2 >= 0.0, sinhc, np.sinc(r / np.pi))
-    M = np.stack([ch + sh * a, sh * h, sh * c, ch - sh * a], axis=-1).reshape(h.shape + (2, 2))
-    return M, grow
+    q1, q2, q3 = q(mid - _GAUSS * h), q(mid), q(mid + _GAUSS * h)
+    d1, d2 = q3 - q1, q3 - 2.0 * q2 + q1
+    del mid, q1, q3   # these arrays set a verify pass's memory peak: each goes when done
+    hh, p = h * h, d1 * d1
+    a = math.sqrt(15.0) * hh * d1 * (hh * (12.0 * q2 + d2) / 6480.0 - 1.0 / 36.0)
+    b = h * (1.0 + hh * (hh * p / 2160.0 - d2 / 54.0))
+    c = h * (q2 + 5.0 * d2 / 18.0
+             + hh * (d2 * (6.0 * q2 + d2) / 324.0 + p * (hh * q2 / 2160.0 - 1.0 / 72.0)))
+    del d1, q2, d2, hh, p
+    r = a * a + b * c
+    grow = np.sqrt(np.maximum(r, 0.0))
+    r = np.sqrt(np.maximum(-r, 0.0, out=r), out=r)   # the angle of an oscillating cell
+    ch, sh = np.cos(r), np.sinc(r / np.pi)
+    e = np.expm1(np.multiply(grow, -2.0, out=r), out=r)   # exp(-2 grow) - 1
+    sh *= np.divide(e, -2.0 * grow, out=np.ones_like(e), where=grow > 0.0)
+    ch *= 1.0 + 0.5 * e
+    for x in (a, b, c):
+        x *= sh
+    M = np.stack([ch + a, b, c, np.subtract(ch, a, out=ch)], axis=-1)
+    return M.reshape(h.shape + (2, 2)), grow
 
 
 def _product(M: np.ndarray) -> np.ndarray:
@@ -200,19 +220,19 @@ def shoot_couplings(states) -> list[ShootingResult]:
     brackets exactly one eigencoupling.  Only the outward leg is propagated;
     the potential is even in ln rho, so the inward leg is its mirror image.
     Every state's defect is a vector element of one bracketed root search
-    (``numkit.bracketed_root``), so a row is the same, bit for bit,
-    whichever other states share the call.  Each bracket is +-30% around
-    the closed-form ladder value, cut at (2 kappa (N + a - 1))^2 and
-    (2 kappa (N + a))^2, a = 1/(2 kappa), which separate it from its ladder
-    neighbours for every N and kappa; the root search itself never consults
-    the closed form.
+    (``numkit.bracketed_root``) on legs padded with identities to the longest
+    (memory goes as states x longest leg), so a row is the same, bit for bit,
+    whichever other states share the call.  Each bracket is +-30% around the
+    closed-form ladder value, cut at (2 kappa (N + a - 1))^2 and (2 kappa
+    (N + a))^2, a = 1/(2 kappa), which separate it from its ladder neighbours
+    for every N and kappa; the root search itself never consults it.
 
     Raises
     ------
     ConvergenceError
-        If a state's defect does not change sign over its bracket, is not
-        finite, or its root search stops without converging; the message
-        names the state.
+        If a leg needs more than _CELL_CAP cells (the message names the cap), or
+        a state's defect does not change sign over its bracket, is not finite,
+        or its root search stops without converging (the message names it).
     """
     states = list(states)
     rows = []

@@ -24,6 +24,8 @@ from .model import (SampledFunction, _check_rho, _fold, _pow, _radial, _rdiv, _r
                     _well_root, _xi)
 from .numkit import _anchored_integral, grid_derivative
 
+_HUGE = np.finfo(float).max
+
 __all__ = [
     "superpotential",
     "superpotential_dr",
@@ -139,6 +141,23 @@ def _centrifugal(a, r2):
     return _rdiv(a, r2)
 
 
+def _where_terms_overflow(u, rho, kappa, a, k_well, k_h=0.0):
+    """u, with its non-finite lanes redone where a term of U-+ passes the float range.
+
+    U-+ = P / rho^2 with P = a - k_well x T^2 + k_h T^2, x = rho^(2 kappa) and
+    T = 1/(1 + x), so no term exceeds its coefficient over rho^2.  Once one
+    overflows, u is inf - inf or an infinity that another term would cancel;
+    P is finite, and P / rho / rho is the value or its signed infinity.  When
+    no term can overflow, u comes back untouched and unscanned.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if np.max(np.abs(a) + np.abs(k_well) + abs(k_h)) / np.min(rho) ** 2 < _HUGE:
+            return u
+        x = _pow(rho, 2.0 * kappa)
+        T2 = (1.0 + x) ** -2.0
+        return np.where(np.isfinite(u), u, (a - k_well * x * T2 + k_h * T2) / rho / rho)
+
+
 def partner_minus(rho, kappa: float, l):
     """Lower partner W^2 - W' (equals the effective potential on the ladder)."""
     return _partner(rho, kappa, l, -1.0)
@@ -166,11 +185,11 @@ def partner_minus_closed(rho, kappa: float, l):
     """
     g = _well_root(rho, kappa)[0]
     c = 2.0 * l + 1.0
-    with np.errstate(over="ignore", divide="ignore"):   # +-inf past the float range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # inf - inf: redone below
         g *= g
         u = _centrifugal(l * (l + 1.0), rho * rho)
         u -= _rmul(c * (c + 2.0 * kappa), g)
-    return u
+    return _where_terms_overflow(u, rho, kappa, l * (l + 1.0), c * (c + 2.0 * kappa))
 
 
 @_radial
@@ -182,13 +201,14 @@ def partner_plus_closed(rho, kappa: float, l):
     """
     g, h = _well_root(rho, kappa)
     c = 2.0 * l + 1.0
-    with np.errstate(over="ignore", divide="ignore"):   # +-inf past the float range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # inf - inf: redone below
         g *= g
         h *= h
         u = _centrifugal(l * (l - 1.0), rho * rho)
         u -= _rmul(c * (c - 2.0 * kappa - 2.0), g)
         u += _rmul(2.0 * c, h)
-    return u
+    return _where_terms_overflow(u, rho, kappa, l * (l - 1.0), c * (c - 2.0 * kappa - 2.0),
+                                 2.0 * c)
 
 
 @_radial

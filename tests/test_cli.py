@@ -128,23 +128,35 @@ def test_quantize_cross_checks_by_shooting(capsys):
     assert lines[1].endswith("[ok]")
 
 
+@pytest.mark.parametrize("N", ["1000", "10000", "100000"])
+def test_quantize_at_a_large_n_is_right(capsys, N):
+    # one Magnus cell per radian of the well's phase: 3,142 to 314,160 cells a leg
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", N)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1].endswith("[ok]")
+
+
 def test_quantize_beyond_the_cell_resolution_fails_quietly(capsys):
-    # At N = 10^6 the well holds far more oscillations than the Magnus cells
-    # resolve: the defect stays finite but does not change sign on the narrow
-    # bracket, and no numpy warning reaches stderr.
+    # At N = 10^6 the well's phase asks for 3.1e6 Magnus cells a leg, past the
+    # cap: the state is refused with the cap named, and no numpy warning
+    # reaches stderr.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", "1000000")
     assert rc == 1
     assert out == ""
-    assert err == ("dosusy: failure: defect has no sign change on bracket (4e+12, 4e+12) for "
-                   "N=1000000, kappa=1.0, l=0: d(lo)=1.882e-06, d(hi)=2.303e-06\n")
+    assert err == ("dosusy: failure: the shooting legs need 3.14159e+06 Magnus cells, "
+                   "past the cap of 500000 per leg\n")
 
 
-@pytest.mark.parametrize("kappa, w", [("1e-4", "1.0002"), ("1e-5", "1.00002")])
+@pytest.mark.parametrize("kappa, w", [("1e-4", "1.0002"), ("1e-5", "1.00002"),
+                                      ("1e-7", "1.0000002"), ("1e-8", "1.00000002")])
 def test_quantize_at_a_small_kappa_recovers_the_coupling(capsys, kappa, w):
     # the potential dips far below L^2 over a leg of length ~ 1/kappa; each
-    # Magnus cell is scaled by its own growth, so the defect stays finite
+    # Magnus cell is scaled by its own growth, so the defect stays finite, and
+    # ~ 1/sqrt(kappa) cells resolve the rung spacing 2 kappa
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out, err = run(capsys, "quantize", "--kappa", kappa, "--N", "1")
@@ -154,15 +166,19 @@ def test_quantize_at_a_small_kappa_recovers_the_coupling(capsys, kappa, w):
     assert lines[1].endswith("[ok]")
 
 
-def test_quantize_at_kappa_1e_8_finds_no_sign_change(capsys):
-    # the N = 1 bracket (1, 1 + 4e-8) is narrower than the defect's error at a
-    # leg length ~ 1/kappa, so the defect keeps one sign on it
+@pytest.mark.parametrize("kappa, rc", [("1.38e-10", 0), ("1.37e-10", 1)])
+def test_quantize_kappa_floor_is_the_cell_cap(capsys, kappa, rc):
+    # README's floor: at N = 1 the small-kappa count 4 pi^(1/3) / sqrt(kappa)
+    # passes the cap of 500,000 cells a leg just below kappa = 1.38e-10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc, out, err = run(capsys, "quantize", "--kappa", "1e-8", "--N", "1")
-    assert (rc, out) == (1, "")
-    assert err == ("dosusy: failure: defect has no sign change on bracket (1, 1) for "
-                   "N=1, kappa=1e-08, l=0: d(lo)=1.279e-05, d(hi)=1.255e-05\n")
+        code, out, err = run(capsys, "quantize", "--kappa", kappa, "--N", "1")
+    assert code == rc
+    if rc:
+        assert (out, err) == ("", "dosusy: failure: the shooting legs need 500515 Magnus cells, "
+                                  "past the cap of 500000 per leg\n")
+    else:
+        assert err == "" and out.splitlines()[1].endswith("[ok]")
 
 
 def test_quantize_bracket_without_a_root_is_a_failure(capsys, monkeypatch):
@@ -185,15 +201,15 @@ def test_quantize_of_a_missing_state_is_a_usage_error_with_nothing_on_stdout(cap
 
 
 def test_quantize_past_float_resolution_is_the_same_failure(capsys):
-    # At N = 10^16 both ends of the default bracket round to 4e32; the
-    # defect there has no sign change, as already at N = 10^12.
-    for N, ends in (("1000000000000", "4e+24, 4e+24"), ("10000000000000000", "4e+32, 4e+32")):
+    # At N = 10^16 both ends of the default bracket round to 4e32; the cell
+    # count is past the cap there, as already at N = 10^12 and 10^6.
+    for N, count in (("1000000000000", "3.14159e+12"), ("10000000000000000", "3.14159e+16")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc, out, err = run(capsys, "quantize", "--kappa", "1", "--N", N)
         assert (rc, out) == (1, "")
-        assert err == (f"dosusy: failure: defect has no sign change on bracket ({ends}) for "
-                       f"N={N}, kappa=1.0, l=0: d(lo)=-5.218e-09, d(hi)=-5.218e-09\n")
+        assert err == (f"dosusy: failure: the shooting legs need {count} Magnus cells, "
+                       f"past the cap of 500000 per leg\n")
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -233,13 +249,20 @@ def test_an_infinite_value_still_prints(capsys):
 
 # Below rho ~ 1.5e-154, rho * rho underflows to 0: a centrifugal term with a zero
 # coefficient is 0 there, not 0/0, and one with a non-zero coefficient is infinite.
+# Where the well overflows too (small kappa), U is rho^2 U over rho twice.
 @pytest.mark.parametrize("argv, value", [
     (("eval", "Uminus", "--kappa", "1", "--l", "0", "--rho", "1e-200"), -3.0),
     # mpmath at 50 digits: -2.0e200
     (("eval", "Uminus", "--kappa", "0.5", "--l", "0", "--rho", "1e-200"), -2e200),
     (("eval", "Uplus", "--kappa", "1", "--l", "0", "--rho", "1e-200"), math.inf),
     (("eval", "Uplus", "--kappa", "1", "--l", "1", "--rho", "1e-200"), math.inf),
-], ids=["Uminus-kappa-1", "Uminus-kappa-1/2", "Uplus-l-0", "Uplus-l-1"])
+    # mpmath: 2.0e400, 1.2e401, -2.5e399 and 1.25859686824e308
+    (("eval", "Uminus", "--kappa", "0.1", "--l", "1", "--rho", "1e-200"), math.inf),
+    (("eval", "Uplus", "--kappa", "0.1", "--l", "2", "--rho", "1e-200"), math.inf),
+    (("eval", "Uminus", "--kappa", "1e-5", "--l", "1", "--rho", "1e-200"), -math.inf),
+    (("eval", "Uminus", "--kappa", "0.001", "--l", "1", "--rho", "1e-155"), 1.25859686824e308),
+], ids=["Uminus-kappa-1", "Uminus-kappa-1/2", "Uplus-l-0", "Uplus-l-1",
+        "Uminus-both-overflow", "Uplus-both-overflow", "Uminus-well-wins", "Uminus-subnormal-square"])
 def test_partners_where_rho_squared_underflows(capsys, argv, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -251,10 +274,13 @@ def test_partners_where_rho_squared_underflows(capsys, argv, value):
 @pytest.mark.parametrize("argv, lines", [
     (("partners", "--kappa", "1", "--l", "0", "--rho", "1e-200"),
      ["W       = -1e+200", "U_minus = -3.0", "U_plus  = inf"]),
+    # both terms of U-+ overflow: the 1/rho^2 coefficients 2 and 6 win
+    (("partners", "--kappa", "0.1", "--l", "1", "--rho", "1e-200"),
+     ["W       = -2e+200", "U_minus = inf", "U_plus  = inf"]),
     # W ~ -(l+1)/rho passes the largest double
     (("family", "--kappa", "1", "--l", "2", "--side", "fermionic", "--rho", "1e-308"),
      ["V        = -inf", "W_lambda = -inf"]),
-], ids=["partners", "family"])
+], ids=["partners", "partners-both-overflow", "family"])
 def test_point_reports_at_the_smallest_radii(capsys, argv, lines):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -134,6 +134,26 @@ def test_partners_match_oracle(kappa, l):
             assert agrees(got, exact, riccati_scale), (assembled, rho, got, exact)
 
 
+# rho from 1e-300 to 1e-150: the 1/rho^2 term and the well of U-+ pass the
+# float range, at small kappa both of them, and at kappa = 1e-5 the well wins for l = 1
+@pytest.mark.parametrize("kappa", (1e-5, 1e-3, 0.1, 0.5, 1.0))
+@pytest.mark.parametrize("l", (0, 1, 2, 20))
+def test_reduced_partners_where_their_terms_overflow_match_oracle(kappa, l):
+    k, c = mp.mpf(kappa), 2 * l + 1
+    rho = np.geomspace(1e-300, 1e-150, 76)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minus, plus = (fn(rho, kappa, l) for fn in (partner_minus_closed, partner_plus_closed))
+    for x, got_minus, got_plus in zip(rho.tolist(), minus.tolist(), plus.tolist()):
+        r = mp.mpf(x)
+        well = oracle_well(r, k)
+        for got, terms in ((got_minus, (l * (l + 1) / r ** 2, -c * (c + 2 * k) * well)),
+                           (got_plus, (l * (l - 1) / r ** 2, -c * (c - 2 * k - 2) * well,
+                                       2 * c * oracle_T(r, k) ** 2 / r ** 2))):
+            exact = mp.fsum(terms)
+            assert agrees(got, exact, mp.fsum(abs(t) for t in terms)), (x, got, exact)
+
+
 @pytest.mark.parametrize("kappa", KAPPAS)
 @pytest.mark.parametrize("l", LS)
 def test_f_and_potentials_match_oracle(kappa, l):

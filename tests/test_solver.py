@@ -182,6 +182,68 @@ def test_shooting_recovers_ladder_for_continuous_kappa(kappa, N):
     assert res.w_star == pytest.approx(coupling_quantized(N, kappa), rel=1e-9)
 
 
+def _seeded_states():
+    """The pinned shooting set: every state at kappa in {1/3, 1/2, 2/3, 1, 3/2, 2, 3}
+    with l <= 4 and N <= 6 (86), and 25 seeded kappa uniform in [0.2, 4] at l = 0
+    with N = 1..6 (150)."""
+    rational = []
+    for kappa in ("1/3", "1/2", "2/3", "1", "3/2", "2", "3"):
+        for l in range(5):
+            for N in range(1, 7):
+                try:
+                    state_quantum_numbers(N, l, kappa)
+                except ValueError:
+                    continue
+                rational.append((N, kappa, l))
+    kappas = np.random.default_rng(0).uniform(0.2, 4.0, 25).tolist()
+    return rational + [(N, kappa, 0) for kappa in kappas for N in range(1, 7)]
+
+
+def _relative_errors(states, results):
+    w = np.array([coupling_quantized(N, parse_kappa(kappa)[0]) for N, kappa, _ in states])
+    return np.abs(np.array([r.w_star for r in results]) - w) / w
+
+
+def test_seeded_state_set_keeps_its_worst_bound():
+    # the worst is 1.09e-11 at (6, 0.2104, 0): the long leg of the smallest kappa
+    states = _seeded_states()
+    assert len(states) == 236
+    assert np.max(_relative_errors(states, solver.shoot_couplings(states))) < 2e-11
+
+
+@pytest.mark.parametrize("N, bound", [(1000, 1e-9), (10_000, 1e-11), (100_000, 1e-13)])
+def test_shooting_at_a_large_n_resolves_the_well(N, bound):
+    # one cell per radian of the well's phase: the error falls as 1/N^2 (2.7e-10 at 10^3)
+    res = shoot_coupling(N, 1.0, 0)
+    assert _relative_errors([(N, 1.0, 0)], [res])[0] < bound
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-7, 1e-8])
+def test_shooting_at_a_tiny_kappa_resolves_the_rung_spacing(kappa):
+    # w = 1 + 2 kappa: the error is 1.4e-6 of the rung spacing 2 kappa at each kappa
+    res = shoot_coupling(1, kappa, 0)
+    assert abs(res.w_star - coupling_quantized(1, kappa)) < 1e-5 * 2.0 * kappa
+
+
+def test_verify_states_shoot_on_the_cell_floor():
+    kappa, N, l = (np.array(col, dtype=float) for col in zip(*checks._EIGEN_STATES))
+    top = [r.bracket[1] for r in solver.shoot_couplings(
+        [(int(n), k, int(m)) for k, n, m in checks._EIGEN_STATES])]
+    cells = solver._leg_cells(np.array(top), kappa, l + 0.5)
+    assert cells.tolist() == [solver._CELL_FLOOR] * len(cells) and solver._CELL_FLOOR <= 320
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shoot_coupling(1_000_000, 1.0, 0),
+    lambda: shoot_coupling(1, 1e-10, 0),
+    lambda: integrate_radial(4e12, 1.0, 0, FINE),
+], ids=["large-N", "tiny-kappa", "integrate_radial"])
+def test_a_state_past_the_cell_cap_is_refused(call):
+    # the count is judged before a leg's cells are built, so nothing large is allocated
+    with pytest.raises(ConvergenceError, match=r"Magnus cells, past the cap of 500000 per leg$"):
+        call()
+
+
 @pytest.mark.parametrize("N, kappa, l", [(N, kappa, l) for kappa, N, l in checks._EIGEN_STATES]
                          + [(6, 0.226, 0)])
 def test_mirrored_eigenfunction_is_the_closed_form(N, kappa, l):
@@ -234,7 +296,10 @@ def test_shooting_bracket_without_root(monkeypatch):
 
 
 def test_batched_shooting_rows_equal_single_calls():
-    states = [(1, "1", 0), (3, "1/2", 1), (2, 0.226, 0), (3, "3/2", 3), (2, "1", 0)]
+    # the batch pads every leg to the longest (N = 1000: 3,142 cells; kappa = 1e-6:
+    # 5,858) with empty cells, which propagate as the identity
+    states = [(1, "1", 0), (3, "1/2", 1), (2, 0.226, 0), (3, "3/2", 3), (2, "1", 0),
+              (1000, 1.0, 0), (1, 1e-6, 0)]
     batch = solver.shoot_couplings(states)
     for (N, kappa, l), row in zip(states, batch):
         single = shoot_coupling(N, kappa, l)
