@@ -25,7 +25,7 @@ import numpy as np
 
 from . import family as fam
 from . import model, solver, susy
-from .numkit import _median, derivative
+from .numkit import _median, _richardson, _stencil_nodes, derivative
 
 __all__ = [
     "CheckResult",
@@ -221,7 +221,7 @@ def suite_wavefunction() -> list[CheckResult]:
         wq = model.coupling_quantized(N, kappa)
         u = model.radial_u(radii, N, l, kappa)
         upp = derivative(lambda r: model.radial_u(r, N, l, kappa), radii,
-                         order=2, step=1e-3)
+                         1e-3 * np.maximum(1.0, radii), order=2)
         ueff = model.effective_potential_general(radii, wq, kappa, l)
         resid = -upp + ueff * u
         scale = float(np.max(np.abs(upp) + np.abs(ueff * u)))
@@ -276,14 +276,14 @@ _LAMBDAS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 
 def _v_and_slope(radii, kappa, l, side):
     """V_lambda at the radii for every lambda of _LAMBDAS (rows), its 5-point difference
-    at step 1e-3 rho, and the tail integral at the radii.  The anchored integrals are
-    prefix-summed: stencil neighbours differ only by short segments, and the anchor
-    segment's error only shifts lambda, which the defining equation absorbs."""
-    h = 1e-3 * radii
-    nodes = radii + np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None] * h
+    at spacing 2e-3 rho and the tail integral, all from one quadrature call.  Its anchored
+    integrals are prefix-summed: stencil neighbours differ only by short segments, and the
+    anchor segment's error only shifts lambda, which the defining equation absorbs."""
+    h = 2e-3 * radii
+    nodes = _stencil_nodes(radii, h)
     ints = fam._tail_integral(nodes, kappa, l, side)
     vs = fam._v_lambda(nodes, np.array(_LAMBDAS)[:, None, None], ints, kappa, l, side)
-    return vs[:, 2], (8.0 * (vs[:, 3] - vs[:, 1]) - (vs[:, 4] - vs[:, 0])) / (12.0 * h), ints[2]
+    return vs[:, 2], _richardson(vs.swapaxes(0, 1), h, 1), ints[2]
 
 
 def suite_family() -> list[CheckResult]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, SingularPointError
 from .model import _check_grid, _check_rho, _radial, f_factor
-from .numkit import _anchored_integral, _median, bracketed_root, integrate_adaptive
+from .numkit import _anchored_integral, _median, bracketed_root, derivative, integrate_adaptive
 from .susy import superpotential
 
 __all__ = [
@@ -314,12 +314,9 @@ def _audit_V(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
     ratio = _median(v_printed[keep] / v_oracle[keep])
 
     # Defining-equation residual of the printed expression itself,
-    # V' + 2 W V + 1 with V' by Richardson differences in rho, all radii at once.
-    h = 1e-4 * rho
-    vp1, vm1, vp2, vm2 = printed_series_eval(
-        2.0 * np.arctan(np.stack([rho + h, rho - h, rho + 2 * h, rho - 2 * h]) ** kappa),
-        l, formula_id)
-    d = (8.0 * (vp1 - vm1) - (vp2 - vm2)) / (12.0 * h)
+    # V' + 2 W V + 1 with V' by the 5-point stencil in rho, all radii at once.
+    d = derivative(lambda r: printed_series_eval(2.0 * np.arctan(r ** kappa), l, formula_id),
+                   rho, 2e-4 * rho, 1)
     wv = 2.0 * superpotential(rho, kappa, l) * v_printed
     res = float(np.max(np.abs(d + wv + 1.0) / (1.0 + np.abs(d) + np.abs(wv))))
 

@@ -352,16 +352,21 @@ def _well_root(rho, kappa):
     """g = rho^(k-1) T and h = T / rho from the one power t = rho^k.
 
     Squared, they are the reduced partners' well terms, accurate while t is
-    finite (g is NaN where it overflows).  The partners keep this form, not
-    the finite fold of _ueff, until perfbench's seed-variation test stops
-    relying on failing closed-form-grid batches (ROADMAP, Known defects).
+    finite (g is NaN where it overflows); where t is subnormal or h infinite,
+    t h loses g, which takes its own power there.  The partners keep this
+    form, not the finite fold of _ueff, until perfbench's seed-variation test
+    stops relying on failing closed-form-grid batches (ROADMAP, Known defects).
     """
     t = _pow(rho, kappa)
     h = t * t
     h += 1.0
     h *= rho
-    h = _rdiv(1.0, h)
-    t *= h
+    with np.errstate(over="ignore", invalid="ignore"):   # h = inf below rho ~ 1/HUGE
+        h = _rdiv(1.0, h)
+        if _SPAN.get() * max(kappa, 1.0) > 1022:   # some t may be subnormal or some h inf
+            lost = (t < np.finfo(float).tiny) | np.isinf(h)
+            return np.where(lost, _pow(rho, kappa - 1.0) / (t * t + 1.0), t * h), h
+        t *= h
     return t, h
 
 

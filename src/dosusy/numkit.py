@@ -256,30 +256,29 @@ def _anchored_integral(f, anchor: float, pts):
 # Finite differences
 # =====================================================================
 
-def derivative(f, x, order: int = 1, step: float = 1e-4):
-    """Central finite difference with one Richardson extrapolation level.
+def _stencil_nodes(x, h):
+    """x + (-1, -1/2, 0, 1/2, 1) h stacked along a new first axis; h broadcasts with x."""
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    return x + offsets.reshape(-1, *[1] * max(np.ndim(x), np.ndim(h))) * h
 
-    The step is ``step * max(1, |x|)``, elementwise for an array ``x``
-    (which ``f`` then receives whole); Richardson combination of the h and
-    h/2 stencils raises both the first- and second-derivative formulas to
-    fourth order.  A scalar ``x`` gives a float.
-    """
+
+def _richardson(fs, h, order: int):
+    """f' or f'' from f on _stencil_nodes(x, h): one Richardson level over spacings h, h/2."""
+    fm, fmh, f0, fph, fp = fs
+    s = 0.5 * h
+    if order == 1:
+        return (8.0 * (fph - fmh) - (fp - fm)) / (12.0 * s)
+    return (4.0 * ((fph - 2.0 * f0 + fmh) / (s * s)) - (fp - 2.0 * f0 + fm) / (h * h)) / 3.0
+
+
+def derivative(f, x, h, order: int):
+    """Fourth-order first (order 1) or second (order 2) derivative of f at x: f is called
+    once, on x + (-1, -1/2, 0, 1/2, 1) h stacked along a new first axis (h broadcasts
+    with x).  A scalar x and h give a float."""
     if order not in (1, 2):
         raise ValueError("only first and second derivatives supported")
-    scalar = np.ndim(x) == 0
-    x = float(x) if scalar else np.asarray(x, dtype=float)
-    h = step * (max(1.0, abs(x)) if scalar else np.maximum(1.0, abs(x)))
-
-    if order == 1:
-        def cd(s):
-            return (f(x + s) - f(x - s)) / (2.0 * s)
-    else:
-        def cd(s):
-            return (f(x + s) - 2.0 * f(x) + f(x - s)) / (s * s)
-
-    coarse, fine = cd(h), cd(0.5 * h)
-    d = (4.0 * fine - coarse) / 3.0
-    return float(d) if scalar else d
+    d = _richardson(f(_stencil_nodes(x, h)), h, order)
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def _fornberg_kernel():

@@ -147,15 +147,18 @@ def _where_terms_overflow(u, rho, kappa, a, k_well, k_h=0.0):
     U-+ = P / rho^2 with P = a - k_well x T^2 + k_h T^2, x = rho^(2 kappa) and
     T = 1/(1 + x), so no term exceeds its coefficient over rho^2.  Once one
     overflows, u is inf - inf or an infinity that another term would cancel;
-    P is finite, and P / rho / rho is the value or its signed infinity.  When
-    no term can overflow, u comes back untouched and unscanned.
+    P is finite, and P / rho / rho is the value or its signed infinity.  With
+    no 1/rho^2 term (a = k_h = 0), u is the well alone, its infinity included,
+    which P would lose where x underflows.  When no term can overflow, u comes
+    back untouched and unscanned.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if np.max(np.abs(a) + np.abs(k_well) + abs(k_h)) / np.min(rho) ** 2 < _HUGE:
             return u
         x = _pow(rho, 2.0 * kappa)
         T2 = (1.0 + x) ** -2.0
-        return np.where(np.isfinite(u), u, (a - k_well * x * T2 + k_h * T2) / rho / rho)
+        keep = np.isfinite(u) | ((a == 0) & (k_h == 0))
+        return np.where(keep, u, (a - k_well * x * T2 + k_h * T2) / rho / rho)
 
 
 def partner_minus(rho, kappa: float, l):

@@ -748,23 +748,41 @@ def test_no_subcommand_takes_a_tolerance_flag(capsys):
             assert info.value.code == 2
 
 
-def _readme_examples() -> list[str]:
-    """The ``dosusy ...`` lines of the README's command-line example block."""
+def _readme_examples() -> list[tuple[str, str]]:
+    """(command, shown output) for each ``dosusy ...`` line of the README's
+    command-line block: the output is the comment on the line and the comment
+    lines directly under it, one per output line ("" when none is shown)."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Command-line tool", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("dosusy ")]
+    examples, shown = [], None   # shown: the output lines of the open example, if any
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if line.startswith("dosusy "):
+            shown = [comment.strip()] if comment else []
+            examples.append((command.strip(), shown))
+        elif line.startswith("# ") and shown is not None:
+            shown.append(line[2:])
+        else:
+            shown = None
+    return [(command, "\n".join(out)) for command, out in examples]
 
 
-@pytest.mark.parametrize("line", [pytest.param(line, id=line.partition("#")[0].strip())
-                                  for line in _readme_examples()])
-def test_readme_example_runs(tmp_path, monkeypatch, capsys, line):
-    # A bare number in the inline comment is the exact expected output.
-    command, _, comment = line.partition("#")
+def test_readme_shows_the_output_of_each_command_with_output():
+    shown = {command for command, out in _readme_examples() if out}
+    assert shown == {"dosusy eval W --kappa 1 --rho 1", "dosusy eval Uminus --kappa 1 --l 2 --rho 1",
+                     "dosusy quantize --kappa 1 --N 1", "dosusy critical --kappa 1"}
+
+
+@pytest.mark.parametrize("command, shown", [pytest.param(*example, id=example[0])
+                                            for example in _readme_examples()])
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, command, shown):
+    # The shown output is the whole of stdout, "..." standing for any text.
     monkeypatch.chdir(tmp_path)
     rc, out, _ = run(capsys, *shlex.split(command)[1:])
     assert rc == 0
-    if re.fullmatch(r"-?[0-9.]+(e[-+]?[0-9]+)?", comment.strip()):
-        assert out == comment.strip() + "\n"
+    if shown:
+        pattern = ".*".join(map(re.escape, shown.split("...")))
+        assert re.fullmatch(pattern, out.rstrip("\n"), flags=re.DOTALL), (shown, out)
 
 
 def test_unknown_command_exits_with_usage_error(capsys):

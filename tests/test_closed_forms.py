@@ -154,6 +154,35 @@ def test_reduced_partners_where_their_terms_overflow_match_oracle(kappa, l):
             assert agrees(got, exact, mp.fsum(abs(t) for t in terms)), (x, got, exact)
 
 
+# Below rho ~ 1/HUGE model._well_root's h = T / rho overflows, and where rho^kappa is
+# below the smallest normal double it has lost digits: U-+ at l = 0 read 0.0 for -3
+# (kappa = 1, rho = 1e-310) and -3.6e-150 (kappa = 1.3, rho = 1e-250).
+SUBNORMAL_EDGE = (1e-300, 1e-308, 1e-310, 1e-320, 5e-324)
+
+
+@pytest.mark.parametrize("l", (0, 1, 2))
+@mp.workdps(80)
+def test_reduced_partners_at_the_subnormal_edge_match_oracle(l):
+    c = 2 * l + 1
+    for kappa in (*np.linspace(0.2, 4.0, 39)[1:-1].tolist(), 0.51, 0.8, 1.05, 1.3):
+        k = mp.mpf(kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = [fn(np.array(SUBNORMAL_EDGE), kappa, l)
+                     for fn in (partner_minus_closed, partner_plus_closed)]
+            single = [[fn(x, kappa, l) for x in SUBNORMAL_EDGE]
+                      for fn in (partner_minus_closed, partner_plus_closed)]
+        assert np.array_equal(batch, single)
+        for x, got_minus, got_plus in zip(SUBNORMAL_EDGE, *single):
+            r = mp.mpf(x)
+            well = oracle_well(r, k)
+            for got, terms in ((got_minus, (l * (l + 1) / r ** 2, -c * (c + 2 * k) * well)),
+                               (got_plus, (l * (l - 1) / r ** 2, -c * (c - 2 * k - 2) * well,
+                                           2 * c * oracle_T(r, k) ** 2 / r ** 2))):
+                exact = mp.fsum(terms)
+                assert agrees(got, exact, mp.fsum(abs(t) for t in terms)), (kappa, x, got, exact)
+
+
 @pytest.mark.parametrize("kappa", KAPPAS)
 @pytest.mark.parametrize("l", LS)
 def test_f_and_potentials_match_oracle(kappa, l):

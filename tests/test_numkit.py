@@ -254,54 +254,70 @@ class TestQuadrature:
 class TestDerivative:
     @pytest.mark.parametrize("x", [0.7, 2.0, -1.3])
     def test_first_derivative(self, x):
-        got = derivative(math.exp, x, order=1)
+        got = derivative(np.exp, x, 1e-4 * max(1.0, abs(x)), 1)
         assert got == pytest.approx(math.exp(x), rel=1e-9)
 
     @pytest.mark.parametrize("x", [0.4, 1.9])
     def test_second_derivative(self, x):
-        got = derivative(math.sin, x, order=2)
+        got = derivative(np.sin, x, 1e-4 * max(1.0, abs(x)), 2)
         assert got == pytest.approx(-math.sin(x), rel=1e-6, abs=1e-8)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            derivative(math.exp, 1.0, order=3)
+            derivative(np.exp, 1.0, 1e-4, 3)
 
     @staticmethod
-    def _scalar_reference(f, x, order, step=1e-4):
-        """The scalar stencil as first written, on Python floats."""
-        h = step * max(1.0, abs(x))
+    def _stacked_reference(f, x, h, order):
+        """The two Richardson formulas written out on one call of f."""
+        fm, fmh, f0, fph, fp = f(x + np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * h)
+        s = h / 2.0
         if order == 1:
-            def cd(s):
-                return (f(x + s) - f(x - s)) / (2.0 * s)
-        else:
-            def cd(s):
-                return (f(x + s) - 2.0 * f(x) + f(x - s)) / (s * s)
-        return (4.0 * cd(0.5 * h) - cd(h)) / 3.0
+            return (8.0 * (fph - fmh) - (fp - fm)) / (12.0 * s)
+        fine = (fph - 2.0 * f0 + fmh) / (s * s)
+        coarse = (fp - 2.0 * f0 + fm) / (h * h)
+        return (4.0 * fine - coarse) / 3.0
 
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("f", [math.exp, math.sin, np.cosh,
+    @pytest.mark.parametrize("f", [np.exp, np.sin, np.cosh,
                                    lambda r: model.radial_u(r, 3, 1, 0.5)])
     def test_scalar_x_gives_the_reference_float(self, f, order):
-        for x in (0.3, 1.0, 2.7, 9.5):
-            got = derivative(f, x, order=order)
+        for x, h in ((0.3, 1e-4), (1.0, 1e-3), (2.7, 2.7e-4), (9.5, 1e-2)):
+            got = derivative(f, x, h, order)
             assert type(got) is float
-            assert got == self._scalar_reference(f, x, order)
+            assert got == self._stacked_reference(f, x, h, order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_f_is_called_once_on_the_stacked_nodes(self, order):
+        x = np.geomspace(0.1, 10.0, 7)
+        h = 1e-3 * x
+        seen = []
+
+        def f(r):
+            seen.append(r.copy())
+            return np.sin(r)
+
+        derivative(f, x, h, order)
+        assert len(seen) == 1
+        assert seen[0].shape == (5, 7)
+        assert np.array_equal(seen[0][2], x)
+        assert np.array_equal(seen[0][[0, 4]], [x - h, x + h])
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_array_x_matches_pointwise_scalar_calls(self, order):
-        # Plain arithmetic evaluates identically on arrays and on scalars,
-        # so only the stencil itself is compared.
+        # Every operation is elementwise, so a point's value does not depend
+        # on which other points share the call.
         def f(r):
             return (1.0 + r * r * r) / (2.0 + r * r) - 0.3 * r
 
         x = np.concatenate([-np.geomspace(0.05, 20.0, 9), np.geomspace(0.05, 20.0, 16)])
-        got = derivative(f, x, order=order)
-        want = np.array([derivative(f, float(v), order=order) for v in x])
+        h = 1e-4 * np.maximum(1.0, np.abs(x))
+        got = derivative(f, x, h, order)
+        want = np.array([derivative(f, float(v), float(s), order) for v, s in zip(x, h)])
         assert isinstance(got, np.ndarray) and got.shape == x.shape
-        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        assert np.array_equal(got, want)
 
     def test_array_x_accepts_a_list(self):
-        got = derivative(np.exp, [0.5, 1.5], order=1)
+        got = derivative(np.exp, [0.5, 1.5], 1e-4, 1)
         assert got == pytest.approx(np.exp([0.5, 1.5]), rel=1e-9)
 
 

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dosusy import checks, numkit, solver
@@ -510,6 +510,50 @@ def test_pocket_presence_straddles_threshold(l, changes):
 # ----------------------------------------------------------------------
 # classical orbits
 # ----------------------------------------------------------------------
+
+def apsidal_angle(kappa: float, w: float, rho0: float, direction_deg: float) -> float:
+    """Polar angle the zero-energy orbit sweeps from one turning point to the
+    next, launched as classical_trajectory launches it, by quadrature.
+
+    In s = ln rho the orbit obeys (ds/dtheta)^2 = F(s) = -2 U(e^s) e^(2s) / L^2 - 1,
+    so the angle is the integral of ds / sqrt(F) between the roots s1 < s2 of F,
+    which bracketed_root finds on either side of rho = 1, where F peaks.  With
+    s = m + h sin(phi) (m, h the roots' midpoint and half-distance) and F factored
+    at its roots, the integrand sqrt((s - s1)(s2 - s) / F(s)) is bounded at both ends.
+    """
+    l2 = -2.0 * potential(rho0, w, kappa) * (rho0 * math.sin(math.radians(direction_deg))) ** 2
+
+    def F(s):
+        return -2.0 * potential(np.exp(s), w, kappa) * np.exp(2.0 * s) / l2 - 1.0
+
+    far = 1.0
+    while F(-far) >= 0.0 or F(far) >= 0.0:
+        far *= 2.0
+    roots = numkit.bracketed_root(F, [-far, 0.0], [0.0, far])
+    assert np.all(roots.status == 0)
+    s1, s2 = roots.x
+    m, h = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
+
+    def integrand(phi):
+        s = m + h * np.sin(phi)
+        return np.sqrt((s - s1) * (s2 - s) / F(s))
+
+    return numkit.integrate_adaptive(integrand, -0.5 * math.pi, 0.5 * math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kappa=st.floats(0.2, 4.0), w=st.floats(0.1, 100.0), log_rho0=st.floats(-6.0, 3.0),
+       direction=st.floats(1e-6, 180.0 - 1e-6))
+def test_apsidal_angle_is_pi_over_kappa(kappa, w, log_rho0, direction):
+    # Every bound zero-energy orbit closes: turning point to turning point is pi/kappa.
+    # F(0) = cosh(kappa ln rho0)^2 / sin(direction)^2 - 1 is the orbit's room between
+    # them; near a circular orbit F is a difference of nearly equal numbers, and
+    # below F(0) = 1e-2 that rounding costs the angle more than 1e-11.
+    rho0 = 10.0 ** log_rho0
+    assume(math.cosh(kappa * math.log(rho0)) ** 2 / math.sin(math.radians(direction)) ** 2
+           >= 1.01)
+    assert apsidal_angle(kappa, w, rho0, direction) == pytest.approx(math.pi / kappa, rel=1e-11)
+
 
 def test_fisheye_orbit_closes_and_focuses():
     traj = classical_trajectory("1", 3.0, 0.5, direction_deg=63.0)

@@ -62,7 +62,7 @@ def test_superpotential_tail_asymptote(l):
 @pytest.mark.parametrize("l", [0, 1, 3])
 @pytest.mark.parametrize("rho", [0.35, 1.0, 2.4])
 def test_superpotential_is_log_derivative_of_f(kappa, l, rho):
-    numeric = -derivative(lambda r: math.log(f_factor(r, kappa, l)), rho)
+    numeric = -derivative(lambda r: np.log(f_factor(r, kappa, l)), rho, 1e-4 * max(1.0, rho), 1)
     assert superpotential(rho, kappa, l) == pytest.approx(numeric, rel=1e-9, abs=1e-11)
 
 
@@ -72,11 +72,12 @@ def test_superpotential_is_log_derivative_of_f(kappa, l, rho):
 def test_closed_form_derivative_chain(kappa, l, rho):
     # Each analytic derivative is validated against a finite difference of
     # the one below it.
-    fd1 = derivative(lambda r: superpotential(r, kappa, l), rho)
+    h = 1e-4 * max(1.0, rho)
+    fd1 = derivative(lambda r: superpotential(r, kappa, l), rho, h, 1)
     assert superpotential_dr(rho, kappa, l) == pytest.approx(fd1, rel=1e-8, abs=1e-9)
-    fd2 = derivative(lambda r: superpotential_dr(r, kappa, l), rho)
+    fd2 = derivative(lambda r: superpotential_dr(r, kappa, l), rho, h, 1)
     assert superpotential_d2r(rho, kappa, l) == pytest.approx(fd2, rel=1e-7, abs=1e-8)
-    fd3 = derivative(lambda r: superpotential_d2r(r, kappa, l), rho)
+    fd3 = derivative(lambda r: superpotential_d2r(r, kappa, l), rho, h, 1)
     assert superpotential_d3r(rho, kappa, l) == pytest.approx(fd3, rel=1e-6, abs=1e-7)
 
 
@@ -133,9 +134,10 @@ def test_upper_partner_is_positive(kappa):
 @pytest.mark.parametrize("kappa, l", [(1.0, 5), (1.0, 8), (0.5, 3)])
 @pytest.mark.parametrize("rho", [0.3, 1.1, 2.6])
 def test_upper_partner_derivatives(kappa, l, rho):
-    fd1 = derivative(lambda r: partner_plus_closed(r, kappa, l), rho)
+    h = 1e-4 * max(1.0, rho)
+    fd1 = derivative(lambda r: partner_plus_closed(r, kappa, l), rho, h, 1)
     assert partner_plus_dr(rho, kappa, l) == pytest.approx(fd1, rel=1e-7, abs=1e-7)
-    fd2 = derivative(lambda r: partner_plus_dr(r, kappa, l), rho)
+    fd2 = derivative(lambda r: partner_plus_dr(r, kappa, l), rho, h, 1)
     assert partner_plus_d2r(rho, kappa, l) == pytest.approx(fd2, rel=1e-6, abs=1e-6)
 
 
