@@ -468,11 +468,13 @@ def suite_degeneracy() -> list[CheckResult]:
 # ----------------------------------------------------------------------
 
 def _curve_csv(title: str, column_doc: str, param_doc: str,
-               header: str, blocks) -> str:
+               header: str, blocks, formatted=None) -> str:
     """Each block is a tuple of columns, at least one of them an array; an
-    array shared by several blocks (the same object) is formatted once."""
+    array shared by several blocks (the same object) is formatted once.
+    ``formatted`` seeds that memo (id -> field strings; it gains this call's
+    columns), so it may hold only arrays the caller keeps alive."""
     blocks = list(blocks)   # every column lives through the call, so its id is its own
-    formatted = {}
+    formatted = {} if formatted is None else formatted
 
     def column(c):
         if np.ndim(c) == 0:  # a constant column, formatted once
@@ -515,13 +517,14 @@ def figure_payloads(figure: str) -> dict[str, str]:
         raise ValueError(f"unknown figure {figure!r} (expected 'fig1' or 'fig2')")
 
     payloads: dict[str, str] = {}
+    rhos = list(map(repr, grid.tolist()))   # both files' rho column, formatted once
     for fname, desc, fn, combos in layout:
         blocks = [(grid, fn(grid, kappa, l), kappa, l) for kappa, l in combos]
         curves = "; ".join(f"kappa={kappa!r}, l={l}" for kappa, l in combos)
         payloads[fname] = _curve_csv(
             f"{fname[:-4]}: {desc} on the default log grid",
             "rho (units R), U (units E0), kappa, l",
-            curves, "rho,U,kappa,l", blocks)
+            curves, "rho,U,kappa,l", blocks, {id(grid): rhos})
     return payloads
 
 
@@ -529,13 +532,12 @@ def figure_payloads(figure: str) -> dict[str, str]:
 # figures: curve emission is reproducible and hits known spot values
 # ----------------------------------------------------------------------
 
-def _csv_rows(payload: str) -> list[list[float]]:
-    rows = []
+def _csv_rows(payload: str):
+    """The data rows of an emitted CSV as lists of field strings; a check
+    converts only the fields it compares."""
     for line in payload.splitlines():
-        if not line or line.startswith("#") or line.startswith("rho"):
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return rows
+        if line and not line.startswith(("#", "rho")):
+            yield line.split(",")
 
 
 def suite_figures() -> list[CheckResult]:
@@ -551,14 +553,14 @@ def suite_figures() -> list[CheckResult]:
             comparison="two in-process builds, byte equality"))
 
     rows = _csv_rows(payloads["fig1"]["fig1_minus.csv"])
-    val = next(r[1] for r in rows if r[0] == 1.0 and r[2] == 1.0)
+    val = next(float(r[1]) for r in rows if float(r[0]) == 1.0 and float(r[2]) == 1.0)
     results.append(_check(
         "figures:spot:fig1-minus:rho=1:kappa=1", abs(val - (-2.75)), 1e-12,
         figure="fig1", rho=1.0, kappa="1", l=2, expected=-2.75, value=val))
 
-    rows = _csv_rows(payloads["fig2"]["fig2_plus.csv"])
+    rows = [r for r in _csv_rows(payloads["fig2"]["fig2_plus.csv"]) if 0.5 < float(r[0]) < 5.0]
     for l, expected in ((7, 2), (6, 0)):
-        changes = _slope_sign_changes([r[1] for r in rows if r[3] == l and 0.5 < r[0] < 5.0])
+        changes = _slope_sign_changes([float(r[1]) for r in rows if float(r[3]) == l])
         results.append(_check(
             f"figures:pocket:fig2-plus:l={l}", float(abs(changes - expected)), 0.5,
             figure="fig2", l=l, slope_sign_changes=changes, expected=expected,

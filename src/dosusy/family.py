@@ -279,9 +279,7 @@ def _anchored_oracle(alphas: np.ndarray, kappa: float, l: int) -> np.ndarray:
     return _anchored_integral(_alpha_integrand(kappa, l), 0.5 * math.pi, alphas)
 
 
-def _audit_S(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
-    alphas = _audit_alphas()
-    oracle = _anchored_oracle(alphas, kappa, l)
+def _audit_S(formula_id: str, l: int, kappa: float, alphas, oracle) -> SeriesAuditRecord:
     printed = printed_series_eval(alphas, l, formula_id)
 
     dev_pw = float(np.max(np.abs(printed - oracle) / (1.0 + np.abs(oracle))))
@@ -302,9 +300,7 @@ def _audit_S(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
                              ratio=ratio, verdict=verdict)
 
 
-def _audit_V(formula_id: str, l: int, kappa: float) -> SeriesAuditRecord:
-    alphas = _audit_alphas()
-    oracle_int = _anchored_oracle(alphas, kappa, l)
+def _audit_V(formula_id: str, l: int, kappa: float, alphas, oracle_int) -> SeriesAuditRecord:
     rho = np.tan(0.5 * alphas) ** (1.0 / kappa)
     v_oracle = -f_factor(rho, kappa, l) ** 2 * oracle_int
     v_printed = printed_series_eval(alphas, l, formula_id)
@@ -331,7 +327,11 @@ def series_audit() -> list[SeriesAuditRecord]:
 
     Returns one record per (formula, l), in deterministic order.  Verdicts
     are informative measurements; the caller decides what is load-bearing.
+    S and V at one (kappa, l) read one oracle: (S1, V1) at kappa = 1, (S_half, V_half) at 1/2.
     """
+    alphas = _audit_alphas()
+    oracles = {(kappa, l): _anchored_oracle(alphas, kappa, l)
+               for kappa in (1.0, 0.5) for l in range(4)}
     return [(_audit_S if fid.startswith("S") else _audit_V)(
-                fid, l, 1.0 if fid in ("S1", "V1") else 0.5)
+                fid, l, kappa := 1.0 if fid in ("S1", "V1") else 0.5, alphas, oracles[kappa, l])
             for fid in FORMULA_IDS for l in range(4)]

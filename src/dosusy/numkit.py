@@ -283,20 +283,24 @@ def derivative(f, x, h, order: int):
 
 def _fornberg_kernel():
     """Fornberg's recursion for the first derivative on five nodes as one
-    function of (z, xs) without loops: every statement the recursion executes,
-    in its order, on locals w{k}_{j} (order k = 0, 1, node j).  Zero and unit
-    terms stay as written, so signed zeros, infinities and NaNs land where the
-    loop put them."""
+    function of (z, xs) without loops: every statement the recursion executes
+    whose value is read, in its order, on locals w{k}_{j} (order k = 0, 1,
+    node j).  The last node's pass stores no order-0 weight and no c1; each
+    division it drops follows a kept one by the same divisor, so a zero
+    divisor raises as in the loop.  Zero and unit terms stay as written, so
+    signed zeros, infinities and NaNs land where the loop put them."""
     body = ["x0, x1, x2, x3, x4, = xs", "w0_0 = 1.0", "w1_0 = 0.0", "c1 = 1.0", "c4 = x0 - z"]
     for i in range(1, 5):
+        live = i < 4   # order-0 weights and c1 are read only by a later pass
         body += ["c2 = 1.0", "c5 = c4", f"c4 = x{i} - z"]
         for j in range(i):
             body += [f"c3 = x{i} - x{j}", "c2 *= c3"]
             if j == i - 1:  # the new column i reads column j before its update
-                body += [f"w1_{i} = c1 * (w0_{j} - c5 * w1_{j}) / c2",
-                         f"w0_{i} = -c1 * c5 * w0_{j} / c2"]
-            body += [f"w1_{j} = (c4 * w1_{j} - w0_{j}) / c3", f"w0_{j} = c4 * w0_{j} / c3"]
-        body.append("c1 = c2")
+                body.append(f"w1_{i} = c1 * (w0_{j} - c5 * w1_{j}) / c2")
+                body += [f"w0_{i} = -c1 * c5 * w0_{j} / c2"] * live
+            body.append(f"w1_{j} = (c4 * w1_{j} - w0_{j}) / c3")
+            body += [f"w0_{j} = c4 * w0_{j} / c3"] * live
+        body += ["c1 = c2"] * live
     body.append("return w1_0, w1_1, w1_2, w1_3, w1_4")
     source = "def fornberg_weights(z, xs):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, "<fornberg kernel>", "exec"), scope := {"__name__": __name__})

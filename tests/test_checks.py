@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dosusy import family, solver, susy
+from dosusy import checks, family, solver, susy
 from dosusy.checks import (
     SUITE_NAMES,
     CheckResult,
@@ -160,6 +160,48 @@ def test_riccati_checks_fail_on_a_perturbed_partner(monkeypatch):
     minus = [r for r in results if r.check_id.startswith("riccati:minus:")]
     assert len(plus) == len(minus) == 3
     assert not any(r.passed for r in plus) and all(r.passed for r in minus)
+
+
+def _figures_with_edited_rows(monkeypatch, fname, edit):
+    """Run the figures suite on payloads whose data rows in ``fname`` pass through
+    ``edit(fields) -> fields``; the checks see only the edited text."""
+    build = checks.figure_payloads
+
+    def edited(figure):
+        payloads = build(figure)
+        if fname in payloads:
+            payloads[fname] = "".join(
+                (line if line.startswith(("#", "rho")) else ",".join(edit(line.split(",")))) + "\n"
+                for line in payloads[fname].splitlines())
+        return payloads
+
+    monkeypatch.setattr(checks, "figure_payloads", edited)
+    return {r.check_id: r for r in run_suites(("figures",))}
+
+
+def test_figures_spot_check_reads_the_emitted_text(monkeypatch):
+    spot = "figures:spot:fig1-minus:rho=1:kappa=1"
+
+    def edit(fields):   # the rho = 1, kappa = 1 row reads -2.7 in place of -2.75
+        return [fields[0], "-2.7", *fields[2:]] if fields[0] == "1.0" and fields[2] == "1.0" \
+            else fields
+
+    by_id = _figures_with_edited_rows(monkeypatch, "fig1_minus.csv", edit)
+    assert not by_id[spot].passed
+    assert by_id[spot].params["value"] == -2.7
+    assert all(r.passed for cid, r in by_id.items() if cid != spot)
+
+
+def test_figures_pocket_check_reads_the_emitted_text(monkeypatch):
+    pocket = "figures:pocket:fig2-plus:l=7"
+
+    def edit(fields):   # U = rho on the l = 7 rows: monotone, so no pocket
+        return [fields[0], fields[0], *fields[2:]] if fields[3] == "7" else fields
+
+    by_id = _figures_with_edited_rows(monkeypatch, "fig2_plus.csv", edit)
+    assert not by_id[pocket].passed
+    assert by_id[pocket].params["slope_sign_changes"] == 0
+    assert all(r.passed for cid, r in by_id.items() if cid != pocket)
 
 
 def test_closure_suite_orbit_work_budget(monkeypatch):

@@ -637,9 +637,9 @@ def test_every_csv_writer_matches_rowwise_bytes(tmp_path, capsys, monkeypatch):
     seen = []
     curve_csv = cli._curve_csv
 
-    def checked(title, column_doc, param_doc, header, blocks):
+    def checked(title, column_doc, param_doc, header, blocks, *formatted):
         blocks = list(blocks)
-        text = curve_csv(title, column_doc, param_doc, header, blocks)
+        text = curve_csv(title, column_doc, param_doc, header, blocks, *formatted)
         seen.append(header)
         assert text == _rowwise_csv(title, column_doc, param_doc, header, _rows(blocks))
         return text

@@ -14,6 +14,7 @@ deterministic because the audit abscissae are fixed.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -364,3 +365,42 @@ def test_audit_residual_fields(audit_records):
 def test_audit_is_deterministic(audit_records):
     again = series_audit()
     assert again == audit_records
+
+
+def test_audit_integrates_one_oracle_per_kappa_and_l(monkeypatch):
+    # S and V at one (kappa, l) read the same antiderivative: 2 kappas x 4 l
+    anchored, calls = family._anchored_integral, []
+
+    def counted(*args):
+        calls.append(args)
+        return anchored(*args)
+
+    monkeypatch.setattr(family, "_anchored_integral", counted)
+    records = series_audit()
+    assert len(calls) == 8
+    assert {(r.formula_id, r.l) for r in records} == set(EXPECTED_AUDIT)
+    for r in records:
+        verdict, ratio = EXPECTED_AUDIT[(r.formula_id, r.l)]
+        assert r.verdict == verdict and r.ratio == pytest.approx(ratio, rel=1e-6)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.5])
+def test_audit_oracle_matches_mpmath_in_the_z_form(kappa):
+    # A second route to the oracle: with z = sin^2(alpha/2) the angle integral
+    # from pi/2 is (2 kappa)^-1 Int_{1/2}^z [z(1 - z)]^(-(2l+1)/(2 kappa) - 1) dz,
+    # done by tanh-sinh quadrature at 30 digits.  The bound is the oracle's
+    # quadrature tolerance, 1e-10 (1 + |I|): the steepest integrand (kappa = 1/2,
+    # l = 3) is off by 9.9e-11 (1 + |I|), l = 2 by 3.6e-12, the rest by < 1e-13
+    alphas = family._audit_alphas()
+    with mp.workdps(30):
+        for l in range(4):
+            p = mp.mpf(2 * l + 1) / (2 * kappa) + 1
+
+            def integrand(z):
+                return (z * (1 - z)) ** -p / (2 * kappa)
+
+            got = family._anchored_oracle(alphas, kappa, l)
+            for alpha, value in zip(alphas, got):
+                z = mp.sin(mp.mpf(alpha) / 2) ** 2
+                ref = float(mp.quad(integrand, [mp.mpf(1) / 2, z], method="tanh-sinh"))
+                assert abs(value - ref) <= 1e-10 * (1.0 + abs(ref)), (kappa, l, alpha)
