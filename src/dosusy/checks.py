@@ -467,22 +467,18 @@ def suite_degeneracy() -> list[CheckResult]:
 # CSV emission (locale-independent, '#'-commented headers)
 # ----------------------------------------------------------------------
 
-def _curve_csv(title: str, column_doc: str, param_doc: str,
-               header: str, blocks, formatted=None) -> str:
-    """Each block is a tuple of columns, at least one of them an array; an
-    array shared by several blocks (the same object) is formatted once.
-    ``formatted`` seeds that memo (id -> field strings; it gains this call's
-    columns), so it may hold only arrays the caller keeps alive."""
-    blocks = list(blocks)   # every column lives through the call, so its id is its own
-    formatted = {} if formatted is None else formatted
+def _curve_csv(title: str, column_doc: str, param_doc: str, header: str, blocks) -> str:
+    """Each block is a tuple of columns: a constant, an array of values, or
+    a list of fields the caller formatted (so a column shared by several
+    blocks or files is formatted once); at least one is not a constant."""
 
     def column(c):
+        if isinstance(c, list) and c and isinstance(c[0], str):
+            return c
         if np.ndim(c) == 0:  # a constant column, formatted once
             return itertools.repeat(
                 repr(float(c)) if isinstance(c, (float, np.floating)) else str(c))
-        if id(c) not in formatted:
-            formatted[id(c)] = list(map(repr, np.asarray(c).tolist()))
-        return formatted[id(c)]
+        return map(repr, np.asarray(c).tolist())
 
     lines = [f"# {title}", f"# columns: {column_doc}"]
     if param_doc:
@@ -519,12 +515,12 @@ def figure_payloads(figure: str) -> dict[str, str]:
     payloads: dict[str, str] = {}
     rhos = list(map(repr, grid.tolist()))   # both files' rho column, formatted once
     for fname, desc, fn, combos in layout:
-        blocks = [(grid, fn(grid, kappa, l), kappa, l) for kappa, l in combos]
+        blocks = [(rhos, fn(grid, kappa, l), kappa, l) for kappa, l in combos]
         curves = "; ".join(f"kappa={kappa!r}, l={l}" for kappa, l in combos)
         payloads[fname] = _curve_csv(
             f"{fname[:-4]}: {desc} on the default log grid",
             "rho (units R), U (units E0), kappa, l",
-            curves, "rho,U,kappa,l", blocks, {id(grid): rhos})
+            curves, "rho,U,kappa,l", blocks)
     return payloads
 
 

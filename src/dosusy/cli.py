@@ -55,10 +55,10 @@ def _write_text(path: str, payload: str) -> None:
         fh.write(payload)
 
 
-def _emit(outdir: str, payloads: dict) -> None:
-    """Write each {file name: payload} into outdir and print its path."""
+def _emit(outdir: str, payloads) -> None:
+    """Write each (file name, payload) pair into outdir as it comes and print its path."""
     os.makedirs(outdir, exist_ok=True)
-    for fname, payload in payloads.items():
+    for fname, payload in payloads:
         path = os.path.join(outdir, fname)
         _write_text(path, payload)
         print(path)
@@ -129,12 +129,13 @@ def _cmd_partners(args) -> int:
         for (name, *_), val in zip(parts, values):
             print(f"{name:<7} = {val!r}")
         return 0
-    _emit(args.out or ".", {
-        f"{stem}.csv": _curve_csv(f"{stem}: {desc}",
-                                  "rho (units R), value (units E0; W in 1/R), kappa, l",
-                                  f"kappa={args.kappa}, l={args.l}", "rho,value,kappa,l",
-                                  [(rho, vals, kappa, args.l)])
-        for (_, stem, desc, _), vals in zip(parts, values)})
+    rhos = list(map(repr, rho.tolist()))   # the three files' rho column, formatted once
+    _emit(args.out or ".", (
+        (f"{stem}.csv", _curve_csv(f"{stem}: {desc}",
+                                   "rho (units R), value (units E0; W in 1/R), kappa, l",
+                                   f"kappa={args.kappa}, l={args.l}", "rho,value,kappa,l",
+                                   [(rhos, vals, kappa, args.l)]))
+        for (_, stem, desc, _), vals in zip(parts, values)))
     return 0
 
 
@@ -157,7 +158,7 @@ def _cmd_family(args) -> int:
         "rho (units R), value, kappa, l",
         f"kappa={args.kappa}, l={args.l}, lambda={args.lam}, side={args.side}",
         "rho,value,kappa,l", [(grid, vals, kappa, args.l)])
-    _emit(args.out or ".", {"family_v.csv": payload})
+    _emit(args.out or ".", [("family_v.csv", payload)])
     if zeros:
         print("singular loci of W_lambda (zeros of V): "
               + ", ".join(repr(z) for z in zeros))
@@ -170,14 +171,13 @@ def _cmd_audit(args) -> int:
         payload = json.dumps([r.to_dict() for r in records],
                              indent=2, sort_keys=True) + "\n"
     else:
-        rows = [(f"{r.formula_id},{r.l},{r.kappa!r},{r.max_dev!r},"
-                 f"{'' if r.ode_residual_max is None else repr(r.ode_residual_max)},"
-                 f"{r.ratio!r},{r.verdict}") for r in records]
-        payload = "\n".join([
-            "# printed-series audit: printed formulas vs quadrature oracles",
-            "# columns: formula_id, l, kappa, max_dev, ode_residual_max, ratio, verdict",
-            "formula_id,l,kappa,max_dev,ode_residual_max,ratio,verdict",
-            *rows]) + "\n"
+        fields = [(r.formula_id, str(r.l), repr(r.kappa), repr(r.max_dev),
+                   "" if r.ode_residual_max is None else repr(r.ode_residual_max),
+                   repr(r.ratio), r.verdict) for r in records]
+        payload = _curve_csv("printed-series audit: printed formulas vs quadrature oracles",
+                             "formula_id, l, kappa, max_dev, ode_residual_max, ratio, verdict",
+                             "", "formula_id,l,kappa,max_dev,ode_residual_max,ratio,verdict",
+                             [tuple(map(list, zip(*fields)))])
     if args.out:
         _write_text(args.out, payload)
         print(args.out)
@@ -204,8 +204,7 @@ def _cmd_critical(args) -> int:
 
 def _cmd_figures(args) -> int:
     names = ("fig1", "fig2") if args.figure == "all" else (args.figure,)
-    _emit(args.out, {fname: payload for name in names
-                     for fname, payload in figure_payloads(name).items()})
+    _emit(args.out, (pair for name in names for pair in figure_payloads(name).items()))
     return 0
 
 

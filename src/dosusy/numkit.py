@@ -287,14 +287,17 @@ def _fornberg_kernel():
     whose value is read, in its order, on locals w{k}_{j} (order k = 0, 1,
     node j).  The last node's pass stores no order-0 weight and no c1; each
     division it drops follows a kept one by the same divisor, so a zero
-    divisor raises as in the loop.  Zero and unit terms stay as written, so
-    signed zeros, infinities and NaNs land where the loop put them."""
-    body = ["x0, x1, x2, x3, x4, = xs", "w0_0 = 1.0", "w1_0 = 0.0", "c1 = 1.0", "c4 = x0 - z"]
-    for i in range(1, 5):
+    divisor raises as in the loop.  Products with an exact 1.0 are folded
+    away (c2 starts at each pass's first gap, and pass 1 reads c1 = w0_0 =
+    1.0); each product with 0.0 stays, since it carries an inf or a NaN."""
+    body = ["x0, x1, x2, x3, x4, = xs", "c5 = x0 - z", "c4 = x1 - z", "c3 = x1 - x0", "c2 = c3",
+            "w1_1 = (1.0 - c5 * 0.0) / c2", "w0_1 = -c5 / c2",   # pass 1: w1_0 = 0.0
+            "w1_0 = (c4 * 0.0 - 1.0) / c3", "w0_0 = c4 / c3", "c1 = c2"]
+    for i in range(2, 5):
         live = i < 4   # order-0 weights and c1 are read only by a later pass
-        body += ["c2 = 1.0", "c5 = c4", f"c4 = x{i} - z"]
+        body += ["c5 = c4", f"c4 = x{i} - z"]
         for j in range(i):
-            body += [f"c3 = x{i} - x{j}", "c2 *= c3"]
+            body += [f"c3 = x{i} - x{j}", "c2 *= c3" if j else "c2 = c3"]
             if j == i - 1:  # the new column i reads column j before its update
                 body.append(f"w1_{i} = c1 * (w0_{j} - c5 * w1_{j}) / c2")
                 body += [f"w0_{i} = -c1 * c5 * w0_{j} / c2"] * live
@@ -316,6 +319,9 @@ fornberg_weights.__doc__ = """First-derivative weights at z on five nodes (Fornb
     """
 
 
+_BLOCK = 1024   # grid points per pass of grid_derivative's loop
+
+
 def grid_derivative(grid, values) -> np.ndarray:
     """First derivative of sampled values on a (possibly non-uniform) grid.
 
@@ -323,7 +329,9 @@ def grid_derivative(grid, values) -> np.ndarray:
     the edges) with Fornberg weights, so log-spaced grids are handled
     without loss of order.  ``values`` is one sampled function of shape
     (n,) or m of them stacked as (m, n); the weights depend only on the
-    grid, so each point's weights are computed once for all rows.
+    grid, so each point's weights are computed once for all rows.  The
+    points go in blocks of ``_BLOCK``: beyond the output, no array grows
+    with n.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -332,25 +340,20 @@ def grid_derivative(grid, values) -> np.ndarray:
         raise ValueError(f"need at least 5 grid points, got {n}")
     if grid.ndim != 1 or values.ndim > 2 or values.shape[-1:] != grid.shape:
         raise ValueError("values must be (n,) or (m, n) on a 1-D grid of n points")
-    top = n - 2  # points 2 .. top-1 have centred windows
-    starts = np.r_[0, 0, :n - 4, n - 5, n - 5]   # point i's window is grid[starts[i]:][:5]
-    # windows reach the kernel scaled by 2^-e, e their span's exponent, so no product of gaps
-    # under- or overflows and the weights scale back exactly; they become floats by blocks
-    scale = np.ldexp(1.0, -np.frexp(grid[starts + 4] - grid[starts])[1])[:, None]
-    windows = np.lib.stride_tricks.sliding_window_view(grid, 5)[starts] * scale
-    rows = chain.from_iterable(windows[k:k + 1024].tolist() for k in range(0, n, 1024))
-    sets = map(fornberg_weights, (grid * scale[:, 0]).tolist(), rows)   # one 5-tuple a point
-    weights = np.fromiter(chain.from_iterable(sets), float, count=5 * n).reshape(n, 5)
-    weights *= scale
-    # out_row[i] = sum_j weights[i, j] * v[starts[i] + j]: a slice of v at the
-    # centred points and one sample at each edge.  Rows are done one at a
-    # time, so no (m, n) temporary is built beyond the output.
     out = np.zeros_like(values)
-    for v, row in zip(values.reshape(-1, n), out.reshape(-1, n)):
-        for j, w in enumerate(weights.T):
-            row[:2] += w[:2] * v[j]
-            row[2:top] += w[2:top] * v[j:j + top - 2]
-            row[top:] += w[top:] * v[n - 5 + j]
+    for lo in range(0, n, _BLOCK):   # points lo .. hi - 1
+        hi = min(lo + _BLOCK, n)
+        starts = np.clip(np.arange(lo - 2, hi - 2), 0, n - 5)   # windows: grid[starts[i]:][:5]
+        windows = grid[starts[:, None] + np.arange(5)]
+        # windows reach the kernel scaled by 2^-e, e their span's exponent, so no product
+        # of gaps under- or overflows and the weights scale back exactly
+        scale = np.ldexp(1.0, -np.frexp(windows[:, 4] - windows[:, 0])[1])[:, None]
+        sets = map(fornberg_weights, (grid[lo:hi] * scale[:, 0]).tolist(),
+                   (windows * scale).tolist())   # one 5-tuple a point, in point order
+        weights = np.fromiter(chain.from_iterable(sets), float, count=5 * (hi - lo)).reshape(-1, 5)
+        weights *= scale
+        for j, w in enumerate(weights.T):   # out[i] = sum over j of w[i] v[starts[i] + j]
+            out[..., lo:hi] += w * values[..., starts + j]
     return out
 
 

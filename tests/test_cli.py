@@ -317,6 +317,26 @@ def test_partners_curves_written(tmp_path, capsys):
         assert all(ln.endswith(",1.0,2") for ln in data[1:])
 
 
+def test_partners_formats_its_grid_once_and_writes_each_file_as_built(tmp_path, capsys,
+                                                                     monkeypatch):
+    rho_columns = []
+    curve_csv = cli._curve_csv
+
+    def recorded(title, column_doc, param_doc, header, blocks):
+        # the files before this one are on disk already
+        assert len(list(tmp_path.iterdir())) == len(rho_columns)
+        blocks = list(blocks)
+        rho_columns.append(blocks[0][0])
+        return curve_csv(title, column_doc, param_doc, header, blocks)
+
+    monkeypatch.setattr(cli, "_curve_csv", recorded)
+    assert run(capsys, "partners", "--kappa", "1/2", "--out", str(tmp_path),
+               "--grid-points", "60")[0] == 0
+    assert len(rho_columns) == 3 and all(c is rho_columns[0] for c in rho_columns)
+    grid = dosusy.model.default_grid(1e-3, 1e3, 60)
+    assert rho_columns[0] == list(map(repr, grid.tolist()))
+
+
 def test_family_point_reports_singularity(capsys):
     # lambda = 0 keeps the anchor zero at the unit radius, where the
     # companion superpotential blows up.
@@ -637,9 +657,9 @@ def test_every_csv_writer_matches_rowwise_bytes(tmp_path, capsys, monkeypatch):
     seen = []
     curve_csv = cli._curve_csv
 
-    def checked(title, column_doc, param_doc, header, blocks, *formatted):
+    def checked(title, column_doc, param_doc, header, blocks):
         blocks = list(blocks)
-        text = curve_csv(title, column_doc, param_doc, header, blocks, *formatted)
+        text = curve_csv(title, column_doc, param_doc, header, blocks)
         seen.append(header)
         assert text == _rowwise_csv(title, column_doc, param_doc, header, _rows(blocks))
         return text
@@ -653,7 +673,10 @@ def test_every_csv_writer_matches_rowwise_bytes(tmp_path, capsys, monkeypatch):
                "--side", "fermionic", "--out", str(tmp_path))[0] == 0
     assert run(capsys, "trace", "--kappa", "1", "--w", "3", "--rho", "0.5",
                "--out", str(tmp_path / "orbit.csv"))[0] == 0
-    assert seen == ["rho,U,kappa,l"] * 4 + ["rho,value,kappa,l"] * 4 + ["t,x,y,speed"]
+    rc, out, _ = run(capsys, "audit", "--format", "csv")
+    assert rc == 0 and out.count("\n") == 3 + 16   # header lines, then 4 series at l = 0..3
+    assert seen == (["rho,U,kappa,l"] * 4 + ["rho,value,kappa,l"] * 4 + ["t,x,y,speed"]
+                    + ["formula_id,l,kappa,max_dev,ode_residual_max,ratio,verdict"])
 
 
 def test_trace_plunge_maps_to_failure_exit(capsys):

@@ -8,6 +8,7 @@ identities, evaluated independently of the code under test.
 import functools
 import math
 import operator
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -471,6 +472,45 @@ class TestGridDerivative:
             lo = min(max(i - 2, 0), n - 5)
             expected = np.array(fornberg_weights(grid[i], grid[lo:lo + 5].tolist()))
             assert np.array_equal(table[lo:lo + 5, i].view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_blocks_give_the_per_point_sums_bit_for_bit(self, m):
+        # two block boundaries and a remainder: each point's weights from its own
+        # scaled window, summed over j = 0..4 in order from 0.0
+        n = 2 * numkit._BLOCK + 3
+        rng = np.random.default_rng(34)
+        grid = np.cumsum(rng.uniform(0.5, 2.0, n)) * 1e-3
+        shape = (n,) if m is None else (m, n)
+        values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        nodes, rows = grid.tolist(), values.reshape(-1, n).tolist()
+        expected = np.empty((len(rows), n))
+        for i, z in enumerate(nodes):
+            lo = min(max(i - 2, 0), n - 5)
+            s = 2.0 ** -math.frexp(nodes[lo + 4] - nodes[lo])[1]
+            w = [x * s for x in fornberg_weights(z * s, [x * s for x in nodes[lo:lo + 5]])]
+            for k, row in enumerate(rows):
+                acc = 0.0
+                for j in range(5):
+                    acc += w[j] * row[lo + j]
+                expected[k, i] = acc
+        got = grid_derivative(grid, values)
+        assert got.shape == shape
+        assert np.array_equal(got.reshape(-1, n).view(np.uint64), expected.view(np.uint64))
+
+    def test_memory_is_the_output_and_one_block(self, monkeypatch):
+        # beyond its output, the pass holds one block's windows and weights (as
+        # floats and Python lists) at a time, however many points the grid has;
+        # a constant kernel stands in, since tracing its temporaries is slow
+        monkeypatch.setattr(numkit, "fornberg_weights", lambda z, xs: (1.0, -2.0, 0.5, 3.0, -1.0))
+        grid = np.geomspace(1e-3, 1e3, 50_000)
+        values = np.sin(np.log(grid))
+        tracemalloc.start()
+        try:
+            out = grid_derivative(grid, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 1000 * numkit._BLOCK
 
     @pytest.mark.parametrize("lo, hi", [(1e-100, 10.0), (1e70, 1e100)])
     def test_grids_far_from_unit_scale(self, lo, hi):
