@@ -244,7 +244,7 @@ class SeriesAuditRecord:
     """Outcome of auditing one printed formula at one angular momentum.
 
     max_dev is the largest relative deviation from the quadrature oracle
-    (pointwise, anchored at alpha = pi/2 for the S antiderivatives);
+    (pointwise, anchored at rho = 1 for the S antiderivatives);
     ode_residual_max is the scaled defining-equation residual of the
     printed expression (V formulas only, None for S); ratio is the
     measured deviation factor (median printed/oracle), 1.0 on a match.
@@ -268,17 +268,6 @@ def _audit_alphas() -> np.ndarray:
     return np.linspace(0.35, math.pi - 0.35, 21)
 
 
-def _alpha_integrand(kappa: float, l: int):
-    coef = 2.0 ** ((2.0 * l + 1.0) / kappa) / kappa
-    expo = (2.0 * l + kappa + 1.0) / kappa
-    return lambda a: coef / np.sin(np.asarray(a, dtype=float)) ** expo
-
-
-def _anchored_oracle(alphas: np.ndarray, kappa: float, l: int) -> np.ndarray:
-    """Antiderivative of the angle-variable integrand, zero at pi/2."""
-    return _anchored_integral(_alpha_integrand(kappa, l), 0.5 * math.pi, alphas)
-
-
 def _audit_S(formula_id: str, l: int, kappa: float, alphas, oracle) -> SeriesAuditRecord:
     printed = printed_series_eval(alphas, l, formula_id)
 
@@ -289,20 +278,15 @@ def _audit_S(formula_id: str, l: int, kappa: float, alphas, oracle) -> SeriesAud
     keep = np.abs(d_oracle) > 1e-12
     ratio = _median(d_printed[keep] / d_oracle[keep])
 
-    if dev_pw < AUDIT_MATCH_TOL:
-        verdict = "match"
-    elif dev_diff < AUDIT_MATCH_TOL:
-        verdict = "constant-offset-match"
-    else:
-        verdict = "mismatch"
+    verdict = ("match" if dev_pw < AUDIT_MATCH_TOL else
+               "constant-offset-match" if dev_diff < AUDIT_MATCH_TOL else "mismatch")
     return SeriesAuditRecord(formula_id=formula_id, l=l, kappa=kappa,
                              max_dev=dev_pw, ode_residual_max=None,
                              ratio=ratio, verdict=verdict)
 
 
-def _audit_V(formula_id: str, l: int, kappa: float, alphas, oracle_int) -> SeriesAuditRecord:
-    rho = np.tan(0.5 * alphas) ** (1.0 / kappa)
-    v_oracle = -f_factor(rho, kappa, l) ** 2 * oracle_int
+def _audit_V(formula_id: str, l: int, kappa: float, alphas, rho, oracle) -> SeriesAuditRecord:
+    v_oracle = _v_lambda(rho, 0.0, oracle, kappa, l, "bosonic")
     v_printed = printed_series_eval(alphas, l, formula_id)
 
     dev_pw = float(np.max(np.abs(v_printed - v_oracle) / (1.0 + np.abs(v_oracle))))
@@ -328,10 +312,13 @@ def series_audit() -> list[SeriesAuditRecord]:
     Returns one record per (formula, l), in deterministic order.  Verdicts
     are informative measurements; the caller decides what is load-bearing.
     S and V at one (kappa, l) read one oracle: (S1, V1) at kappa = 1, (S_half, V_half) at 1/2.
+    The oracle is I_- at rho = tan(alpha/2)^(1/kappa), where f^-2 d rho is S's integrand d alpha.
     """
     alphas = _audit_alphas()
-    oracles = {(kappa, l): _anchored_oracle(alphas, kappa, l)
-               for kappa in (1.0, 0.5) for l in range(4)}
-    return [(_audit_S if fid.startswith("S") else _audit_V)(
-                fid, l, kappa := 1.0 if fid in ("S1", "V1") else 0.5, alphas, oracles[kappa, l])
-            for fid in FORMULA_IDS for l in range(4)]
+    rhos = {kappa: np.tan(0.5 * alphas) ** (1.0 / kappa) for kappa in (1.0, 0.5)}
+    oracles = {(kappa, l): _tail_integral(rhos[kappa], kappa, l, "bosonic")
+               for kappa in rhos for l in range(4)}
+    return [_audit_S(fid, l, kappa, alphas, oracles[kappa, l]) if fid.startswith("S")
+            else _audit_V(fid, l, kappa, alphas, rhos[kappa], oracles[kappa, l])
+            for fid in FORMULA_IDS for kappa in [1.0 if fid in ("S1", "V1") else 0.5]
+            for l in range(4)]

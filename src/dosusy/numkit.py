@@ -242,13 +242,16 @@ def _anchored_integral(f, anchor: float, pts):
     a scalar point gives a float).
 
     The segments between neighbouring distinct points, anchor included, go
-    to one quadrature call and are prefix-summed: nearby points differ only
-    by short segments, and a single point is exactly the direct integral.
+    to one quadrature call and are summed outward from the anchor: a point
+    reads only the segments between it and the anchor, and a single point is
+    exactly the direct integral.
     """
     x = np.asarray(pts, dtype=float)
     nodes = _distinct(np.append(x, anchor))
-    cum = np.concatenate([[0.0], np.cumsum(integrate_adaptive(f, nodes[:-1], nodes[1:]))])
-    out = cum[np.searchsorted(nodes, x)] - cum[np.searchsorted(nodes, anchor)]
+    seg = integrate_adaptive(f, nodes[:-1], nodes[1:])
+    k = np.searchsorted(nodes, anchor)
+    cum = np.concatenate([-np.cumsum(seg[:k][::-1])[::-1], [0.0], np.cumsum(seg[k:])])
+    out = cum[np.searchsorted(nodes, x)]
     return float(out) if x.ndim == 0 else out
 
 

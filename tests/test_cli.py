@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import dosusy
-from dosusy import checks, cli, family, solver, susy
+from dosusy import checks, cli, family, model, solver, susy
 from dosusy.cli import main
 
 
@@ -431,6 +431,20 @@ def test_family_curve_lists_zero_loci(tmp_path, capsys):
     zeros = [float(tok) for tok in lines[1].split(": ")[1].split(", ")]
     assert zeros == pytest.approx([1.0], abs=1e-9)
     assert (tmp_path / "family_v.csv").read_text().count("\n") == 4 + 80
+
+
+@pytest.mark.parametrize("kappa, l", [("1", "2"), ("1/2", "3"), ("1/2", "5")])
+def test_family_curve_finds_the_loci_near_the_anchor(tmp_path, capsys, kappa, l):
+    # lambda + I_- crosses zero just inside rho = 1, where the grid's anchored sums
+    # must not be differences of sums over the far decades
+    rc, out, err = run(capsys, "family", "--kappa", kappa, "--l", l, "--lambda", "0.3",
+                       "--out", str(tmp_path))
+    assert (rc, err) == (0, "")
+    zeros = [float(tok) for tok in out.splitlines()[1].split(": ")[1].split(", ")]
+    k = model.parse_kappa(kappa)[0]
+    for z in zeros:
+        f2 = model.f_factor(z, k, int(l)) ** 2
+        assert abs(family.v_family(z, k, int(l), 0.3)) <= 1e-9 * f2 * 0.3, z
 
 
 # ----------------------------------------------------------------------

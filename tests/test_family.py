@@ -32,7 +32,7 @@ from dosusy.family import (
     v_family,
     v_zeros,
 )
-from dosusy.model import f_factor
+from dosusy.model import default_grid, f_factor
 from dosusy.susy import superpotential
 
 
@@ -121,6 +121,18 @@ def test_point_value_is_the_grid_route_at_its_radius(side, kappa, l, lam, log_rh
     integral = family._tail_integral(rho, kappa, l, side)
     scale = abs(family._v_lambda(rho, abs(lam), abs(integral), kappa, l, side))
     assert point == on_grid or abs(point - on_grid) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("side", ["bosonic", "fermionic"])
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_family_on_the_default_grid_is_the_point_route(side, kappa, l):
+    # Near rho = 1 the bosonic V is small while I_- is large a few decades out,
+    # so each radius must read only the segments between it and the anchor.
+    grid = default_grid()
+    on_grid = family_on_grid(kappa, l, 0.3, side, grid)[::10]
+    point = np.array([v_family(rho, kappa, l, 0.3, side) for rho in grid[::10]])
+    np.testing.assert_allclose(on_grid, point, rtol=1e-12, atol=0.0)
 
 
 def test_family_on_grid_validation():
@@ -386,12 +398,13 @@ def test_audit_integrates_one_oracle_per_kappa_and_l(monkeypatch):
 
 @pytest.mark.parametrize("kappa", [1.0, 0.5])
 def test_audit_oracle_matches_mpmath_in_the_z_form(kappa):
-    # A second route to the oracle: with z = sin^2(alpha/2) the angle integral
-    # from pi/2 is (2 kappa)^-1 Int_{1/2}^z [z(1 - z)]^(-(2l+1)/(2 kappa) - 1) dz,
-    # done by tanh-sinh quadrature at 30 digits.  The bound is the oracle's
-    # quadrature tolerance, 1e-10 (1 + |I|): the steepest integrand (kappa = 1/2,
-    # l = 3) is off by 9.9e-11 (1 + |I|), l = 2 by 3.6e-12, the rest by < 1e-13
+    # A second route to the oracle I_-(rho), rho = tan(alpha/2)^(1/kappa): with
+    # z = sin^2(alpha/2) it is (2 kappa)^-1 Int_{1/2}^z [z(1 - z)]^(-(2l+1)/(2 kappa) - 1) dz,
+    # done by tanh-sinh quadrature at 30 digits.  The worst case is 1.6e-12 (1 + |I|)
+    # (kappa = 1/2, l = 3, at the float alpha nearest pi/2, where rho is not exactly
+    # the anchor); a prefix sum from the leftmost node gave 9.9e-11 there.
     alphas = family._audit_alphas()
+    rho = np.tan(0.5 * alphas) ** (1.0 / kappa)
     with mp.workdps(30):
         for l in range(4):
             p = mp.mpf(2 * l + 1) / (2 * kappa) + 1
@@ -399,8 +412,8 @@ def test_audit_oracle_matches_mpmath_in_the_z_form(kappa):
             def integrand(z):
                 return (z * (1 - z)) ** -p / (2 * kappa)
 
-            got = family._anchored_oracle(alphas, kappa, l)
+            got = family._tail_integral(rho, kappa, l, "bosonic")
             for alpha, value in zip(alphas, got):
                 z = mp.sin(mp.mpf(alpha) / 2) ** 2
                 ref = float(mp.quad(integrand, [mp.mpf(1) / 2, z], method="tanh-sinh"))
-                assert abs(value - ref) <= 1e-10 * (1.0 + abs(ref)), (kappa, l, alpha)
+                assert abs(value - ref) <= 1e-11 * (1.0 + abs(ref)), (kappa, l, alpha)

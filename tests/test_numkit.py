@@ -231,6 +231,15 @@ class TestQuadrature:
         assert numkit._anchored_integral(np.cos, 1.0, 1.0) == 0.0
         assert numkit._anchored_integral(np.cos, 1.0, np.ones(3)).tolist() == [0.0] * 3
 
+    def test_anchored_integral_sums_outward_from_the_anchor(self):
+        # Each point reads only the segments between it and the anchor, never the
+        # difference of two sums as large as the farthest segment (here e^56 / 7).
+        f = lambda t: np.exp(-7.0 * t)  # noqa: E731
+        pts = [-8.0, -0.05, 0.05, 8.0]
+        got = numkit._anchored_integral(f, 0.0, pts)
+        expected = [numkit._anchored_integral(f, 0.0, x) for x in pts]
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("x", [0.2, 1.0, 3.7])
     def test_anchored_integral_at_one_point_is_the_direct_integral(self, x):
         f = lambda r: 1.0 / (1.0 + r * r) + np.cos(3.0 * r)  # noqa: E731
