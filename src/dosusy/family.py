@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, SingularPointError
-from .model import _check_grid, _check_rho, _radial, f_factor
+from .model import _check_grid, _check_rho, _f_integrand, _radial, f_factor
 from .numkit import _anchored_integral, _median, bracketed_root, derivative, integrate_adaptive
 from .susy import superpotential
 
@@ -47,7 +47,7 @@ __all__ = [
     "FORMULA_IDS",
 ]
 
-_SIDES = ("bosonic", "fermionic")
+_POWER = {"bosonic": -2, "fermionic": 2}   # the power of f each side integrates
 
 #: Single audit threshold: verdicts are cut at this relative deviation.
 AUDIT_MATCH_TOL = 1e-8
@@ -63,22 +63,14 @@ def _check_member(lam: float, side: str) -> None:
     """Rejects a family parameter that is not finite, and an unknown side."""
     if not math.isfinite(lam):
         raise ValueError(f"family parameter lambda must be finite, got {lam}")
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-
-
-def _integrand(kappa: float, l: int, side: str):
-    """The integrand in t = ln rho, f^-2 (bosonic) or f^2 (fermionic) times rho = e^t over 2^e
-    near its value at rho = 1 so no absolute error floor swamps a small integral, and e."""
-    power = -2 if side == "bosonic" else 2
-    e = power * math.frexp(f_factor(1.0, kappa, l))[1]   # 0 where f(1) underflows
-    return (lambda t: np.ldexp(f_factor(rho := np.exp(t), kappa, l) ** power * rho, -e)), e
+    if side not in _POWER:
+        raise ValueError(f"side must be one of {tuple(_POWER)}, got {side!r}")
 
 
 def _tail_integral(rho, kappa: float, l: int, side: str):
-    """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho (any shape),
-    prefix-summed in one quadrature call in t = ln rho, where its scale is about 1/kappa."""
-    integrand, e = _integrand(kappa, l, side)
+    """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho (any shape), on
+    model's scaled integrand in t = ln rho (scale 1/kappa), prefix-summed in one quadrature call."""
+    integrand, e = _f_integrand(kappa, l, _POWER[side])
     return np.ldexp(_anchored_integral(integrand, 0.0, np.log(rho)), e)
 
 
@@ -161,7 +153,7 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
     grid = _check_grid(grid)
     g = lam + _tail_integral(grid, kappa, l, side)
     i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-    t, (integrand, e) = np.log(grid), _integrand(kappa, l, side)
+    t, (integrand, e) = np.log(grid), _f_integrand(kappa, l, _POWER[side])
     res = bracketed_root(lambda s, a, ga: ga + integrate_adaptive(integrand, a, s),
                          t[i], t[i + 1], args=(t[i], np.ldexp(g[i], -e)))
     if np.any(res.status != 0):

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import NonNormalizableStateError
+from .exceptions import NonNormalizableStateError, QuadratureError
 from .numkit import gegenbauer_eval, integrate_adaptive
 
 __all__ = [
@@ -422,6 +422,13 @@ def _folded_f(rho, x, v, kappa: float, l):
     return f
 
 
+def _f_integrand(kappa: float, l: int, power: int):
+    """f^power e^t over 2^e, the integrand of f^power d rho in t = ln rho, and e: 2^e is near
+    f(1)^power (e = 0 where f(1) underflows), so no absolute error floor swamps a small integral."""
+    e = power * math.frexp(f_factor(1.0, kappa, l))[1]
+    return (lambda t: np.ldexp(f_factor(rho := np.exp(t), kappa, l) ** power * rho, -e)), e
+
+
 def state_quantum_numbers(N: int, l: int, kappa) -> tuple[int, float]:
     """Polynomial degree p = N - 1 - l/kappa and order q = (2l+1)/(2k) + 1/2.
 
@@ -472,32 +479,34 @@ def radial_u(rho, N: int, l: int, kappa, normalized: bool = False):
 
 
 def normalization_constant(N: int, l: int, kappa) -> float:
-    """Positive constant scaling u to unit half-line norm.
+    """Positive constant scaling u to unit half-line norm, 2^(-e/2) / sqrt(I).
 
-    Evaluated as 1/sqrt(integral of u^2 d rho) with the half-line folded to
-    alpha in (0, pi) through rho^kappa = tan(alpha/2), so that
-    d rho = rho / (kappa sin(alpha)) d alpha.  The tail behaves as
-    u ~ rho^(-l) times a non-vanishing polynomial value, so the integral
+    I is the integral of f^2 C_p^q(xi)^2 d rho over 2^e in t = ln rho, on the scaled
+    integrand of f^2 that the family integrals use.  alpha in (0, pi) maps onto the
+    half-line by t = ln tan(alpha/2) / kappa, so xi = cos(alpha) and
+    dt = d alpha / (kappa sin(alpha)); t is held to +-708, where rho = e^t stays a
+    float and the tail is below rounding.  u ~ rho^(-l) at large rho, so the norm
     converges exactly when l >= 1.
 
-    Raises
-    ------
-    NonNormalizableStateError
-        For l = 0 states (divergent norm; nothing is silently rescaled).
+    Raises NonNormalizableStateError at l = 0 (nothing is silently rescaled), and
+    QuadratureError below kappa = (2l+1)/700, where f(1)^2 = 2^(-(2l+1)/kappa) is
+    under 2^-700 and u^2 has weight where f^2 is under the normal float range.
     """
     kappa_f, exact = parse_kappa(kappa)
-    _degree_order(N, l, kappa_f, exact)  # existence check
+    degree, q = _degree_order(N, l, kappa_f, exact)
     if l < 1:
-        raise NonNormalizableStateError(
-            f"state (N={N}, l={l}, kappa={kappa_f}) is not normalizable: "
-            "u tends to a non-zero constant at large rho")
+        raise NonNormalizableStateError(f"state (N={N}, l={l}, kappa={kappa_f}) is not "
+                                        "normalizable: u tends to a non-zero constant at large rho")
+    if kappa_f < (floor := (2.0 * l + 1.0) / 700.0):
+        raise QuadratureError(f"the norm needs kappa >= (2l+1)/700 = {floor!r} at l = {l}, or "
+                              "f^2 underflows where u^2 has weight", math.nan, math.inf)
+    g, e = _f_integrand(kappa_f, l, 2)
 
     def integrand(alpha):
-        rho = np.tan(0.5 * alpha) ** (1.0 / kappa_f)
-        return radial_u(rho, N, l, kappa) ** 2 * (rho / (kappa_f * np.sin(alpha)))
+        t = np.clip(np.log(np.tan(0.5 * alpha)) / kappa_f, -708.0, 708.0)
+        return g(t) * gegenbauer_eval(degree, q, np.cos(alpha)) ** 2 / (kappa_f * np.sin(alpha))
 
-    norm2 = integrate_adaptive(integrand, 0.0, math.pi)
-    return 1.0 / np.sqrt(norm2)
+    return math.ldexp(1.0 / math.sqrt(integrate_adaptive(integrand, 0.0, math.pi)), -e // 2)
 
 
 @_radial

@@ -179,6 +179,11 @@ def _figures_with_edited_rows(monkeypatch, fname, edit):
     return {r.check_id: r for r in run_suites(("figures",))}
 
 
+def test_an_unknown_figure_is_refused():
+    with pytest.raises(ValueError, match="unknown figure 'fig3'"):
+        checks.figure_payloads("fig3")
+
+
 def test_figures_spot_check_reads_the_emitted_text(monkeypatch):
     spot = "figures:spot:fig1-minus:rho=1:kappa=1"
 

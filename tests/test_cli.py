@@ -14,6 +14,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -94,6 +95,28 @@ def test_eval_normalized_s_wave_is_rejected(capsys):
                      "--l", "0", "--rho", "1.5", "--normalized")
     assert rc == 2
     assert "dosusy: error:" in err
+
+
+@pytest.mark.parametrize("N, l, kappa", [(41, 1, "1/40"), (101, 50, "1/2"), (151, 1, "1/150")])
+def test_eval_normalized_u_where_the_norm_is_small(capsys, N, l, kappa):
+    # ladder bottoms: u = f and ||f||^2 = (2k)^-1 B((2l+3)/(2k), (2l-1)/(2k)) exactly
+    rc, out, err = run(capsys, "eval", "u", "--N", str(N), "--l", str(l), "--kappa", kappa,
+                       "--rho", "2", "--normalized")
+    assert (rc, err) == (0, "")
+    k = model.parse_kappa(kappa)[0]
+    with mp.workdps(40):
+        norm2 = mp.beta((2 * l + 3) / (2 * mp.mpf(k)), (2 * l - 1) / (2 * mp.mpf(k))) / (2 * k)
+        expected = float(model.f_factor(2.0, k, l) / mp.sqrt(norm2))
+    assert float(out) == pytest.approx(expected, rel=1e-13)
+
+
+def test_eval_normalized_u_below_the_kappa_floor_is_a_failure(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "eval", "u", "--N", "399", "--l", "1", "--kappa", "1/398",
+                           "--rho", "2", "--normalized")
+    assert (rc, out) == (1, "")
+    assert err.startswith("dosusy: failure: the norm needs kappa >= (2l+1)/700 = ")
 
 
 def test_a_tiny_positive_kappa_is_not_read_as_zero(capsys):
@@ -699,6 +722,27 @@ def test_trace_plunge_maps_to_failure_exit(capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("dosusy: failure:")
+
+
+def test_trace_escape_maps_to_failure_exit(capsys):
+    rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3", "--rho", "900",
+                       "--direction", "1")
+    assert (rc, out) == (1, "")
+    assert err.startswith("dosusy: failure: orbit escaped beyond rho = 1e3")
+
+
+def test_trace_direction_nan_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3", "--rho", "0.5",
+                       "--direction", "nan")
+    assert (rc, out) == (2, "")
+    assert err.startswith("dosusy: error:") and "direction" in err
+
+
+def test_figures_under_a_regular_file_is_a_filesystem_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    rc, out, err = run(capsys, "figures", "fig1", "--out", str(tmp_path / "file" / "figures"))
+    assert (rc, out) == (1, "")
+    assert err.startswith("dosusy: filesystem error:")
 
 
 def test_trace_outward_radial_launch_is_a_usage_error(capsys):

@@ -123,6 +123,54 @@ def test_point_value_is_the_grid_route_at_its_radius(side, kappa, l, lam, log_rh
     assert point == on_grid or abs(point - on_grid) <= 1e-9 * scale
 
 
+def _z_form(rho, kappa, l, side):
+    """(I, f^2) at rho by mpmath, I the integral of f^-2 (bosonic) or f^2 (fermionic) from 1.
+
+    With z = rho^(2k) / (1 + rho^(2k)) and T = 1 - z = 1 / (1 + rho^(2k)),
+    f^(2s) d rho = (2k)^-1 z^A T^B dz, A = (s(2l+2) + 1)/(2k) - 1, B = (2sl - 1)/(2k) - 1,
+    and f^2 = z^((l+1)/k) T^(l/k).  The integral runs from z = 1/2 to z inside rho = 1 and
+    from T = 1/2 to T beyond it, so 1 - z is never formed by subtraction.  It is taken in
+    v = ln 2w for w = z or T, where a far radius's endpoint power is smooth for tanh-sinh,
+    and whose lower limit -log1p(expm1(y)/2), y = 2k |ln rho|, keeps its digits near rho = 1.
+    """
+    s, k = (-1 if side == "bosonic" else 1), mp.mpf(kappa)
+    y = 2 * k * abs(mp.log(mp.mpf(rho)))
+    near, far = 1 / (1 + mp.exp(y)), 1 / (1 + mp.exp(-y))   # the lesser and greater of z and T
+    z, T = (near, far) if rho < 1.0 else (far, near)
+    A, B = (s * (2 * l + 2) + 1) / (2 * k) - 1, (2 * s * l - 1) / (2 * k) - 1
+    P, Q, sign = (A, B, -1) if rho < 1.0 else (B, A, 1)
+
+    def integrand(v):   # w^P (1 - w)^Q dw with w = e^v / 2
+        w = mp.exp(v) / 2
+        return w ** (P + 1) * (1 - w) ** Q
+
+    integral = sign * mp.quad(integrand, [-mp.log1p(mp.expm1(y) / 2), 0]) / (2 * k)
+    return integral, z ** ((l + 1) / k) * T ** (l / k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.sampled_from(["bosonic", "fermionic"]), kappa=st.floats(0.2, 4.0),
+       l=st.integers(0, 4), lam=st.floats(-2.0, 2.0), log_rho=st.floats(-8.0, 20.0))
+def test_v_family_is_the_z_form(side, kappa, l, lam, log_rho):
+    # V = -f^2 (lambda + I_-) or f^-2 (lambda + I_+), to 1e-9 of its scale f^+-2 (|lambda| + |I|)
+    rho = 10.0 ** log_rho
+    with mp.workdps(20):
+        integral, f2 = _z_form(rho, kappa, l, side)
+        v, scale = ((-f2 * (lam + integral), f2 * (abs(lam) + abs(integral))) if side == "bosonic"
+                    else ((lam + integral) / f2, (abs(lam) + abs(integral)) / f2))
+    assert abs(v_family(rho, kappa, l, lam, side) - float(v)) <= 1e-9 * float(scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kappa=st.floats(0.2, 4.0), l=st.integers(0, 4), log_rho=st.floats(-8.0, 20.0))
+def test_the_bosonic_integral_is_odd_under_inversion(kappa, l, log_rho):
+    # f^-2 d rho is odd under rho -> 1/rho, so I_-(1/rho) = -I_-(rho), to 1e-9 of |I| plus
+    # f(1)^-2, the integrand's scale at the anchor (1/rho is itself rounded)
+    rho = 10.0 ** log_rho
+    i_rho, i_inv = (family._tail_integral(r, kappa, l, "bosonic") for r in (rho, 1.0 / rho))
+    assert abs(i_rho + i_inv) <= 1e-9 * (abs(i_rho) + f_factor(1.0, kappa, l) ** -2)
+
+
 @pytest.mark.parametrize("side", ["bosonic", "fermionic"])
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("l", [2, 3, 5])

@@ -11,14 +11,16 @@ so the unit-norm constants are 4/sqrt(3 pi) and 2/sqrt(7 pi).
 """
 
 import math
+import warnings
 from fractions import Fraction
-from functools import reduce
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dosusy import numkit
-from dosusy.exceptions import NonNormalizableStateError
+from dosusy.exceptions import NonNormalizableStateError, QuadratureError
 from dosusy.model import (
     SampledFunction,
     StateLabel,
@@ -369,32 +371,89 @@ def test_normalization_constants_against_analytic_values():
         2.0 / math.sqrt(7.0 * math.pi), rel=1e-10)
 
 
-def _half_line_panels(kappa):
-    """The quadrature's former half-line panels, frozen: Gauss-Kronrod nodes
-    in alpha, mapped to rho = tan(alpha/2)^(1/kappa), values times d rho/d alpha."""
-    def panels(f, a, b):
-        half = 0.5 * (b - a)
-        alpha = 0.5 * (a + b) + half * numkit._KRONROD_NODES[:, None]
-        rho = np.tan(0.5 * alpha) ** (1.0 / kappa)
-        fx = np.asarray(f(rho.ravel()), dtype=float).reshape(rho.shape)
-        fx *= rho / (kappa * np.sin(alpha))
-        k15 = half * reduce(np.add, numkit._KRONROD_WEIGHTS[:, None] * fx)
-        g7 = half * reduce(np.add, numkit._GAUSS_WEIGHTS[:, None] * fx[numkit._GAUSS_SLOTS])
-        return k15, np.abs(k15 - g7)
-    return panels
+def _norm_oracle(N, l, kappa):
+    """The normalization constant by mpmath, for kappa a Fraction.
+
+    In z = rho^(2k) / (1 + rho^(2k)), f^2 d rho = (2k)^-1 z^(a-1) (1-z)^(b-1) dz with
+    a = (2l+3)/(2k) and b = (2l-1)/(2k), and xi = 1 - 2z.  C_p^q(1 - 2z)^2 is a polynomial
+    of degree 2p in z, so the norm is a finite sum of beta functions: (2k)^-1 B(a, b) at
+    p = 0, and sum_j c_j (2k)^-1 B(a + j, b) over the coefficients c_j in z above it.
+    """
+    k = mp.mpf(kappa.numerator) / kappa.denominator
+    degree = N - 1 - int(l / kappa)
+    q = (2 * l + 1) / (2 * k) + mp.mpf(1) / 2
+    a, b = (2 * l + 3) / (2 * k), (2 * l - 1) / (2 * k)
+    before, c = [0], [mp.mpf(1)]   # C_(n-1) and C_n in powers of z, from C_(-1) = 0
+    for n in range(1, degree + 1):   # n C_n = 2 (n+q-1) xi C_(n-1) - (n+2q-2) C_(n-2)
+        xi_c = [u - 2 * v for u, v in zip(c + [0], [0] + c)]
+        before, c = c, [(2 * (n + q - 1) * u - (n + 2 * q - 2) * v) / n
+                        for u, v in zip(xi_c, before + [0] * (len(xi_c) - len(before)))]
+    square = [sum(c[i] * c[j - i] for i in range(max(0, j - degree), min(j, degree) + 1))
+              for j in range(2 * degree + 1)]
+    return 1 / mp.sqrt(sum(s * mp.beta(a + j, b) for j, s in enumerate(square)) / (2 * k))
 
 
-@pytest.mark.parametrize("N, l, kappa", [
-    (2, 1, "1"), (3, 1, "1"), (4, 2, "1"), (3, 1, "1/2"), (5, 1, "1/2"),
-    (4, 2, "2/3"), (3, 3, "3/2"), (3, 2, 2.0), (4, 3, 3.0),
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 30), m=st.integers(1, 40), degree=st.integers(0, 3))
+def test_normalization_constant_is_the_beta_oracle(l, m, degree):
+    # kappa = l/m puts (N, l) = (1 + m + p, l) at polynomial degree p; 1e-10 is the
+    # quadrature's own bound
+    kappa = Fraction(l, m)
+    with mp.workdps(40):
+        expected = float(_norm_oracle(1 + m + degree, l, kappa))
+    assert normalization_constant(1 + m + degree, l, kappa) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("N, l, kappa, rel", [
+    *((*state, 1e-10) for state in [(2, 1, "1"), (3, 1, "1"), (4, 2, "1"), (3, 1, "1/2"),
+                                    (5, 1, "1/2"), (4, 2, "2/3"), (3, 3, "3/2"), (3, 2, 2.0),
+                                    (4, 3, 3.0)]),
+    # where the norm is small: integrated unscaled, these were 8.2e-4 to 0.25 off
+    *((*state, 1e-13) for state in [(16, 15, "1"), (21, 20, "1"), (17, 8, "1/2"),
+                                    (21, 1, "1/20"), (41, 1, "1/40"), (101, 50, "1/2"),
+                                    (151, 1, "1/150")]),
 ])
-def test_normalization_constant_is_the_former_half_line_integral_bit_for_bit(
-        N, l, kappa, monkeypatch):
-    expected = normalization_constant(N, l, kappa)
-    kappa_f, _ = parse_kappa(kappa)
-    monkeypatch.setattr(numkit, "_panels", _half_line_panels(kappa_f))
-    norm2 = numkit.integrate_adaptive(lambda r: radial_u(r, N, l, kappa) ** 2, 0.0, math.pi)
-    assert expected == 1.0 / np.sqrt(norm2)
+def test_normalization_constant_on_the_named_states(N, l, kappa, rel):
+    with mp.workdps(40):
+        expected = float(_norm_oracle(N, l, parse_kappa(kappa)[1]))
+    assert normalization_constant(N, l, kappa) == pytest.approx(expected, rel=rel)
+
+
+@pytest.mark.parametrize("N, l, kappa", [(5, 1, "1/2"), (44, 1, "1/40"), (5, 3, "3/2")])
+def test_the_norm_oracle_is_the_quadrature_of_u_squared_rho_in_t(N, l, kappa):
+    # u^2 rho = f^2 rho C_p^q(xi)^2 with xi = -tanh(kappa t), by tanh-sinh quadrature around
+    # the peak of f^2 rho at z = (2l+3)/(4l+2), of width 1/sqrt(4 kappa (2l+1) z (1-z)) in t
+    exact = parse_kappa(kappa)[1]
+    degree, _ = state_quantum_numbers(N, l, kappa)
+    with mp.workdps(30):
+        k = mp.mpf(exact.numerator) / exact.denominator
+        q = (2 * l + 1) / (2 * k) + mp.mpf(1) / 2
+        z = mp.mpf(2 * l + 3) / (4 * l + 2)
+        peak, width = mp.log(z / (1 - z)) / (2 * k), 1 / mp.sqrt(4 * k * (2 * l + 1) * z * (1 - z))
+
+        def u2rho(t):
+            return (mp.exp((2 * l + 3) * t - (2 * l + 1) / k * mp.log1p(mp.exp(2 * k * t)))
+                    * mp.gegenbauer(degree, q, -mp.tanh(k * t)) ** 2)
+
+        points = [-mp.inf, *(peak + c * width for c in (-30, -8, -2, 0, 2, 8, 30)), mp.inf]
+        assert abs(1 / mp.sqrt(mp.quad(u2rho, points)) / _norm_oracle(N, l, exact) - 1) < 1e-20
+
+
+@pytest.mark.parametrize("l, m, refused", [(1, 233, False), (1, 234, True),
+                                            (30, 344, False), (30, 345, True)])
+def test_the_norm_below_its_kappa_floor_is_a_named_failure(l, m, refused):
+    # kappa >= (2l+1)/700 keeps u^2's weight where f^2 is a normal float; below it the
+    # unguarded quadrature drifted silently, then stalled, then returned inf at (399, 1, 1/398)
+    kappa = Fraction(l, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(QuadratureError, match=r"kappa >= \(2l\+1\)/700 = "):
+                normalization_constant(1 + m, l, kappa)
+        else:
+            with mp.workdps(40):
+                expected = float(_norm_oracle(1 + m, l, kappa))
+            assert normalization_constant(1 + m, l, kappa) == pytest.approx(expected, rel=1e-10)
 
 
 def test_normalized_radial_u_scaling():

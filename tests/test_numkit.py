@@ -568,6 +568,13 @@ class TestNewton2d:
             newton2d(F, np.array([0.3, 0.1]))
 
 
+    def test_the_iteration_cap_is_named(self, monkeypatch):
+        # x0^3 = 1 from x0 = 3 needs more than two damped steps
+        monkeypatch.setattr(numkit, "_NEWTON_MAX_ITER", 2)
+        F = lambda z: np.array([z[0] ** 3 - 1.0, z[1]])  # noqa: E731
+        with pytest.raises(ConvergenceError, match="failed to converge in 2 iterations"):
+            newton2d(F, np.array([3.0, 0.0]))
+
 # ----------------------------------------------------------------------
 # bracketed root search
 # ----------------------------------------------------------------------

@@ -600,6 +600,13 @@ def test_radial_plunge_hits_origin():
     assert info.value.kind == "origin"
 
 
+def test_escape_beyond_the_outer_guard():
+    # launched near-tangentially at rho = 900, the kappa = 1 orbit swings out past rho = 1e3
+    with pytest.raises(GeometryError, match="escaped beyond rho = 1e3") as info:
+        classical_trajectory("1", 3.0, 900.0, direction_deg=1.0)
+    assert (info.value.kind, info.value.rho) == ("escape", 1e3)
+
+
 def test_near_radial_plunge_stops_at_the_origin_guard():
     # A launch 0.001 deg off the plunge dives to r ~ 1e-10; the step-end check
     # on r < 1e-6 stops it on the way in, with the physical time of that step.
