@@ -358,10 +358,10 @@ def _well_root(rho, kappa):
     stops relying on failing closed-form-grid batches (ROADMAP, Known defects).
     """
     t = _pow(rho, kappa)
-    h = t * t
-    h += 1.0
-    h *= rho
     with np.errstate(over="ignore", invalid="ignore"):   # h = inf below rho ~ 1/HUGE
+        h = t * t
+        h += 1.0
+        h *= rho
         h = _rdiv(1.0, h)
         if _SPAN.get() * max(kappa, 1.0) > 1022:   # some t may be subnormal or some h inf
             lost = (t < np.finfo(float).tiny) | np.isinf(h)
@@ -490,7 +490,8 @@ def normalization_constant(N: int, l: int, kappa) -> float:
 
     Raises NonNormalizableStateError at l = 0 (nothing is silently rescaled), and
     QuadratureError below kappa = (2l+1)/700, where f(1)^2 = 2^(-(2l+1)/kappa) is
-    under 2^-700 and u^2 has weight where f^2 is under the normal float range.
+    under 2^-700 and u^2 has weight where f^2 is under the normal float range, or
+    where the quadrature fails at a degree whose C_p^(q)(1)^2 passes the float range.
     """
     kappa_f, exact = parse_kappa(kappa)
     degree, q = _degree_order(N, l, kappa_f, exact)
@@ -506,7 +507,17 @@ def normalization_constant(N: int, l: int, kappa) -> float:
         t = np.clip(np.log(np.tan(0.5 * alpha)) / kappa_f, -708.0, 708.0)
         return g(t) * gegenbauer_eval(degree, q, np.cos(alpha)) ** 2 / (kappa_f * np.sin(alpha))
 
-    return math.ldexp(1.0 / math.sqrt(integrate_adaptive(integrand, 0.0, math.pi)), -e // 2)
+    try:
+        norm2 = integrate_adaptive(integrand, 0.0, math.pi)
+    except QuadratureError as exc:
+        peak = gegenbauer_eval(degree, q, 1.0)   # the largest |C_p^(q)| on [-1, 1]
+        if peak * peak < math.inf:
+            raise
+        raise QuadratureError(f"the norm of state (N={N}, l={l}, kappa={kappa_f}) at degree "
+                              f"p = {degree} is out of reach: C_p^(q)(xi)^2 passes the float "
+                              f"range (C_p^(q)(1) = {peak:.4g}, q = {q:.6g})",
+                              exc.best_estimate, exc.error_bound) from exc
+    return math.ldexp(1.0 / math.sqrt(norm2), -e // 2)
 
 
 @_radial

@@ -12,10 +12,11 @@ call.
 
 from __future__ import annotations
 
+import ast
 import math
-from array import array
 from functools import cache, reduce
 from itertools import chain
+from struct import Struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "newton2d",
     "bracketed_root",
     "dop853",
+    "straight_line_rhs",
 ]
 
 
@@ -543,36 +545,154 @@ _DOP_D = _table("""
     96.32455395918828 -39.17726167561544 -149.72683625798564""", (4, 16))
 
 
+def _straight_line(source: str):
+    """Parse a right-hand side written as straight-line source: one function
+    ``def f(t, y0, ..., y{n-1})`` of assignments that returns the tuple of the
+    n derivatives.  Gives the function, its argument names, the arguments it
+    reads and its parameters: every other name it reads but never assigns."""
+    (fn,) = ast.parse(source).body
+    if isinstance(fn, ast.FunctionDef):
+        *body, ret = fn.body
+        names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+        stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+        read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+        args = [a.arg for a in fn.args.args]
+        if (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
+                and all(isinstance(s, (ast.Assign, ast.AugAssign)) for s in body)
+                and len(ret.value.elts) == len(args) - 1 and not stored & set(args)):
+            return fn, args, read, sorted(read - stored - set(args))
+    raise ValueError("a straight-line right-hand side is one function of (t, y0, ..., y{n-1}) "
+                     "that assigns only locals and returns its n derivatives")
+
+
+def _rhs_lines(source: str, renamed: dict, targets) -> list[str]:
+    """The statements of a straight-line right-hand side, ending in
+    ``targets[i] = derivative i``.  Each argument is named as in ``renamed``
+    and every other name gets a trailing underscore, which no name of the
+    generated code around it has."""
+    fn = _straight_line(source)[0]
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            node.id = renamed.get(node.id, node.id + "_")
+    *body, ret = fn.body
+    return [*map(ast.unparse, body),
+            *(f"{target} = {ast.unparse(e)}" for target, e in zip(targets, ret.value.elts))]
+
+
 @cache
-def _dop853_kernels(n: int):
-    """One DOP853 attempt, and the dense-output stages of an accepted step, as
-    straight-line code on Python floats for n equations, generated once per n:
-    stage s is k{s}_0 .. k{s}_{n-1}, nonzero table entries are repr literals."""
-    def ks(*rows):
-        return "".join(f"k{s}_{i}, " for s in rows for i in range(n))
+def _rhs_factory(source: str):
+    """``bind(params) -> fun(t, y)`` compiled from a straight-line source, and
+    the names of its parameters."""
+    _, args, _, params = _straight_line(source)
+    n = len(args) - 1
+    state = [f"y{i}" for i in range(n)]
+    body = [f"{', '.join(state)}, = y",
+            *_rhs_lines(source, dict(zip(args, ["t", *state])), [f"d{i}" for i in range(n)]),
+            f"return [{', '.join(f'd{i}' for i in range(n))}]"]
+    lines = ["def bind(params):", *(f"    {p}_ = params[{p!r}]" for p in params),
+             "    def rhs(t, y):", *(f"        {line}" for line in body), "    return rhs"]
+    exec(compile("\n".join(lines) + "\n", "<straight-line rhs>", "exec"), scope := {})
+    return scope["bind"], frozenset(params)
+
+
+def straight_line_rhs(source: str, **params):
+    """A right-hand side ``fun(t, y)`` for ``dop853`` written as straight-line
+    source, with its parameters bound.
+
+    ``source`` is one function ``def f(t, y0, ..., y{n-1})`` of assignments to
+    locals that returns the tuple of the n derivatives; each other name it
+    reads is a parameter, given here by keyword.  ``fun`` is compiled from these
+    lines and returns a list of floats; ``dop853`` pastes the same lines into
+    its generated step loop in place of calls, with the parameters bound once
+    per solve.
+    """
+    bind, names = _rhs_factory(source)
+    if set(params) != names:
+        raise TypeError(f"this right-hand side takes the parameters {sorted(names)}, "
+                        f"got {sorted(params)}")
+    fun = bind(params)
+    fun.source, fun.params = source, params
+    return fun
+
+
+@cache
+def _dop853_kernel(n: int, source: str | None):
+    """The DOP853 step loop for n equations as one generated function on
+    Python-float locals, once per (n, source): stage s is k{s}_0 .. k{s}_{n-1},
+    nonzero table entries are repr literals.  Without ``source`` each stage
+    calls ``fun(t + c h, [...])``; with it the stage is the right-hand side's
+    straight-line source, and intermediate stages form only the arguments it
+    reads.  Stage 12 (c = 1) forms the whole new state u0 .. u{n-1}.
+
+    ``bind(fun)`` returns ``solve(t, t_end, h_abs, y, f, rtol, atol, max_step,
+    check, rows)``, which appends t, y and the 16 stages of each accepted step
+    to the bytearray ``rows`` as native doubles and returns the number of
+    attempts."""
+    def ks(s):
+        return "".join(f"k{s}_{i}, " for i in range(n))
 
     def dot(weights, i):
         return " + ".join(f"{float(a)!r} * k{j}_{i}" for j, a in enumerate(weights) if a)
 
-    def stages(rows):   # each argument is kept as z{i}: row 12 (c = 1) leaves y_new there
-        return [f"{ks(s)}= fun(t + {float(_DOP_C[s])!r} * h, [" + "".join(
-            f"(z{i} := y{i} + ({dot(_DOP_A[s, :s], i)}) * h), " for i in range(n)) + "])"
-            for s in rows]
+    if source is None:
+        head, reads = ["def bind(fun):"], range(n)
 
-    unpack = "".join(f"y{i}, " for i in range(n)) + "= y"
-    step = ["def step(fun, t, h, y, f, rtol, atol):", unpack, f"{ks(0)}= f", *stages(range(1, 13)),
-            "e5 = e3 = 0.0"]
-    for i in range(n):   # squares as u * u: a float ** 2 raises OverflowError past 1e154
-        step += [f"sc = atol + max(abs(z{i}), abs(y{i})) * rtol",   # z first: a NaN propagates
-                 f"u, v = ({dot(_DOP_E[0], i)}) / sc, ({dot(_DOP_E[1], i)}) / sc",
-                 "e5 += u * u", "e3 += v * v"]
-    z = ", ".join(f"z{i}" for i in range(n))
-    step.append(f"return [{z}], [{ks(12)}], e5, e3, ({ks(*range(13))})")
-    dense = ["def dense(fun, t, h, y, k):", unpack, f"{ks(*range(13))}= k", *stages(range(13, 16)),
-             f"return ({ks(13, 14, 15)})"]
-    source = "\n".join("\n    ".join(body) for body in (step, dense)) + "\n"
-    exec(compile(source, f"<dop853 kernels n={n}>", "exec"), scope := {})
-    return scope["step"], scope["dense"]
+        def rhs(s, z):
+            return [f"{ks(s)}= fun(t + {float(_DOP_C[s])!r} * h, [{', '.join(z)}])"]
+    else:
+        _, args, read, params = _straight_line(source)
+        head = ["def bind(fun):", *(f"    {p}_ = fun.params[{p!r}]" for p in params)]
+        reads = [i for i in range(n) if args[i + 1] in read]
+
+        def rhs(s, z):
+            clock = [f"tc = t + {float(_DOP_C[s])!r} * h"] if args[0] in read else []
+            return clock + _rhs_lines(source, dict(zip(args, ["tc", *z])),
+                                      [f"k{s}_{i}" for i in range(n)])
+
+    def stage(s, z="z", form=reads):
+        names = [f"{z}{i}" for i in range(n)]
+        return [f"{names[i]} = y{i} + ({dot(_DOP_A[s, :s], i)}) * h" for i in form] + rhs(s, names)
+
+    ys, us = (", ".join(f"{v}{i}" for i in range(n)) for v in "yu")
+    attempt = [stage(s) for s in range(1, 12)] + [stage(12, "u", range(n)), ["attempts += 1"]]
+    for i in range(n):   # squares as p * p: a float ** 2 raises OverflowError past 1e154
+        attempt.append([f"a, b = abs(u{i}), abs(y{i})",
+                        "sc = atol + (b if b > a else a) * rtol",   # max(a, b): a NaN in u stays
+                        f"p{i}, q{i} = ({dot(_DOP_E[0], i)}) / sc, ({dot(_DOP_E[1], i)}) / sc"])
+    attempt.append([f"e5 = {' + '.join(f'p{i} * p{i}' for i in range(n))}",
+                    f"e3 = {' + '.join(f'q{i} * q{i}' for i in range(n))}"])
+    solve = [
+        "def solve(t, t_end, h_abs, y, f, rtol, atol, max_step, check, rows):",
+        f"    {ys}, = y", f"    {ks(0)}= f", "    attempts = 0",
+        "    while t < t_end:",
+        "        min_step = 10.0 * (nextafter(t, inf) - t)",
+        "        h_abs, rejected = min(max(h_abs, min_step), max_step), False",
+        "        while True:",
+        "            if not h_abs >= min_step:   # NaN included",
+        "                raise ConvergenceError(f'step size {h_abs:.3g} fell below ten float '",
+        "                                       f'spacings at t = {t!r}')",
+        "            t_new = min(t + h_abs, t_end)",
+        "            h = h_abs = t_new - t",
+        *(f"            {line}" for block in attempt for line in block),
+        f"            err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+        "            if err < 1:",
+        "                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)",
+        "                h_abs *= min(1.0, factor) if rejected else factor",
+        "                break",
+        "            h_abs *= max(0.2, 0.9 * err ** -0.125)",
+        "            rejected = True",
+        "        if check is not None:",
+        f"            check(t_new, [{us}])",
+        *(f"        {line}" for s in range(13, 16) for line in stage(s)),
+        f"        rows += pack(t_new, {us}, {''.join(ks(s) for s in range(16))})",
+        f"        t, {ys}, {ks(0)}= t_new, {us}, {ks(12)}",
+        "    return attempts",
+        "return solve"]
+    source_text = "\n".join([*head, *(f"    {line}" for line in solve)]) + "\n"
+    scope = {"nextafter": math.nextafter, "inf": math.inf, "sqrt": math.sqrt,
+             "ConvergenceError": ConvergenceError, "pack": Struct(f"{1 + 17 * n}d").pack}
+    exec(compile(source_text, f"<dop853 kernel n={n}>", "exec"), scope)
+    return scope["bind"]
 
 
 def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.inf,
@@ -583,10 +703,11 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
     atol + rtol max(|y_old|, |y_new|); a step passes when it is below 1, and
     the next step is 0.9 norm^(-1/8) times the last, the factor kept in
     [0.2, 10] (at most 1 after a rejection) and the step at most
-    ``max_step``.  The first step follows Hairer's initial-step rule.  Each
-    attempt is one generated straight-line function on Python floats, so
-    ``fun(t, y)`` gets a list and should return a sequence of floats.
-    ``check(t, y)`` runs on each accepted step and may raise to stop.
+    ``max_step``.  The first step follows Hairer's initial-step rule.  The
+    step loop is one generated function on Python floats, so ``fun(t, y)``
+    gets a list and should return a sequence of floats; a ``fun`` made by
+    ``straight_line_rhs`` has its lines pasted into that loop instead of being
+    called.  ``check(t, y)`` runs on each accepted step and may raise to stop.
 
     Returns the step ends ``t``, the states ``y`` there as columns, the
     right-hand-side call count ``nfev`` and ``sol``, the dense output at a
@@ -615,35 +736,13 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
         h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = float(min(100 * h0, h1, t_end - t, max_step))
 
-    step, dense = _dop853_kernels(n)
-    y, f = y.tolist(), f.tolist()
-    ts, ys, blocks, attempts = [t], [y], array("d"), 0   # blocks: 16 stages a step, as doubles
-    while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs, rejected = min(max(h_abs, min_step), max_step), False
-        while True:
-            if not h_abs >= min_step:   # NaN included
-                raise ConvergenceError(f"step size {h_abs:.3g} fell below ten float "
-                                       f"spacings at t = {t!r}")
-            t_new = min(t + h_abs, t_end)
-            h = h_abs = t_new - t
-            y_new, f_new, e5, e3, k = step(fun, t, h, y, f, rtol, atol)
-            attempts += 1
-            err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * n)
-            if err < 1:
-                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.125)
-            rejected = True
-        if check is not None:
-            check(t_new, y_new)
-        blocks.extend(k + dense(fun, t, h, y, k))
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
+    rows = bytearray()
+    solve = _dop853_kernel(n, getattr(fun, "source", None))(fun)
+    attempts = solve(t, t_end, h_abs, y.tolist(), f.tolist(), rtol, atol, max_step, check, rows)
     # dense coefficients of every step at once; K[:, 0] and K[:, 12] are f at its ends
-    T, Y, K = np.array(ts), np.array(ys), np.array(blocks).reshape(-1, 16, n)
+    steps = np.frombuffer(rows).reshape(-1, 1 + 17 * n)
+    T, Y = np.append(t, steps[:, 0]), np.vstack([y, steps[:, 1:n + 1]])
+    K = steps[:, n + 1:].reshape(-1, 16, n)
     h, dy = np.diff(T)[:, None], np.diff(Y, axis=0)
     F = np.concatenate([np.stack([dy, h * K[:, 0] - dy, 2 * dy - h * (K[:, 12] + K[:, 0])], 1),
                         h[..., None] * (_DOP_D @ K)], axis=1)

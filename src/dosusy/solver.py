@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import ConvergenceError, GeometryError
 from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
                     coupling_quantized, parse_kappa, potential, state_quantum_numbers)
-from .numkit import _distinct, bracketed_root, newton2d
+from .numkit import _distinct, bracketed_root, newton2d, straight_line_rhs
 from .numkit import dop853 as solve_ivp  # the orbit integrator; tracers and tests swap this name
 from .susy import _numerators_t, partner_plus_d2r, partner_plus_dr
 
@@ -445,21 +445,24 @@ _MAX_REVOLUTIONS = 100
 _MAX_SAMPLES = 1_000_000
 
 
-def _angle_rhs(kappa: float, w: float, inv_l: float):
-    """dX/d|theta| = (r^2 / |L|) dX/dt for the state X = (x, y, vx, vy, t)."""
-    # acc = (dU/d rho) (r^2 / |L|) / r, with dU/d rho =
-    # 2 w rho^(2k-3) [(1-k) + (1+k) rho^(2k)] / (1 + rho^(2k))^3 and
-    # rho^(2k-3) = rho^(2k) / r^3 from the one power per call
-    lo, hi, gain = 1.0 - kappa, 1.0 + kappa, 2.0 * w * inv_l
+# dX/d|theta| = (r^2 / |L|) dX/dt for the state X = (x, y, vx, vy, t), with
+# acc = (dU/d rho) (r^2 / |L|) / r, where dU/d rho =
+# 2 w rho^(2k-3) [(1-k) + (1+k) rho^(2k)] / (1 + rho^(2k))^3 and
+# rho^(2k-3) = rho^(2k) / r^3 from the one power per call
+_ANGLE_RHS = """
+def rhs(theta, x, y, vx, vy, clock):
+    r2 = x * x + y * y
+    dt = r2 * inv_l
+    p = r2 ** kappa
+    acc = gain * p * (lo + hi * p) / ((1.0 + p) ** 3 * r2)
+    return dt * vx, dt * vy, -acc * x, -acc * y, dt
+"""
 
-    def rhs(theta, s):
-        x, y, vx, vy, _t = s
-        r2 = x * x + y * y
-        dt = r2 * inv_l
-        p = r2 ** kappa
-        acc = gain * p * (lo + hi * p) / ((1.0 + p) ** 3 * r2)
-        return [dt * vx, dt * vy, -acc * x, -acc * y, dt]
-    return rhs
+
+def _angle_rhs(kappa: float, w: float, inv_l: float):
+    """The orbit's right-hand side in the accumulated angle, as straight-line source."""
+    return straight_line_rhs(_ANGLE_RHS, kappa=kappa, inv_l=inv_l, lo=1.0 - kappa,
+                             hi=1.0 + kappa, gain=2.0 * w * inv_l)
 
 
 def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
@@ -474,10 +477,6 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
     if not math.isfinite(direction_deg):
         raise ValueError(f"direction must be finite, got {direction_deg!r} deg")
     d = direction_deg % 360.0
-    if d == 0.0:
-        # L = 0 outward: the orbit creeps out at ever lower speed, never turning
-        raise ValueError(f"direction {direction_deg!r} deg is a radial launch outward; "
-                         "it has no angular momentum and never accumulates an angle")
     if d == 180.0:
         # L = 0 inward: the angle clock has no rate, and the plunge hits the origin
         raise GeometryError(f"direction {direction_deg!r} deg is a radial plunge; "
@@ -487,7 +486,13 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
     # a launch below the x axis is the exact mirror of the one at 360 - d above it
     phi = math.radians(min(d, 360.0 - d))
     state0 = [rho0, 0.0, v0 * math.cos(phi), math.copysign(v0 * math.sin(phi), 180.0 - d), 0.0]
-    inv_l = 1.0 / abs(rho0 * state0[3])
+    momentum = abs(rho0 * state0[3])
+    if momentum == 0.0:
+        # L = 0 outward (d = 0, or so near it that L underflows): the orbit
+        # creeps out at ever lower speed, never turning
+        raise ValueError(f"direction {direction_deg!r} deg is a radial launch outward; "
+                         "it has no angular momentum and never accumulates an angle")
+    inv_l = 1.0 / momentum
 
     def guard(theta, s):   # on each accepted step
         r = math.hypot(s[0], s[1])

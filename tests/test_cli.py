@@ -119,6 +119,15 @@ def test_eval_normalized_u_below_the_kappa_floor_is_a_failure(capsys):
     assert err.startswith("dosusy: failure: the norm needs kappa >= (2l+1)/700 = ")
 
 
+def test_eval_normalized_u_past_the_polynomial_range_names_the_state(capsys):
+    # p = 300, q = 113: C_p^(q)(1) = 1.8e154, whose square overflows
+    rc, out, err = run(capsys, "eval", "u", "--N", "376", "--l", "1", "--kappa", "1/75",
+                       "--rho", "2", "--normalized")
+    assert (rc, out) == (1, "")
+    assert err.startswith("dosusy: failure: the norm of state (N=376, l=1, kappa=0.01333")
+    assert "at degree p = 300 is out of reach: C_p^(q)(xi)^2 passes the float range" in err
+
+
 def test_a_tiny_positive_kappa_is_not_read_as_zero(capsys):
     rc, out, err = run(capsys, "eval", "U", "--kappa", "1e-20", "--w", "1", "--rho", "2")
     assert (rc, out, err) == (0, "-0.0625\n", "")
@@ -746,11 +755,13 @@ def test_figures_under_a_regular_file_is_a_filesystem_error(tmp_path, capsys):
 
 
 def test_trace_outward_radial_launch_is_a_usage_error(capsys):
-    rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3",
-                       "--rho", "0.5", "--direction", "0")
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("dosusy: error:") and "radial" in err
+    # near 0 deg the angular momentum underflows: rho0 v sin(phi) is 0.0
+    for rho, direction in (("0.5", "0"), ("0.5", "5e-324"), ("1e-5", "1e-318")):
+        rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3",
+                           "--rho", rho, "--direction", direction)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("dosusy: error:") and "radial" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--revolutions", "1e9"), ("--samples", "1000001")])

@@ -14,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dosusy import model, numkit, solver
 from dosusy.exceptions import ConvergenceError, QuadratureError
@@ -842,15 +844,20 @@ class TestDop853Kernel:
                      check=lambda t, y: check_args.append((type(t), type(y), *map(type, y))))
         assert len(fun_args) == sol.nfev and len(check_args) == len(sol.t) - 1
         assert set(fun_args) == set(check_args) == {(float, list, float, float)}
-        step, dense = numkit._dop853_kernels(2)
-        y_new, f_new, e5, e3, k = step(fun, 0.0, 0.1, [1.0, 0.0], [0.0, -1.0], 1e-10, 1e-12)
-        values = [*y_new, *f_new, e5, e3, *k, *dense(fun, 0.0, 0.1, [1.0, 0.0], k)]
-        assert len(values) == 2 + 2 + 2 + 13 * 2 + 3 * 2
-        assert {type(v) for v in values} == {float}
+        # the generated loop on both routes, a call and an orbit's pasted source
+        orbit = solver._angle_rhs(1.0, 5.0, 1.0)
+        for n, rhs, y0 in ((2, fun, [1.0, 0.0]), (5, orbit, [1.3, 0.0, 0.0, 1.0, 0.0])):
+            seen, rows = [], bytearray()
+            solve = numkit._dop853_kernel(n, getattr(rhs, "source", None))(rhs)
+            attempts = solve(0.0, 0.5, 0.1, y0, rhs(0.0, y0), 1e-10, 1e-12, math.inf,
+                             lambda t, y: seen.append((type(t), type(y), *map(type, y))), rows)
+            assert type(attempts) is int and attempts >= len(seen) > 0
+            assert set(seen) == {(float, list, *[float] * n)}
+            assert len(rows) == 8 * (1 + 17 * n) * len(seen)   # t, y and 16 stages a step
 
     def test_a_huge_finite_error_estimate_rejects_the_step(self):
         # one stage value of 1e160 under a pure absolute tolerance: its error
-        # terms are finite, their squares (written v * v, as v ** 2 would raise
+        # terms are finite, their squares (written p * p, as p ** 2 would raise
         # OverflowError) are inf, and the step is rejected
         def spike_at(call):
             calls = []
@@ -860,15 +867,84 @@ class TestDop853Kernel:
                 return [1e160 if len(calls) == call else math.cos(t)]
             return fun
 
-        step, _ = numkit._dop853_kernels(1)
-        _, _, e5, e3, _ = step(spike_at(5), 0.0, 0.1, [0.0], [1.0], 0.0, 1e-12)   # stage 5
-        assert e5 == e3 == math.inf
+        # the loop from h = 0.1 with the spike at stage 5 of its first attempt:
+        # e5 = e3 = inf make the norm NaN, a rejection cut by the factor 0.2
+        rows = bytearray()
+        solve = numkit._dop853_kernel(1, None)(spike_at(5))
+        attempts = solve(0.0, 0.1, 0.1, [0.0], [1.0], 0.0, 1e-12, math.inf, None, rows)
+        t = np.frombuffer(rows).reshape(-1, 18)[:, 0]
+        assert t[0] == 0.1 * 0.2 and t[-1] == 0.1 and attempts == len(t) + 1
         # the first attempt, 100 h0 = 1e-4, has the spike at call 7 (stage 5)
         # and is cut by the factor 0.2
         clean = dop853(spike_at(0), (0.0, 1.0), [0.0], rtol=0.0, atol=1e-12)
         got = dop853(spike_at(7), (0.0, 1.0), [0.0], rtol=0.0, atol=1e-12)
         assert clean.t[1] == 100 * 1e-6 and got.t[1] == clean.t[1] * 0.2
         assert abs(got.y[0, -1] - math.sin(1.0)) < 1e-10
+
+    def test_a_source_that_reads_the_time_steps_as_the_call(self):
+        fun = numkit.straight_line_rhs("def f(t, y):\n    return y * cos(t) - 0.1 * y * y,\n",
+                                       cos=math.cos)
+        call, span, y0, opts = _kernel_problem("scalar")   # the same arithmetic as a call
+        got, ref = dop853(fun, span, y0, **opts), dop853(call, span, y0, **opts)
+        assert got.nfev == ref.nfev
+        for a, b in ((got.t, ref.t), (got.y, ref.y), (got.sol(span[1] / 3), ref.sol(span[1] / 3))):
+            assert np.array_equal(_bits(a), _bits(b))
+
+    def test_a_source_is_one_straight_line_function(self):
+        for source in ("def f(t, y):\n    if y:\n        z = y\n    return y,\n",
+                       "def f(t, y):\n    y = 2.0 * y\n    return y,\n",   # assigns an argument
+                       "def f(t, y):\n    return y\n",   # not a tuple
+                       "def f(t, x, y):\n    return x,\n",   # two components, one derivative
+                       "f = 1.0\n"):
+            with pytest.raises(ValueError, match="straight-line"):
+                numkit.straight_line_rhs(source)
+        with pytest.raises(TypeError, match=r"takes the parameters \['c'\], got \['b', 'c'\]"):
+            numkit.straight_line_rhs("def f(t, y):\n    return c * y,\n", b=1.0, c=2.0)
+
+
+_KAPPAS = ("1", "1/2", "2", "3/2", "2/3", "1/3")
+
+
+def _orbit_solve(kappa, w, rho0, direction):
+    """(fun, span, y0, options) of the solve that tracing this orbit makes, not
+    made; None for a launch so near 0 deg that it has no angular momentum."""
+    calls = []
+    kappa_f, exact = model.parse_kappa(kappa)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve_ivp", lambda *args, **kwargs: calls.append((*args, kwargs)))
+        try:
+            solver._integrate_orbit(kappa_f, w, rho0, 2.0 * math.pi * exact.denominator,
+                                    direction)
+        except ValueError:
+            return None
+    (problem,) = calls
+    return problem
+
+
+def _outcome(fun, span, y0, opts):
+    try:
+        return dop853(fun, span, y0, **opts)
+    except Exception as exc:   # the guards, or the arithmetic of a wild stage
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.sampled_from(_KAPPAS), w=st.floats(1.0, 10.0), rho0=st.floats(0.3, 2.0),
+       direction=st.floats(0.0, 360.0, exclude_min=True, exclude_max=True).filter(
+           lambda d: d != 180.0))
+def test_the_pasted_orbit_source_steps_as_its_callable_bit_for_bit(kappa, w, rho0, direction):
+    problem = _orbit_solve(kappa, w, rho0, direction)
+    assume(problem is not None)
+    fun, span, y0, opts = problem
+    got = _outcome(fun, span, y0, opts)
+    ref = _outcome(lambda t, y: fun(t, y), span, y0, opts)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    mid = 0.5 * (ref.t[:-1] + ref.t[1:])
+    assert got.nfev == ref.nfev
+    for a, b in ((got.t, ref.t), (got.y, ref.y), (got.sol(mid), ref.sol(mid))):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 # ----------------------------------------------------------------------
