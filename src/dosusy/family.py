@@ -156,9 +156,11 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
     t, (integrand, e) = np.log(grid), _f_integrand(kappa, l, _POWER[side])
     res = bracketed_root(lambda s, a, ga: ga + integrate_adaptive(integrand, a, s),
                          t[i], t[i + 1], args=(t[i], np.ldexp(g[i], -e)))
-    if np.any(res.status != 0):
+    # status -1: the nodes' prefixes change sign but the probes from the left node do not,
+    # so the zero is within the probes' error of a node, and x is that node
+    if np.any(failed := res.status < -1):
         raise ConvergenceError(f"zero search of V_lambda failed near rho = "
-                               f"{grid[i][res.status != 0].tolist()}")
+                               f"{grid[i][failed].tolist()}")
     return np.sort(np.concatenate([grid[g == 0.0], np.exp(res.x)])).tolist()
 
 

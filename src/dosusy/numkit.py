@@ -579,22 +579,6 @@ def _rhs_lines(source: str, renamed: dict, targets) -> list[str]:
             *(f"{target} = {ast.unparse(e)}" for target, e in zip(targets, ret.value.elts))]
 
 
-@cache
-def _rhs_factory(source: str):
-    """``bind(params) -> fun(t, y)`` compiled from a straight-line source, and
-    the names of its parameters."""
-    _, args, _, params = _straight_line(source)
-    n = len(args) - 1
-    state = [f"y{i}" for i in range(n)]
-    body = [f"{', '.join(state)}, = y",
-            *_rhs_lines(source, dict(zip(args, ["t", *state])), [f"d{i}" for i in range(n)]),
-            f"return [{', '.join(f'd{i}' for i in range(n))}]"]
-    lines = ["def bind(params):", *(f"    {p}_ = params[{p!r}]" for p in params),
-             "    def rhs(t, y):", *(f"        {line}" for line in body), "    return rhs"]
-    exec(compile("\n".join(lines) + "\n", "<straight-line rhs>", "exec"), scope := {})
-    return scope["bind"], frozenset(params)
-
-
 def straight_line_rhs(source: str, **params):
     """A right-hand side ``fun(t, y)`` for ``dop853`` written as straight-line
     source, with its parameters bound.
@@ -602,58 +586,53 @@ def straight_line_rhs(source: str, **params):
     ``source`` is one function ``def f(t, y0, ..., y{n-1})`` of assignments to
     locals that returns the tuple of the n derivatives; each other name it
     reads is a parameter, given here by keyword.  ``fun`` is compiled from these
-    lines and returns a list of floats; ``dop853`` pastes the same lines into
-    its generated step loop in place of calls, with the parameters bound once
-    per solve.
+    lines and returns a list of floats; ``fun.solve`` is its DOP853 step loop,
+    with the same lines pasted into every stage, which ``dop853`` runs.
     """
-    bind, names = _rhs_factory(source)
+    bind, names = _straight_line_unit(source)
     if set(params) != names:
         raise TypeError(f"this right-hand side takes the parameters {sorted(names)}, "
                         f"got {sorted(params)}")
-    fun = bind(params)
-    fun.source, fun.params = source, params
+    fun, fun.solve = bind(params)
     return fun
 
 
 @cache
-def _dop853_kernel(n: int, source: str | None):
-    """The DOP853 step loop for n equations as one generated function on
-    Python-float locals, once per (n, source): stage s is k{s}_0 .. k{s}_{n-1},
-    nonzero table entries are repr literals.  Without ``source`` each stage
-    calls ``fun(t + c h, [...])``; with it the stage is the right-hand side's
-    straight-line source, and intermediate stages form only the arguments it
-    reads.  Stage 12 (c = 1) forms the whole new state u0 .. u{n-1}.
+def _straight_line_unit(source: str):
+    """``bind(params) -> (fun, solve)`` compiled in one unit from a
+    straight-line source, and the names of its parameters.
 
-    ``bind(fun)`` returns ``solve(t, t_end, h_abs, y, f, rtol, atol, max_step,
-    check, rows)``, which appends t, y and the 16 stages of each accepted step
-    to the bytearray ``rows`` as native doubles and returns the number of
-    attempts."""
+    ``fun(t, y)`` is the right-hand side.  ``solve`` is the DOP853 step loop
+    on Python-float locals: stage s is k{s}_0 .. k{s}_{n-1}, formed by the
+    source's lines, nonzero table entries are repr literals, and intermediate
+    stages form only the arguments the source reads.  Stage 12 (c = 1) forms
+    the whole new state u0 .. u{n-1}.  ``solve(t, t_end, h_abs, y, f, rtol,
+    atol, max_step, check, rows)`` appends t, y and the 16 stages of each
+    accepted step to the bytearray ``rows`` as native doubles and returns the
+    number of attempts."""
+    _, args, read, params = _straight_line(source)
+    n = len(args) - 1
+    reads = [i for i in range(n) if args[i + 1] in read]
+
+    def names(v):
+        return [f"{v}{i}" for i in range(n)]
+
     def ks(s):
         return "".join(f"k{s}_{i}, " for i in range(n))
 
     def dot(weights, i):
         return " + ".join(f"{float(a)!r} * k{j}_{i}" for j, a in enumerate(weights) if a)
 
-    if source is None:
-        head, reads = ["def bind(fun):"], range(n)
-
-        def rhs(s, z):
-            return [f"{ks(s)}= fun(t + {float(_DOP_C[s])!r} * h, [{', '.join(z)}])"]
-    else:
-        _, args, read, params = _straight_line(source)
-        head = ["def bind(fun):", *(f"    {p}_ = fun.params[{p!r}]" for p in params)]
-        reads = [i for i in range(n) if args[i + 1] in read]
-
-        def rhs(s, z):
-            clock = [f"tc = t + {float(_DOP_C[s])!r} * h"] if args[0] in read else []
-            return clock + _rhs_lines(source, dict(zip(args, ["tc", *z])),
-                                      [f"k{s}_{i}" for i in range(n)])
-
     def stage(s, z="z", form=reads):
-        names = [f"{z}{i}" for i in range(n)]
-        return [f"{names[i]} = y{i} + ({dot(_DOP_A[s, :s], i)}) * h" for i in form] + rhs(s, names)
+        clock = [f"tc = t + {float(_DOP_C[s])!r} * h"] if args[0] in read else []
+        return ([f"{z}{i} = y{i} + ({dot(_DOP_A[s, :s], i)}) * h" for i in form] + clock
+                + _rhs_lines(source, dict(zip(args, ["tc", *names(z)])), names(f"k{s}_")))
 
-    ys, us = (", ".join(f"{v}{i}" for i in range(n)) for v in "yu")
+    ys, us, ds = (", ".join(names(v)) for v in "yud")
+    rhs = ["def fun(t, y):", f"    {ys}, = y",
+           *(f"    {line}" for line in _rhs_lines(source, dict(zip(args, ["t", *names("y")])),
+                                                  names("d"))),
+           f"    return [{ds}]"]
     attempt = [stage(s) for s in range(1, 12)] + [stage(12, "u", range(n)), ["attempts += 1"]]
     for i in range(n):   # squares as p * p: a float ** 2 raises OverflowError past 1e154
         attempt.append([f"a, b = abs(u{i}), abs(y{i})",
@@ -686,13 +665,13 @@ def _dop853_kernel(n: int, source: str | None):
         *(f"        {line}" for s in range(13, 16) for line in stage(s)),
         f"        rows += pack(t_new, {us}, {''.join(ks(s) for s in range(16))})",
         f"        t, {ys}, {ks(0)}= t_new, {us}, {ks(12)}",
-        "    return attempts",
-        "return solve"]
-    source_text = "\n".join([*head, *(f"    {line}" for line in solve)]) + "\n"
+        "    return attempts"]
+    lines = ["def bind(params):", *(f"    {p}_ = params[{p!r}]" for p in params),
+             *(f"    {line}" for line in rhs + solve), "    return fun, solve"]
     scope = {"nextafter": math.nextafter, "inf": math.inf, "sqrt": math.sqrt,
              "ConvergenceError": ConvergenceError, "pack": Struct(f"{1 + 17 * n}d").pack}
-    exec(compile(source_text, f"<dop853 kernel n={n}>", "exec"), scope)
-    return scope["bind"]
+    exec(compile("\n".join(lines) + "\n", f"<straight-line rhs n={n}>", "exec"), scope)
+    return scope["bind"], frozenset(params)
 
 
 def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.inf,
@@ -703,11 +682,10 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
     atol + rtol max(|y_old|, |y_new|); a step passes when it is below 1, and
     the next step is 0.9 norm^(-1/8) times the last, the factor kept in
     [0.2, 10] (at most 1 after a rejection) and the step at most
-    ``max_step``.  The first step follows Hairer's initial-step rule.  The
-    step loop is one generated function on Python floats, so ``fun(t, y)``
-    gets a list and should return a sequence of floats; a ``fun`` made by
-    ``straight_line_rhs`` has its lines pasted into that loop instead of being
-    called.  ``check(t, y)`` runs on each accepted step and may raise to stop.
+    ``max_step``.  The first step follows Hairer's initial-step rule on
+    ``fun(t, y)``; the steps run in ``fun.solve``, so ``fun`` comes from
+    ``straight_line_rhs``, which compiles both from one source.  ``check(t, y)``
+    runs on each accepted step with the state as a list and may raise to stop.
 
     Returns the step ends ``t``, the states ``y`` there as columns, the
     right-hand-side call count ``nfev`` and ``sol``, the dense output at a
@@ -737,8 +715,8 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
     h_abs = float(min(100 * h0, h1, t_end - t, max_step))
 
     rows = bytearray()
-    solve = _dop853_kernel(n, getattr(fun, "source", None))(fun)
-    attempts = solve(t, t_end, h_abs, y.tolist(), f.tolist(), rtol, atol, max_step, check, rows)
+    attempts = fun.solve(t, t_end, h_abs, y.tolist(), f.tolist(), rtol, atol, max_step, check,
+                         rows)
     # dense coefficients of every step at once; K[:, 0] and K[:, 12] are f at its ends
     steps = np.frombuffer(rows).reshape(-1, 1 + 17 * n)
     T, Y = np.append(t, steps[:, 0]), np.vstack([y, steps[:, 1:n + 1]])
@@ -751,10 +729,11 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
         x = np.asarray(times, dtype=float)
         i = np.clip(np.searchsorted(T, x, side="right") - 1, 0, len(F) - 1)
         u = ((x - T[i]) / (T[i + 1] - T[i]))[..., None]
+        Fi, v = F[i], 1 - u
         out = np.zeros(x.shape + (n,))
         for k in range(6, -1, -1):   # Horner in u and 1 - u alternately
-            out += F[i, k]
-            out *= u if k % 2 == 0 else 1 - u
+            out += Fi[..., k, :]
+            out *= u if k % 2 == 0 else v
         return np.moveaxis(np.where((x == T[-1])[..., None], Y[-1], out + Y[i]), -1, 0)
 
     return SimpleNamespace(t=T, y=Y.T, nfev=2 + 12 * attempts + 3 * len(F), sol=sol)

@@ -487,12 +487,12 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
     phi = math.radians(min(d, 360.0 - d))
     state0 = [rho0, 0.0, v0 * math.cos(phi), math.copysign(v0 * math.sin(phi), 180.0 - d), 0.0]
     momentum = abs(rho0 * state0[3])
-    if momentum == 0.0:
-        # L = 0 outward (d = 0, or so near it that L underflows): the orbit
-        # creeps out at ever lower speed, never turning
+    inv_l = 1.0 / momentum if momentum else math.inf
+    if not math.isfinite(inv_l):
+        # L = 0 outward (d = 0, or so near it that L underflows or 1/L passes
+        # the float range): the orbit creeps out at ever lower speed, never turning
         raise ValueError(f"direction {direction_deg!r} deg is a radial launch outward; "
                          "it has no angular momentum and never accumulates an angle")
-    inv_l = 1.0 / momentum
 
     def guard(theta, s):   # on each accepted step
         r = math.hypot(s[0], s[1])

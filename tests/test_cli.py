@@ -754,14 +754,20 @@ def test_figures_under_a_regular_file_is_a_filesystem_error(tmp_path, capsys):
     assert err.startswith("dosusy: filesystem error:")
 
 
-def test_trace_outward_radial_launch_is_a_usage_error(capsys):
-    # near 0 deg the angular momentum underflows: rho0 v sin(phi) is 0.0
-    for rho, direction in (("0.5", "0"), ("0.5", "5e-324"), ("1e-5", "1e-318")):
+def test_trace_outward_radial_launch_is_a_usage_error(capsys, monkeypatch):
+    # near 0 deg the angular momentum L = rho0 v sin(phi) underflows to 0.0, or at
+    # (0.3, 3e-322) is subnormal with 1/L inf: each is refused before the solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit with no finite 1/L was integrated")
+
+    monkeypatch.setattr(dosusy.solver, "solve_ivp", refuse)
+    for rho, direction in (("0.5", "0"), ("0.5", "5e-324"), ("1e-5", "1e-318"),
+                           ("0.3", "3e-322")):
         rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3",
                            "--rho", rho, "--direction", direction)
         assert rc == 2
         assert out == ""
-        assert err.startswith("dosusy: error:") and "radial" in err
+        assert err.startswith(f"dosusy: error: direction {float(direction)!r} deg is a radial")
 
 
 @pytest.mark.parametrize("flag, value", [("--revolutions", "1e9"), ("--samples", "1000001")])

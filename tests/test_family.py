@@ -258,6 +258,15 @@ def test_v_zeros_shifted_member():
     assert zs == pytest.approx([oracle], abs=1e-9)
 
 
+def test_v_zeros_on_a_grid_node():
+    # The zero of rho - 1/rho + lambda is the middle node.  The nodes' prefixes change sign
+    # across it, but the probe from the left node reaches it at -8.9e-16, the other sign.
+    root = 10.0 ** 0.125
+    grid = np.geomspace(root / 10.0, root * 10.0, 3)
+    assert v_zeros(1.0, 0, -(root - 1.0 / root), "bosonic", grid) == pytest.approx([root],
+                                                                                  rel=1e-14)
+
+
 def test_v_zeros_probes_integrate_from_the_bracket(monkeypatch):
     # The prefix sweep over the grid runs in numkit; here each root-search
     # probe is one short quadrature from its bracket's left node.
@@ -268,6 +277,34 @@ def test_v_zeros_probes_integrate_from_the_bracket(monkeypatch):
     zs = v_zeros(1.0, 0, -0.5, "bosonic", np.geomspace(0.2, 5.0, 301))
     assert zs == pytest.approx([(0.5 + math.sqrt(4.25)) / 2.0], abs=1e-12)
     assert len(calls) <= 12
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.sampled_from(["bosonic", "fermionic"]), kappa=st.floats(0.2, 4.0),
+       l=st.integers(0, 4), log_root=st.floats(-1.5, 1.5), below=st.floats(0.01, 1.0),
+       above=st.floats(0.01, 1.0), nodes=st.integers(2, 50))
+def test_v_zeros_is_the_one_root_of_the_z_form(side, kappa, l, log_root, below, above, nodes):
+    # lambda = -I(root) makes lambda + I, monotone in rho, vanish once on a grid spanning
+    # root.  v_zeros forms lambda + I as the prefix lambda + I(left) at the bracket's left
+    # node plus one quadrature from it, so at the zero found |lambda + I| is within 1e-10 of
+    # the integrals it is made of, 1 + |lambda| + |I(left)|, plus the slope dI/dt = rho f^+-2
+    # times the search's tolerance in t
+    root = 10.0 ** log_root
+    with mp.workdps(20):
+        integral, f2 = _z_form(root, kappa, l, side)
+        lam = -float(integral)
+        slope = float(root * (f2 if side == "fermionic" else 1 / f2))
+    # a smaller slope leaves lambda + I rounding noise at every node
+    assume(slope >= 1e-6 * (1.0 + abs(lam)))
+    grid = np.geomspace(root / 10.0 ** below, root * 10.0 ** above, nodes)
+    (zero,) = v_zeros(kappa, l, lam, side, grid)
+    left = grid[np.searchsorted(grid, zero, side="right") - 1]
+    with mp.workdps(20):
+        residual = float(abs(lam + _z_form(zero, kappa, l, side)[0]))
+        prefix = float(abs(_z_form(left, kappa, l, side)[0]))
+    eps = np.finfo(float).eps
+    assert residual <= (1e-10 * (1.0 + abs(lam) + prefix)
+                        + slope * (1e-14 + 4 * eps * abs(math.log(zero))))
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from dosusy.numkit import (
     grid_derivative,
     integrate_adaptive,
     newton2d,
+    straight_line_rhs,
 )
 
 RNG = np.random.default_rng(20260814)
@@ -636,9 +637,21 @@ class TestBracketedRoot:
 # DOP853
 # ----------------------------------------------------------------------
 
+_OSCILLATOR = "def f(t, y, v):\n    return v, -y\n"   # y'' = -y
+_CONSTANT = "def f(t, y):\n    return 1.0,\n"   # y' = 1
+
+
+def _calling(g, n):
+    """A straight-line right-hand side whose one statement calls the Python
+    function ``g(t, [y0, ..., y{n-1}])``: each stage calls it as ``g(t + c h,
+    [...])``, so it can count calls or record what it is given."""
+    ys, ds = (", ".join(f"{v}{i}" for i in range(n)) for v in "yd")
+    return straight_line_rhs(f"def f(t, {ys}):\n    {ds}, = g(t, [{ys}])\n    return {ds},\n", g=g)
+
+
 def _oscillator():
     # y'' = -y from (1, 0): y = cos t, y' = -sin t, over ten periods
-    return dop853(lambda t, y: [y[1], -y[0]], (0.0, 20.0 * math.pi), [1.0, 0.0],
+    return dop853(straight_line_rhs(_OSCILLATOR), (0.0, 20.0 * math.pi), [1.0, 0.0],
                   rtol=1e-12, atol=1e-14)
 
 
@@ -671,8 +684,8 @@ class TestDop853:
         np.testing.assert_allclose(numkit._DOP_A[12, :12], coeffs.B, rtol=1e-15, atol=0.0)
 
     def test_check_runs_on_each_accepted_step_and_can_stop_it(self):
-        seen = []
-        dop853(lambda t, y: [1.0], (0.0, 1.0), [0.0], rtol=1e-8, atol=1e-10,
+        seen, one = [], straight_line_rhs(_CONSTANT)
+        dop853(one, (0.0, 1.0), [0.0], rtol=1e-8, atol=1e-10,
                max_step=0.1, check=lambda t, y: seen.append(t))
         assert len(seen) >= 10 and seen[-1] == 1.0
 
@@ -683,21 +696,22 @@ class TestDop853:
             if y[0] > 0.5:
                 raise Stop(t)
         with pytest.raises(Stop):
-            dop853(lambda t, y: [1.0], (0.0, 1.0), [0.0], rtol=1e-8, atol=1e-10,
-                   max_step=0.1, check=stop)
+            dop853(one, (0.0, 1.0), [0.0], rtol=1e-8, atol=1e-10, max_step=0.1, check=stop)
 
     def test_a_blow_up_stops_with_a_convergence_error(self):
         # y' = y^2 from y(0) = 1 is 1/(1 - t): the steps shrink toward t = 1
         with pytest.raises(ConvergenceError, match="float spacings"):
-            dop853(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-10)
-        for rhs, y0 in ((lambda t, y: [math.nan], 0.0), (lambda t, y: [1.0], math.nan)):
+            dop853(straight_line_rhs("def f(t, y):\n    return y * y,\n"), (0.0, 2.0), [1.0],
+                   rtol=1e-8, atol=1e-10)
+        for rhs, y0 in ((straight_line_rhs("def f(t, y):\n    return nan,\n", nan=math.nan), 0.0),
+                        (straight_line_rhs(_CONSTANT), math.nan)):
             with pytest.raises(ConvergenceError, match="float spacings"):   # a NaN step too
                 dop853(rhs, (0.0, 1.0), [y0], rtol=1e-8, atol=1e-10)
 
     def test_span_must_run_forward(self):
         for span in ((1.0, 1.0), (1.0, 0.0), (0.0, math.nan), (0.0, math.inf)):
             with pytest.raises(ValueError, match="forward"):
-                dop853(lambda t, y: [1.0], span, [0.0], rtol=1e-8, atol=1e-10)
+                dop853(straight_line_rhs(_CONSTANT), span, [0.0], rtol=1e-8, atol=1e-10)
 
 
 def _reference_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf, blas=False):
@@ -784,12 +798,15 @@ def _orbit_problem(kappa, w, rho0, direction):
     return problem
 
 
+_SCALAR = "def f(t, y):\n    return y * cos(t) - 0.1 * y * y,\n"
+
+
 def _kernel_problem(case):
     if case == "scalar":
-        return (lambda t, y: [y[0] * math.cos(t) - 0.1 * y[0] * y[0]], (0.0, 30.0), [0.5],
+        return (straight_line_rhs(_SCALAR, cos=math.cos), (0.0, 30.0), [0.5],
                 dict(rtol=1e-10, atol=1e-12))
     if case == "oscillator":
-        return (lambda t, y: [y[1], -y[0]], (0.0, 20.0 * math.pi), [1.0, 0.0],
+        return (straight_line_rhs(_OSCILLATOR), (0.0, 20.0 * math.pi), [1.0, 0.0],
                 dict(rtol=1e-12, atol=1e-14))
     return _orbit_problem(*case)
 
@@ -817,6 +834,22 @@ class TestDop853Kernel:
         np.testing.assert_allclose(got.sol(mid), ref.y[:, :-1] + dense, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(ref.y)))
 
+    def test_dense_output_is_the_horner_loop_bit_for_bit(self):
+        # the dense output as first written: F[i, k] gathered once per
+        # coefficient and 1 - u formed at each odd k, on the reference's steps
+        fun, span, y0, opts = _orbit_problem("1", 3.0, 0.5, 63.0)
+        got, ref = dop853(fun, span, y0, **opts), _reference_dop853(fun, span, y0, **opts)
+        T, Y, F = ref.t, ref.y.T, ref.F
+        x = np.random.default_rng(38).uniform(0.0, T[-1], 1000)
+        i = np.clip(np.searchsorted(T, x, side="right") - 1, 0, len(F) - 1)
+        u = ((x - T[i]) / (T[i + 1] - T[i]))[..., None]
+        out = np.zeros(x.shape + (Y.shape[1],))
+        for k in range(6, -1, -1):
+            out += F[i, k]
+            out *= u if k % 2 == 0 else 1 - u
+        expected = np.moveaxis(np.where((x == T[-1])[..., None], Y[-1], out + Y[i]), -1, 0)
+        assert np.array_equal(_bits(got.sol(x)), _bits(expected))
+
     @pytest.mark.parametrize("case", ["oscillator", *_ORBITS], ids=_case_id)
     def test_same_steps_as_the_blas_loop(self, case):
         # BLAS sums round differently.  The error estimates cancel O(1) stage
@@ -836,21 +869,22 @@ class TestDop853Kernel:
         # would turn every step into numpy-scalar arithmetic
         fun_args, check_args = [], []
 
-        def fun(t, y):
+        def g(t, y):
             fun_args.append((type(t), type(y), *map(type, y)))
             return [y[1], -y[0]]
 
+        fun = _calling(g, 2)
         sol = dop853(fun, (0.0, 1.0), np.array([1.0, 0.0]), rtol=1e-10, atol=1e-12,
                      check=lambda t, y: check_args.append((type(t), type(y), *map(type, y))))
         assert len(fun_args) == sol.nfev and len(check_args) == len(sol.t) - 1
         assert set(fun_args) == set(check_args) == {(float, list, float, float)}
-        # the generated loop on both routes, a call and an orbit's pasted source
+        # the generated loop itself, on a source that calls and on an orbit's source
         orbit = solver._angle_rhs(1.0, 5.0, 1.0)
         for n, rhs, y0 in ((2, fun, [1.0, 0.0]), (5, orbit, [1.3, 0.0, 0.0, 1.0, 0.0])):
             seen, rows = [], bytearray()
-            solve = numkit._dop853_kernel(n, getattr(rhs, "source", None))(rhs)
-            attempts = solve(0.0, 0.5, 0.1, y0, rhs(0.0, y0), 1e-10, 1e-12, math.inf,
-                             lambda t, y: seen.append((type(t), type(y), *map(type, y))), rows)
+            attempts = rhs.solve(0.0, 0.5, 0.1, y0, rhs(0.0, y0), 1e-10, 1e-12, math.inf,
+                                 lambda t, y: seen.append((type(t), type(y), *map(type, y))),
+                                 rows)
             assert type(attempts) is int and attempts >= len(seen) > 0
             assert set(seen) == {(float, list, *[float] * n)}
             assert len(rows) == 8 * (1 + 17 * n) * len(seen)   # t, y and 16 stages a step
@@ -862,16 +896,16 @@ class TestDop853Kernel:
         def spike_at(call):
             calls = []
 
-            def fun(t, y):
+            def g(t, y):
                 calls.append(t)
                 return [1e160 if len(calls) == call else math.cos(t)]
-            return fun
+            return _calling(g, 1)
 
         # the loop from h = 0.1 with the spike at stage 5 of its first attempt:
         # e5 = e3 = inf make the norm NaN, a rejection cut by the factor 0.2
         rows = bytearray()
-        solve = numkit._dop853_kernel(1, None)(spike_at(5))
-        attempts = solve(0.0, 0.1, 0.1, [0.0], [1.0], 0.0, 1e-12, math.inf, None, rows)
+        attempts = spike_at(5).solve(0.0, 0.1, 0.1, [0.0], [1.0], 0.0, 1e-12, math.inf, None,
+                                     rows)
         t = np.frombuffer(rows).reshape(-1, 18)[:, 0]
         assert t[0] == 0.1 * 0.2 and t[-1] == 0.1 and attempts == len(t) + 1
         # the first attempt, 100 h0 = 1e-4, has the spike at call 7 (stage 5)
@@ -882,9 +916,9 @@ class TestDop853Kernel:
         assert abs(got.y[0, -1] - math.sin(1.0)) < 1e-10
 
     def test_a_source_that_reads_the_time_steps_as_the_call(self):
-        fun = numkit.straight_line_rhs("def f(t, y):\n    return y * cos(t) - 0.1 * y * y,\n",
-                                       cos=math.cos)
-        call, span, y0, opts = _kernel_problem("scalar")   # the same arithmetic as a call
+        fun, span, y0, opts = _kernel_problem("scalar")
+        # the same arithmetic in a Python function that each stage calls
+        call = _calling(lambda t, y: [y[0] * math.cos(t) - 0.1 * y[0] * y[0]], 1)
         got, ref = dop853(fun, span, y0, **opts), dop853(call, span, y0, **opts)
         assert got.nfev == ref.nfev
         for a, b in ((got.t, ref.t), (got.y, ref.y), (got.sol(span[1] / 3), ref.sol(span[1] / 3))):
@@ -897,9 +931,9 @@ class TestDop853Kernel:
                        "def f(t, x, y):\n    return x,\n",   # two components, one derivative
                        "f = 1.0\n"):
             with pytest.raises(ValueError, match="straight-line"):
-                numkit.straight_line_rhs(source)
+                straight_line_rhs(source)
         with pytest.raises(TypeError, match=r"takes the parameters \['c'\], got \['b', 'c'\]"):
-            numkit.straight_line_rhs("def f(t, y):\n    return c * y,\n", b=1.0, c=2.0)
+            straight_line_rhs("def f(t, y):\n    return c * y,\n", b=1.0, c=2.0)
 
 
 _KAPPAS = ("1", "1/2", "2", "3/2", "2/3", "1/3")
@@ -937,7 +971,7 @@ def test_the_pasted_orbit_source_steps_as_its_callable_bit_for_bit(kappa, w, rho
     assume(problem is not None)
     fun, span, y0, opts = problem
     got = _outcome(fun, span, y0, opts)
-    ref = _outcome(lambda t, y: fun(t, y), span, y0, opts)
+    ref = _outcome(_calling(fun, 5), span, y0, opts)   # each stage calls the orbit's callable
     if isinstance(ref, tuple):
         assert got == ref
         return
