@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verified statement: id, inputs, one number, one threshold."""
+    """One verified statement: id, inputs, one number, one threshold.  params, measured and
+    threshold are plain JSON values as the check builds them; to_dict converts nothing."""
 
     check_id: str
     params: dict
@@ -50,27 +50,11 @@ class CheckResult:
     def to_dict(self) -> dict:
         return {
             "check_id": self.check_id,
-            "params": _jsonable(self.params),
-            "measured": _jsonable(self.measured),
-            "threshold": _jsonable(self.threshold),
-            "pass": bool(self.passed),
+            "params": self.params,
+            "measured": self.measured,
+            "threshold": self.threshold,
+            "pass": self.passed,
         }
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
 
 
 def _fmt_kappa(kappa: float) -> str:

@@ -69,9 +69,10 @@ def _check_member(lam: float, side: str) -> None:
 
 def _tail_integral(rho, kappa: float, l: int, side: str):
     """Integral of f^-2 (bosonic) or f^2 (fermionic) from rho_ref=1 to each rho (any shape), on
-    model's scaled integrand in t = ln rho (scale 1/kappa), prefix-summed in one quadrature call."""
+    model's scaled integrand in t = ln rho, prefix-summed in one quadrature call; segments
+    longer than 2/kappa, twice the integrand's scale about the anchor, are cut."""
     integrand, e = _f_integrand(kappa, l, _POWER[side])
-    return np.ldexp(_anchored_integral(integrand, 0.0, np.log(rho)), e)
+    return np.ldexp(_anchored_integral(integrand, 0.0, np.log(rho), 2.0 / kappa), e)
 
 
 def _v_lambda(rho, lam, integral, kappa: float, l: int, side: str):

@@ -239,17 +239,27 @@ def _median(x) -> float:
     return float(0.0 + x[h] if len(x) % 2 else (0.0 + x[h - 1] + x[h]) / 2.0)
 
 
-def _anchored_integral(f, anchor: float, pts):
+def _anchored_integral(f, anchor: float, pts, scale: float):
     """Integral of f from ``anchor`` to each of ``pts`` (any shape, unsorted;
-    a scalar point gives a float).
+    a scalar point gives a float), for an f that changes on the length
+    ``scale`` about the anchor.
 
     The segments between neighbouring distinct points, anchor included, go
     to one quadrature call and are summed outward from the anchor: a point
-    reads only the segments between it and the anchor, and a single point is
-    exactly the direct integral.
+    reads only the segments between it and the anchor.  A segment longer than
+    ``scale`` is first cut at the breakpoints anchor +- scale 2^k inside it, so
+    none is longer than both ``scale`` and its distance from the anchor: one long
+    panel can err far more than its |K15 - G7| estimate.  With ``scale`` = inf a single
+    point is exactly the direct integral.
     """
     x = np.asarray(pts, dtype=float)
     nodes = _distinct(np.append(x, anchor))
+    if np.max(np.diff(nodes), initial=0.0) > scale:
+        steps = scale * 2.0 ** np.arange(math.ceil(math.log2(np.ptp(nodes) / scale)))
+        cuts = np.concatenate([anchor - steps, anchor + steps])
+        j = np.clip(np.searchsorted(nodes, cuts), 1, nodes.size - 1)   # the segment each cut is in
+        cuts = cuts[(nodes[j - 1] < cuts) & (cuts < nodes[j]) & (nodes[j] - nodes[j - 1] > scale)]
+        nodes = np.sort(np.append(nodes, cuts))
     seg = integrate_adaptive(f, nodes[:-1], nodes[1:])
     k = np.searchsorted(nodes, anchor)
     cum = np.concatenate([-np.cumsum(seg[:k][::-1])[::-1], [0.0], np.cumsum(seg[k:])])

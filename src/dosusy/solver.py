@@ -488,8 +488,8 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
     state0 = [rho0, 0.0, v0 * math.cos(phi), math.copysign(v0 * math.sin(phi), 180.0 - d), 0.0]
     momentum = abs(rho0 * state0[3])
     inv_l = 1.0 / momentum if momentum else math.inf
-    if not math.isfinite(inv_l):
-        # L = 0 outward (d = 0, or so near it that L underflows or 1/L passes
+    if not math.isfinite(2.0 * w * inv_l):   # finite iff every parameter the orbit binds is
+        # L = 0 outward (d = 0, or so near it that L underflows or 1/L or 2w/L passes
         # the float range): the orbit creeps out at ever lower speed, never turning
         raise ValueError(f"direction {direction_deg!r} deg is a radial launch outward; "
                          "it has no angular momentum and never accumulates an angle")
@@ -503,8 +503,12 @@ def _integrate_orbit(kappa: float, w: float, rho0: float, angle: float,
             raise GeometryError(f"orbit escaped beyond rho = 1e3 at t = {s[4]:.6g}",
                                 kind="escape", rho=1e3)
 
-    sol = solve_ivp(_angle_rhs(kappa, w, inv_l), (0.0, angle), state0, rtol=_RTOL,
-                    atol=1e-14, max_step=_MAX_ANGLE_STEP, check=guard)
+    try:
+        sol = solve_ivp(_angle_rhs(kappa, w, inv_l), (0.0, angle), state0, rtol=_RTOL,
+                        atol=1e-14, max_step=_MAX_ANGLE_STEP, check=guard)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"direction {direction_deg!r} deg launches with angular momentum "
+                               f"L = {momentum:.3g}: {exc}") from exc
     return sol, np.array(state0), v0
 
 

@@ -270,12 +270,13 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
     anchored at xi = 0, i.e. rho = 1, and taken in t = ln rho: there
     d xi/dt = -kappa (1 - xi^2), so Q(xi) d xi = (2q+1) kappa xi(t) dt with a
     bounded integrand, even where xi rounds to +-1.  The integrals to all
-    grid points are one prefix-summed quadrature call.
+    grid points are one prefix-summed quadrature call, on segments cut at
+    2/kappa, twice the scale of xi = -tanh(kappa t).
     """
     grid, _ = _check_rho(grid)
     q = (2.0 * l + 1.0) / (2.0 * kappa) + 0.5
     integral = (2.0 * q + 1.0) * kappa * _anchored_integral(
-        lambda t: _xi(rho := np.exp(t), _fold(rho, kappa)[1]), 0.0, np.log(grid))
+        lambda t: _xi(rho := np.exp(t), _fold(rho, kappa)[1]), 0.0, np.log(grid), 2.0 / kappa)
     # |d xi/d rho| = 4 kappa p v^2 / rho on the fold, p = x^(2 kappa): taken in logs
     # so that neither it nor its inverse square root overflows
     x, p, _ = _fold(grid, kappa)

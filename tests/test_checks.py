@@ -2,7 +2,6 @@
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,23 +27,30 @@ def test_suite_registry_names():
     )
 
 
-def test_result_serialization_handles_numpy_and_fractions():
-    res = CheckResult(
-        check_id="demo:one",
-        params={"kappa": Fraction(1, 2), "l": np.int64(3),
-                "flag": np.bool_(True), "dev": np.float64(0.25)},
-        measured=float(np.float64(1e-12)),
-        threshold=1e-10,
-        passed=True,
-    )
-    d = res.to_dict()
-    assert set(d) == {"check_id", "params", "measured", "threshold", "pass"}
-    # every leaf must be a plain JSON type
-    payload = json.dumps(d)
-    back = json.loads(payload)
-    assert back["pass"] is True
-    assert back["params"]["l"] == 3
-    assert back["params"]["flag"] is True
+def _json_native(x) -> bool:
+    """True iff x is built of exactly dict (str keys), list, str, int, float, bool and None."""
+    if type(x) is dict:
+        return all(type(k) is str and _json_native(v) for k, v in x.items())
+    if type(x) is list:
+        return all(map(_json_native, x))
+    return x is None or type(x) in (str, int, float, bool)
+
+
+def test_every_result_is_built_json_native():
+    # to_dict hands the values on as the checks built them, so they must be plain JSON
+    for r in run_suites(("all",)):
+        d = r.to_dict()
+        assert set(d) == {"check_id", "params", "measured", "threshold", "pass"}
+        assert _json_native(d), r.check_id
+        assert d["params"] is r.params and type(d["pass"]) is bool
+
+
+def test_a_numpy_param_makes_the_report_raise():
+    # nothing coerces a value a check built: a numpy integer fails where it is written
+    res = CheckResult("demo:one", {"suite": "demo", "l": np.int64(3)}, 0.0, 1.0, True)
+    assert not _json_native(res.to_dict())
+    with pytest.raises(TypeError):
+        report_json([res])
 
 
 def test_kappa_labels_are_parse_kappa_fractions():

@@ -756,18 +756,29 @@ def test_figures_under_a_regular_file_is_a_filesystem_error(tmp_path, capsys):
 
 def test_trace_outward_radial_launch_is_a_usage_error(capsys, monkeypatch):
     # near 0 deg the angular momentum L = rho0 v sin(phi) underflows to 0.0, or at
-    # (0.3, 3e-322) is subnormal with 1/L inf: each is refused before the solve
+    # (0.3, 3e-322) is subnormal with 1/L inf, or at (0.3, 1e-306) has 1/L finite but the
+    # gain 2w/L inf: each is refused before the solve
     def refuse(*args, **kwargs):
-        raise AssertionError("an orbit with no finite 1/L was integrated")
+        raise AssertionError("an orbit with a non-finite parameter was integrated")
 
     monkeypatch.setattr(dosusy.solver, "solve_ivp", refuse)
     for rho, direction in (("0.5", "0"), ("0.5", "5e-324"), ("1e-5", "1e-318"),
-                           ("0.3", "3e-322")):
+                           ("0.3", "3e-322"), ("0.3", "1e-306")):
         rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3",
                            "--rho", rho, "--direction", direction)
         assert rc == 2
         assert out == ""
         assert err.startswith(f"dosusy: error: direction {float(direction)!r} deg is a radial")
+
+
+def test_trace_launch_that_fails_at_its_first_step_names_it(capsys):
+    # at 1e-300 deg every parameter is finite, but the first step falls below its floor
+    rc, out, err = run(capsys, "trace", "--kappa", "1", "--w", "3", "--rho", "0.3",
+                       "--direction", "1e-300")
+    assert (rc, out) == (1, "")
+    assert err.startswith("dosusy: failure: direction 1e-300 deg launches with angular "
+                          "momentum L = 1.18e-302: step size")
+    assert err.endswith("at t = 0.0\n")
 
 
 @pytest.mark.parametrize("flag, value", [("--revolutions", "1e9"), ("--samples", "1000001")])

@@ -225,28 +225,42 @@ class TestQuadrature:
     def test_anchored_integral_over_an_unsorted_2d_array_with_repeats(self):
         # pts on both sides of the anchor, repeated, and equal to it
         pts = np.array([[2.5, 0.3, 1.0], [0.3, 4.0, 1.0]])
-        got = numkit._anchored_integral(np.cos, 1.0, pts)
+        got = numkit._anchored_integral(np.cos, 1.0, pts, math.inf)
         assert got.shape == (2, 3)
         np.testing.assert_allclose(got, np.sin(pts) - math.sin(1.0), rtol=1e-13, atol=1e-15)
         assert got[0, 1] == got[1, 0] and got[0, 2] == got[1, 2] == 0.0
 
     def test_anchored_integral_at_the_anchor_only(self):
-        assert numkit._anchored_integral(np.cos, 1.0, 1.0) == 0.0
-        assert numkit._anchored_integral(np.cos, 1.0, np.ones(3)).tolist() == [0.0] * 3
+        assert numkit._anchored_integral(np.cos, 1.0, 1.0, math.inf) == 0.0
+        assert numkit._anchored_integral(np.cos, 1.0, np.ones(3), math.inf).tolist() == [0.0] * 3
 
     def test_anchored_integral_sums_outward_from_the_anchor(self):
         # Each point reads only the segments between it and the anchor, never the
         # difference of two sums as large as the farthest segment (here e^56 / 7).
         f = lambda t: np.exp(-7.0 * t)  # noqa: E731
         pts = [-8.0, -0.05, 0.05, 8.0]
-        got = numkit._anchored_integral(f, 0.0, pts)
-        expected = [numkit._anchored_integral(f, 0.0, x) for x in pts]
+        got = numkit._anchored_integral(f, 0.0, pts, math.inf)
+        expected = [numkit._anchored_integral(f, 0.0, x, math.inf) for x in pts]
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_anchored_integral_cuts_long_segments_at_dyadic_breakpoints(self, monkeypatch):
+        # a segment longer than the scale is cut at anchor +- scale 2^k inside it,
+        # a shorter one is not: (0.5, 7.5) at 1, 2, 4 and (-0.5, 0) nowhere
+        limits = []
+
+        def recorded(f, a, b):
+            limits.append((a.tolist(), b.tolist()))
+            return integrate_adaptive(f, a, b)
+
+        monkeypatch.setattr(numkit, "integrate_adaptive", recorded)
+        got = numkit._anchored_integral(np.cos, 0.0, [-0.5, 0.5, 7.5], 1.0)
+        assert limits == [([-0.5, 0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 0.5, 1.0, 2.0, 4.0, 7.5])]
+        np.testing.assert_allclose(got, np.sin([-0.5, 0.5, 7.5]), rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("x", [0.2, 1.0, 3.7])
     def test_anchored_integral_at_one_point_is_the_direct_integral(self, x):
         f = lambda r: 1.0 / (1.0 + r * r) + np.cos(3.0 * r)  # noqa: E731
-        got = numkit._anchored_integral(f, 1.0, x)
+        got = numkit._anchored_integral(f, 1.0, x, math.inf)
         assert type(got) is float
         assert got == integrate_adaptive(f, 1.0, x)
 

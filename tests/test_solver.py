@@ -617,8 +617,9 @@ def test_near_radial_plunge_stops_at_the_origin_guard():
     assert t == pytest.approx(0.1532, rel=1e-3)
 
 
-# at 5e-324 deg L = rho0 v sin(phi) underflows to 0.0; at 3e-322 it is subnormal and 1/L is inf
-@pytest.mark.parametrize("direction", [0.0, 360.0, -720.0, 5e-324, 3e-322])
+# at 5e-324 deg L = rho0 v sin(phi) underflows to 0.0; at 3e-322 it is subnormal and 1/L is
+# inf; at 1e-306 1/L is finite but the gain 2w/L is inf
+@pytest.mark.parametrize("direction", [0.0, 360.0, -720.0, 5e-324, 3e-322, 1e-306])
 def test_outward_radial_launch_is_rejected_up_front(direction, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an orbit with no angular momentum was integrated")
