@@ -143,11 +143,12 @@ def _z_form(rho, kappa, l, side):
     A, B = (s * (2 * l + 2) + 1) / (2 * k) - 1, (2 * s * l - 1) / (2 * k) - 1
     P, Q, sign = (A, B, -1) if rho < 1.0 else (B, A, 1)
 
-    def integrand(v):   # w^P (1 - w)^Q dw with w = e^v / 2
-        w = mp.exp(v) / 2
-        return w ** (P + 1) * (1 - w) ** Q
+    def integrand(v):   # w^P (1 - w)^Q dw with w = e^v / 2, times 2^(P + 1 + Q): 1 at v = 0
+        return mp.exp((P + 1) * v) * (2 - mp.exp(v)) ** Q
 
-    integral = sign * mp.quad(integrand, [-mp.log1p(mp.expm1(y) / 2), 0]) / (2 * k)
+    # mp.quad stops on an absolute error, so the integrand is scaled to 1 at w = 1/2
+    integral = sign * mp.quad(integrand, [-mp.log1p(mp.expm1(y) / 2), 0])
+    integral /= 2 * k * 2 ** (P + 1 + Q)
     return integral, z ** ((l + 1) / k) * T ** (l / k)
 
 
@@ -157,6 +158,8 @@ def _z_form(rho, kappa, l, side):
 # one long panel from the anchor passed its error estimate at these, 1.5e-9 and 1.8e-7 off
 @example(side="bosonic", kappa=3.258879318786974, l=0, lam=0.0, log_rho=3.258879318786974)
 @example(side="fermionic", kappa=3.7714285714285714, l=3, lam=0.0, log_rho=14.026624834362995)
+# an unscaled oracle integrand summed to I ~ 1e-14 at 1e-22 absolute error, 2.2e-9 off
+@example(side="fermionic", kappa=0.201171875, l=4, lam=0.0, log_rho=-3.5)
 def test_v_family_is_the_z_form(side, kappa, l, lam, log_rho):
     # V = -f^2 (lambda + I_-) or f^-2 (lambda + I_+), to 1e-9 of its scale f^+-2 (|lambda| + |I|)
     rho = 10.0 ** log_rho
