@@ -142,8 +142,9 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
     change of that term between grid nodes is refined in one bracketed root
     search in t = ln rho (``numkit.bracketed_root``, to 1e-14 + 4 eps |t|) on
     the integrand of the nodes' prefix integrals; each probe sweep is one
-    quadrature call from the brackets' left nodes.  Zeros are a legitimate
-    feature of family members — they are returned, not raised.
+    quadrature call from each bracket's node nearer rho = 1, whose smaller
+    prefix rounds less where a far node's would dwarf lambda.  Zeros are a
+    legitimate feature of family members — they are returned, not raised.
 
     Raises
     ------
@@ -155,9 +156,10 @@ def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
     g = lam + _tail_integral(grid, kappa, l, side)
     i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
     t, (integrand, e) = np.log(grid), _f_integrand(kappa, l, _POWER[side])
+    near = np.where(np.abs(t[i]) <= np.abs(t[i + 1]), i, i + 1)
     res = bracketed_root(lambda s, a, ga: ga + integrate_adaptive(integrand, a, s),
-                         t[i], t[i + 1], args=(t[i], np.ldexp(g[i], -e)))
-    # status -1: the nodes' prefixes change sign but the probes from the left node do not,
+                         t[i], t[i + 1], args=(t[near], np.ldexp(g[near], -e)))
+    # status -1: the nodes' prefixes change sign but the probes from the nearer node do not,
     # so the zero is within the probes' error of a node, and x is that node
     if np.any(failed := res.status < -1):
         raise ConvergenceError(f"zero search of V_lambda failed near rho = "

@@ -21,7 +21,8 @@ from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
                     coupling_quantized, parse_kappa, potential, state_quantum_numbers)
 from .numkit import _distinct, bracketed_root, newton2d, straight_line_rhs
 from .numkit import dop853 as solve_ivp  # the orbit integrator; tracers and tests swap this name
-from .susy import _numerators_t, partner_plus_d2r, partner_plus_dr
+from . import susy
+from .susy import partner_plus_d2r, partner_plus_dr
 
 __all__ = [
     "ShootingResult",
@@ -289,19 +290,20 @@ class CriticalPoint:
 
 @np.errstate(all="ignore")   # non-finite coefficients are raised; T = 0 is rho = inf
 def _common_zeros(T, kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R = m^2 - n o, l = -m/n and rho at T = 1/(1 + rho^(2 kappa)).  The slope
-    and curvature numerators of U_+ are quadratics in l (B_n = a_n + l b_n) with
-    the common root l where their Sylvester resultant R vanishes (Cox, Little &
-    O'Shea, ch. 3).  Unit-scaled coefficients keep R finite; its sign and l stay."""
-    a0, a1, a2, a3 = a = _numerators_t(T, kappa, 0.0, 3)
-    b0, b1, b2, b3 = (x - y for x, y in zip(_numerators_t(T, kappa, 1.0, 3), a))
-    c = np.array([2.0 * a0 * a1 + a2, 2.0 * (a0 * b1 + b0 * a1) + b2, 2.0 * b0 * b1])
-    d = np.array([2.0 * (a1 * a1 + a0 * a2) + a3,
-                  2.0 * (2.0 * a1 * b1 + a0 * b2 + b0 * a2) + b3, 2.0 * (b1 * b1 + b0 * b2)])
-    for name, q in (("slope", c), ("curvature", d)):
+    """R = m^2 - n o, l = -m/n and rho at T = 1/(1 + rho^(2 kappa)).  The slope and
+    curvature numerators of U_+ (susy's, read at each call) are quadratics in l, each
+    taken from its values F at l = 0, 1, -1, with the common root l where their Sylvester
+    resultant R vanishes (Cox, Little & O'Shea, ch. 3).  Unit-scaled coefficients keep R
+    finite; its sign and l stay."""
+    B = susy._numerators_t(T, kappa, np.array([[0.0], [1.0], [-1.0]]), 3)   # rows l = 0, 1, -1
+    quadratics = []
+    for name, (F0, F1, Fm) in (("slope", susy._u_plus_slope(*B[:3])),
+                               ("curvature", susy._u_plus_curvature(*B))):
+        q = np.array([F0, 0.5 * (F1 - Fm), 0.5 * (F1 + Fm) - F0])
         if not np.all(np.isfinite(q)):
             raise ConvergenceError(f"the {name} of U_+ is not finite for kappa = {kappa}")
-    c, d = c / np.max(np.abs(c), axis=0), d / np.max(np.abs(d), axis=0)
+        quadratics.append(q / np.max(np.abs(q), axis=0))
+    c, d = quadratics
     m, n, o = c[2] * d[0] - c[0] * d[2], c[2] * d[1] - c[1] * d[2], c[1] * d[0] - c[0] * d[1]
     return m * m - n * o, -m / n, ((1.0 - T) / T) ** (0.5 / kappa)
 

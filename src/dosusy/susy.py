@@ -44,27 +44,6 @@ __all__ = [
 
 # --- W and its derivatives from T = 1/(1 + rho^(2 kappa)) -------------
 
-def _quotient(rho, k, num=1.0, plus=0.0):
-    """num / (plus + rho^k) with no warning where rho^k overflows or underflows.
-
-    The quotient is then 0 or a correctly signed infinity; only a NaN warns.
-    An array num must be the caller's own: the quotient is written over it.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        d = _pow(rho, k)
-        if plus:   # rho^k is never -0.0, so plus = 0.0 may be skipped
-            d += plus
-        if not isinstance(num, np.ndarray):
-            return _rdiv(num, d)
-        num /= d   # num has the result's shape: d has rho's, num that of l and T together
-        return num
-
-
-def _numerators(rho, kappa: float, l, order: int) -> list:
-    """_numerators_t at T = 1/(1 + rho^(2 kappa)), which is 0 where the power overflows."""
-    return _numerators_t(_quotient(rho, 2.0 * kappa, plus=1.0), kappa, l, order)
-
-
 def _numerators_t(T, kappa: float, l, order: int) -> list:
     """[B_0, ..., B_order] with d^n W / d rho^n = B_n / rho^(n+1).
 
@@ -97,34 +76,41 @@ def _numerators_t(T, kappa: float, l, order: int) -> list:
 
 
 @_radial
+def _over_rho(rho, kappa, l, order, combine):
+    """combine(B_0, ..., B_order) / rho^(order + 1), the B_n of _numerators_t at
+    T = 1/(1 + rho^(2 kappa)) (0 where the power overflows), written over combine's own
+    result; 0 or a signed infinity, with no warning, where the quotient or rho^(order + 1)
+    passes the float range (only a NaN warns)."""
+    with np.errstate(over="ignore"):   # a 0-d _pow is numpy's pow, which warns on overflow
+        T = _pow(rho, 2.0 * kappa)
+    T += 1.0
+    num = combine(*_numerators_t(_rdiv(1.0, T), kappa, l, order))
+    del T   # before rho^(order + 1) is made
+    with np.errstate(over="ignore", divide="ignore"):
+        num /= _pow(rho, order + 1)   # num has the result's shape, the power rho's
+    return num
+
+
 def superpotential(rho, kappa: float, l) -> np.ndarray | float:
     """W(rho) = l/rho - (2l+1)/(rho (1 + rho^(2 kappa))).
 
     Near the origin W ~ -(l+1)/rho (it is built from the regular branch);
     at large rho W ~ l/rho.
     """
-    W = _numerators(rho, kappa, l, 0)[0]
-    with np.errstate(over="ignore"):   # +-inf where W passes the float range
-        W /= rho
-    return W
+    return _over_rho(rho, kappa, l, 0, lambda B0: B0)
 
 
 def superpotential_dr(rho, kappa: float, l):
     """Closed-form dW/d rho = (-l + (2l+1) T (1 + 2 kappa (1 - T))) / rho^2."""
-    return _w_derivative(rho, kappa, l, 1)
+    return _over_rho(rho, kappa, l, 1, lambda B0, B1: B1)
 
 
 def superpotential_d2r(rho, kappa: float, l):
-    return _w_derivative(rho, kappa, l, 2)
+    return _over_rho(rho, kappa, l, 2, lambda B0, B1, B2: B2)
 
 
 def superpotential_d3r(rho, kappa: float, l):
-    return _w_derivative(rho, kappa, l, 3)
-
-
-@_radial
-def _w_derivative(rho, kappa, l, n):
-    return _quotient(rho, n + 1, _numerators(rho, kappa, l, n)[n])
+    return _over_rho(rho, kappa, l, 3, lambda B0, B1, B2, B3: B3)
 
 
 # --- partner potentials -------------------------------------------------
@@ -163,18 +149,12 @@ def _where_terms_overflow(u, rho, kappa, a, k_well, k_h=0.0):
 
 def partner_minus(rho, kappa: float, l):
     """Lower partner W^2 - W' (equals the effective potential on the ladder)."""
-    return _partner(rho, kappa, l, -1.0)
+    return _over_rho(rho, kappa, l, 1, lambda B0, B1: B0 * B0 - B1)
 
 
 def partner_plus(rho, kappa: float, l):
     """Upper partner W^2 + W'."""
-    return _partner(rho, kappa, l, 1.0)
-
-
-@_radial
-def _partner(rho, kappa, l, sign):
-    B0, B1 = _numerators(rho, kappa, l, 1)
-    return _quotient(rho, 2, B0 * B0 + sign * B1)
+    return _over_rho(rho, kappa, l, 1, lambda B0, B1: B0 * B0 + B1)
 
 
 @_radial
@@ -214,18 +194,24 @@ def partner_plus_closed(rho, kappa: float, l):
                                  2.0 * c)
 
 
-@_radial
+def _u_plus_slope(B0, B1, B2):
+    """The numerator of d U_+ / d rho = 2 W W' + W'' over rho^3; the pocket search reads it too."""
+    return 2.0 * B0 * B1 + B2
+
+
+def _u_plus_curvature(B0, B1, B2, B3):
+    """The numerator of d^2 U_+ / d rho^2 = 2 (W'^2 + W W'') + W''' over rho^4."""
+    return 2.0 * (B1 * B1 + B0 * B2) + B3
+
+
 def partner_plus_dr(rho, kappa: float, l):
     """d U_+ / d rho from the factorized form 2 W W' + W''."""
-    B0, B1, B2 = _numerators(rho, kappa, l, 2)
-    return _quotient(rho, 3, 2.0 * B0 * B1 + B2)
+    return _over_rho(rho, kappa, l, 2, _u_plus_slope)
 
 
-@_radial
 def partner_plus_d2r(rho, kappa: float, l):
     """d^2 U_+ / d rho^2 = 2 (W'^2 + W W'') + W'''."""
-    B0, B1, B2, B3 = _numerators(rho, kappa, l, 3)
-    return _quotient(rho, 4, 2.0 * (B1 * B1 + B0 * B2) + B3)
+    return _over_rho(rho, kappa, l, 3, _u_plus_curvature)
 
 
 def apply_ladder(u: SampledFunction, kappa, l, which: str = "A") -> SampledFunction:

@@ -268,17 +268,32 @@ def test_v_zeros_shifted_member():
 
 
 def test_v_zeros_on_a_grid_node():
-    # The zero of rho - 1/rho + lambda is the middle node.  The nodes' prefixes change sign
-    # across it, but the probe from the left node reaches it at -8.9e-16, the other sign.
+    # The zero of rho - 1/rho + lambda is the middle node, its bracket's node nearer rho = 1:
+    # the probes start from its prefix, 1.1e-16, and the search converges on it.
     root = 10.0 ** 0.125
     grid = np.geomspace(root / 10.0, root * 10.0, 3)
     assert v_zeros(1.0, 0, -(root - 1.0 / root), "bosonic", grid) == pytest.approx([root],
                                                                                   rel=1e-14)
 
 
+def test_v_zeros_on_the_far_node_of_its_bracket(monkeypatch):
+    # The zero is the middle node, the far one of its bracket: the nodes' prefixes change sign
+    # across it, but the probes from the near node reach it with the other sign (status -1),
+    # and x is the node.
+    statuses = []
+    search = family.bracketed_root
+    monkeypatch.setattr(family, "bracketed_root", lambda *args, **kwargs: statuses.extend(
+        (res := search(*args, **kwargs)).status.tolist()) or res)
+    root = 10.0 ** 0.36
+    grid = np.array([root / 10.0 ** 0.56, root, root * 10.0])
+    assert v_zeros(1.0, 0, -(root - 1.0 / root), "bosonic", grid) == pytest.approx([root],
+                                                                                  rel=1e-14)
+    assert statuses == [-1]
+
+
 def test_v_zeros_probes_integrate_from_the_bracket(monkeypatch):
     # The prefix sweep over the grid runs in numkit; here each root-search
-    # probe is one short quadrature from its bracket's left node.
+    # probe is one short quadrature from its bracket's node nearer rho = 1.
     calls = []
     quad = family.integrate_adaptive
     monkeypatch.setattr(family, "integrate_adaptive",
@@ -294,10 +309,10 @@ def test_v_zeros_probes_integrate_from_the_bracket(monkeypatch):
        above=st.floats(0.01, 1.0), nodes=st.integers(2, 50))
 def test_v_zeros_is_the_one_root_of_the_z_form(side, kappa, l, log_root, below, above, nodes):
     # lambda = -I(root) makes lambda + I, monotone in rho, vanish once on a grid spanning
-    # root.  v_zeros forms lambda + I as the prefix lambda + I(left) at the bracket's left
-    # node plus one quadrature from it, so at the zero found |lambda + I| is within 1e-10 of
-    # the integrals it is made of, 1 + |lambda| + |I(left)|, plus the slope dI/dt = rho f^+-2
-    # times the search's tolerance in t
+    # root.  v_zeros forms lambda + I as the prefix lambda + I(near) at the bracket's node
+    # nearer rho = 1 plus one quadrature from it, so at the zero found |lambda + I| is within
+    # 1e-10 of the integrals it is made of, 1 + |lambda| + |I(near)|, plus the slope
+    # dI/dt = rho f^+-2 times the search's tolerance in t
     root = 10.0 ** log_root
     with mp.workdps(20):
         integral, f2 = _z_form(root, kappa, l, side)
@@ -307,13 +322,23 @@ def test_v_zeros_is_the_one_root_of_the_z_form(side, kappa, l, log_root, below, 
     assume(slope >= 1e-6 * (1.0 + abs(lam)))
     grid = np.geomspace(root / 10.0 ** below, root * 10.0 ** above, nodes)
     (zero,) = v_zeros(kappa, l, lam, side, grid)
-    left = grid[np.searchsorted(grid, zero, side="right") - 1]
+    j = min(np.searchsorted(grid, zero, side="right"), nodes - 1)
+    near = min(grid[j - 1:j + 1], key=lambda r: abs(math.log(r)))
     with mp.workdps(20):
         residual = float(abs(lam + _z_form(zero, kappa, l, side)[0]))
-        prefix = float(abs(_z_form(left, kappa, l, side)[0]))
+        prefix = float(abs(_z_form(near, kappa, l, side)[0]))
     eps = np.finfo(float).eps
     assert residual <= (1e-10 * (1.0 + abs(lam) + prefix)
                         + slope * (1e-14 + 4 * eps * abs(math.log(zero))))
+
+
+@pytest.mark.parametrize("grid", [[1e-4, 0.5], [5e-5, 1.0]])
+def test_v_zeros_on_a_sparse_grid_far_from_the_anchor(grid):
+    # lambda = -I_-(0.01) = 2.0e9, and I at the left node is 1e10 (1e-4) or 3.2e11 (5e-5)
+    # times larger: with probes from that node, its rounding put the zero 1.3e-5 and 4.8e-5 off
+    with mp.workdps(20):
+        lam = -float(_z_form(0.01, 1.0, 2, "bosonic")[0])
+    assert v_zeros(1.0, 2, lam, "bosonic", grid) == pytest.approx([0.01], rel=1e-13)
 
 
 # ----------------------------------------------------------------------

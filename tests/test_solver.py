@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dosusy import checks, numkit, solver
+from dosusy import checks, numkit, solver, susy
 from dosusy.exceptions import ConvergenceError, GeometryError
 from dosusy.model import (
     SampledFunction,
@@ -455,6 +455,20 @@ def test_resultant_root_is_the_common_zero_of_slope_and_curvature():
     assert R[0] * R[2] < 0.0
     assert ls[1] == pytest.approx(6.876606651413599, abs=1e-6)
     assert rhos[1] == pytest.approx(1.5993663589673832, rel=1e-14)
+
+
+@pytest.mark.parametrize("name, form", [("_u_plus_slope", partner_plus_dr),
+                                        ("_u_plus_curvature", partner_plus_d2r)])
+def test_u_plus_numerators_are_written_once(monkeypatch, name, form):
+    # partner_plus_dr/_d2r and the pocket search both look the numerator up through susy at
+    # call time.  The search scales its quadratics to unit size, so a uniform scale moves the
+    # resultant by its rounding only, but a copy of the formula would not move it at all.
+    rho, T = np.geomspace(0.5, 5.0, 9), np.linspace(0.05, 0.95, 64)
+    value, resultant = form(rho, 1.0, 7.0), solver._common_zeros(T, 1.0)[0]
+    numerator = getattr(susy, name)
+    monkeypatch.setattr(susy, name, lambda *B: (1.0 + 1e-6) * numerator(*B))
+    np.testing.assert_allclose(form(rho, 1.0, 7.0), (1.0 + 1e-6) * value, rtol=1e-14)
+    assert not np.array_equal(solver._common_zeros(T, 1.0)[0], resultant)
 
 
 @pytest.mark.parametrize("error", [ConvergenceError("no descent direction"),
