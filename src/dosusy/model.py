@@ -195,9 +195,11 @@ def _pow(b, e):
     The result is a new array (or a numpy scalar) that the caller may write into.
     """
     span, arr = _SPAN.get(), isinstance(e, np.ndarray)
-    if b.ndim == 0 or span * (np.abs(e).max() if arr else abs(e)) < 1e3:   # no power near 0 or inf
+    if span * (np.abs(e).max() if arr else abs(e)) < 1e3:   # no power near 0 or inf
         return b ** e
     with np.errstate(divide="ignore", over="ignore"):
+        if b.ndim == 0:   # one power: numpy's, its overflow quiet as the lanes' below
+            return b ** e
         m = np.abs(e)   # b^e = s^m
         s = np.where(e < 0, 1.0 / b, b) if arr else (1.0 / b if e < 0 else b)
         zero, inf = s < np.exp2(-1100.0 / m), s > np.exp2(1030.0 / m)
@@ -291,7 +293,8 @@ def _fold(rho, kappa):
     1 - T; with p in (0, 1], a form written on the fold never overflows
     where rho^(2k) does.
     """
-    x = np.minimum(rho, 1.0 / rho)
+    with np.errstate(over="ignore"):   # 1/rho is inf below rho = 2^-1024, where x = rho
+        x = np.minimum(rho, 1.0 / rho)
     p = _pow(x, 2.0 * kappa)
     return x, p, _rdiv(1.0, p + 1.0)
 

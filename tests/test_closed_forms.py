@@ -240,25 +240,41 @@ def test_reconstruction_ratio_is_constant_out_to_extreme_radii(kappa, l):
     assert np.max(np.abs(ratio / np.median(ratio) - 1.0)) < 1e-10
 
 
+def _fold_forms(kappa, l):
+    """Every closed form written on the fold x = min(rho, 1/rho), one output each."""
+    return [lambda r: f_factor(r, kappa, l),
+            lambda r: radial_u(r, 3, 0, kappa),
+            lambda r: potential(r, 3.0, kappa),
+            lambda r: effective_potential_general(r, 3.0, kappa, l),
+            lambda r: map_coordinates(r, kappa)[0],
+            lambda r: map_coordinates(r, kappa)[1]]
+
+
 def _forms_without_well_root(kappa, l):
     """Every closed form that does not take the partners' power rho^kappa."""
     susy_forms = (*W_DERIVATIVES, partner_minus, partner_plus, partner_plus_dr,
                   partner_plus_d2r)
-    return ([lambda r, fn=fn: fn(r, kappa, l) for fn in susy_forms]
-            + [lambda r: f_factor(r, kappa, l),
-               lambda r: radial_u(r, 3, 0, kappa),
-               lambda r: potential(r, 3.0, kappa),
-               lambda r: effective_potential_general(r, 3.0, kappa, l),
-               lambda r: map_coordinates(r, kappa)])
+    return [lambda r, fn=fn: fn(r, kappa, l) for fn in susy_forms] + _fold_forms(kappa, l)
 
 
-@pytest.mark.parametrize("kappa", (0.5, 1.0, 3.7))
+@pytest.mark.parametrize("kappa", (1e-5, 0.1, 0.5, 1.0, 1.5, 3.7))
 @pytest.mark.parametrize("l", (0, 1, 7))
 def test_closed_forms_raise_no_warning_at_extreme_radii(kappa, l):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for form in _forms_without_well_root(kappa, l):
             form(1e200)
+        # a scalar call is as quiet as an array call, and gives its lane's value, below
+        # rho = 2^-1024, where the fold's 1/rho passes the float range, and where a
+        # single power passes it (U and U_eff at l = 0, U-+ where rho^kappa is inf)
+        subnormal = np.array([5e-324, 1e-310])
+        lanes = [(form(subnormal), [form(r) for r in subnormal.tolist()])
+                 for form in _fold_forms(kappa, l)]
+        for form in (lambda r: potential(r, 3.0, kappa),
+                     lambda r: effective_potential_general(r, 3.0, kappa, 0)):
+            lanes.append((form(np.array([1e-200])), [form(1e-200)]))
+        for fn in (partner_minus_closed, partner_plus_closed):
+            lanes.append((fn(np.array([1e259]), 1.5, l), [fn(1e259, 1.5, l)]))
         # at rho = 1e-200 the values that are representable: W, f, u, U, xi and alpha
         superpotential(1e-200, kappa, l)
         f_factor(1e-200, kappa, l)
@@ -266,25 +282,43 @@ def test_closed_forms_raise_no_warning_at_extreme_radii(kappa, l):
         potential(1e-200, 3.0, kappa)
         map_coordinates(1e-200, kappa)
         # the rest pass the largest double there and are infinities of their sign:
-        # W^(n) ~ -(l+1) (-1)^n n! / rho^(n+1), U+ ~ (l+1)(l+2) / rho^2 and its
-        # derivatives, and for l > 0 U- and U_eff ~ l(l+1) / rho^2
+        # W^(n) ~ -(l+1) (-1)^n n! / rho^(n+1), U+ ~ (l+1)(l+2) / rho^2 and its derivatives
         derivs = [fn(1e-200, kappa, l) for fn in W_DERIVATIVES[1:]]
         plus = [fn(1e-200, kappa, l) for fn in (partner_plus, partner_plus_dr, partner_plus_d2r)]
-        if l:   # at l = 0 U-'s numerator cancels to 0 and the quotient is NaN
-            assert partner_minus(1e-200, kappa, l) == math.inf
-            assert effective_potential_general(1e-200, 3.0, kappa, l) == math.inf
+        # U- and U_eff are l(l+1) / rho^2 against a well rho^(2 kappa - 2) T^2: infinities
+        # of either sign, or at l = 0 the well alone
+        ueff = effective_potential_general(1e-200, 3.0, kappa, l)
+        if l:   # at l = 0 U-'s numerator may cancel to 0 and the quotient is NaN
+            minus_assembled = partner_minus(1e-200, kappa, l)
         # rho * rho underflows to 0: the reduced partners' centrifugal term is 0 where
         # its coefficient is (U- at l = 0 is its well alone) and +inf elsewhere
         minus, plus_closed = (fn(1e-200, kappa, l)
                               for fn in (partner_minus_closed, partner_plus_closed))
-        # W ~ -(l+1)/rho passes the largest double at 1e-308 for l > 0
+        # W = (l - (2l+1) T) / rho passes the largest double at 1e-308 for l > 0 and T ~ 1
         w_edge = superpotential(1e-308, kappa, l)
-    well = -(1.0 + 2.0 * kappa) * float(mp.mpf("1e-200") ** (2 * kappa - 2))
-    assert minus == (math.inf if l else pytest.approx(well, rel=1e-12, abs=0.0))
+    r, k, c = mp.mpf("1e-200"), mp.mpf(kappa), 2 * l + 1
+    minus_terms = (l * (l + 1) / r ** 2, -c * (c + 2 * k) * oracle_well(r, k))
+    ueff_terms = (l * (l + 1) / r ** 2, -3 * oracle_well(r, k))
+    for got, terms in ((minus, minus_terms), (ueff, ueff_terms),
+                       *([(minus_assembled, minus_terms)] if l else [])):
+        assert agrees(got, mp.fsum(terms), mp.fsum(abs(t) for t in terms)), (got, terms)
     assert plus_closed == math.inf
-    assert w_edge == (-math.inf if l else pytest.approx(-1e308, rel=1e-12))
+    assert agrees(w_edge, *oracle_w(mp.mpf("1e-308"), k, l, 0)), w_edge
     assert derivs == [math.inf, -math.inf, math.inf]
     assert plus == [math.inf, -math.inf, math.inf]
+    # a numpy float's ** is the C library's pow, an array's may be numpy's own loop, and
+    # the two may differ in the last bit (alpha at kappa = 1e-5, rho = 1e-310)
+    for batch, single in lanes:
+        np.testing.assert_array_max_ulp(batch, np.array(single), maxulp=2)
+
+
+def test_closed_partners_look_their_reduced_route_up_at_call_time(monkeypatch):
+    # both reduced partners are one body, susy._reduced, found through susy when called
+    calls = []
+    monkeypatch.setattr(susy, "_reduced", lambda rho, kappa, *coefs: calls.append(coefs) or 7.0)
+    assert partner_minus_closed(0.5, 1.0, 2) == 7.0
+    assert partner_plus_closed(0.5, 1.0, 2) == 7.0
+    assert calls == [(6.0, 35.0), (2.0, 5.0, 10.0)]
 
 
 # (kappa, l) pairs with l/kappa an integer, each with polynomial degrees 0, 1, 3
