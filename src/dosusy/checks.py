@@ -15,7 +15,6 @@ or random state.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import family as fam
 from . import model, solver, susy
-from .numkit import _median, _richardson, _stencil_nodes, derivative
+from .numkit import _curve_csv, _median, _richardson, _stencil_nodes, derivative
+from .solver import _EIGEN_TOL
 
 __all__ = [
     "CheckResult",
@@ -168,7 +168,6 @@ _EIGEN_STATES: tuple[tuple[float, int, int], ...] = (
     (0.5, 1, 0), (0.5, 2, 0), (0.5, 3, 0), (0.5, 3, 1),
     (1.5, 1, 0), (1.5, 2, 0), (1.5, 3, 0), (1.5, 3, 3),
 )
-_EIGEN_TOL = 1e-6   # relative deviation of a shot coupling from the ladder's (quantize too)
 
 
 def suite_eigenvalue() -> list[CheckResult]:
@@ -445,32 +444,6 @@ def suite_degeneracy() -> list[CheckResult]:
         kappa="1/2", N=3, count=count, expected=4,
         note="raw enumeration; the N^2 rule is specific to kappa=1"))
     return results
-
-
-# ----------------------------------------------------------------------
-# CSV emission (locale-independent, '#'-commented headers)
-# ----------------------------------------------------------------------
-
-def _curve_csv(title: str, column_doc: str, param_doc: str, header: str, blocks) -> str:
-    """Each block is a tuple of columns: a constant, an array of values, or
-    a list of fields the caller formatted (so a column shared by several
-    blocks or files is formatted once); at least one is not a constant."""
-
-    def column(c):
-        if isinstance(c, list) and c and isinstance(c[0], str):
-            return c
-        if np.ndim(c) == 0:  # a constant column, formatted once
-            return itertools.repeat(
-                repr(float(c)) if isinstance(c, (float, np.floating)) else str(c))
-        return map(repr, np.asarray(c).tolist())
-
-    lines = [f"# {title}", f"# columns: {column_doc}"]
-    if param_doc:
-        lines.append(f"# parameters: {param_doc}")
-    lines.append(header)
-    for columns in blocks:
-        lines.extend(map(",".join, zip(*map(column, columns))))
-    return "\n".join(lines) + "\n"
 
 
 def figure_payloads(figure: str) -> dict[str, str]:

@@ -19,18 +19,31 @@ Reports and curve files are deterministic: same inputs, same bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import checks, model, solver, susy
+from . import model, solver, susy
 from . import family as fam
-from .checks import _EIGEN_TOL, _curve_csv, figure_payloads
 from .exceptions import SingularPointError
+from .numkit import _curve_csv
+from .solver import _EIGEN_TOL
 
 __all__ = ["main", "build_parser", "figure_payloads"]
+
+
+def __getattr__(name: str):   # cli.figure_payloads is checks' own, loaded on first use
+    if name == "figure_payloads":
+        from . import checks
+        return checks.figure_payloads
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _SuiteNames:   # verify's help lists the suites: checks loads only when it is printed
+    def __str__(self) -> str:
+        from . import checks
+        return ", ".join(checks.SUITE_NAMES)
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +181,7 @@ def _cmd_family(args) -> int:
 def _cmd_audit(args) -> int:
     records = fam.series_audit()
     if args.format == "json":
+        import json
         payload = json.dumps([r.to_dict() for r in records],
                              indent=2, sort_keys=True) + "\n"
     else:
@@ -203,8 +217,9 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from . import checks
     names = ("fig1", "fig2") if args.figure == "all" else (args.figure,)
-    _emit(args.out, (pair for name in names for pair in figure_payloads(name).items()))
+    _emit(args.out, (pair for name in names for pair in checks.figure_payloads(name).items()))
     return 0
 
 
@@ -234,6 +249,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
     names = []
     for item in args.suite:
         names.extend(s.strip() for s in item.split(",") if s.strip())
@@ -340,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", action="append", default=[],
-                   help="suite name or comma list (default all); known: "
-                        + ", ".join(checks.SUITE_NAMES))
+    suite = p.add_argument("--suite", action="append", default=[],
+                           help="suite name or comma list (default all); known: %(suites)s")
+    suite.suites = _SuiteNames()
     p.add_argument("--out", default=None, help="report file (default stdout)")
     p.set_defaults(func=_cmd_verify)
 

@@ -33,7 +33,7 @@ import numpy as np
 from .exceptions import ConvergenceError, SingularPointError
 from .model import _check_grid, _check_rho, _f_integrand, _radial, f_factor
 from .numkit import _anchored_integral, _median, bracketed_root, derivative, integrate_adaptive
-from .susy import superpotential
+from . import susy   # looked up at call time, so a patched susy reaches the family
 
 __all__ = [
     "v_family",
@@ -132,7 +132,7 @@ def family_superpotential(rho, kappa: float, l: int, lam: float = 0.0,
         raise SingularPointError(
             f"family member (kappa={kappa}, l={l}, lambda={lam}, {side}) "
             f"is singular at rho = {rho}", rho=rho)
-    return superpotential(rho, kappa, l) + 1.0 / v
+    return susy.superpotential(rho, kappa, l) + 1.0 / v
 
 
 def v_zeros(kappa: float, l: int, lam: float, side: str, grid) -> list[float]:
@@ -294,7 +294,7 @@ def _audit_V(formula_id: str, l: int, kappa: float, alphas, rho, oracle) -> Seri
     # V' + 2 W V + 1 with V' by the 5-point stencil in rho, all radii at once.
     d = derivative(lambda r: printed_series_eval(2.0 * np.arctan(r ** kappa), l, formula_id),
                    rho, 2e-4 * rho, 1)
-    wv = 2.0 * superpotential(rho, kappa, l) * v_printed
+    wv = 2.0 * susy.superpotential(rho, kappa, l) * v_printed
     res = float(np.max(np.abs(d + wv + 1.0) / (1.0 + np.abs(d) + np.abs(wv))))
 
     verdict = "match" if dev_pw < AUDIT_MATCH_TOL else "mismatch"

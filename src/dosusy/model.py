@@ -192,9 +192,16 @@ def _pow(b, e):
     """b ** e, bit for bit, for a base b > 0 made from the radii (rho or its fold x).
 
     Powers under 2^-1100 or over 2^1030 are 0.0 or +inf without pow's slow path or a warning.
-    The result is a new array (or a numpy scalar) that the caller may write into.
+    The result is a new array (or a numpy scalar) that the caller may write into.  A numpy
+    scalar base is taken as a 0-d array: its power is then numpy's own loop, as an array
+    lane's is, not a numpy float's ** (the C library's pow, which may differ in the last bit).
+    A 0-d base with a 0-d array exponent is taken as one lane of 1-d arrays: numpy's loop
+    over an exponent array differs from the one for a single exponent (b^-1 is 1/b only there).
     """
+    b = np.asanyarray(b)
     span, arr = _SPAN.get(), isinstance(e, np.ndarray)
+    if arr and e.ndim == 0 == b.ndim:
+        return _pow(b.reshape(1), e.reshape(1))[0]
     if span * (np.abs(e).max() if arr else abs(e)) < 1e3:   # no power near 0 or inf
         return b ** e
     with np.errstate(divide="ignore", over="ignore"):
@@ -419,6 +426,7 @@ def _folded_f(rho, x, v, kappa: float, l):
     polynomial degree 0.
     """
     f = _pow(x, l)
+    v = np.asarray(v)   # a scalar's power as its array lane's (see _pow)
     v **= (2.0 * l + 1.0) / (2.0 * kappa)
     f *= v
     f *= np.minimum(rho, 1.0, out=_into(x, rho))

@@ -1,6 +1,6 @@
 """Numerical kernel: ultraspherical polynomials, adaptive quadrature,
-finite differences, a damped two-dimensional Newton iteration, a bracketed
-root search and an embedded Runge-Kutta integrator with dense output.
+finite differences, a damped 2-D Newton iteration, a bracketed root search,
+an embedded Runge-Kutta integrator with dense output and the CSV writer.
 
 Everything in here is generic plumbing used by the physics modules; nothing
 knows about potentials.  The quadrature is a nested Gauss(7)/Kronrod(15)
@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 import math
 from functools import cache, reduce
-from itertools import chain
+from itertools import chain, repeat
 from struct import Struct
 from types import SimpleNamespace
 
@@ -747,3 +747,28 @@ def dop853(fun, t_span, y0, *, rtol: float, atol: float, max_step: float = math.
         return np.moveaxis(np.where((x == T[-1])[..., None], Y[-1], out + Y[i]), -1, 0)
 
     return SimpleNamespace(t=T, y=Y.T, nfev=2 + 12 * attempts + 3 * len(F), sol=sol)
+
+
+# =====================================================================
+# CSV emission (locale-independent, '#'-commented headers)
+# =====================================================================
+
+def _curve_csv(title: str, column_doc: str, param_doc: str, header: str, blocks) -> str:
+    """Each block is a tuple of columns: a constant, an array of values, or
+    a list of fields the caller formatted (so a column shared by several
+    blocks or files is formatted once); at least one is not a constant."""
+
+    def column(c):
+        if isinstance(c, list) and c and isinstance(c[0], str):
+            return c
+        if np.ndim(c) == 0:  # a constant column, formatted once
+            return repeat(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c))
+        return map(repr, np.asarray(c).tolist())
+
+    lines = [f"# {title}", f"# columns: {column_doc}"]
+    if param_doc:
+        lines.append(f"# parameters: {param_doc}")
+    lines.append(header)
+    for columns in blocks:
+        lines.extend(map(",".join, zip(*map(column, columns))))
+    return "\n".join(lines) + "\n"

@@ -21,8 +21,7 @@ from .model import (SampledFunction, _check_coupling, _check_grid, _check_rho,
                     coupling_quantized, parse_kappa, potential, state_quantum_numbers)
 from .numkit import _distinct, bracketed_root, newton2d, straight_line_rhs
 from .numkit import dop853 as solve_ivp  # the orbit integrator; tracers and tests swap this name
-from . import susy
-from .susy import partner_plus_d2r, partner_plus_dr
+from . import susy   # its forms are looked up at call time, so a patched susy reaches them
 
 __all__ = [
     "ShootingResult",
@@ -41,6 +40,7 @@ _OVERFLOW_LIMIT = 1e250
 _CELL_FLOOR, _CELL_CAP = 200, 500_000   # Magnus cells per shooting leg (_leg_cells)
 _TAIL = 1e-17     # potential term, relative to (l+1/2)^2, where the legs start
 _GAUSS = math.sqrt(15.0) / 10.0   # Gauss points sit at mid and mid -+ _GAUSS * h
+_EIGEN_TOL = 1e-6   # relative deviation of a shot coupling from the ladder's (quantize, checks)
 
 
 # ======================================================================
@@ -314,7 +314,7 @@ def _accepts(l: float, rho: float, kappa: float) -> bool:
     if not (1.0 < l < 20.0 and 0.1 < rho < 10.0):
         return False
     h = 1e-4 / (2.0 * kappa)
-    inside, outside = partner_plus_d2r(rho * np.array([1.0 - h, 1.0 + h]), kappa, l)
+    inside, outside = susy.partner_plus_d2r(rho * np.array([1.0 - h, 1.0 + h]), kappa, l)
     return inside > 0.0 > outside
 
 
@@ -341,7 +341,8 @@ def critical_angular_all(kappa: float) -> list[CriticalPoint]:
 
     def F(z):
         l, rho = z
-        return 1e-2 * np.array([partner_plus_dr(rho, kappa, l), partner_plus_d2r(rho, kappa, l)])
+        return 1e-2 * np.array([susy.partner_plus_dr(rho, kappa, l),
+                                susy.partner_plus_d2r(rho, kappa, l)])
     points = []
     for seed in zip(*(v.tolist() for v in _common_zeros(res.x, kappa)[1:])):
         if not _accepts(*seed, kappa):

@@ -52,10 +52,18 @@ def _numerators_t(T, kappa: float, l, order: int) -> list:
     only next to O(1) terms, so 1 - T is precise enough.  B_n is affine in l.
     T is read, never written: each B_n is a new array.  They are formed from
     the highest order down, so that B_1 and B_0 are written over kS and cT.
+
+    Past kappa = 2.8e102, k^3 passes the float range (unwarned only under the
+    caller's errstate, as in _over_rho); where T = 0 the factor of cT is then
+    taken as 0, so B_n is its limit (-1)^n n! l there.
     """
     k = 2.0 * kappa
     cT = (2.0 * l + 1.0) * T
     B = []
+
+    def times_cT(terms):   # cT * terms, 0 where T = 0 even if terms is inf there
+        return cT * (np.where(T == 0, 0.0, terms) if k > 1e100 else terms)
+
     if order >= 1:
         kS = 1.0 - T
         kS *= k
@@ -63,9 +71,9 @@ def _numerators_t(T, kappa: float, l, order: int) -> list:
         k2Sd = k * kS * (2.0 * T - 1.0)  # k^2 S (T - S)
     if order >= 3:
         k3Se = k * k * kS * (1.0 - 6.0 * T * (1.0 - T))  # k^3 S (1 - 6 T S)
-        B.append(cT * (6.0 + 11.0 * kS - 6.0 * k2Sd + k3Se) - 6.0 * l)
+        B.append(times_cT(6.0 + 11.0 * kS - 6.0 * k2Sd + k3Se) - 6.0 * l)
     if order >= 2:
-        B.append(2.0 * l - cT * (2.0 + 3.0 * kS - k2Sd))
+        B.append(2.0 * l - times_cT(2.0 + 3.0 * kS - k2Sd))
     if order >= 1:
         kS += 1.0
         B1 = _rmul(cT, kS)
@@ -79,13 +87,13 @@ def _numerators_t(T, kappa: float, l, order: int) -> list:
 def _over_rho(rho, kappa, l, order, combine):
     """combine(B_0, ..., B_order) / rho^(order + 1), the B_n of _numerators_t at
     T = 1/(1 + rho^(2 kappa)) (0 where the power overflows), written over combine's own
-    result; 0 or a signed infinity, with no warning, where the quotient or rho^(order + 1)
-    passes the float range (only a NaN warns)."""
+    result; 0 or a signed infinity, with no warning, where the quotient, rho^(order + 1)
+    or a power of k passes the float range (only a NaN warns)."""
     T = _pow(rho, 2.0 * kappa)
     T += 1.0
-    num = combine(*_numerators_t(_rdiv(1.0, T), kappa, l, order))
-    del T   # before rho^(order + 1) is made
     with np.errstate(over="ignore", divide="ignore"):
+        num = combine(*_numerators_t(_rdiv(1.0, T), kappa, l, order))
+        del T   # before rho^(order + 1) is made
         num /= _pow(rho, order + 1)   # num has the result's shape, the power rho's
     return num
 
@@ -138,7 +146,7 @@ def _reduced(rho, kappa, a, k_well, k_h=None):
         if np.max(np.abs(a) + np.abs(k_well) + abs(k_h)) / np.min(rho) ** 2 < _HUGE:
             return u
         x = _pow(rho, 2.0 * kappa)
-        T2 = (1.0 + x) ** -2.0
+        T2 = np.asarray(1.0 + x) ** -2.0   # as a 0-d array, numpy's power (see model._pow)
         keep = np.isfinite(u) | ((a == 0) & (k_h == 0))
         return np.where(keep, u, (a - k_well * x * T2 + k_h * T2) / rho / rho)
 

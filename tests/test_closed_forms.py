@@ -306,10 +306,41 @@ def test_closed_forms_raise_no_warning_at_extreme_radii(kappa, l):
     assert agrees(w_edge, *oracle_w(mp.mpf("1e-308"), k, l, 0)), w_edge
     assert derivs == [math.inf, -math.inf, math.inf]
     assert plus == [math.inf, -math.inf, math.inf]
-    # a numpy float's ** is the C library's pow, an array's may be numpy's own loop, and
-    # the two may differ in the last bit (alpha at kappa = 1e-5, rho = 1e-310)
+    # bit for bit: a scalar's powers are taken by numpy's own loop, as its lane's are, not by
+    # the C library's pow, which may differ in the last bit (alpha at kappa = 1e-5, rho = 1e-310)
     for batch, single in lanes:
-        np.testing.assert_array_max_ulp(batch, np.array(single), maxulp=2)
+        assert same_bits(batch, np.array(single)), (batch, single)
+
+
+def oracle_u_plus_d2r(r, k, l):
+    """d^2 U_+ / d rho^2 by mpmath's differentiation of the reduced form l(l-1)/rho^2
+    - c(c-2k-2) rho^(2k-2) T^2 + 2c T^2/rho^2, c = 2l+1, and its term-magnitude scale."""
+    c = 2 * l + 1
+    step = r * mp.ldexp(1, -mp.mp.prec - 10)
+    terms = [6 * l * (l - 1) / r ** 4,
+             mp.diff(lambda x: -c * (c - 2 * k - 2) * oracle_well(x, k)
+                     + 2 * c * oracle_T(x, k) ** 2 / x ** 2, r, 2, h=step)]
+    return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+
+
+# past kappa = 2.8e102, (2 kappa)^3 passes the float range: where rho^(2 kappa) overflows too
+# (T = 0), W''' and U+'' are their limits -6 l / rho^4 and (6 l^2 - 6 l) / rho^4, unwarned
+@pytest.mark.parametrize("kappa", (1e103, 1e150, 1e300))
+def test_third_order_forms_take_their_limit_where_t_underflows_at_huge_kappa(kappa):
+    rho = np.array([1.5, 2.0, 1e3, 1e50])
+    k = mp.mpf(kappa)
+    for l in (0, 1, 2, 7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w3, up2 = superpotential_d3r(rho, kappa, l), partner_plus_d2r(rho, kappa, l)
+            scalars = [(superpotential_d3r(r, kappa, l), partner_plus_d2r(r, kappa, l))
+                       for r in rho.tolist()]
+        assert np.array_equal(w3, -6.0 * l / rho ** 4), (l, w3)
+        assert np.array_equal(up2, (6.0 * l * l - 6.0 * l) / rho ** 4), (l, up2)
+        assert same_bits(np.array(scalars), np.stack([w3, up2], axis=1))   # scalar = lane
+        for r, w3_r, up2_r in zip(rho[:3].tolist(), w3, up2):
+            assert agrees(w3_r, *oracle_w(mp.mpf(r), k, l, 3)), (l, r, w3_r)
+            assert agrees(up2_r, *oracle_u_plus_d2r(mp.mpf(r), k, l)), (l, r, up2_r)
 
 
 def test_closed_partners_look_their_reduced_route_up_at_call_time(monkeypatch):
@@ -574,9 +605,13 @@ def test_pow_is_the_power_bit_for_bit(inside):
                                   np.float64(1e300), np.asarray(1e300)],
                          ids=["scalar-1e-300", "0d-1e-300", "0d-0.5", "scalar-1e300", "0d-1e300"])
 def test_pow_of_a_scalar_base_is_plain_power(base):
+    # the plain power of the base as a 0-d array, numpy's own loop, as its lane in an array
+    # has: a numpy float's ** is the C library's pow, which may differ in the last bit
     for e in EXPONENTS + UEFF_EXPONENTS:
         with np.errstate(over="ignore"):
-            assert same_bits(model._pow(base, e), base ** e), e
+            assert same_bits(model._pow(base, e), np.asarray(base) ** e), e
+            if np.ndim(e) == 0:
+                assert same_bits(model._pow(base, e), (np.full(3, base) ** e)[1]), e
 
 
 class _Watched(np.ndarray):

@@ -1,5 +1,6 @@
 """Cold start: the package and every subcommand run on numpy alone, with no
-scipy module loaded.
+scipy module loaded, and only verify and figures load the verification
+layer, dosusy.checks.
 
 Each test runs a fresh interpreter, since an import made by any other test
 would already sit in this process's ``sys.modules``.
@@ -23,9 +24,9 @@ def scipy_modules():
 """
 
 
-def run_fresh(script: str, cwd) -> dict:
-    """Run ``script`` after PRELUDE in a new interpreter; it prints one JSON line last."""
-    proc = subprocess.run([sys.executable, "-c", PRELUDE + script], capture_output=True,
+def run_fresh(script: str, cwd, prelude: str = PRELUDE) -> dict:
+    """Run ``script`` after ``prelude`` in a new interpreter; it prints one JSON line last."""
+    proc = subprocess.run([sys.executable, "-c", prelude + script], capture_output=True,
                           text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -115,3 +116,81 @@ print(json.dumps({{"before": before, "value": value, "after": len(scipy_modules(
     assert out["before"] == []
     assert out["after"] == 0
     assert out["value"] == expected
+
+
+# the verification layer and json, each loaded or not; this prelude itself imports neither
+LOADED = """
+import sys
+def loaded():
+    return ["dosusy.checks" in sys.modules, "json" in sys.modules]
+"""
+
+NON_VERIFYING = (["eval", "U", "--kappa", "1", "--w", "3", "--rho", "0.5"],
+                 ["quantize", "--kappa", "1", "--N", "2"],
+                 ["critical", "--kappa", "1"],
+                 ["partners", "--kappa", "1", "--rho", "0.7"],
+                 ["partners", "--kappa", "1/2", "--out", "curves"],
+                 ["family", "--kappa", "1", "--lambda", "-0.5", "--rho", "1.3"],
+                 ["family", "--kappa", "1", "--lambda", "-0.5", "--out", "curves"],
+                 ["trace", "--kappa", "1/2", "--w", "2", "--rho", "0.5", "--out", "orbit.csv"],
+                 ["audit", "--format", "json"])
+
+
+def test_package_and_non_verifying_commands_leave_checks_unloaded(tmp_path):
+    out = run_fresh(LOADED + f"""
+import contextlib, io
+import dosusy, dosusy.cli
+from dosusy import cli
+seen = [[0, loaded()]]
+for argv in {NON_VERIFYING!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([cli.main(argv), loaded()])
+import json
+print(json.dumps(seen))
+""", tmp_path, prelude="")
+    # [exit code, [checks loaded, json loaded]]: json is audit's alone
+    assert out == [[0, [False, False]]] * len(NON_VERIFYING) + [[0, [False, True]]]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "riccati"], ["figures", "all"]],
+                         ids=["verify", "figures"])
+def test_verify_and_figures_load_checks(argv, tmp_path):
+    out = run_fresh(LOADED + f"""
+import contextlib, io
+from dosusy import cli
+before = loaded()[0]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main({argv!r})
+import json
+print(json.dumps([before, code, loaded()[0]]))
+""", tmp_path, prelude="")
+    assert out == [False, 0, True]
+
+
+def test_lazy_names_resolve_in_a_fresh_interpreter(tmp_path):
+    out = run_fresh("""
+import dosusy
+from dosusy import cli
+before = "dosusy.checks" in sys.modules
+star = {}
+exec("from dosusy import *", star)
+checks = dosusy.checks
+print(json.dumps({
+    "before": before,
+    "same": [dosusy.run_suites is checks.run_suites, dosusy.CheckResult is checks.CheckResult,
+             cli.figure_payloads is checks.figure_payloads],
+    "star_missing": sorted(set(dosusy.__all__) - set(star)),
+    "suites": list(dosusy.SUITE_NAMES)}))
+""", tmp_path)
+    assert out["before"] is False
+    assert out["same"] == [True, True, True]
+    assert out["star_missing"] == []
+    assert out["suites"][0] == "riccati" and len(out["suites"]) == 11
+
+
+def test_package_all_is_the_union_of_the_layers():
+    from dosusy import checks, exceptions, family, model, numkit, solver, susy
+    layers = (checks, exceptions, family, model, numkit, solver, susy)
+    assert dosusy.__all__ == sorted({name for layer in layers for name in layer.__all__})
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dosusy.no_such_name

@@ -536,3 +536,17 @@ def test_audit_oracle_matches_mpmath_in_the_z_form(kappa):
                 z = mp.sin(mp.mpf(alpha) / 2) ** 2
                 ref = float(mp.quad(integrand, [mp.mpf(1) / 2, z], method="tanh-sinh"))
                 assert abs(value - ref) <= 1e-11 * (1.0 + abs(ref)), (kappa, l, alpha)
+
+
+def test_a_patched_susy_reaches_the_family_and_the_audit(monkeypatch):
+    # family looks W up through susy when called, as checks does
+    from dosusy import susy
+    wl = family_superpotential(2.0, 1.0, 0, 0.5, "bosonic")
+    residuals = [r.ode_residual_max for r in series_audit()]
+    w = susy.superpotential
+    monkeypatch.setattr(susy, "superpotential", lambda *a: (1.0 + 1e-4) * w(*a))
+    assert family_superpotential(2.0, 1.0, 0, 0.5, "bosonic") == pytest.approx(
+        wl + 1e-4 * superpotential(2.0, 1.0, 0), rel=1e-12)
+    moved = [r.ode_residual_max for r in series_audit()]
+    assert [m is None for m in moved] == [r is None for r in residuals]
+    assert moved != residuals

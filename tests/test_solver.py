@@ -471,6 +471,23 @@ def test_u_plus_numerators_are_written_once(monkeypatch, name, form):
     assert not np.array_equal(solver._common_zeros(T, 1.0)[0], resultant)
 
 
+def test_a_patched_susy_reaches_the_pocket_search(monkeypatch):
+    # the search looks U+' and U+'' up through susy when called, as checks does: a uniform
+    # scale keeps the threshold and moves the residuals; a flipped U+'' fails _accepts
+    base = solver.critical_angular_all(1.0)
+    dr, d2r = susy.partner_plus_dr, susy.partner_plus_d2r
+    monkeypatch.setattr(susy, "partner_plus_dr", lambda *a: (1.0 + 1e-4) * dr(*a))
+    monkeypatch.setattr(susy, "partner_plus_d2r", lambda *a: (1.0 + 1e-4) * d2r(*a))
+    scaled = solver.critical_angular_all(1.0)
+    assert len(scaled) == len(base) == 1
+    assert (scaled[0].l_cr, scaled[0].rho_cr) == pytest.approx((base[0].l_cr, base[0].rho_cr),
+                                                               rel=1e-9)
+    assert scaled[0].slope_residual != base[0].slope_residual
+    assert scaled[0].curvature_residual != base[0].curvature_residual
+    monkeypatch.setattr(susy, "partner_plus_d2r", lambda *a: -d2r(*a))
+    assert solver.critical_angular_all(1.0) == []
+
+
 @pytest.mark.parametrize("error", [ConvergenceError("no descent direction"),
                                    ValueError("rho must be strictly positive")])
 def test_a_failed_polish_is_a_convergence_error_naming_the_candidate(monkeypatch, error):
