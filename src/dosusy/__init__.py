@@ -9,9 +9,9 @@ The public surface groups into seven layers:
   search, the DOP853 integrator with dense output);
 - model: the potential family, coupling quantization, analytic bound-family
   wavefunctions, and quantum-number bookkeeping;
-- susy: superpotential, both partner potentials with analytic derivatives,
-  ladder operators, and the compact-coordinate reconstruction of the
-  nodeless factor;
+- susy: superpotential, both partner potentials with analytic derivatives and
+  their figure curves, ladder operators, and the compact-coordinate
+  reconstruction of the nodeless factor;
 - family: general solutions of the first-order (Riccati-type) equations on
   both sides, the lambda-parameter families, and the printed-series audit;
 - solver: independent oracles (radial shooting, pocket-threshold search,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import family as fam
 from . import model, solver, susy
-from .numkit import _curve_csv, _median, _richardson, _stencil_nodes, derivative
+from .numkit import _median, _richardson, _stencil_nodes, derivative
 from .solver import _EIGEN_TOL
 
 __all__ = [
@@ -446,41 +446,6 @@ def suite_degeneracy() -> list[CheckResult]:
     return results
 
 
-def figure_payloads(figure: str) -> dict[str, str]:
-    """CSV payloads for the two published-curve bundles, keyed by filename.
-
-    fig1: both partner potentials at l = 2 for kappa in {1/2, 1, 3/2};
-    fig2: kappa = 1, lower partner at l in {1, 5, 10} and upper partner at
-    l in {6, 7, 8} (straddling the pocket threshold).  Pure function of the
-    figure name — identical bytes on every call.
-    """
-    grid = model.default_grid()
-    if figure == "fig1":
-        combos = ((0.5, 2), (1.0, 2), (1.5, 2))
-        layout = (("fig1_minus.csv", "lower partner potential U_minus(rho)",
-                   susy.partner_minus_closed, combos),
-                  ("fig1_plus.csv", "upper partner potential U_plus(rho)",
-                   susy.partner_plus_closed, combos))
-    elif figure == "fig2":
-        layout = (("fig2_minus.csv", "lower partner potential U_minus(rho)",
-                   susy.partner_minus_closed, ((1.0, 1), (1.0, 5), (1.0, 10))),
-                  ("fig2_plus.csv", "upper partner potential U_plus(rho)",
-                   susy.partner_plus_closed, ((1.0, 6), (1.0, 7), (1.0, 8))))
-    else:
-        raise ValueError(f"unknown figure {figure!r} (expected 'fig1' or 'fig2')")
-
-    payloads: dict[str, str] = {}
-    rhos = list(map(repr, grid.tolist()))   # both files' rho column, formatted once
-    for fname, desc, fn, combos in layout:
-        blocks = [(rhos, fn(grid, kappa, l), kappa, l) for kappa, l in combos]
-        curves = "; ".join(f"kappa={kappa!r}, l={l}" for kappa, l in combos)
-        payloads[fname] = _curve_csv(
-            f"{fname[:-4]}: {desc} on the default log grid",
-            "rho (units R), U (units E0), kappa, l",
-            curves, "rho,U,kappa,l", blocks)
-    return payloads
-
-
 # ----------------------------------------------------------------------
 # figures: curve emission is reproducible and hits known spot values
 # ----------------------------------------------------------------------
@@ -497,8 +462,8 @@ def suite_figures() -> list[CheckResult]:
     results = []
     payloads = {}
     for fig in ("fig1", "fig2"):
-        first = figure_payloads(fig)
-        second = figure_payloads(fig)
+        first = susy.figure_payloads(fig)
+        second = susy.figure_payloads(fig)
         payloads[fig] = first
         results.append(_check(
             f"figures:deterministic:{fig}", 0.0 if first == second else 1.0, 0.5,

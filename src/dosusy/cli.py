@@ -29,15 +29,9 @@ from . import family as fam
 from .exceptions import SingularPointError
 from .numkit import _curve_csv
 from .solver import _EIGEN_TOL
+from .susy import figure_payloads
 
 __all__ = ["main", "build_parser", "figure_payloads"]
-
-
-def __getattr__(name: str):   # cli.figure_payloads is checks' own, loaded on first use
-    if name == "figure_payloads":
-        from . import checks
-        return checks.figure_payloads
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _SuiteNames:   # verify's help lists the suites: checks loads only when it is printed
@@ -217,9 +211,8 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    from . import checks
     names = ("fig1", "fig2") if args.figure == "all" else (args.figure,)
-    _emit(args.out, (pair for name in names for pair in checks.figure_payloads(name).items()))
+    _emit(args.out, (pair for name in names for pair in figure_payloads(name).items()))
     return 0
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (SampledFunction, _check_rho, _fold, _pow, _radial, _rdiv, _rmul, _rsub,
-                    _well_root, _xi)
-from .numkit import _anchored_integral, grid_derivative
+                    _well_root, _xi, default_grid)
+from .numkit import _anchored_integral, _curve_csv, grid_derivative
 
 _HUGE = np.finfo(float).max
 
@@ -53,27 +53,27 @@ def _numerators_t(T, kappa: float, l, order: int) -> list:
     T is read, never written: each B_n is a new array.  They are formed from
     the highest order down, so that B_1 and B_0 are written over kS and cT.
 
-    Past kappa = 2.8e102, k^3 passes the float range (unwarned only under the
-    caller's errstate, as in _over_rho); where T = 0 the factor of cT is then
-    taken as 0, so B_n is its limit (-1)^n n! l there.
+    Each further power of k multiplies a finite factor that carries its zero first:
+    q = cT kS is 0 at T = 0 and at T = 1, and k (2T - 1) is 0 at rho = 1.  So where
+    rho^k passes the float range (T = 0 or 1, every rho != 1 once kappa > 1e100)
+    B_n is its limit, (-1)^n n! l or -(-1)^n n! (l+1), with no inf * 0, and only
+    at rho = 1 can a power of k pass the range, as a signed infinity (unwarned only
+    under the caller's errstate, as in _over_rho).
     """
     k = 2.0 * kappa
     cT = (2.0 * l + 1.0) * T
     B = []
-
-    def times_cT(terms):   # cT * terms, 0 where T = 0 even if terms is inf there
-        return cT * (np.where(T == 0, 0.0, terms) if k > 1e100 else terms)
-
     if order >= 1:
         kS = 1.0 - T
         kS *= k
     if order >= 2:
-        k2Sd = k * kS * (2.0 * T - 1.0)  # k^2 S (T - S)
-    if order >= 3:
-        k3Se = k * k * kS * (1.0 - 6.0 * T * (1.0 - T))  # k^3 S (1 - 6 T S)
-        B.append(times_cT(6.0 + 11.0 * kS - 6.0 * k2Sd + k3Se) - 6.0 * l)
+        q = cT * kS
+        qkd = q * (k * (2.0 * T - 1.0))   # k^2 cT S (T - S)
+    if order >= 3:   # (q k)(k (1 - 6 T S)) = k^3 cT S (1 - 6 T S)
+        B.append(cT * (6.0 + 11.0 * kS) - 6.0 * qkd
+                 + (q * k) * (k * (1.0 - 6.0 * T * (1.0 - T))) - 6.0 * l)
     if order >= 2:
-        B.append(2.0 * l - times_cT(2.0 + 3.0 * kS - k2Sd))
+        B.append(2.0 * l - (cT * (2.0 + 3.0 * kS) - qkd))
     if order >= 1:
         kS += 1.0
         B1 = _rmul(cT, kS)
@@ -146,7 +146,7 @@ def _reduced(rho, kappa, a, k_well, k_h=None):
         if np.max(np.abs(a) + np.abs(k_well) + abs(k_h)) / np.min(rho) ** 2 < _HUGE:
             return u
         x = _pow(rho, 2.0 * kappa)
-        T2 = np.asarray(1.0 + x) ** -2.0   # as a 0-d array, numpy's power (see model._pow)
+        T2 = _pow(1.0 + x, -2.0)
         keep = np.isfinite(u) | ((a == 0) & (k_h == 0))
         return np.where(keep, u, (a - k_well * x * T2 + k_h * T2) / rho / rho)
 
@@ -207,6 +207,41 @@ def partner_plus_dr(rho, kappa: float, l):
 def partner_plus_d2r(rho, kappa: float, l):
     """d^2 U_+ / d rho^2 = 2 (W'^2 + W W'') + W'''."""
     return _over_rho(rho, kappa, l, 3, _u_plus_curvature)
+
+
+def figure_payloads(figure: str) -> dict[str, str]:
+    """CSV payloads for the two published-curve bundles, keyed by filename.
+
+    fig1: both partner potentials at l = 2 for kappa in {1/2, 1, 3/2};
+    fig2: kappa = 1, lower partner at l in {1, 5, 10} and upper partner at
+    l in {6, 7, 8} (straddling the pocket threshold).  Pure function of the
+    figure name — identical bytes on every call.
+    """
+    grid = default_grid()
+    if figure == "fig1":
+        combos = ((0.5, 2), (1.0, 2), (1.5, 2))
+        layout = (("fig1_minus.csv", "lower partner potential U_minus(rho)",
+                   partner_minus_closed, combos),
+                  ("fig1_plus.csv", "upper partner potential U_plus(rho)",
+                   partner_plus_closed, combos))
+    elif figure == "fig2":
+        layout = (("fig2_minus.csv", "lower partner potential U_minus(rho)",
+                   partner_minus_closed, ((1.0, 1), (1.0, 5), (1.0, 10))),
+                  ("fig2_plus.csv", "upper partner potential U_plus(rho)",
+                   partner_plus_closed, ((1.0, 6), (1.0, 7), (1.0, 8))))
+    else:
+        raise ValueError(f"unknown figure {figure!r} (expected 'fig1' or 'fig2')")
+
+    payloads: dict[str, str] = {}
+    rhos = list(map(repr, grid.tolist()))   # both files' rho column, formatted once
+    for fname, desc, fn, combos in layout:
+        blocks = [(rhos, fn(grid, kappa, l), kappa, l) for kappa, l in combos]
+        curves = "; ".join(f"kappa={kappa!r}, l={l}" for kappa, l in combos)
+        payloads[fname] = _curve_csv(
+            f"{fname[:-4]}: {desc} on the default log grid",
+            "rho (units R), U (units E0), kappa, l",
+            curves, "rho,U,kappa,l", blocks)
+    return payloads
 
 
 def apply_ladder(u: SampledFunction, kappa, l, which: str = "A") -> SampledFunction:

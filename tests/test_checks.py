@@ -171,7 +171,7 @@ def test_riccati_checks_fail_on_a_perturbed_partner(monkeypatch):
 def _figures_with_edited_rows(monkeypatch, fname, edit):
     """Run the figures suite on payloads whose data rows in ``fname`` pass through
     ``edit(fields) -> fields``; the checks see only the edited text."""
-    build = checks.figure_payloads
+    build = susy.figure_payloads
 
     def edited(figure):
         payloads = build(figure)
@@ -181,13 +181,13 @@ def _figures_with_edited_rows(monkeypatch, fname, edit):
                 for line in payloads[fname].splitlines())
         return payloads
 
-    monkeypatch.setattr(checks, "figure_payloads", edited)
+    monkeypatch.setattr(susy, "figure_payloads", edited)
     return {r.check_id: r for r in run_suites(("figures",))}
 
 
 def test_an_unknown_figure_is_refused():
     with pytest.raises(ValueError, match="unknown figure 'fig3'"):
-        checks.figure_payloads("fig3")
+        susy.figure_payloads("fig3")
 
 
 def test_figures_spot_check_reads_the_emitted_text(monkeypatch):

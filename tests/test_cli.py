@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import dosusy
-from dosusy import checks, cli, family, model, solver, susy
+from dosusy import cli, family, model, solver, susy
 from dosusy.cli import main
 
 
@@ -711,7 +711,7 @@ def test_every_csv_writer_matches_rowwise_bytes(tmp_path, capsys, monkeypatch):
         return text
 
     monkeypatch.setattr(cli, "_curve_csv", checked)
-    monkeypatch.setattr(checks, "_curve_csv", checked)   # the figure bundles' writer
+    monkeypatch.setattr(susy, "_curve_csv", checked)   # the figure bundles' writer
     for fig in ("fig1", "fig2"):
         cli.figure_payloads(fig)
     assert run(capsys, "partners", "--kappa", "3/2", "--l", "1", "--out", str(tmp_path))[0] == 0

@@ -20,7 +20,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dosusy import model, numkit, susy
@@ -323,24 +323,77 @@ def oracle_u_plus_d2r(r, k, l):
     return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
 
 
-# past kappa = 2.8e102, (2 kappa)^3 passes the float range: where rho^(2 kappa) overflows too
-# (T = 0), W''' and U+'' are their limits -6 l / rho^4 and (6 l^2 - 6 l) / rho^4, unwarned
-@pytest.mark.parametrize("kappa", (1e103, 1e150, 1e300))
+# W'', W''', U+' and U+'' on the numerators B_0..B_3 of d^n W / d rho^n = B_n / rho^(n+1)
+HIGHER_FORMS = {
+    "W''": (superpotential_d2r, 2, lambda B0, B1, B2, B3: B2),
+    "W'''": (superpotential_d3r, 3, lambda B0, B1, B2, B3: B3),
+    "U+'": (partner_plus_dr, 2, lambda B0, B1, B2, B3: 2.0 * B0 * B1 + B2),
+    "U+''": (partner_plus_d2r, 3, lambda B0, B1, B2, B3: 2.0 * (B1 * B1 + B0 * B2) + B3),
+}
+
+
+def higher_forms(rho, kappa, l):
+    """The four forms on the array rho, with warnings as errors; asserts that the call at
+    each radius alone is its array lane bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lanes = {name: fn(rho, kappa, l) for name, (fn, _, _) in HIGHER_FORMS.items()}
+        for name, (fn, _, _) in HIGHER_FORMS.items():
+            single = np.array([fn(r, kappa, l) for r in rho.tolist()])
+            assert same_bits(single, lanes[name]), (name, single, lanes[name])
+    return lanes
+
+
+def assert_limits(rho, kappa, l):
+    """Where rho^(2 kappa) is 0 or inf (T = 1 or 0) each form is its limit: B_n is
+    (-1)^n n! l beyond rho = 1 and -(-1)^n n! (l+1) inside it."""
+    lanes = higher_forms(rho, kappa, l)
+    B = [np.where(rho > 1.0, l, -(l + 1.0)) * (-1) ** n * math.factorial(n) for n in range(4)]
+    with np.errstate(over="ignore", divide="ignore"):   # rho^(n+1) may be inf or 0
+        for name, (_, order, combine) in HIGHER_FORMS.items():
+            want = combine(*B) / rho ** (order + 1)
+            assert np.array_equal(lanes[name], want), (name, l, lanes[name], want)
+    return lanes
+
+
+def oracle_higher(r, k, l, names=tuple(HIGHER_FORMS)):
+    """(exact, scale) of each named form: W'' and W''' by oracle_w, U+' as 2 W W' + W''
+    on them and U+'' by oracle_u_plus_d2r.  At rho = 1 the working precision grows with
+    log k, so that the steps stay under 1/k."""
+    with mp.workprec(mp.mp.prec + (int(mp.log(k, 2)) if r == 1 else 0)):
+        (w0, s0), (w1, s1), w2, w3 = (oracle_w(r, k, l, n) for n in range(4))
+        exact = {"W''": w2, "W'''": w3, "U+'": (2 * w0 * w1 + w2[0], 2 * s0 * s1 + w2[1])}
+        if "U+''" in names:
+            exact["U+''"] = oracle_u_plus_d2r(r, k, l)
+    return exact
+
+
+# Past kappa = 1e100 rho^(2 kappa) is 0 or inf at every float rho != 1, one ulp away too,
+# and past 2.8e102 (2 kappa)^3 passes the float range.  Each power of k multiplies a factor
+# that is 0 at T = 0 and T = 1 first, so the forms are their limits there with no warning;
+# at rho = 1 (T = 1/2) they are finite, or the infinity of their sign past the range.
+@pytest.mark.parametrize("kappa", (1e103, 1e150, 1e160, 1e300))
 def test_third_order_forms_take_their_limit_where_t_underflows_at_huge_kappa(kappa):
-    rho = np.array([1.5, 2.0, 1e3, 1e50])
+    rho = np.array([0.5, 2.0, 1e-50, 1e-3, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                    1.5, 1e3, 1e50])
     k = mp.mpf(kappa)
+    # rho = 1: U+'' once (2l+1) kappa/2 passes 1.3e154 is the one exception, NaN with a
+    # warning, as B_1^2 overflows against the k^3 term of B_3 (ROADMAP, Known defects)
+    at_one = [name for name in HIGHER_FORMS if name != "U+''" or kappa < 1e154]
     for l in (0, 1, 2, 7):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            w3, up2 = superpotential_d3r(rho, kappa, l), partner_plus_d2r(rho, kappa, l)
-            scalars = [(superpotential_d3r(r, kappa, l), partner_plus_d2r(r, kappa, l))
-                       for r in rho.tolist()]
-        assert np.array_equal(w3, -6.0 * l / rho ** 4), (l, w3)
-        assert np.array_equal(up2, (6.0 * l * l - 6.0 * l) / rho ** 4), (l, up2)
-        assert same_bits(np.array(scalars), np.stack([w3, up2], axis=1))   # scalar = lane
-        for r, w3_r, up2_r in zip(rho[:3].tolist(), w3, up2):
-            assert agrees(w3_r, *oracle_w(mp.mpf(r), k, l, 3)), (l, r, w3_r)
-            assert agrees(up2_r, *oracle_u_plus_d2r(mp.mpf(r), k, l)), (l, r, up2_r)
+        lanes = assert_limits(rho, kappa, l)
+        if l not in (0, 7):   # the oracle at two l: 0.5, 2 and 1
+            continue
+        for i in range(2):
+            for name, want in oracle_higher(mp.mpf(rho[i]), k, l).items():
+                assert agrees(lanes[name][i], *want), (name, l, rho[i], lanes[name][i])
+        for name, want in oracle_higher(mp.mpf(1), k, l, at_one).items():
+            fn = HIGHER_FORMS[name][0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lane, single = fn(np.array([1.0]), kappa, l), fn(1.0, kappa, l)
+            assert same_bits(np.array([single]), lane), (name, lane, single)
+            assert agrees(single, *want), (name, l, single, want)
 
 
 def test_closed_partners_look_their_reduced_route_up_at_call_time(monkeypatch):
@@ -421,6 +474,15 @@ def test_xi_is_odd_under_inversion(kappa, log_rho):
     xi, _ = map_coordinates(rho, kappa)
     xi_inverted, _ = map_coordinates(1.0 / rho, kappa)
     assert np.max(np.abs(xi_inverted + xi)) <= 1e-15
+
+
+# every float rho != 1 at every kappa past 1e100, l = 0..30
+@settings(max_examples=100, deadline=None)
+@given(log_kappa=st.floats(100.0, 300.0), l=st.integers(0, 30), log_rho=RADII_LOG_WIDE)
+def test_higher_forms_are_their_limits_at_every_radius_past_kappa_1e100(log_kappa, l, log_rho):
+    rho = 10.0 ** np.array(log_rho)
+    assume(np.all(rho != 1.0))
+    assert_limits(rho, 10.0 ** log_kappa, l)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Cold start: the package and every subcommand run on numpy alone, with no
-scipy module loaded, and only verify and figures load the verification
-layer, dosusy.checks.
+scipy module loaded, and only verify loads the verification layer,
+dosusy.checks.
 
 Each test runs a fresh interpreter, since an import made by any other test
 would already sit in this process's ``sys.modules``.
@@ -133,6 +133,7 @@ NON_VERIFYING = (["eval", "U", "--kappa", "1", "--w", "3", "--rho", "0.5"],
                  ["family", "--kappa", "1", "--lambda", "-0.5", "--rho", "1.3"],
                  ["family", "--kappa", "1", "--lambda", "-0.5", "--out", "curves"],
                  ["trace", "--kappa", "1/2", "--w", "2", "--rho", "0.5", "--out", "orbit.csv"],
+                 ["figures", "all", "--out", "curves"],
                  ["audit", "--format", "json"])
 
 
@@ -152,15 +153,13 @@ print(json.dumps(seen))
     assert out == [[0, [False, False]]] * len(NON_VERIFYING) + [[0, [False, True]]]
 
 
-@pytest.mark.parametrize("argv", [["verify", "--suite", "riccati"], ["figures", "all"]],
-                         ids=["verify", "figures"])
-def test_verify_and_figures_load_checks(argv, tmp_path):
-    out = run_fresh(LOADED + f"""
+def test_verify_loads_checks(tmp_path):
+    out = run_fresh(LOADED + """
 import contextlib, io
 from dosusy import cli
 before = loaded()[0]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = cli.main({argv!r})
+    code = cli.main(["verify", "--suite", "riccati"])
 import json
 print(json.dumps([before, code, loaded()[0]]))
 """, tmp_path, prelude="")
@@ -178,7 +177,7 @@ checks = dosusy.checks
 print(json.dumps({
     "before": before,
     "same": [dosusy.run_suites is checks.run_suites, dosusy.CheckResult is checks.CheckResult,
-             cli.figure_payloads is checks.figure_payloads],
+             cli.figure_payloads is dosusy.susy.figure_payloads],
     "star_missing": sorted(set(dosusy.__all__) - set(star)),
     "suites": list(dosusy.SUITE_NAMES)}))
 """, tmp_path)
