@@ -209,13 +209,13 @@ def _pow(b, e):
             return b ** e
         m = np.abs(e)   # b^e = s^m
         s = np.where(e < 0, 1.0 / b, b) if arr else (1.0 / b if e < 0 else b)
-        zero, inf = s < np.exp2(-1100.0 / m), s > np.exp2(1030.0 / m)
+        keep, inf = s >= np.exp2(-1100.0 / m), s > np.exp2(1030.0 / m)
         del s   # 1/b, if made, goes before out is
-        out = np.where(inf, np.inf, 0.0)
-        zero |= inf
-        keep = np.logical_not(zero, out=zero)
-        out[keep] = b[keep] ** (e[keep] if arr else e)   # e itself keeps numpy's fast paths
-    return out
+        out = np.zeros(inf.shape)
+        np.copyto(out, np.inf, where=inf)
+        keep ^= inf   # every inf lane passed the lower bound too
+        # the kept lanes' powers are written in place: np.power is ** bit for bit there
+        return np.power(b, e, out=out, where=keep)
 
 
 def _radial(closed_form):
@@ -375,7 +375,13 @@ def _well_root(rho, kappa):
         h = _rdiv(1.0, h)
         if _SPAN.get() * max(kappa, 1.0) > 1022:   # some t may be subnormal or some h inf
             lost = (t < np.finfo(float).tiny) | np.isinf(h)
-            return np.where(lost, _pow(rho, kappa - 1.0) / (t * t + 1.0), t * h), h
+            if rho.ndim == 0:
+                return np.where(lost, _pow(rho, kappa - 1.0) / (t * t + 1.0), t * h), h
+            lost = lost.nonzero()   # the few lanes whose g takes its own power
+            g_lost = _pow(rho[lost], kappa - 1.0) / (t[lost] * t[lost] + 1.0)
+            t *= h
+            t[lost] = g_lost
+            return t, h
         t *= h
     return t, h
 
@@ -425,10 +431,9 @@ def _folded_f(rho, x, v, kappa: float, l):
     it is representable.  radial_u shares it, so u = f bit for bit at
     polynomial degree 0.
     """
-    f = _pow(x, l)
     v = np.asarray(v)   # a scalar's power as its array lane's (see _pow)
     v **= (2.0 * l + 1.0) / (2.0 * kappa)
-    f *= v
+    f = v if l == 0 else _rmul(_pow(x, l), v)   # x^0 = 1 times v is v
     f *= np.minimum(rho, 1.0, out=_into(x, rho))
     return f
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (SampledFunction, _check_rho, _fold, _pow, _radial, _rdiv, _rmul, _rsub,
+from .model import (_SPAN, SampledFunction, _fold, _pow, _radial, _rdiv, _rmul, _rsub,
                     _well_root, _xi, default_grid)
 from .numkit import _anchored_integral, _curve_csv, grid_derivative
 
@@ -59,19 +59,25 @@ def _numerators_t(T, kappa: float, l, order: int) -> list:
     B_n is its limit, (-1)^n n! l or -(-1)^n n! (l+1), with no inf * 0, and only
     at rho = 1 can a power of k pass the range, as a signed infinity (unwarned only
     under the caller's errstate, as in _over_rho).
+
+    k = 2 kappa is inf past kappa = HUGE/2: each product x k is (2x) kappa, the same
+    product rounded once, and past HUGE/22 (where 11 kS may pass the range) kappa is 0
+    at T = 0 and 1, where each k multiplies a zero.  q is held to HUGE: it passes the
+    range only at rho = 1 (for l < 1e290), where k (2T - 1) = 0.
     """
-    k = 2.0 * kappa
+    km = kappa if 22.0 * kappa < _HUGE else kappa * np.sign(T * (1.0 - T))
     cT = (2.0 * l + 1.0) * T
     B = []
     if order >= 1:
-        kS = 1.0 - T
-        kS *= k
+        kS = T * -2.0
+        kS += 2.0
+        kS *= km   # (2S) kappa
     if order >= 2:
-        q = cT * kS
-        qkd = q * (k * (2.0 * T - 1.0))   # k^2 cT S (T - S)
+        q = np.minimum(cT * kS, _HUGE)
+        qkd = q * ((4.0 * T - 2.0) * km)   # k^2 cT S (T - S)
     if order >= 3:   # (q k)(k (1 - 6 T S)) = k^3 cT S (1 - 6 T S)
-        B.append(cT * (6.0 + 11.0 * kS) - 6.0 * qkd
-                 + (q * k) * (k * (1.0 - 6.0 * T * (1.0 - T))) - 6.0 * l)
+        B.append(_k3(cT * (6.0 + 11.0 * kS) - 6.0 * qkd,
+                     (2.0 * q * km) * ((2.0 - 12.0 * T * (1.0 - T)) * km)) - 6.0 * l)
     if order >= 2:
         B.append(2.0 * l - (cT * (2.0 + 3.0 * kS) - qkd))
     if order >= 1:
@@ -81,6 +87,16 @@ def _numerators_t(T, kappa: float, l, order: int) -> list:
         B.append(B1)   # cT (1 + kS) - l
     B.append(_rsub(l, cT))   # l - cT
     return B[::-1]
+
+
+def _k3(x, y):
+    """x + y for a term y in k^3, and y where both are infinite: at rho = 1 it outgrows x's
+    terms in k and k^2 (B_1^2 while l + 1/2 < kappa), where their infinities meet."""
+    if not np.isinf(y).any():
+        return x + y
+    with np.errstate(invalid="ignore"):   # inf - inf: replaced
+        s = x + y
+    return np.where(np.isinf(x) & np.isinf(y), y, s)
 
 
 @_radial
@@ -94,7 +110,7 @@ def _over_rho(rho, kappa, l, order, combine):
     with np.errstate(over="ignore", divide="ignore"):
         num = combine(*_numerators_t(_rdiv(1.0, T), kappa, l, order))
         del T   # before rho^(order + 1) is made
-        num /= _pow(rho, order + 1)   # num has the result's shape, the power rho's
+        num /= _pow(rho, order + 1) if order else rho   # num has the result's shape
     return num
 
 
@@ -143,7 +159,9 @@ def _reduced(rho, kappa, a, k_well, k_h=None):
             h *= h
             u += _rmul(k_h, h)
         k_h = 0.0 if k_h is None else k_h   # P's h coefficient
-        if np.max(np.abs(a) + np.abs(k_well) + abs(k_h)) / np.min(rho) ** 2 < _HUGE:
+        # each term is within c / rho^2 <= c 4^span (taken in log2: 4.0 ** span may overflow)
+        c = np.max(np.abs(a) + np.abs(k_well) + abs(k_h))
+        if c < 2.0 ** (1023.0 - 2.0 * _SPAN.get()) or c / np.min(rho) ** 2 < _HUGE:
             return u
         x = _pow(rho, 2.0 * kappa)
         T2 = _pow(1.0 + x, -2.0)
@@ -196,7 +214,7 @@ def _u_plus_slope(B0, B1, B2):
 
 def _u_plus_curvature(B0, B1, B2, B3):
     """The numerator of d^2 U_+ / d rho^2 = 2 (W'^2 + W W'') + W''' over rho^4."""
-    return 2.0 * (B1 * B1 + B0 * B2) + B3
+    return _k3(2.0 * (B1 * B1 + B0 * B2), B3)
 
 
 def partner_plus_dr(rho, kappa: float, l):
@@ -273,6 +291,7 @@ def apply_ladder(u: SampledFunction, kappa, l, which: str = "A") -> SampledFunct
     return SampledFunction(u.grid, out)
 
 
+@_radial
 def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
     """Rebuild the nodeless factor from the compact-coordinate route.
 
@@ -289,7 +308,6 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
     grid points are one prefix-summed quadrature call, on segments cut at
     2/kappa, twice the scale of xi = -tanh(kappa t).
     """
-    grid, _ = _check_rho(grid)
     q = (2.0 * l + 1.0) / (2.0 * kappa) + 0.5
     integral = (2.0 * q + 1.0) * kappa * _anchored_integral(
         lambda t: _xi(rho := np.exp(t), _fold(rho, kappa)[1]), 0.0, np.log(grid), 2.0 / kappa)
