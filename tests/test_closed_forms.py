@@ -66,8 +66,16 @@ def agrees(got, exact, scale):
     return abs(mp.mpf(got) - exact) <= BOUND * scale + TINY
 
 
+def oracle_pow(r, e):
+    """rho^e as exp(e ln rho): mpmath's power of an integer-valued e is slow at huge e.
+    exp multiplies the relative error of its argument by the argument's size, so that
+    argument is formed with log2 |e ln rho| more bits."""
+    with mp.extraprec(int(mp.log(abs(e * mp.log(r)) + 1, 2)) + 1):
+        return mp.exp(e * mp.log(r))
+
+
 def oracle_T(r, k):
-    return 1 / (1 + r ** (2 * k))
+    return 1 / (1 + oracle_pow(r, 2 * k))
 
 
 def oracle_w(r, k, l, order):
@@ -87,7 +95,7 @@ def oracle_w(r, k, l, order):
 
 def oracle_well(r, k):
     """rho^(2k-2) T^2, the shape of the potential well."""
-    return r ** (2 * k - 2) * oracle_T(r, k) ** 2
+    return oracle_pow(r, 2 * k - 2) * oracle_T(r, k) ** 2
 
 
 def oracle_f(r, k, l):
