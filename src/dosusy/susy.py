@@ -169,22 +169,6 @@ def _reduced(rho, kappa, a, k_well, k_h=None):
         return np.where(keep, u, (a - k_well * x * T2 + k_h * T2) / rho / rho)
 
 
-def partner_minus(rho, kappa: float, l):
-    """Lower partner W^2 - W' (equals the effective potential on the ladder).
-
-    At l = 0 its terms cancel near the origin (kappa = 1: relative error 8.3e-8 at rho = 1e-5
-    and 8.9e-5 at 1e-6, 0.0 for -3 at 1e-8, NaN with an "invalid value" warning at 1e-200);
-    partner_minus_closed has no such floor."""
-    return _over_rho(rho, kappa, l, 1, lambda B0, B1: B0 * B0 - B1)
-
-
-def partner_plus(rho, kappa: float, l):
-    """Upper partner W^2 + W'.  Its terms add near the origin, but cancel at large rho for
-    l = 1 (kappa = 1: relative error 2.9e-7 at rho = 1e5, 0.26 at 1e8); partner_plus_closed
-    has no such floor."""
-    return _over_rho(rho, kappa, l, 1, lambda B0, B1: B0 * B0 + B1)
-
-
 def partner_minus_closed(rho, kappa: float, l):
     """Algebraically reduced lower partner:
 
@@ -205,6 +189,11 @@ def partner_plus_closed(rho, kappa: float, l):
     """
     c = 2.0 * l + 1.0
     return _reduced(rho, kappa, l * (l - 1.0), c * (c - 2.0 * kappa - 2.0), 2.0 * c)
+
+
+# W^2 -+ W' under their own names are the reduced forms, which have no cancellation floor
+partner_minus = partner_minus_closed
+partner_plus = partner_plus_closed
 
 
 def _u_plus_slope(B0, B1, B2):

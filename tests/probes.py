@@ -3,9 +3,10 @@
 Each row of PROBES is one probe: a name, the argv given to ``cli.main`` (or a
 Python snippet, run in place of a command) and the exit code it must give.
 Tier-1 runs every row in process and checks it keeps the exit-code contract
-(tests/test_cli.py); CI writes every row's output with this tree's corpus on
-a parent's and a commit's ``src`` and diffs the two folders.  A change that
-moves an exit code edits its row.
+(tests/test_cli.py).  CI writes every row's output twice on a commit's ``src``
+and fails on any difference between the two folders; it also diffs one of them
+against the same corpus run on the parent's ``src``, for information only.  A
+change that moves an exit code edits its row.
 
     PYTHONPATH=src python tests/probes.py OUT
 

@@ -34,9 +34,7 @@ from dosusy.model import (
 )
 from dosusy.susy import (
     natanzon_f_reconstruction,
-    partner_minus,
     partner_minus_closed,
-    partner_plus,
     partner_plus_closed,
     partner_plus_d2r,
     partner_plus_dr,
@@ -133,13 +131,12 @@ def test_partners_match_oracle(kappa, l):
         minus_terms = (l * (l + 1) / r ** 2, -c * (c + 2 * k) * well)
         plus_terms = (l * (l - 1) / r ** 2, -c * (c - 2 * k - 2) * well,
                       2 * c * oracle_T(r, k) ** 2 / r ** 2)
-        for exact, terms, closed, assembled in (
-                (W * W - W1, minus_terms, partner_minus_closed, partner_minus),
-                (W * W + W1, plus_terms, partner_plus_closed, partner_plus)):
+        for exact, terms, closed in ((W * W - W1, minus_terms, partner_minus_closed),
+                                     (W * W + W1, plus_terms, partner_plus_closed)):
             got = closed(rho, kappa, l)
             assert agrees(got, exact, mp.fsum(abs(t) for t in terms)), (closed, rho, got, exact)
-            got = assembled(rho, kappa, l)
-            assert agrees(got, exact, riccati_scale), (assembled, rho, got, exact)
+            # and within rounding of W^2 and W', the Riccati terms U-+ are made of
+            assert agrees(got, exact, riccati_scale), (closed, rho, got, exact)
 
 
 # rho from 1e-300 to 1e-150: the 1/rho^2 term and the well of U-+ pass the
@@ -260,8 +257,7 @@ def _fold_forms(kappa, l):
 
 def _forms_without_well_root(kappa, l):
     """Every closed form that does not take the partners' power rho^kappa."""
-    susy_forms = (*W_DERIVATIVES, partner_minus, partner_plus, partner_plus_dr,
-                  partner_plus_d2r)
+    susy_forms = (*W_DERIVATIVES, partner_plus_dr, partner_plus_d2r)
     return [lambda r, fn=fn: fn(r, kappa, l) for fn in susy_forms] + _fold_forms(kappa, l)
 
 
@@ -292,25 +288,21 @@ def test_closed_forms_raise_no_warning_at_extreme_radii(kappa, l):
         # the rest pass the largest double there and are infinities of their sign:
         # W^(n) ~ -(l+1) (-1)^n n! / rho^(n+1), U+ ~ (l+1)(l+2) / rho^2 and its derivatives
         derivs = [fn(1e-200, kappa, l) for fn in W_DERIVATIVES[1:]]
-        plus = [fn(1e-200, kappa, l) for fn in (partner_plus, partner_plus_dr, partner_plus_d2r)]
+        plus = [fn(1e-200, kappa, l) for fn in (partner_plus_closed, partner_plus_dr,
+                                                 partner_plus_d2r)]
         # U- and U_eff are l(l+1) / rho^2 against a well rho^(2 kappa - 2) T^2: infinities
         # of either sign, or at l = 0 the well alone
         ueff = effective_potential_general(1e-200, 3.0, kappa, l)
-        if l:   # at l = 0 U-'s numerator may cancel to 0 and the quotient is NaN
-            minus_assembled = partner_minus(1e-200, kappa, l)
         # rho * rho underflows to 0: the reduced partners' centrifugal term is 0 where
         # its coefficient is (U- at l = 0 is its well alone) and +inf elsewhere
-        minus, plus_closed = (fn(1e-200, kappa, l)
-                              for fn in (partner_minus_closed, partner_plus_closed))
+        minus = partner_minus_closed(1e-200, kappa, l)
         # W = (l - (2l+1) T) / rho passes the largest double at 1e-308 for l > 0 and T ~ 1
         w_edge = superpotential(1e-308, kappa, l)
     r, k, c = mp.mpf("1e-200"), mp.mpf(kappa), 2 * l + 1
     minus_terms = (l * (l + 1) / r ** 2, -c * (c + 2 * k) * oracle_well(r, k))
     ueff_terms = (l * (l + 1) / r ** 2, -3 * oracle_well(r, k))
-    for got, terms in ((minus, minus_terms), (ueff, ueff_terms),
-                       *([(minus_assembled, minus_terms)] if l else [])):
+    for got, terms in ((minus, minus_terms), (ueff, ueff_terms)):
         assert agrees(got, mp.fsum(terms), mp.fsum(abs(t) for t in terms)), (got, terms)
-    assert plus_closed == math.inf
     assert agrees(w_edge, *oracle_w(mp.mpf("1e-308"), k, l, 0)), w_edge
     assert derivs == [math.inf, -math.inf, math.inf]
     assert plus == [math.inf, -math.inf, math.inf]
@@ -506,8 +498,11 @@ def contract_forms(kappa, l):
         "radial_u": lambda r: radial_u(r, 3, 0, kappa),
         "effective_potential_general": lambda r: effective_potential_general(r, 3.0, kappa, l),
         **{fn.__name__: (lambda r, fn=fn: fn(r, kappa, l))
-           for fn in (*W_DERIVATIVES, partner_minus, partner_plus, partner_minus_closed,
-                      partner_plus_closed, partner_plus_dr, partner_plus_d2r)},
+           for fn in (*W_DERIVATIVES, partner_minus_closed, partner_plus_closed,
+                      partner_plus_dr, partner_plus_d2r)},
+        # the names W^2 -+ W' go by, bound to the reduced forms
+        "partner_minus": lambda r: susy.partner_minus(r, kappa, l),
+        "partner_plus": lambda r: susy.partner_plus(r, kappa, l),
     }
 
 
@@ -557,8 +552,8 @@ def test_closed_forms_write_no_argument_and_return_their_own_arrays(case):
     if case == "l-column":
         l = frozen(L_COLUMN)
         forms = {fn.__name__: (lambda r, fn=fn: fn(r, 1.37, l))
-                 for fn in (*W_DERIVATIVES, partner_minus, partner_plus, partner_minus_closed,
-                            partner_plus_closed, partner_plus_dr, partner_plus_d2r)}
+                 for fn in (*W_DERIVATIVES, partner_minus_closed, partner_plus_closed,
+                            partner_plus_dr, partner_plus_d2r)}
         inputs = (rho, l)
     else:
         forms = {**contract_forms(1.37, 7), **contract_forms(0.5, 0),

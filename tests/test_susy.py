@@ -118,11 +118,9 @@ def test_closed_forms_equal_superpotential_combinations(kappa, l):
 
 
 def test_partner_combination_helpers_agree_with_closed_forms():
-    rho = np.geomspace(0.2, 5.0, 31)
-    np.testing.assert_allclose(partner_minus(rho, 1.0, 1),
-                               partner_minus_closed(rho, 1.0, 1), rtol=1e-11, atol=1e-12)
-    np.testing.assert_allclose(partner_plus(rho, 0.5, 2),
-                               partner_plus_closed(rho, 0.5, 2), rtol=1e-11, atol=1e-12)
+    # W^2 -+ W' by name are the reduced forms, with no cancellation floor of their own
+    assert partner_minus is partner_minus_closed
+    assert partner_plus is partner_plus_closed
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
