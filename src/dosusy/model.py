@@ -48,6 +48,7 @@ __all__ = [
     "enumerate_shell",
 ]
 _SPAN = contextvars.ContextVar("_SPAN", default=math.inf)   # set by _radial; inf: judge lanes
+_MEMO_POINTS = 65_536   # _memo remembers no larger grid: its arrays would outlive the call
 
 
 def parse_kappa(value) -> tuple[float, Fraction | None]:
@@ -163,14 +164,18 @@ def _check_coupling(w) -> None:
 # works in place on an array and rebinds a numpy scalar; the helpers below
 # cover the ops whose result goes over the second operand.  Each keeps the
 # IEEE operation and its operands' order, so every value keeps its bits.
+# A result _memo remembers is read-only and shared: a write over a helper's
+# result goes through _into, which gives it a new array where it may not write.
 
 def _into(a, b=None):
     """out= for a ufunc of a and b written over a, an array the closed form made.
 
-    a when the result keeps a's shape, else None: a numpy scalar has no
-    buffer, and a result broadcast past a's shape needs a new one.
+    a when a is writeable and the result keeps a's shape, else None: a numpy
+    scalar has no buffer, a remembered array (_memo) is read-only, and a
+    result broadcast past a's shape needs a new one.
     """
-    return a if isinstance(a, np.ndarray) and getattr(b, "shape", ()) in ((), a.shape) else None
+    return a if (isinstance(a, np.ndarray) and a.flags.writeable
+                 and getattr(b, "shape", ()) in ((), a.shape)) else None
 
 
 def _rsub(a, b):
@@ -216,6 +221,31 @@ def _pow(b, e):
         keep ^= inf   # every inf lane passed the lower bound too
         # the kept lanes' powers are written in place: np.power is ** bit for bit there
         return np.power(b, e, out=out, where=keep)
+
+
+def _memo(helper):
+    """helper(rho, kappa), remembering its last call on a grid of 1 to _MEMO_POINTS lanes (a
+    scalar radius seldom repeats; on a grid a hit saves more than a miss costs at any size).
+
+    An equal kappa and radii equal lane by lane (positive and finite, so == is exact) get
+    the remembered results themselves, read-only.  The slot keeps a copy of rho, so a grid
+    written in place since is a miss, and is one tuple, replaced in one assignment, so no
+    thread reads one call's key with another's results."""
+    @functools.wraps(helper)
+    def remembered(rho, kappa):
+        if rho.ndim == 0 or rho.size > _MEMO_POINTS or isinstance(kappa, np.ndarray):
+            return helper(rho, kappa)   # kappa lanes: no key
+        last_kappa, last_rho, out = remembered.last
+        if last_kappa == kappa and last_rho.shape == rho.shape and (last_rho == rho).all():
+            return out
+        out = helper(rho, kappa)
+        for a in out if isinstance(out, tuple) else (out,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        remembered.last = (kappa, rho.copy(), out)
+        return out
+    remembered.last = (math.nan, None, None)   # nan == kappa is False: nothing remembered
+    return remembered
 
 
 def _radial(closed_form):
@@ -293,6 +323,7 @@ def default_grid(lo: float = 1e-3, hi: float = 1e3, n: int = 400) -> np.ndarray:
     return np.concatenate([left, right[1:]])
 
 
+@_memo
 def _fold(rho, kappa):
     """The folded radius x = min(rho, 1/rho), p = x^(2k) and v = 1/(1 + p).
 
@@ -309,7 +340,7 @@ def _fold(rho, kappa):
 def _xi(rho, p):
     """xi = (1 - rho^(2k)) / (1 + rho^(2k)) from the fold, negative beyond rho = 1.
 
-    xi is written over p, which the caller made and reads no more.
+    xi is written over p where _into allows: the caller reads p no more.
     """
     d = p + 1.0
     xi = _rsub(1.0, p)
@@ -343,7 +374,7 @@ def _ueff(rho, w: float, kappa: float, l):
     _check_coupling(w)
     x, p, v = _fold(rho, kappa)
     if l:
-        p *= w   # w p v v
+        p = np.multiply(p, w, out=_into(p))   # w p v v
         p *= v
         p *= v
         u = _rsub(l * (l + 1.0), p)
@@ -351,13 +382,14 @@ def _ueff(rho, w: float, kappa: float, l):
             u /= rho
             u /= rho
         return u
-    v *= v
+    v = np.multiply(v, v, out=_into(v))
     u = _pow(x, np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0))
     u *= -w
     u *= v
     return u
 
 
+@_memo
 def _well_root(rho, kappa):
     """g = rho^(k-1) T and h = T / rho from the one power t = rho^k.
 
@@ -423,7 +455,7 @@ def f_factor(rho, kappa: float, l: int):
 
 
 def _folded_f(rho, x, v, kappa: float, l):
-    """f on the fold, from _fold's x and v, which it writes over.
+    """f on the fold, from _fold's x and v, which it writes over where _into allows.
 
     The inversion rho -> 1/rho turns rho^(l+1) / (1 + rho^(2k))^a into
     rho^-l v^a, a = (2l+1)/(2k), so f = x^l v^a min(rho, 1) with every
@@ -432,7 +464,7 @@ def _folded_f(rho, x, v, kappa: float, l):
     polynomial degree 0.
     """
     v = np.asarray(v)   # a scalar's power as its array lane's (see _pow)
-    v **= (2.0 * l + 1.0) / (2.0 * kappa)
+    v = np.power(v, (2.0 * l + 1.0) / (2.0 * kappa), out=_into(v))
     f = v if l == 0 else _rmul(_pow(x, l), v)   # x^0 = 1 times v is v
     f *= np.minimum(rho, 1.0, out=_into(x, rho))
     return f
@@ -440,9 +472,11 @@ def _folded_f(rho, x, v, kappa: float, l):
 
 def _f_integrand(kappa: float, l: int, power: int):
     """f^power e^t over 2^e, the integrand of f^power d rho in t = ln rho, and e: 2^e is near
-    f(1)^power (e = 0 where f(1) underflows), so no absolute error floor swamps a small integral."""
+    f(1)^power (e = 0 where f(1) underflows), so no absolute error floor swamps a small integral.
+    Quadrature nodes never repeat, so f takes the fold that _memo does not remember."""
     e = power * math.frexp(f_factor(1.0, kappa, l))[1]
-    return (lambda t: np.ldexp(f_factor(rho := np.exp(t), kappa, l) ** power * rho, -e)), e
+    f = _radial(lambda rho: _folded_f(rho, *_fold.__wrapped__(rho, kappa)[::2], kappa, l))
+    return (lambda t: np.ldexp(f(rho := np.exp(t)) ** power * rho, -e)), e
 
 
 def state_quantum_numbers(N: int, l: int, kappa) -> tuple[int, float]:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (_SPAN, SampledFunction, _fold, _pow, _radial, _rdiv, _rmul, _rsub,
-                    _well_root, _xi, default_grid)
+from .model import (_SPAN, SampledFunction, _fold, _into, _memo, _pow, _radial, _rdiv, _rmul,
+                    _rsub, _well_root, _xi, default_grid)
 from .numkit import _anchored_integral, _curve_csv, grid_derivative
 
 _HUGE = np.finfo(float).max
@@ -99,17 +99,22 @@ def _k3(x, y):
     return np.where(np.isinf(x) & np.isinf(y), y, s)
 
 
+@_memo
+def _t(rho, kappa):
+    """T = 1/(1 + rho^(2 kappa)), 0 where the power overflows."""
+    T = _pow(rho, 2.0 * kappa)
+    T += 1.0
+    return _rdiv(1.0, T)
+
+
 @_radial
 def _over_rho(rho, kappa, l, order, combine):
     """combine(B_0, ..., B_order) / rho^(order + 1), the B_n of _numerators_t at
-    T = 1/(1 + rho^(2 kappa)) (0 where the power overflows), written over combine's own
-    result; 0 or a signed infinity, with no warning, where the quotient, rho^(order + 1)
-    or a power of k passes the float range (only a NaN warns)."""
-    T = _pow(rho, 2.0 * kappa)
-    T += 1.0
+    T = _t(rho, kappa), written over combine's own result; 0 or a signed infinity, with
+    no warning, where the quotient, rho^(order + 1) or a power of k passes the float range
+    (only a NaN warns)."""
     with np.errstate(over="ignore", divide="ignore"):
-        num = combine(*_numerators_t(_rdiv(1.0, T), kappa, l, order))
-        del T   # before rho^(order + 1) is made
+        num = combine(*_numerators_t(_t(rho, kappa), kappa, l, order))
         num /= _pow(rho, order + 1) if order else rho   # num has the result's shape
     return num
 
@@ -149,14 +154,14 @@ def _reduced(rho, kappa, a, k_well, k_h=None):
     """
     g, h = _well_root(rho, kappa)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # inf - inf: redone below
-        g *= g
+        g = np.multiply(g, g, out=_into(g))
         r2 = rho * rho
         if not (np.all(a) if isinstance(a, np.ndarray) else a):   # 0/0 would be NaN: divide by 1
             r2 = np.where((a == 0) & (r2 == 0), 1.0, r2)
         u = _rdiv(a, r2)
         u -= _rmul(k_well, g)
         if k_h is not None:   # 0 h^2 too, NaN where h^2 is inf
-            h *= h
+            h = np.multiply(h, h, out=_into(h))
             u += _rmul(k_h, h)
         k_h = 0.0 if k_h is None else k_h   # P's h coefficient
         # each term is within c / rho^2 <= c 4^span (taken in log2: 4.0 ** span may overflow)
@@ -298,8 +303,9 @@ def natanzon_f_reconstruction(grid, kappa: float, l: int) -> np.ndarray:
     2/kappa, twice the scale of xi = -tanh(kappa t).
     """
     q = (2.0 * l + 1.0) / (2.0 * kappa) + 0.5
+    fold = _fold.__wrapped__   # quadrature nodes never repeat: not remembered
     integral = (2.0 * q + 1.0) * kappa * _anchored_integral(
-        lambda t: _xi(rho := np.exp(t), _fold(rho, kappa)[1]), 0.0, np.log(grid), 2.0 / kappa)
+        lambda t: _xi(rho := np.exp(t), fold(rho, kappa)[1]), 0.0, np.log(grid), 2.0 / kappa)
     # |d xi/d rho| = 4 kappa p v^2 / rho on the fold, p = x^(2 kappa): taken in logs
     # so that neither it nor its inverse square root overflows
     x, p, _ = _fold(grid, kappa)

@@ -3,12 +3,14 @@
 Each row of PROBES is one probe: a name, the argv given to ``cli.main`` (or a
 Python snippet, run in place of a command) and the exit code it must give.
 Tier-1 runs every row in process and checks it keeps the exit-code contract
-(tests/test_cli.py).  CI writes every row's output twice on a commit's ``src``
-and fails on any difference between the two folders; it also diffs one of them
-against the same corpus run on the parent's ``src``, for information only.  A
-change that moves an exit code edits its row.
+(tests/test_cli.py).  CI writes every row's output twice on a commit's ``src``,
+the second time with the rows in reverse order, and fails on any difference
+between the two folders: a row's output then depends on no state that an
+earlier row left in the process (a remembered grid, a cache).  It also diffs
+the first folder against the same corpus run on the parent's ``src``, for
+information only.  A change that moves an exit code edits its row.
 
-    PYTHONPATH=src python tests/probes.py OUT
+    PYTHONPATH=src python tests/probes.py OUT [--reverse]
 
 writes OUT/<name>/{stdout,stderr,exit} for each probe, beside the files the
 probe itself writes: every probe runs with OUT/<name> as its working
@@ -153,8 +155,8 @@ def run(probe: Probe, folder) -> "tuple[int, str, str]":
     return code, out.getvalue(), err.getvalue()
 
 
-def main(out: str) -> None:
-    for probe in PROBES:
+def main(out: str, reverse: bool = False) -> None:
+    for probe in reversed(PROBES) if reverse else PROBES:
         folder = os.path.join(out, probe.name)
         os.makedirs(folder)
         code, stdout, stderr = run(probe, folder)
@@ -164,4 +166,6 @@ def main(out: str) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    if len(sys.argv) < 2 or sys.argv[2:] not in ([], ["--reverse"]):
+        sys.exit("usage: probes.py OUT [--reverse]")
+    main(sys.argv[1], reverse=sys.argv[2:] == ["--reverse"])
