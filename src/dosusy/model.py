@@ -207,7 +207,7 @@ def _pow(b, e):
     span, arr = _SPAN.get(), isinstance(e, np.ndarray)
     if arr and e.ndim == 0 == b.ndim:
         return _pow(b.reshape(1), e.reshape(1))[0]
-    if span * (np.abs(e).max() if arr else abs(e)) < 1e3:   # no power near 0 or inf
+    if span * (np.abs(e).max(initial=0.0) if arr else abs(e)) < 1e3:   # no power near 0 or inf
         return b ** e
     with np.errstate(divide="ignore", over="ignore"):
         if b.ndim == 0:   # one power: numpy's, its overflow quiet as the lanes' below
@@ -233,10 +233,12 @@ def _memo(helper):
     thread reads one call's key with another's results."""
     @functools.wraps(helper)
     def remembered(rho, kappa):
-        if rho.ndim == 0 or rho.size > _MEMO_POINTS or isinstance(kappa, np.ndarray):
+        if rho.ndim == 0 or not 0 < rho.size <= _MEMO_POINTS or isinstance(kappa, np.ndarray):
             return helper(rho, kappa)   # kappa lanes: no key
         last_kappa, last_rho, out = remembered.last
-        if last_kappa == kappa and last_rho.shape == rho.shape and (last_rho == rho).all():
+        # a miss seldom shares the last lane: it is compared before the whole grid is
+        if (last_kappa == kappa and last_rho.shape == rho.shape
+                and last_rho.item(-1) == rho.item(-1) and (last_rho == rho).all()):
             return out
         out = helper(rho, kappa)
         for a in out if isinstance(out, tuple) else (out,):
@@ -374,7 +376,7 @@ def _ueff(rho, w: float, kappa: float, l):
     _check_coupling(w)
     x, p, v = _fold(rho, kappa)
     if l:
-        p = np.multiply(p, w, out=_into(p))   # w p v v
+        p = _rmul(w, p)   # w p v v
         p *= v
         p *= v
         u = _rsub(l * (l + 1.0), p)
@@ -382,7 +384,7 @@ def _ueff(rho, w: float, kappa: float, l):
             u /= rho
             u /= rho
         return u
-    v = np.multiply(v, v, out=_into(v))
+    v = _rmul(v, v)
     u = _pow(x, np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0))
     u *= -w
     u *= v
@@ -391,9 +393,11 @@ def _ueff(rho, w: float, kappa: float, l):
 
 @_memo
 def _well_root(rho, kappa):
-    """g = rho^(k-1) T and h = T / rho from the one power t = rho^k.
+    """g = rho^(k-1) T, h = T / rho and T = 1/(1 + rho^(2k)) from the one power t = rho^k.
 
-    Squared, they are the reduced partners' well terms, accurate while t is
+    T = 1/q with q = t t + 1 (0 where t t overflows) is W's and its derivatives'
+    variable (susy._over_rho), so W, W' and both partners on one grid share the power.
+    g and h, squared, are the reduced partners' well terms, accurate while t is
     finite (g is NaN where it overflows); where t is subnormal or h infinite,
     t h loses g, which takes its own power there.  The partners keep this
     form, not the finite fold of _ueff, until perfbench's seed-variation test
@@ -401,21 +405,22 @@ def _well_root(rho, kappa):
     """
     t = _pow(rho, kappa)
     with np.errstate(over="ignore", invalid="ignore"):   # h = inf below rho ~ 1/HUGE
-        h = t * t
-        h += 1.0
-        h *= rho
-        h = _rdiv(1.0, h)
+        q = t * t
+        q += 1.0
+        T = 1.0 / q
+        q *= rho
+        h = _rdiv(1.0, q)
         if _SPAN.get() * max(kappa, 1.0) > 1022:   # some t may be subnormal or some h inf
             lost = (t < np.finfo(float).tiny) | np.isinf(h)
             if rho.ndim == 0:
-                return np.where(lost, _pow(rho, kappa - 1.0) / (t * t + 1.0), t * h), h
+                return np.where(lost, _pow(rho, kappa - 1.0) / (t * t + 1.0), t * h), h, T
             lost = lost.nonzero()   # the few lanes whose g takes its own power
             g_lost = _pow(rho[lost], kappa - 1.0) / (t[lost] * t[lost] + 1.0)
             t *= h
             t[lost] = g_lost
-            return t, h
+            return t, h, T
         t *= h
-    return t, h
+    return t, h, T
 
 
 @_radial

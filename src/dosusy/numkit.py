@@ -78,12 +78,13 @@ def gegenbauer_eval(p: int, q: float, x):
     if p == 0:
         ones = np.ones_like(xs)
         return ones if isinstance(x, np.ndarray) else float(ones)
-    # C_0 = 1 stays a scalar, and 2x is formed anew where it is used: two arrays fewer
-    c_prev, c_cur = 1.0, 2.0 * xs
-    c_cur *= q
+    def twice(c):   # 2 x c in one pass as x (2c): doubling is exact, so the bits are (2x) c's
+        return xs * (2.0 * c) if math.isfinite(2.0 * c) else 2.0 * xs * c
+
+    # C_0 = 1 stays a scalar, and 2x c is formed anew where it is used: two arrays fewer
+    c_prev, c_cur = 1.0, twice(q)
     for k in range(2, p + 1):
-        c_next = 2.0 * xs
-        c_next *= (k + q - 1.0) / k
+        c_next = twice((k + q - 1.0) / k)
         c_next *= c_cur
         c_prev *= (k + 2.0 * q - 2.0) / k
         c_next -= c_prev

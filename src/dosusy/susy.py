@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (_SPAN, SampledFunction, _fold, _into, _memo, _pow, _radial, _rdiv, _rmul,
-                    _rsub, _well_root, _xi, default_grid)
+from .model import (_SPAN, SampledFunction, _fold, _pow, _radial, _rdiv, _rmul, _rsub,
+                    _well_root, _xi, default_grid)
 from .numkit import _anchored_integral, _curve_csv, grid_derivative
 
 _HUGE = np.finfo(float).max
@@ -99,22 +99,19 @@ def _k3(x, y):
     return np.where(np.isinf(x) & np.isinf(y), y, s)
 
 
-@_memo
-def _t(rho, kappa):
-    """T = 1/(1 + rho^(2 kappa)), 0 where the power overflows."""
-    T = _pow(rho, 2.0 * kappa)
-    T += 1.0
-    return _rdiv(1.0, T)
-
-
 @_radial
 def _over_rho(rho, kappa, l, order, combine):
-    """combine(B_0, ..., B_order) / rho^(order + 1), the B_n of _numerators_t at
-    T = _t(rho, kappa), written over combine's own result; 0 or a signed infinity, with
-    no warning, where the quotient, rho^(order + 1) or a power of k passes the float range
-    (only a NaN warns)."""
+    """combine(B_0, ..., B_order) / rho^(order + 1), the B_n of _numerators_t at the T of
+    _well_root, written over combine's own result; 0 or a signed infinity, with no warning,
+    where the quotient, rho^(order + 1) or a power of k passes the float range (only a NaN
+    warns).  A scalar radius is not remembered: it takes T alone, by _well_root's formula."""
     with np.errstate(over="ignore", divide="ignore"):
-        num = combine(*_numerators_t(_t(rho, kappa), kappa, l, order))
+        if rho.ndim:
+            T = _well_root(rho, kappa)[2]
+        else:
+            t = _pow(rho, kappa)
+            T = 1.0 / (t * t + 1.0)
+        num = combine(*_numerators_t(T, kappa, l, order))
         num /= _pow(rho, order + 1) if order else rho   # num has the result's shape
     return num
 
@@ -152,16 +149,16 @@ def _reduced(rho, kappa, a, k_well, k_h=None):
     x = rho^(2 kappa) and T = 1/(1 + x): P is finite, as no term exceeds its coefficient over
     rho^2.  With no 1/rho^2 term (a = k_h = 0) u is kept, the well and its infinity alone.
     """
-    g, h = _well_root(rho, kappa)
+    g, h, _ = _well_root(rho, kappa)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # inf - inf: redone below
-        g = np.multiply(g, g, out=_into(g))
+        g = _rmul(g, g)
         r2 = rho * rho
         if not (np.all(a) if isinstance(a, np.ndarray) else a):   # 0/0 would be NaN: divide by 1
             r2 = np.where((a == 0) & (r2 == 0), 1.0, r2)
         u = _rdiv(a, r2)
         u -= _rmul(k_well, g)
         if k_h is not None:   # 0 h^2 too, NaN where h^2 is inf
-            h = np.multiply(h, h, out=_into(h))
+            h = _rmul(h, h)
             u += _rmul(k_h, h)
         k_h = 0.0 if k_h is None else k_h   # P's h coefficient
         # each term is within c / rho^2 <= c 4^span (taken in log2: 4.0 ** span may overflow)

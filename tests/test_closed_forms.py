@@ -577,7 +577,7 @@ def test_closed_forms_write_no_argument_and_return_their_own_arrays(case):
 # remembered grids: model._memo keeps each radius helper's last call
 # ----------------------------------------------------------------------
 
-MEMO_HELPERS = (model._fold, model._well_root, susy._t)
+MEMO_HELPERS = (model._fold, model._well_root)
 
 
 def results(out):
@@ -661,7 +661,7 @@ def test_a_scalar_or_a_grid_past_the_cap_leaves_every_slot_and_keeps_its_lanes()
     for form in forms.values():
         form(np.geomspace(0.5, 2.0, 64))
     before = [helper.last for helper in MEMO_HELPERS]
-    for radius in (0.7, np.float64(0.7), np.asarray(0.7)):
+    for radius in (0.7, np.float64(0.7), np.asarray(0.7), np.empty(0)):   # no last lane
         for form in forms.values():
             form(radius)
     assert all(helper.last is slot for helper, slot in zip(MEMO_HELPERS, before))
@@ -683,6 +683,36 @@ def test_a_kappa_array_is_evaluated_lane_by_lane_and_not_remembered():
         for _ in range(2):
             np.testing.assert_allclose(form(rho, kappa), lanes, rtol=1e-15)
         assert all(helper.last is slot for helper, slot in zip(MEMO_HELPERS, before))
+
+
+def test_w_and_the_partners_on_one_grid_take_one_power_and_a_scalar_takes_its_lanes_t(
+        monkeypatch):
+    kappa, l = 1.37, 3
+    rho = np.geomspace(1e-3, 1e3, 1001)
+    asked = []
+
+    def recorded(module):
+        power = module._pow
+        return lambda b, e: (asked.append(e) if b is rho else None) or power(b, e)
+
+    forget()
+    for module in (model, susy):
+        monkeypatch.setattr(module, "_pow", recorded(module))
+    for form in (superpotential, superpotential_dr, partner_minus_closed, partner_plus_closed):
+        form(rho, kappa, l)
+    assert asked.count(kappa) == 1 and 2.0 * kappa not in asked, asked
+    monkeypatch.undo()
+    # a scalar radius, never remembered, takes _well_root's T alone: its lane's bits
+    rho = np.geomspace(1e-300, 1e300, 2001)
+    seen = []
+    numerators = susy._numerators_t
+    monkeypatch.setattr(susy, "_numerators_t", lambda T, *a: seen.append(T) or numerators(T, *a))
+    for kappa in (0.3, 1.37, 3.7):
+        superpotential(rho, kappa, l)
+        lanes = seen[-1]
+        for i in range(0, len(rho), 50):
+            superpotential(rho[i].item(), kappa, l)
+            assert same_bits(seen[-1], lanes[i]), (kappa, rho[i], seen[-1], lanes[i])
 
 
 def test_threads_on_different_grids_get_their_own_results():
@@ -760,7 +790,7 @@ def test_closed_form_grid_forms_hold_few_grid_arrays():
             tracemalloc.start()
             try:
                 out = form()
-                # the arrays a miss leaves remembered are held by design: at most 9 (_memo)
+                # the arrays a miss leaves remembered are held by design: at most 8 (_memo)
                 held = sum(a.nbytes for a in remembered_arrays()) if case == "miss" else 0
                 peaks[case][name] = (tracemalloc.get_traced_memory()[1] - held) / out.nbytes
             finally:
@@ -907,7 +937,8 @@ def _well_root_whole_grid(rho, kappa):
     with np.errstate(over="ignore", invalid="ignore"):
         h = 1.0 / ((t * t + 1.0) * rho)
         lost = (t < TINY) | np.isinf(h)
-        return np.where(lost, _pow_gathered(rho, kappa - 1.0) / (t * t + 1.0), t * h), h
+        g = np.where(lost, _pow_gathered(rho, kappa - 1.0) / (t * t + 1.0), t * h)
+        return g, h, 1.0 / (t * t + 1.0)
 
 
 WIDE_GRIDS = {"1e+-150": np.geomspace(1e-150, 1e150, 4001),
@@ -926,9 +957,10 @@ def test_guarded_powers_and_well_root_keep_their_whole_grid_bits(grid, kappa, mo
                        [(x, e) for e in (2 * kappa, kappa, 0.5, -1.0, -2.0, 7.0, 20.0)] + \
                        [(x, np.where(rho > 1.0, 2 * kappa + 2, 2 * kappa - 2))]:
             assert same_bits(model._pow(base, e), _pow_gathered(base, e)), (grid, e)
-        g, h = model._well_root(rho, kappa)
-        want_g, want_h = _well_root_whole_grid(rho, kappa)
-    assert same_bits(g, want_g) and same_bits(h, want_h), grid
+        got = model._well_root(rho, kappa)
+        want = _well_root_whole_grid(rho, kappa)
+    assert all(same_bits(a, b) for a, b in zip(got, want)), grid   # g, h and T
+    g = got[0]
     with np.errstate(over="ignore"):
         overflow = np.isinf(rho ** kappa)
     assert np.array_equal(np.isnan(g), overflow)   # g is NaN where rho^kappa overflows
