@@ -313,9 +313,9 @@ def _accepts(l: float, rho: float, kappa: float) -> bool:
     curvature is + and - at 1e-4 of the feature width 1/(2 kappa) in and out."""
     if not (1.0 < l < 20.0 and 0.1 < rho < 10.0):
         return False
-    h = 1e-4 / (2.0 * kappa)
-    inside, outside = susy.partner_plus_d2r(rho * np.array([1.0 - h, 1.0 + h]), kappa, l)
-    return inside > 0.0 > outside
+    h = 1e-4 / (2.0 * kappa)   # two scalars, never remembered: a grid's slot stays in place
+    d2r = [susy.partner_plus_d2r(rho * side, kappa, l) for side in (1.0 - h, 1.0 + h)]
+    return d2r[0] > 0.0 > d2r[1]
 
 
 def critical_angular_all(kappa: float) -> list[CriticalPoint]:

@@ -104,7 +104,7 @@ def _over_rho(rho, kappa, l, order, combine):
     """combine(B_0, ..., B_order) / rho^(order + 1), the B_n of _numerators_t at the T of
     _well_root, written over combine's own result; 0 or a signed infinity, with no warning,
     where the quotient, rho^(order + 1) or a power of k passes the float range (only a NaN
-    warns).  A scalar radius is not remembered: it takes T alone, by _well_root's formula."""
+    warns).  A scalar radius, never remembered, takes T alone by _well_root's formula: no g, h."""
     with np.errstate(over="ignore", divide="ignore"):
         if rho.ndim:
             T = _well_root(rho, kappa)[2]

@@ -58,6 +58,22 @@ class TestGegenbauer:
         np.testing.assert_allclose(gegenbauer_eval(2, q, xs), c2, rtol=0, atol=1e-13)
         np.testing.assert_allclose(gegenbauer_eval(3, q, xs), c3, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_order_past_half_the_float_range_keeps_the_doubled_argument(self, p):
+        # 2q overflows here (q = (2l+1)/(2 kappa) + 1/2, at l = 0 for kappa below about 5.6e-309):
+        # 2x c must stay (2x) c, finite for |x| < 1/2 and 0 at x = 0, not x (2c) = x inf.
+        q, xs = 1e308, np.array([-0.4, -1e-300, 0.0, 0.25, 0.49])
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_prev, c_cur = 1.0, (2.0 * xs) * q
+            for k in range(2, p + 1):
+                c_next = (2.0 * xs) * ((k + q - 1.0) / k) * c_cur
+                c_prev *= (k + 2.0 * q - 2.0) / k
+                c_prev, c_cur = c_cur, c_next - c_prev
+            out = gegenbauer_eval(p, q, xs)
+        np.testing.assert_array_equal(out, c_cur)
+        if p == 1:
+            assert np.isfinite(out).all()
+
     @pytest.mark.parametrize("p", range(7))
     @pytest.mark.parametrize("q", [0.5, 1.5, 17 / 6])
     def test_value_at_unit_argument(self, p, q):
