@@ -47,8 +47,10 @@ __all__ = [
     "make_state",
     "enumerate_shell",
 ]
-_SPAN = contextvars.ContextVar("_SPAN", default=math.inf)   # set by _radial; inf: judge lanes
+# set by _radial: the radii it checked and their span; span inf (no call): judge lanes
+_RADII = contextvars.ContextVar("_RADII", default=(None, math.inf))
 _MEMO_POINTS = 65_536   # _memo remembers no larger grid: its arrays would outlive the call
+_checked = (np.full(1, math.nan), math.inf)   # _memo: checked radii, read-only, and span
 
 
 def parse_kappa(value) -> tuple[float, Fraction | None]:
@@ -204,7 +206,7 @@ def _pow(b, e):
     over an exponent array differs from the one for a single exponent (b^-1 is 1/b only there).
     """
     b = np.asanyarray(b)
-    span, arr = _SPAN.get(), isinstance(e, np.ndarray)
+    span, arr = _RADII.get()[1], isinstance(e, np.ndarray)
     if arr and e.ndim == 0 == b.ndim:
         return _pow(b.reshape(1), e.reshape(1))[0]
     if span * (np.abs(e).max(initial=0.0) if arr else abs(e)) < 1e3:   # no power near 0 or inf
@@ -228,39 +230,54 @@ def _memo(helper):
     scalar radius seldom repeats; on a grid a hit saves more than a miss costs at any size).
 
     An equal kappa and radii equal lane by lane (positive and finite, so == is exact) get
-    the remembered results themselves, read-only.  The slot keeps a copy of rho, so a grid
-    written in place since is a miss, and is one tuple, replaced in one assignment, so no
-    thread reads one call's key with another's results."""
+    the remembered results themselves, read-only.  The slot keeps a read-only copy of rho, so
+    a grid written in place since is a miss; radii _radial checked share one, _checked, which
+    _radial passes on for an equal grid: a hit is then its identity.  Each slot is one tuple,
+    replaced in one assignment, so no thread reads one call's key with another's results."""
     @functools.wraps(helper)
     def remembered(rho, kappa):
+        global _checked
         if rho.ndim == 0 or not 0 < rho.size <= _MEMO_POINTS or isinstance(kappa, np.ndarray):
             return helper(rho, kappa)   # kappa lanes: no key
         last_kappa, last_rho, out = remembered.last
-        # a miss seldom shares the last lane: it is compared before the whole grid is
-        if (last_kappa == kappa and last_rho.shape == rho.shape
-                and last_rho.item(-1) == rho.item(-1) and (last_rho == rho).all()):
+        if last_kappa == kappa and _equal(last_rho, rho):
             return out
         out = helper(rho, kappa)
         for a in out if isinstance(out, tuple) else (out,):
             if isinstance(a, np.ndarray):
-                a.flags.writeable = False
-        remembered.last = (kappa, rho.copy(), out)
+                a.setflags(write=False)
+        key = _checked[0]
+        if key is not rho:   # a copy, shared through _checked if _radial checked rho
+            key = rho.copy()
+            key.setflags(write=False)
+            if (radii := _RADII.get())[0] is rho:   # with its span
+                _checked = (key, radii[1])
+        remembered.last = (kappa, key, out)
         return out
     remembered.last = (math.nan, None, None)   # nan == kappa is False: nothing remembered
     return remembered
 
 
+def _equal(grid, rho) -> bool:
+    """rho is grid, or a float array equal to it lane by lane (a miss seldom has its last lane)."""
+    return rho is grid or (type(rho) is np.ndarray and rho.dtype is grid.dtype
+                           and rho.shape == grid.shape and rho.item(-1) == grid.item(-1)
+                           and bool((rho == grid).all()))
+
+
 def _radial(closed_form):
     """Give a closed form closed_form(rho, ...) the radius contract.
 
-    rho passes _check_rho and reaches the closed form as a float array, and
-    _pow reads its span from _SPAN.  A scalar rho gives a float back (a tuple
-    of floats for a tuple of results); for array input the arrays pass through.
+    rho passes _check_rho, or equals _memo's checked copy, which goes in its place, and reaches
+    the closed form as a float array; _pow reads its span from _RADII.  A scalar rho gives a
+    float back (a tuple of floats for a tuple of results); array results pass through.
     """
     @functools.wraps(closed_form)
     def contracted(rho, *args, **kwargs):
-        checked, span = _check_rho(rho)
-        (context := contextvars.copy_context()).run(_SPAN.set, span)   # for this call only
+        checked, span = _checked   # one read: the slot is replaced whole
+        if not _equal(checked, rho):
+            checked, span = _check_rho(rho)
+        (context := contextvars.copy_context()).run(_RADII.set, (checked, span))   # this call only
         out = context.run(closed_form, checked, *args, **kwargs)
         if not np.isscalar(rho):
             return out
@@ -386,8 +403,9 @@ def _ueff(rho, w: float, kappa: float, l):
         return u
     v = _rmul(v, v)
     u = _pow(x, np.where(rho > 1.0, 2.0 * kappa + 2.0, 2.0 * kappa - 2.0))
-    u *= -w
-    u *= v
+    with np.errstate(over="ignore"):   # -inf where the well's shape times w passes the range
+        u *= -w
+        u *= v
     return u
 
 
@@ -410,7 +428,7 @@ def _well_root(rho, kappa):
         T = 1.0 / q
         q *= rho
         h = _rdiv(1.0, q)
-        if _SPAN.get() * max(kappa, 1.0) > 1022:   # some t may be subnormal or some h inf
+        if _RADII.get()[1] * max(kappa, 1.0) > 1022:   # some t may be subnormal or some h inf
             lost = (t < np.finfo(float).tiny) | np.isinf(h)
             if rho.ndim == 0:
                 return np.where(lost, _pow(rho, kappa - 1.0) / (t * t + 1.0), t * h), h, T

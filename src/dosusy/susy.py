@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (_SPAN, SampledFunction, _fold, _pow, _radial, _rdiv, _rmul, _rsub,
+from .model import (_RADII, SampledFunction, _fold, _pow, _radial, _rdiv, _rmul, _rsub,
                     _well_root, _xi, default_grid)
 from .numkit import _anchored_integral, _curve_csv, grid_derivative
 
@@ -163,7 +163,7 @@ def _reduced(rho, kappa, a, k_well, k_h=None):
         k_h = 0.0 if k_h is None else k_h   # P's h coefficient
         # each term is within c / rho^2 <= c 4^span (taken in log2: 4.0 ** span may overflow)
         c = np.max(np.abs(a) + np.abs(k_well) + abs(k_h))
-        if c < 2.0 ** (1023.0 - 2.0 * _SPAN.get()) or c / np.min(rho) ** 2 < _HUGE:
+        if c < 2.0 ** (1023.0 - 2.0 * _RADII.get()[1]) or c / np.min(rho) ** 2 < _HUGE:
             return u
         x = _pow(rho, 2.0 * kappa)
         T2 = _pow(1.0 + x, -2.0)

@@ -585,15 +585,23 @@ def results(out):
 
 
 def remembered_arrays():
-    """The arrays the helpers' slots hold: each one's copy of rho and its results."""
-    return [a for helper in MEMO_HELPERS for a in (helper.last[1], *results(helper.last[2]))
-            if isinstance(a, np.ndarray)]
+    """The arrays the slots hold, each once: the checked copy of the radii, each helper's
+    copy of rho (mostly that one) and its results."""
+    held = [model._checked[0]]
+    held += [a for helper in MEMO_HELPERS for a in (helper.last[1], *results(helper.last[2]))]
+    return list({id(a): a for a in held if isinstance(a, np.ndarray)}.values())
+
+
+def slots():
+    """Every slot as it stands: each helper's and the checked grid's."""
+    return [helper.last for helper in MEMO_HELPERS] + [model._checked]
 
 
 def forget():
-    """Empty every helper's slot, so that the next call is evaluated cold."""
+    """Empty every slot, the checked grid's too, so that the next call is evaluated cold."""
     for helper in MEMO_HELPERS:
         helper.last = (math.nan, None, None)
+    model._checked = (np.full(1, math.nan), math.inf)
 
 
 def batch_forms(kappa, l):
@@ -623,6 +631,63 @@ def test_a_grid_written_in_place_between_calls_is_evaluated_afresh(name):
     got = form(rho)
     forget()
     assert same_bits(got, form(rho.copy()))
+
+
+def counted_checks(monkeypatch):
+    """The radii _radial checks from here on, one entry a check."""
+    checked, check = [], model._check_rho
+    monkeypatch.setattr(model, "_check_rho",
+                        lambda rho, *name: checked.append(rho) or check(rho, *name))
+    return checked
+
+
+def test_the_batch_forms_on_one_grid_check_it_once_and_keep_the_bits_of_cold_calls(
+        monkeypatch):
+    forms = batch_forms(1.37, 3)
+    rho = np.geomspace(1e-150, 1e150, 16384)
+    forget()
+    checked = counted_checks(monkeypatch)
+    with np.errstate(all="ignore"):   # U-+ are NaN where rho^kappa overflows
+        warm = {name: form(rho) for name, form in forms.items()}
+        assert len(checked) == 1 and checked[0] is rho
+        cold = {}
+        for name, form in forms.items():
+            forget()
+            cold[name] = form(rho)
+    assert len(checked) == 1 + len(forms)
+    for name in forms:
+        assert same_bits(warm[name], cold[name]), name
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+def test_a_remembered_grid_written_with_a_bad_lane_is_refused_by_every_form(bad):
+    forms = batch_forms(1.37, 3)
+    for lane in (0, 500, -1):
+        rho = np.geomspace(1e-3, 1e3, 1001)
+        for form in forms.values():   # every slot holds this grid
+            form(rho)
+        rho[lane] = bad
+        for name, form in forms.items():
+            with pytest.raises(ValueError, match="rho"):
+                form(rho)
+            assert not np.array_equal(model._checked[0], rho), name
+
+
+def test_an_equal_grid_gets_the_remembered_results_and_stays_the_callers(monkeypatch):
+    forms = batch_forms(1.37, 3)
+    rho = np.geomspace(1e-3, 1e3, 1001)
+    forget()
+    first = {name: form(rho) for name, form in forms.items()}
+    before = slots()
+    twin = rho.copy()   # another array with the same radii
+    checked = counted_checks(monkeypatch)
+    for name, form in forms.items():
+        assert same_bits(form(twin), first[name]), name
+    assert not checked
+    assert all(now is slot for now, slot in zip(slots(), before))
+    for a in (rho, twin):   # neither made read-only nor written
+        assert a.flags.writeable and not np.shares_memory(a, model._checked[0])
+        assert same_bits(a, np.geomspace(1e-3, 1e3, 1001))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -660,16 +725,16 @@ def test_a_scalar_or_a_grid_past_the_cap_leaves_every_slot_and_keeps_its_lanes()
     forms = batch_forms(1.37, 3)
     for form in forms.values():
         form(np.geomspace(0.5, 2.0, 64))
-    before = [helper.last for helper in MEMO_HELPERS]
+    before = slots()
     for radius in (0.7, np.float64(0.7), np.asarray(0.7), np.empty(0)):   # no last lane
         for form in forms.values():
             form(radius)
-    assert all(helper.last is slot for helper, slot in zip(MEMO_HELPERS, before))
+    assert all(now is slot for now, slot in zip(slots(), before))
     rho = np.geomspace(1e-6, 1e6, model._MEMO_POINTS + 1)   # 1e+-150 lanes: the test above
     part = slice(20_000, 20_000 + 16_384)
     with np.errstate(all="ignore"):
         lanes = {name: form(rho) for name, form in forms.items()}
-        assert all(helper.last is slot for helper, slot in zip(MEMO_HELPERS, before))
+        assert all(now is slot for now, slot in zip(slots(), before))
         for name, form in forms.items():
             want = form(rho[part])
             assert same_bits(tuple(x[part] for x in results(lanes[name])), results(want)), name
@@ -679,10 +744,10 @@ def test_a_kappa_array_is_evaluated_lane_by_lane_and_not_remembered():
     rho, kappa = np.geomspace(0.1, 10.0, 5), np.array([1.0, 1.5, 2.0, 2.5, 3.0])
     for form in (lambda r, k: f_factor(r, k, 1), lambda r, k: potential(r, 2.0, k)):
         lanes = [form(r, k) for r, k in zip(rho.tolist(), kappa.tolist())]
-        before = [helper.last for helper in MEMO_HELPERS]
+        before = slots()
         for _ in range(2):
             np.testing.assert_allclose(form(rho, kappa), lanes, rtol=1e-15)
-        assert all(helper.last is slot for helper, slot in zip(MEMO_HELPERS, before))
+        assert all(now is slot for now, slot in zip(slots(), before))
 
 
 def test_w_and_the_partners_on_one_grid_take_one_power_and_a_scalar_takes_its_lanes_t(
@@ -693,7 +758,7 @@ def test_w_and_the_partners_on_one_grid_take_one_power_and_a_scalar_takes_its_la
 
     def recorded(module):
         power = module._pow
-        return lambda b, e: (asked.append(e) if b is rho else None) or power(b, e)
+        return lambda b, e: (asked.append(e) if np.array_equal(b, rho) else None) or power(b, e)
 
     forget()
     for module in (model, susy):
@@ -790,7 +855,8 @@ def test_closed_form_grid_forms_hold_few_grid_arrays():
             tracemalloc.start()
             try:
                 out = form()
-                # the arrays a miss leaves remembered are held by design: at most 8 (_memo)
+                # the arrays a miss leaves remembered are held by design: at most 7, each
+                # helper's three results and one checked copy of the radii (_memo)
                 held = sum(a.nbytes for a in remembered_arrays()) if case == "miss" else 0
                 peaks[case][name] = (tracemalloc.get_traced_memory()[1] - held) / out.nbytes
             finally:
@@ -829,11 +895,11 @@ def same_bits(got, want):
 @contextlib.contextmanager
 def radial_span(rho):
     """_pow's view inside a _radial call on rho; outside one it judges every lane."""
-    token = model._SPAN.set(model._check_rho(rho)[1])
+    token = model._RADII.set(model._check_rho(rho))
     try:
         yield
     finally:
-        model._SPAN.reset(token)
+        model._RADII.reset(token)
 
 
 @pytest.mark.parametrize("inside", [False, True], ids=["outside-radial", "inside-radial"])

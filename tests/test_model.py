@@ -241,6 +241,17 @@ def test_potential_validation():
         potential(-1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("rho", [1.7295641190529564e-201, np.array([1.7295641190529564e-201])],
+                         ids=["scalar", "1-element"])
+def test_the_well_past_the_float_range_at_l_0_is_a_quiet_minus_inf(rho):
+    # x^(2 kappa - 2) is finite and w times it is not: the product overflows to -inf
+    kappa, w = 0.2325507529282852, 3.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (potential(rho, w, kappa), effective_potential_general(rho, w, kappa, 0)):
+            assert np.shape(value) == np.shape(rho) and np.all(value == -math.inf)
+
+
 # Quantized couplings, checked against values computed by hand from
 # (2k)^2 (N + 1/(2k) - 1)(N + 1/(2k)).
 COUPLING_TABLE = [
